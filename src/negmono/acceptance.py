@@ -16,10 +16,9 @@ import numpy as np
 
 from .imfunc import IMParams, beta_sign_report, h, im_pair_check, sup_error
 from .matcore import complex_gaussian, negativity, schatten
-from .monogamy import build_Z1, build_Z2, ineq4_report, monotonicity_report
+from .monogamy import build_Z1, build_Z2, monotonicity_report
 from .permlemma import (
     _perm_array,
-    chain_split_sum,
     check_commutative,
     commutative_lhs,
     drury_numeric_check,

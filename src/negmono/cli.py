@@ -21,15 +21,11 @@ from .imfunc import DEFAULT_QUAD_TOL, DEFAULT_THETA, IMParams, sup_error_table
 from .matcore import TAU_CHECK, complex_gaussian, load_matrix
 from .monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
 from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearranged_sum
-from .qstate import coeff_matrices, load_state, random_state
-from .search import TARGETS, SearchConfig, run_search, run_trial, serialize_instance
-from .specialcase import SpecialCaseTrace, interlacing_trace, pad_square
+from .qstate import coeff_matrices, random_state
+from .search import TARGETS, SearchConfig, run_search
+from .specialcase import interlacing_trace, pad_square
 from .errors import StepFailedError
 
-PROVEN = ("ineq2", "ineq3", "monotonicity_AB", "monotonicity_AC",
-          "ineqid", "ineqid1", "ineqid2_minus", "ineqid2_plus",
-          "commutative", "chain_bound", "holder_half", "drury",
-          "single_term_triangle", "single_term_cauchy_schwarz")
 CONJECTURED = ("ineq4",)
 
 
@@ -217,34 +213,22 @@ def _cmd_search(args) -> int:
         print(f"bad search configuration: {exc}", file=sys.stderr)
         return 2
     out, close = _open_out(args.out)
-    try:
+
+    def on_trial(t: int, slack: float) -> None:
         if args.jobs == 1:
-            best = None
-            violations = 0
-            for t in range(cfg.trials):
-                t_idx, slack, inst = run_trial(cfg, t)
-                _emit({"trial": t_idx, "slack": slack}, out)
-                if slack < -cfg.tol:
-                    violations += 1
-                if best is None or (slack, t_idx) < best[:2]:
-                    best = (slack, t_idx, inst)
-                if (t + 1) % 1000 == 0:
-                    print(f"{t + 1}/{cfg.trials} trials", file=sys.stderr)
-            result_dict = {
-                "min_slack": best[0], "argmin": best[2],
-                "trial_index": best[1], "violations": violations,
-            }
-        else:
-            res = run_search(cfg, jobs=args.jobs)
-            result_dict = res.to_dict()
-            violations = res.violations
-        _emit({"result": result_dict, "target": cfg.target, "seed": seed}, out)
+            _emit({"trial": t, "slack": slack}, out)
+        if (t + 1) % 1000 == 0:
+            print(f"{t + 1}/{cfg.trials} trials", file=sys.stderr)
+
+    try:
+        res = run_search(cfg, jobs=args.jobs, on_trial=on_trial)
+        _emit({"result": res.to_dict(), "target": cfg.target, "seed": seed}, out)
     finally:
         if close:
             out.close()
-    if violations:
+    if res.violations:
         kind = "finding" if cfg.target == "ineq4" else "proven statement violated"
-        print(f"{kind}: {violations} violation(s) for target {cfg.target}",
+        print(f"{kind}: {res.violations} violation(s) for target {cfg.target}",
               file=sys.stderr)
         if cfg.target != "ineq4":
             return 1

@@ -181,14 +181,37 @@ def matrix_to_dict(x) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def json_entries(obj, what: str, size_keys: tuple[str, ...], list_key: str):
+    """Integer sizes and flat complex entries of a decoded JSON record such
+    as {"rows": 2, "cols": 2, "data": [[re, im], ...]}. Raises ValueError
+    with a one-line message when obj is not an object, lacks a key, or has
+    a size that is not an integer or an entry that is not a [re, im] pair."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(obj).__name__}")
+    missing = [k for k in (*size_keys, list_key) if k not in obj]
+    if missing:
+        raise ValueError(f"{what} JSON lacks the key(s) {', '.join(missing)}")
+    try:
+        sizes = [int(obj[k]) for k in size_keys]
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} JSON sizes {', '.join(size_keys)} must be integers") from None
+    entries = obj[list_key]
+    bad_entries = ValueError(f"{what} JSON {list_key} must be a list of [re, im] pairs of numbers")
+    if not isinstance(entries, list):
+        raise bad_entries
+    try:
+        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError):
+        raise bad_entries from None
+    return sizes, flat
+
+
 def matrix_from_dict(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    (rows, cols), flat = json_entries(obj, "matrix", ("rows", "cols"), "data")
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be at least 1")
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data])
+    if flat.size != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {flat.size}")
     return as_complex_matrix(flat.reshape(rows, cols))
 
 

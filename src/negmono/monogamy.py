@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotNormalizedError
+from .errors import NoConvergenceError, NotNormalizedError
 from .matcore import InequalityReport, TAU_CHECK, make_report, negativity, schatten
 from .qstate import (
     TAU_NORM,
@@ -27,28 +27,53 @@ from .qstate import (
 )
 
 
+def _z1(c: np.ndarray) -> np.ndarray:
+    n, dA, dB, _ = c.shape
+    return np.einsum("njpq,nirq->nipjr", c, c.conj()).reshape(n, dA * dB, dA * dB)
+
+
+def _z2(c: np.ndarray) -> np.ndarray:
+    n, dA, _, dC = c.shape
+    return np.einsum("njqp,niqr->nipjr", c.conj(), c).reshape(n, dA * dC, dA * dC)
+
+
 def build_Z1(mats) -> np.ndarray:
     """Hermitian block matrix with A_j A_i* at block row i, block column j."""
-    m = _stacked(mats)
-    n, dB, _ = m.shape
-    return np.einsum("jpq,irq->ipjr", m, m.conj()).reshape(n * dB, n * dB)
+    return _z1(_stacked(mats)[None])[0]
 
 
 def build_Z2(mats) -> np.ndarray:
     """Hermitian block matrix with A_j* A_i at block row i, block column j."""
-    m = _stacked(mats)
-    n, _, dC = m.shape
-    return np.einsum("jqp,iqr->ipjr", m.conj(), m).reshape(n * dC, n * dC)
+    return _z2(_stacked(mats)[None])[0]
 
 
 def _norms(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(m) ** 2, axis=(1, 2)))
+    return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
 
 
-def _pair_lhs(mats) -> tuple[float, float]:
-    n1 = negativity(build_Z1(mats))
-    n2 = negativity(build_Z2(mats))
-    return n1, n2
+def _negativities(z: np.ndarray) -> np.ndarray:
+    try:
+        w = np.linalg.eigvalsh(z)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+    return 2.0 * np.sum(np.clip(-w, 0.0, None), axis=-1)
+
+
+def ineq4_batch(c: np.ndarray):
+    """The ineq4 quantities of N states at once, from their coefficient
+    tensors c of shape (N, dA, dB, dC): the negativity pair
+    n1 = ||Z1||_1 - tr Z1 and n2 = ||Z2||_1 - tr Z2, the left-hand side
+    n1^2 + n2^2 and the right-hand side (sum_{i != j} ||A_i||_2 ||A_j||_2)^2,
+    each an array of length N.
+
+    This is the only definition of these quantities; c is not validated,
+    so callers check outside input first (ineq4_report does, through
+    _stacked)."""
+    n1 = _negativities(_z1(c))
+    n2 = _negativities(_z2(c))
+    norms = _norms(c)
+    cross = np.sum(norms, axis=1) ** 2 - np.sum(norms**2, axis=1)
+    return n1, n2, n1**2 + n2**2, cross**2
 
 
 def _digest(m: np.ndarray, rhs: float, lhs: float) -> dict:
@@ -73,8 +98,8 @@ def ineq2_report(state: TripartiteState, tol: float = TAU_CHECK) -> InequalityRe
     mats = coeff_matrices(state)
     m = _stacked(mats)
     _require_unit_weight(m)
-    n1, n2 = _pair_lhs(mats)
-    lhs = n1**2 + n2**2
+    _, _, lhs, _ = ineq4_batch(m[None])
+    lhs = float(lhs[0])
     rhs = (schatten(gram_matrix(mats), 0.5) - 1.0) ** 2
     return make_report("ineq2", lhs, rhs, tol, **_digest(m, rhs, lhs))
 
@@ -84,8 +109,8 @@ def ineq3_report(mats, tol: float = TAU_CHECK) -> InequalityReport:
     right-hand side ((sum_i ||A_i||_2)^2 - 1)^2."""
     m = _stacked(mats)
     _require_unit_weight(m)
-    n1, n2 = _pair_lhs(mats)
-    lhs = n1**2 + n2**2
+    _, _, lhs, _ = ineq4_batch(m[None])
+    lhs = float(lhs[0])
     rhs = (float(np.sum(_norms(m))) ** 2 - 1.0) ** 2
     return make_report("ineq3", lhs, rhs, tol, **_digest(m, rhs, lhs))
 
@@ -95,11 +120,8 @@ def ineq4_report(mats, tol: float = TAU_CHECK) -> InequalityReport:
     (||Z1||_1 - tr Z1)^2 + (||Z2||_1 - tr Z2)^2
         <= (sum_{i != j} ||A_i||_2 ||A_j||_2)^2."""
     m = _stacked(mats)
-    n1, n2 = _pair_lhs(mats)
-    lhs = n1**2 + n2**2
-    norms = _norms(m)
-    cross = float(np.sum(norms) ** 2 - np.sum(norms**2))
-    rhs = cross**2
+    _, _, lhs, rhs = ineq4_batch(m[None])
+    lhs, rhs = float(lhs[0]), float(rhs[0])
     return make_report("ineq4", lhs, rhs, tol, **_digest(m, rhs, lhs))
 
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError, ShapeMismatchError
-from .matcore import as_complex_matrix, complex_gaussian, schatten
+from .matcore import as_complex_matrix, complex_gaussian, json_entries, schatten
 
 # Accepted deviation of the total squared weight from one.
 TAU_NORM = 1e-10
@@ -181,13 +181,11 @@ def state_to_dict(state: TripartiteState) -> dict:
 
 
 def state_from_dict(obj: dict, normalize: bool = False) -> TripartiteState:
-    dA, dB, dC = int(obj["dA"]), int(obj["dB"]), int(obj["dC"])
-    coeffs = obj["coeffs"]
-    if len(coeffs) != dA * dB * dC:
+    (dA, dB, dC), flat = json_entries(obj, "state", ("dA", "dB", "dC"), "coeffs")
+    if flat.size != dA * dB * dC:
         raise DimensionMismatchError(
-            f"expected {dA * dB * dC} coefficients, got {len(coeffs)}"
+            f"expected {dA * dB * dC} coefficients, got {flat.size}"
         )
-    flat = np.array([complex(re, im) for re, im in coeffs])
     return TripartiteState(flat.reshape(dA, dB, dC), normalize=normalize)
 
 

@@ -3,20 +3,29 @@ monogamy and special-case inequalities.
 
 Every trial is a pure function of (seed, trial_index) through splittable
 seed sequences, so results are reproducible and independent of worker
-scheduling; the final minimum is merged by (slack, trial_index).
+scheduling; the final minimum is merged by (slack, trial_index). Trials run
+in fixed chunks of CHUNK consecutive indices; the ineq4 trials of a chunk
+descend in lockstep through one batched kernel call per step.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .matcore import TAU_CHECK, complex_gaussian, matrix_from_dict, matrix_to_dict
-from .monogamy import ineq4_report
+from .monogamy import ineq4_batch
 from .permlemma import check_commutative
-from .qstate import TripartiteState, random_state, state_from_dict, state_to_dict
+from .qstate import (
+    TripartiteState,
+    _stacked,
+    random_state,
+    state_from_dict,
+    state_to_dict,
+)
 from .specialcase import check_ineqid, check_ineqid1, check_ineqid2
 
 TARGETS = ("ineq4", "ineqid", "ineqid1", "ineqid2", "commutative")
@@ -27,6 +36,13 @@ MU_GAMMA = 5.0
 
 # Consecutive rejected proposals before the step scale is halved.
 STALL_LIMIT = 20
+
+# Trials per chunk. Chunk k holds trials [k * CHUNK, (k + 1) * CHUNK), so
+# the boundaries depend only on the trial index, never on --jobs.
+CHUNK = 64
+# Descent steps whose noise a lockstep chunk draws at once; bounds the noise
+# buffer (370 kB at 2x3x3) whatever --local-steps is.
+NOISE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -77,12 +93,19 @@ class SearchResult:
         }
 
 
+def _trial_seeds(cfg: SearchConfig, trial_index: int):
+    """The (start state, descent) seed sequences of one trial."""
+    return np.random.SeedSequence(entropy=(cfg.seed, int(trial_index))).spawn(2)
+
+
 def random_instance(cfg: SearchConfig, trial_index: int):
     """Deterministic random instance for one trial: a normalised Gaussian
     state for ineq4, a complex Gaussian matrix for the ineqid targets, or a
     sorted exponentially spaced spectrum plus uniform permutation."""
-    child = np.random.SeedSequence(entropy=(cfg.seed, int(trial_index))).spawn(2)[0]
-    rng = np.random.default_rng(child)
+    return _sample(cfg, np.random.default_rng(_trial_seeds(cfg, trial_index)[0]))
+
+
+def _sample(cfg: SearchConfig, rng: np.random.Generator):
     if cfg.target == "ineq4":
         return random_state(cfg.dims, rng)
     if cfg.target == "commutative":
@@ -98,7 +121,8 @@ def evaluate_slack(target: str, instance) -> float:
     """Slack of the targeted inequality on one instance; negative means a
     violation candidate."""
     if target == "ineq4":
-        return ineq4_report(list(instance.coeffs)).slack
+        _, _, lhs, rhs = ineq4_batch(_stacked(instance.coeffs)[None])
+        return float(rhs[0] - lhs[0])
     if target == "ineqid":
         return check_ineqid(instance).slack
     if target == "ineqid1":
@@ -172,42 +196,105 @@ def deserialize_instance(obj: dict):
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
+def _descend_ineq4(cfg: SearchConfig, trials: range) -> list:
+    """local_descend on target ineq4 for several trials in lockstep.
+
+    Each trial keeps its own start state, its own descent stream (drawn
+    NOISE_BLOCK steps at a time, in the order _perturb draws it step by
+    step) and the step rules of local_descend: strict improvement, halving
+    after STALL_LIMIT rejections, rejection of a zero candidate, and
+    ValueError on a non-finite one. So the result of a trial does not
+    depend on which other trials share its lockstep."""
+    steps = cfg.local_steps
+    starts, rngs = [], []
+    for t in trials:
+        start_seq, descent_seq = _trial_seeds(cfg, t)
+        starts.append(_sample(cfg, np.random.default_rng(start_seq)).coeffs)
+        rngs.append(np.random.default_rng(descent_seq))
+    best = np.stack(starts)
+    _, _, lhs, rhs = ineq4_batch(best)
+    best_slack = rhs - lhs
+    scale = np.full(len(trials), float(cfg.step_scale))
+    stalled = np.zeros(len(trials), dtype=int)
+    per_trial = (slice(None), None, None, None)
+    for step in range(steps):
+        k = step % NOISE_BLOCK
+        if k == 0:
+            noise = np.empty((len(trials), min(NOISE_BLOCK, steps - step), 2, *cfg.dims))
+            for rng, out in zip(rngs, noise):
+                rng.standard_normal(out=out)
+        gauss = (noise[:, k, 0] + 1j * noise[:, k, 1]) / np.sqrt(2.0)  # as complex_gaussian
+        cand = best + scale[per_trial] * gauss
+        if not np.all(np.isfinite(cand)):
+            raise ValueError("coefficients must be finite")
+        weight = np.sum(np.abs(cand) ** 2, axis=(1, 2, 3))
+        nonzero = weight > 0.0
+        cand /= np.sqrt(np.where(nonzero, weight, 1.0))[per_trial]
+        _, _, lhs, rhs = ineq4_batch(cand)
+        cand_slack = rhs - lhs
+        accept = nonzero & (cand_slack < best_slack)
+        best[accept] = cand[accept]
+        best_slack = np.where(accept, cand_slack, best_slack)
+        stalled = np.where(accept, 0, stalled + 1)
+        halve = stalled >= STALL_LIMIT
+        scale[halve] *= 0.5
+        stalled[halve] = 0
+    return [(t, float(slack), TripartiteState(c))
+            for t, slack, c in zip(trials, best_slack, best)]
+
+
+def _run_trials(cfg: SearchConfig, trials: range) -> list:
+    """[(trial_index, slack, best_instance)] for the given trials."""
+    if cfg.target == "ineq4":
+        return _descend_ineq4(cfg, trials)
+    out = []
+    for t in trials:
+        start_seq, descent_seq = _trial_seeds(cfg, t)
+        instance = _sample(cfg, np.random.default_rng(start_seq))
+        best, slack = local_descend(
+            instance, cfg.target, cfg.local_steps, cfg.step_scale, descent_seq
+        )
+        out.append((t, float(slack), best))
+    return out
+
+
 def run_trial(cfg: SearchConfig, trial_index: int) -> tuple[int, float, dict]:
     """One full trial: sample, descend, serialize the survivor."""
-    instance = random_instance(cfg, trial_index)
-    descent_seed = np.random.SeedSequence(entropy=(cfg.seed, int(trial_index))).spawn(2)[1]
-    best, slack = local_descend(
-        instance, cfg.target, cfg.local_steps, cfg.step_scale, descent_seed
-    )
-    return int(trial_index), float(slack), serialize_instance(cfg.target, best)
+    [(t, slack, best)] = _run_trials(cfg, range(trial_index, trial_index + 1))
+    return t, slack, serialize_instance(cfg.target, best)
 
 
-def _run_trial_star(args) -> tuple[int, float, dict]:
-    return run_trial(*args)
+def _run_chunk(cfg: SearchConfig, start: int) -> list:
+    return _run_trials(cfg, range(start, min(start + CHUNK, cfg.trials)))
 
 
 def iter_trials(cfg: SearchConfig, jobs: int = 1):
-    """Yield (trial_index, slack, argbest) in trial order."""
+    """Yield (trial_index, slack, best_instance) in trial order, one chunk
+    of CHUNK trials at a time, in this process or in `jobs` workers."""
+    starts = range(0, cfg.trials, CHUNK)
     if jobs <= 1:
-        for t in range(cfg.trials):
-            yield run_trial(cfg, t)
+        yield from chain.from_iterable(map(_run_chunk, repeat(cfg), starts))
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, cfg.trials // (jobs * 8))
-        work = ((cfg, t) for t in range(cfg.trials))
-        yield from pool.map(_run_trial_star, work, chunksize=chunk)
+        yield from chain.from_iterable(pool.map(_run_chunk, repeat(cfg), starts))
 
 
-def run_search(cfg: SearchConfig, jobs: int = 1) -> SearchResult:
+def run_search(cfg: SearchConfig, jobs: int = 1, on_trial=None) -> SearchResult:
     """Scan all trials and merge by (slack, trial_index), so the result is
-    independent of worker count and scheduling."""
+    independent of worker count and scheduling. on_trial(trial_index,
+    slack), when given, is called for every trial in trial order."""
     best = None
     violations = 0
     for t, slack, inst in iter_trials(cfg, jobs):
+        if on_trial is not None:
+            on_trial(t, slack)
         if slack < -cfg.tol:
             violations += 1
         if best is None or (slack, t) < (best[0], best[1]):
             best = (slack, t, inst)
     return SearchResult(
-        min_slack=best[0], argmin=best[2], trial_index=best[1], violations=violations
+        min_slack=best[0],
+        argmin=serialize_instance(cfg.target, best[2]),
+        trial_index=best[1],
+        violations=violations,
     )

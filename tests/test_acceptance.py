@@ -7,6 +7,19 @@ from negmono import acceptance
 
 CASES = [(i + 1, fn) for i, fn in enumerate(acceptance.CRITERIA)]
 
+# Seed-0 details pinned to perfbench/reference.json: floats within
+# 1e-12 + 1e-9 * |ref|, integers exactly.
+PINNED = {
+    "conjecture_scan": {
+        "min_slack_2x2x2": 0.020110237692559263,
+        "argmin_trial_2x2x2": 3575,
+        "violations_2x2x2": 0,
+        "min_slack_2x3x3": 0.18241445401299738,
+        "argmin_trial_2x3x3": 1927,
+        "violations_2x3x3": 0,
+    },
+}
+
 
 @pytest.mark.parametrize("index,criterion", CASES, ids=[f.__name__ for _, f in CASES])
 def test_criterion(index, criterion):
@@ -14,3 +27,9 @@ def test_criterion(index, criterion):
     print(result.line())
     assert result.index == index
     assert result.passed, result.details
+    for key, ref in PINNED.get(criterion.__name__, {}).items():
+        got = result.details[key]
+        if isinstance(ref, int):
+            assert got == ref, key
+        else:
+            assert abs(got - ref) <= 1e-12 + 1e-9 * abs(ref), key

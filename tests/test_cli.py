@@ -87,6 +87,15 @@ def test_special_case_pads_rectangles(capsys, tmp_path):
     assert parse_ndjson(out)[0]["d"] == 3
 
 
+@pytest.mark.parametrize("blob", ['{"rows": 2}', "[1, 2]"])
+def test_special_case_malformed_file_is_usage_error(capsys, tmp_path, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(blob)
+    code, out, err = run_cli(capsys, "special-case", "--file", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "matrix JSON" in err
+
+
 def test_perm_lemma(capsys):
     code, out, _ = run_cli(capsys, "perm-lemma", "--d", "4", "--samples", "3")
     assert code == 0

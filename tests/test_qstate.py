@@ -160,6 +160,12 @@ def test_state_json_roundtrip(tmp_path):
     np.testing.assert_array_equal(state_from_dict(d).coeffs, s.coeffs)
 
 
+@pytest.mark.parametrize("obj", [[1, 2], {"dA": 1}, {"dA": 1, "dB": 1, "dC": 1, "coeffs": [[1.0]]}])
+def test_state_from_dict_rejects_malformed_json(obj):
+    with pytest.raises(ValueError, match="state JSON"):
+        state_from_dict(obj)
+
+
 def test_random_state_deterministic_per_seed():
     a = random_state((2, 2, 2), np.random.default_rng(42))
     b = random_state((2, 2, 2), np.random.default_rng(42))

@@ -4,10 +4,13 @@ import pytest
 from negmono.monogamy import ineq4_report
 from negmono.qstate import TripartiteState
 from negmono.search import (
+    CHUNK,
+    NOISE_BLOCK,
     SearchConfig,
     SearchResult,
     deserialize_instance,
     evaluate_slack,
+    iter_trials,
     local_descend,
     random_instance,
     run_search,
@@ -114,6 +117,55 @@ def test_proven_targets_have_no_violations(target, kw):
 def test_parallel_merge_matches_serial():
     cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=30, seed=4)
     assert run_search(cfg, jobs=1) == run_search(cfg, jobs=2)
+
+
+def _scalar_descent_slacks(cfg):
+    slacks = []
+    for t in range(cfg.trials):
+        descent_seed = np.random.SeedSequence(entropy=(cfg.seed, t)).spawn(2)[1]
+        _, slack = local_descend(
+            random_instance(cfg, t), cfg.target, cfg.local_steps, cfg.step_scale, descent_seed
+        )
+        slacks.append(slack)
+    return slacks
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 3)])
+def test_lockstep_matches_scalar_descent(dims):
+    cfg = SearchConfig(target="ineq4", dims=dims, trials=150, seed=0)
+    assert 2 * CHUNK < cfg.trials < 3 * CHUNK  # two full chunks and a partial one
+    lockstep = [slack for _, slack, _ in iter_trials(cfg)]
+    scalar = _scalar_descent_slacks(cfg)
+    np.testing.assert_allclose(lockstep, scalar, rtol=0, atol=1e-12)
+    assert np.argmin(lockstep) == np.argmin(scalar)
+
+
+def test_lockstep_long_descent_matches_scalar_descent():
+    # several noise blocks, and enough rejections to halve the scale
+    cfg = SearchConfig(target="ineq4", dims=(3, 2, 2), trials=8, local_steps=75, seed=2)
+    assert cfg.local_steps > 2 * NOISE_BLOCK
+    lockstep = [slack for _, slack, _ in iter_trials(cfg)]
+    np.testing.assert_allclose(lockstep, _scalar_descent_slacks(cfg), rtol=0, atol=1e-12)
+
+
+def test_lockstep_keeps_the_start_state_on_ties():
+    # every 1x1x1 state has slack exactly 0, so no proposal is strictly better
+    cfg = SearchConfig(target="ineq4", dims=(1, 1, 1), trials=3, seed=0)
+    for t, slack, best in iter_trials(cfg):
+        assert slack == 0.0
+        np.testing.assert_array_equal(best.coeffs, random_instance(cfg, t).coeffs)
+
+
+def test_parallel_merge_matches_serial_across_chunks():
+    cfg = SearchConfig(target="ineq4", dims=(2, 3, 3), trials=150, seed=4)
+    assert cfg.trials > 2 * CHUNK
+    assert run_search(cfg, jobs=1) == run_search(cfg, jobs=2)
+
+
+def test_lockstep_rejects_non_finite_candidates():
+    cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=3, step_scale=np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        run_search(cfg)
 
 
 def test_result_to_dict():
