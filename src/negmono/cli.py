@@ -201,11 +201,10 @@ def _cmd_im(args) -> int:
 
 def _cmd_search(args) -> int:
     seed = _resolve_seed(args)
-    if args.format == "csv":
-        print("search emits NDJSON only", file=sys.stderr)
-        return 2
     dims = _parse_dims(args.dims) if args.dims is not None else None
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = SearchConfig(target=args.target, dims=dims, d=args.d,
                            trials=args.trials, local_steps=args.local_steps,
                            step_scale=args.step_scale, seed=seed, tol=args.tol)
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local-steps", type=int, default=20)
     p.add_argument("--step-scale", type=float, default=0.25)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", choices=("ndjson", "csv"), default="ndjson")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

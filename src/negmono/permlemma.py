@@ -84,8 +84,12 @@ def commutative_lhs(mu, image) -> float:
     v = _validate_spectrum(mu, sorted_required=False)
     if v.size != len(img):
         raise SizeMismatchError(f"len(mu)={v.size} but len(pi)={len(img)}")
-    diffs = v - v[np.array(img) - 1]
-    return float(np.sum(np.sqrt(np.clip(diffs, 0.0, None))))
+    return float(_rearranged_sums(v, np.array(img)[None, :] - 1)[0])
+
+
+def _rearranged_sums(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """sum_i sqrt((v_i - v_{pi(i)})_+) for each row pi of 0-based images."""
+    return np.sqrt(np.clip(v[None, :] - v[perms], 0.0, None)).sum(axis=1)
 
 
 def chain_component_sum(mu, chain) -> float:
@@ -159,7 +163,7 @@ def max_rearranged_sum(mu) -> tuple[float, tuple[int, ...]]:
     if v.size > D_MAX:
         raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
     perms = _perm_array(v.size)
-    vals = np.sqrt(np.clip(v[None, :] - v[perms], 0.0, None)).sum(axis=1)
+    vals = _rearranged_sums(v, perms)
     best = int(np.argmax(vals))
     return float(vals[best]), tuple(int(i) + 1 for i in perms[best])
 

@@ -22,7 +22,6 @@ from .matcore import (
     hermitian_eigenvalues,
     make_report,
     matrix_to_dict,
-    psd_sqrt,
 )
 
 
@@ -60,30 +59,43 @@ def build_special_Z(b) -> np.ndarray:
     return np.block([[np.eye(d), m], [m.conj().T, m @ m.conj().T]])
 
 
-def _tr_neg_part(z: np.ndarray) -> float:
-    w = hermitian_eigenvalues(z)
-    return float(np.sum(np.clip(-w, 0.0, None)))
+def _tr_neg_part(eig_z: np.ndarray) -> float:
+    return float(np.sum(np.clip(-eig_z, 0.0, None)))
 
 
 def _tr_sqrt_clipped(eigs: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(eigs, 0.0, None))))
 
 
+# The ineqid reports, from the spectrum of Z and the raw (unclamped)
+# eigenvalues of Delta; the public checks and interlacing_trace share them.
+def _ineqid_report(m, eig_z, tol):
+    rhs = np.sqrt(m.shape[0] / 2.0) * float(np.linalg.norm(m))
+    return make_report("ineqid", _tr_neg_part(eig_z), rhs, tol, d=m.shape[0])
+
+
+def _ineqid1_report(m, eig_z, gap_eigs, tol):
+    rhs = _tr_sqrt_clipped(-gap_eigs)
+    return make_report("ineqid1", _tr_neg_part(eig_z), rhs, tol, d=m.shape[0])
+
+
+def _ineqid2_report(m, gap_eigs, sign, tol):
+    lhs = _tr_sqrt_clipped(-gap_eigs if sign == "minus" else gap_eigs)
+    rhs = np.sqrt(m.shape[0] / 2.0) * float(np.linalg.norm(m))
+    return make_report(f"ineqid2_{sign}", lhs, rhs, tol, d=m.shape[0])
+
+
 def check_ineqid(b, tol: float = TAU_CHECK) -> InequalityReport:
     """tr Z_- <= sqrt(d/2) ||B||_2."""
     m = _square(b)
-    d = m.shape[0]
-    lhs = _tr_neg_part(build_special_Z(m))
-    rhs = np.sqrt(d / 2.0) * float(np.linalg.norm(m))
-    return make_report("ineqid", lhs, rhs, tol, d=d)
+    return _ineqid_report(m, hermitian_eigenvalues(build_special_Z(m)), tol)
 
 
 def check_ineqid1(b, tol: float = TAU_CHECK) -> InequalityReport:
     """tr Z_- <= tr sqrt(Delta_minus)."""
     m = _square(b)
-    lhs = _tr_neg_part(build_special_Z(m))
-    rhs = _tr_sqrt_clipped(-hermitian_eigenvalues(commutator_gap(m)))
-    return make_report("ineqid1", lhs, rhs, tol, d=m.shape[0])
+    eig_z = hermitian_eigenvalues(build_special_Z(m))
+    return _ineqid1_report(m, eig_z, hermitian_eigenvalues(commutator_gap(m)), tol)
 
 
 def check_ineqid2(b, sign: str = "minus", tol: float = TAU_CHECK) -> InequalityReport:
@@ -95,36 +107,40 @@ def check_ineqid2(b, sign: str = "minus", tol: float = TAU_CHECK) -> InequalityR
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
     m = _square(b)
-    d = m.shape[0]
-    eigs = hermitian_eigenvalues(commutator_gap(m))
-    lhs = _tr_sqrt_clipped(-eigs if sign == "minus" else eigs)
-    rhs = np.sqrt(d / 2.0) * float(np.linalg.norm(m))
-    return make_report(f"ineqid2_{sign}", lhs, rhs, tol, d=d)
+    return _ineqid2_report(m, hermitian_eigenvalues(commutator_gap(m)), sign, tol)
 
 
-def _gap_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jordan split of the commutator gap with a noise-floor clamp.
+def _gap_split(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Delta, its raw ascending eigenvalues, mu descending, Delta_plus,
+    Delta_minus, sqrt(Delta_plus), sqrt(Delta_minus)) from one eigh of Delta.
 
     Eigenvalues of Delta below 64 eps ||B||_F^2 in magnitude are numerical
-    zeros (the products carry that much roundoff); keeping them would feed
-    sqrt(noise) ~ 1e-8 entries into the stacks and the E blocks, wrecking
-    otherwise exact cases such as normal or zero-padded B.
+    zeros (the products carry that much roundoff) and are dropped from all
+    but the raw eigenvalues: sqrt(noise) ~ 1e-8 entries in the stacks and
+    the E blocks would wreck otherwise exact cases such as normal or
+    zero-padded B.
     """
     delta = commutator_gap(m)
     dec = hermitian_eig(delta)
     clamp = 64.0 * float(np.finfo(float).eps) * float(np.linalg.norm(m)) ** 2
     w = np.where(np.abs(dec.eigenvalues) <= clamp, 0.0, dec.eigenvalues)
     v = dec.eigenvectors
-    dplus = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    dminus = (v * np.clip(-w, 0.0, None)) @ v.conj().T
-    return delta, dplus, dminus
+    wp, wm = np.clip(w, 0.0, None), np.clip(-w, 0.0, None)
+    parts = [(v * x) @ v.conj().T for x in (wp, wm, np.sqrt(wp), np.sqrt(wm))]
+    return (delta, dec.eigenvalues, wm, *parts)
 
 
-def _stacks(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _, dp, dm = _gap_parts(b)
-    s1 = np.vstack([b, psd_sqrt(dp)])
-    s2 = np.vstack([b.conj().T, psd_sqrt(dm)])
-    return s1, s2
+def _fit_unitary(m, sqrt_plus, sqrt_minus) -> tuple[np.ndarray, float]:
+    """Connecting unitary of the stacks S1 = (B, sqrt_plus), S2 = (B*,
+    sqrt_minus), and the residual max |U S1 - S2| it leaves on them."""
+    s1 = np.vstack([m, sqrt_plus])
+    s2 = np.vstack([m.conj().T, sqrt_minus])
+    try:
+        w, _, vh = np.linalg.svd(s2 @ s1.conj().T)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+    u = w @ vh
+    return u, float(np.abs(u @ s1 - s2).max())
 
 
 def connecting_unitary(b) -> np.ndarray:
@@ -136,12 +152,8 @@ def connecting_unitary(b) -> np.ndarray:
     of S2 and pairs the orthogonal complements deterministically.
     """
     m = _square(b)
-    s1, s2 = _stacks(m)
-    try:
-        w, _, vh = np.linalg.svd(s2 @ s1.conj().T)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
-    return w @ vh
+    *_, sp, sm = _gap_split(m)
+    return _fit_unitary(m, sp, sm)[0]
 
 
 @dataclass
@@ -192,31 +204,30 @@ def interlacing_trace(b, tol: float = TAU_CHECK) -> SpecialCaseTrace:
       (e) Z has at most d negative eigenvalues.
       (f) E3 is psd.
 
-    The connecting-unitary residual and the three inequality checks are
+    The connecting-unitary residual and the four ineqid bounds are
     appended as reports; a failing residual also raises StepFailedError.
     """
     m = _square(b)
     d = m.shape[0]
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
+    delta, gap_eigs, mu, dplus, dminus, sp, sm = _gap_split(m)
 
-    delta, dplus, dminus = _gap_parts(m)
-    sp = psd_sqrt(dplus)
-    sm = psd_sqrt(dminus)
-    bbs = m @ m.conj().T
-
+    # E3 = [[1, 0, B*], [0, 1, 0], [B, 0, BB*]], E4 has sqrt(Delta_minus) in
+    # the (2, 3) and (3, 2) blocks, E2 = E3 + E4; E1 is E2 with B <-> B* and
+    # sqrt(Delta_plus) in place of sqrt(Delta_minus). Filled by slices, as
+    # np.block costs more than the decompositions at these sizes.
     z = build_special_Z(m)
-    e1 = np.block([[eye, zero, m], [zero, eye, sp], [m.conj().T, sp, bbs]])
-    e2 = np.block([[eye, zero, m.conj().T], [zero, eye, sm], [m, sm, bbs]])
-    e3 = np.block([[eye, zero, m.conj().T], [zero, eye, zero], [m, zero, bbs]])
-    e4 = np.block([[zero, zero, zero], [zero, zero, sm], [zero, sm, zero]])
-    u = connecting_unitary(m)
+    lo, hi = slice(d, 2 * d), slice(2 * d, 3 * d)
+    e3 = np.zeros((3 * d, 3 * d), dtype=complex)
+    e3[: 2 * d, : 2 * d] = np.eye(2 * d)
+    e3[:d, hi], e3[hi, :d], e3[hi, hi] = m.conj().T, m, z[d:, d:]
+    e4 = np.zeros_like(e3)
+    e4[lo, hi] = e4[hi, lo] = sm
+    e2 = e3 + e4
+    e1 = e3.copy()
+    e1[:d, hi], e1[hi, :d], e1[lo, hi], e1[hi, lo] = m, m.conj().T, sp, sp
+    u, residual = _fit_unitary(m, sp, sm)
 
-    eig_z = hermitian_eigenvalues(z)
-    eig_e1 = hermitian_eigenvalues(e1)
-    eig_e2 = hermitian_eigenvalues(e2)
-    eig_e3 = hermitian_eigenvalues(e3)
-    eig_e4 = hermitian_eigenvalues(e4)
+    eig_z, eig_e1, eig_e2, eig_e3, eig_e4 = map(hermitian_eigenvalues, (z, e1, e2, e3, e4))
 
     scale = 1.0 + float(np.abs(eig_e1).max())
     atol = tol * scale
@@ -230,9 +241,8 @@ def interlacing_trace(b, tol: float = TAU_CHECK) -> SpecialCaseTrace:
     # (d) d smallest eigenvalues of E4 are -sqrt(mu), mu descending.
     # Compare squares: near mu = 0 the square root amplifies eigenvalue
     # roundoff from eps to sqrt(eps), so the direct gap is ill-posed.
-    mu_desc = np.clip(hermitian_eigenvalues(dminus), 0.0, None)[::-1]
     gap_d = max(
-        float(np.max(np.abs(eig_e4[:d] ** 2 - mu_desc))),
+        float(np.max(np.abs(eig_e4[:d] ** 2 - mu))),
         float(np.max(eig_e4[:d], initial=0.0)),
     )
     # (e) negative eigenvalue count of Z
@@ -240,8 +250,6 @@ def interlacing_trace(b, tol: float = TAU_CHECK) -> SpecialCaseTrace:
     # (f) E3 psd
     min_e3 = float(eig_e3[0])
 
-    s1, s2 = _stacks(m)
-    residual = float(np.abs(u @ s1 - s2).max())
     # Square roots of the gap parts move by sqrt(||E||) under an eps-sized
     # perturbation E, so when the gap is singular (rank-deficient B, e.g.
     # zero padding) no unitary maps the computed stacks better than about
@@ -264,9 +272,9 @@ def interlacing_trace(b, tol: float = TAU_CHECK) -> SpecialCaseTrace:
             raise StepFailedError(rep.name, f"lhs={rep.lhs!r} rhs={rep.rhs!r}")
 
     reports = steps + [
-        check_ineqid(m, tol),
-        check_ineqid1(m, tol),
-        check_ineqid2(m, "minus", tol),
-        check_ineqid2(m, "plus", tol),
+        _ineqid_report(m, eig_z, tol),
+        _ineqid1_report(m, eig_z, gap_eigs, tol),
+        _ineqid2_report(m, gap_eigs, "minus", tol),
+        _ineqid2_report(m, gap_eigs, "plus", tol),
     ]
     return SpecialCaseTrace(m, z, delta, dplus, dminus, u, e1, e2, e3, e4, reports)

@@ -10,6 +10,15 @@ CASES = [(i + 1, fn) for i, fn in enumerate(acceptance.CRITERIA)]
 # Seed-0 details pinned to perfbench/reference.json: floats within
 # 1e-12 + 1e-9 * |ref|, integers exactly.
 PINNED = {
+    "special_case_chain": {
+        "min_slack": 0.01418362475343704,
+        "max_unitary_residual": 1.6360469837353703e-14,
+    },
+    "commutative_lemma_exhaustive": {
+        "min_slack": 0.0005899481148988195,
+        "max_split_diff": 8.881784197001252e-16,
+        "swap_slack": 0.0,
+    },
     "conjecture_scan": {
         "min_slack_2x2x2": 0.020110237692559263,
         "argmin_trial_2x2x2": 3575,

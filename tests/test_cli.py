@@ -160,6 +160,17 @@ def test_search_rejects_csv(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(
+        capsys, "search", "--target", "ineqid", "--d", "2", "--trials", "2",
+        "--jobs", jobs,
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--jobs" in err
+
+
 def test_search_missing_dims(capsys):
     assert run_cli(capsys, "search", "--target", "ineq4", "--trials", "2")[0] == 2
 

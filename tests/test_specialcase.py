@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from negmono.errors import NotSquareError
-from negmono.matcore import complex_gaussian, jordan_parts, psd_sqrt
+from negmono.matcore import complex_gaussian, jordan_parts
 from negmono.specialcase import (
     SpecialCaseTrace,
     build_special_Z,
@@ -131,9 +131,11 @@ def test_connecting_unitary_contract(d):
         # independently rebuilt stacks: the square root near a zero
         # eigenvalue moves by sqrt(eps), so only a loose bound applies
         assert np.abs(u @ s1 - s2).max() < 1e-7
-        # the stacks the unitary was fitted to map within the tight budget
-        t1 = np.vstack([b, psd_sqrt(dplus)])
-        t2 = np.vstack([b.conj().T, psd_sqrt(dminus)])
+        # the stacks the unitary was fitted to map within the tight budget;
+        # their square roots are the (2, 3) blocks of E1 and E2
+        trace = interlacing_trace(b)
+        t1 = np.vstack([b, trace.E1[d : 2 * d, 2 * d :]])
+        t2 = np.vstack([b.conj().T, trace.E2[d : 2 * d, 2 * d :]])
         assert np.abs(u @ t1 - t2).max() < 1e-9
 
 
@@ -181,6 +183,45 @@ def test_interlacing_trace_random(d):
     for _ in range(15):
         trace = interlacing_trace(complex_gaussian(rng, (d, d)))
         assert all(r.holds for r in trace.reports)
+
+
+def test_interlacing_trace_ineqid_reports_match_public_checks():
+    # the trace reads the same spectra the public checks decompose afresh
+    rng = np.random.default_rng(9)
+    cases = [SHIFT, pad_square(complex_gaussian(rng, (2, 3)))]
+    cases += [complex_gaussian(rng, (d, d)) for d in (2, 3, 5, 8)]
+    for b in cases:
+        by_name = {r.name: r for r in interlacing_trace(b).reports}
+        for rep in (
+            check_ineqid(b),
+            check_ineqid1(b),
+            check_ineqid2(b, "minus"),
+            check_ineqid2(b, "plus"),
+        ):
+            got = by_name[rep.name]
+            assert got.lhs == pytest.approx(rep.lhs, rel=1e-12, abs=1e-12)
+            assert got.rhs == pytest.approx(rep.rhs, rel=1e-12, abs=1e-12)
+            assert got.holds == rep.holds
+
+
+def test_interlacing_trace_decomposition_count(monkeypatch):
+    # one eigh of Delta, one eigvalsh each of Z and E1..E4, one SVD for U
+    counts = {"eigvalsh": 0, "eigh": 0, "svd": 0}
+
+    def counting(name):
+        orig = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    interlacing_trace(complex_gaussian(np.random.default_rng(8), (4, 4)))
+    assert counts["eigvalsh"] + counts["eigh"] == 6
+    assert counts["svd"] == 1
 
 
 def test_interlacing_trace_zero_matrix():
