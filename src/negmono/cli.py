@@ -24,7 +24,7 @@ from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearra
 from .qstate import coeff_matrices, random_state
 from .search import TARGETS, SearchConfig, run_search
 from .specialcase import interlacing_trace, pad_square
-from .errors import StepFailedError
+from .errors import QuadratureFailureError, StepFailedError
 
 CONJECTURED = ("ineq4",)
 
@@ -107,6 +107,8 @@ def _cmd_special(args) -> int:
             trace = interlacing_trace(b, tol=args.tol)
         except StepFailedError as exc:
             print(f"certified chain failed at {exc.step}: {exc}", file=sys.stderr)
+            print(json.dumps({"instance": exc.instance}, separators=(",", ":")),
+                  file=sys.stderr)
             return 1
         status = 0
         for rep in trace.reports:
@@ -344,7 +346,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, QuadratureFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,8 +70,12 @@ class QuadratureFailureError(RuntimeError):
 
 
 class StepFailedError(RuntimeError):
-    """A numerically certified proof step failed; this indicates a bug."""
+    """A numerically certified proof step failed; this indicates a bug.
 
-    def __init__(self, step: str, message: str):
+    instance holds the failing input in matrix JSON form (matcore's
+    matrix_to_dict), so the failure can be replayed, or None."""
+
+    def __init__(self, step: str, message: str, instance: dict | None = None):
         self.step = step
+        self.instance = instance
         super().__init__(f"step {step}: {message}")

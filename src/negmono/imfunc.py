@@ -25,6 +25,7 @@ DEFAULT_QUAD_TOL = 1e-10
 
 # exp() overflow guard; g underflows to zero long before this matters.
 _EXP_CLIP = 700.0
+_EPS = float(np.finfo(float).eps)
 
 
 def w(x):
@@ -101,6 +102,13 @@ def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth) -> float:
     if depth <= 0:
         raise QuadratureFailureError(
             f"max subdivision depth reached on [{a!r}, {b!r}]"
+        )
+    # Below the rounding error of the estimate, err is roundoff: halving the
+    # panels halves both, so the test above could only pass by chance.
+    if 15.0 * tol < _EPS * abs(whole):
+        raise QuadratureFailureError(
+            f"panel tolerance {tol:.3g} on [{a!r}, {b!r}] is below the rounding "
+            f"error {_EPS * abs(whole):.3g} of its Simpson estimate"
         )
     half = 0.5 * tol
     return _adapt(f, a, fa, lm, flm, m, fm, left, half, depth - 1) + _adapt(

@@ -18,7 +18,6 @@ from .matcore import (
     InequalityReport,
     TAU_CHECK,
     as_complex_matrix,
-    hermitian_eig,
     hermitian_eigenvalues,
     make_report,
     matrix_to_dict,
@@ -41,61 +40,83 @@ def pad_square(b) -> np.ndarray:
     return out
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+# The private helpers below take a single matrix or a stack (..., d, d) and
+# do not validate; the public functions check their input first.
+def _adj(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
+def _herm(x: np.ndarray) -> np.ndarray:
+    return (x + _adj(x)) / 2.0
+
+
+def _lapack(fn, x):
+    try:
+        return fn(x)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+
+
+def _gap(m: np.ndarray) -> np.ndarray:
+    return _herm(m @ _adj(m) - _adj(m) @ m)
+
+
 def commutator_gap(b) -> np.ndarray:
     """Delta = B B* - B* B (traceless Hermitian).
 
     Symmetrized explicitly: the products carry roundoff asymmetry on the
     scale of ||B||^2, which dwarfs Delta itself when B is close to normal.
     """
-    m = _square(b)
-    delta = m @ m.conj().T - m.conj().T @ m
-    return (delta + delta.conj().T) / 2.0
+    return _gap(_square(b))
+
+
+def _blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B*, the symmetrised BB* and Z = [[1, B], [B*, BB*]] of a stack m of
+    shape (N, d, d); Z is filled by slices, as np.block costs more than the
+    decompositions at these sizes."""
+    d = m.shape[-1]
+    mh = _adj(m)
+    bb = _herm(m @ mh)
+    z = np.zeros((len(m), 2 * d, 2 * d), dtype=complex)
+    z[:, :d, :d] = np.eye(d)
+    z[:, :d, d:], z[:, d:, :d], z[:, d:, d:] = m, mh, bb
+    return mh, bb, z
 
 
 def build_special_Z(b) -> np.ndarray:
     """The 2d x 2d block matrix [[1, B], [B*, B B*]]."""
-    m = _square(b)
-    d = m.shape[0]
-    return np.block([[np.eye(d), m], [m.conj().T, m @ m.conj().T]])
+    return _blocks(_square(b)[None])[2][0]
 
 
-def _tr_neg_part(eig_z: np.ndarray) -> float:
-    return float(np.sum(np.clip(-eig_z, 0.0, None)))
+def _tr_neg_part(eig_z: np.ndarray) -> np.ndarray:
+    return np.maximum(-eig_z, 0.0).sum(axis=-1)
 
 
-def _tr_sqrt_clipped(eigs: np.ndarray) -> float:
-    return float(np.sum(np.sqrt(np.clip(eigs, 0.0, None))))
+def _tr_sqrt_clipped(eigs: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(eigs, 0.0)).sum(axis=-1)
 
 
-# The ineqid reports, from the spectrum of Z and the raw (unclamped)
-# eigenvalues of Delta; the public checks and interlacing_trace share them.
-def _ineqid_report(m, eig_z, tol):
-    rhs = np.sqrt(m.shape[0] / 2.0) * float(np.linalg.norm(m))
-    return make_report("ineqid", _tr_neg_part(eig_z), rhs, tol, d=m.shape[0])
-
-
-def _ineqid1_report(m, eig_z, gap_eigs, tol):
-    rhs = _tr_sqrt_clipped(-gap_eigs)
-    return make_report("ineqid1", _tr_neg_part(eig_z), rhs, tol, d=m.shape[0])
-
-
-def _ineqid2_report(m, gap_eigs, sign, tol):
-    lhs = _tr_sqrt_clipped(-gap_eigs if sign == "minus" else gap_eigs)
-    rhs = np.sqrt(m.shape[0] / 2.0) * float(np.linalg.norm(m))
-    return make_report(f"ineqid2_{sign}", lhs, rhs, tol, d=m.shape[0])
+def _norm_bound(m: np.ndarray) -> np.ndarray:
+    """sqrt(d/2) ||B||_2, the right-hand side of ineqid and ineqid2."""
+    return np.sqrt(m.shape[-1] / 2.0) * np.linalg.norm(m, axis=(-2, -1))
 
 
 def check_ineqid(b, tol: float = TAU_CHECK) -> InequalityReport:
     """tr Z_- <= sqrt(d/2) ||B||_2."""
     m = _square(b)
-    return _ineqid_report(m, hermitian_eigenvalues(build_special_Z(m)), tol)
+    lhs = _tr_neg_part(hermitian_eigenvalues(build_special_Z(m)))
+    return make_report("ineqid", lhs, _norm_bound(m), tol, d=m.shape[0])
 
 
 def check_ineqid1(b, tol: float = TAU_CHECK) -> InequalityReport:
     """tr Z_- <= tr sqrt(Delta_minus)."""
     m = _square(b)
-    eig_z = hermitian_eigenvalues(build_special_Z(m))
-    return _ineqid1_report(m, eig_z, hermitian_eigenvalues(commutator_gap(m)), tol)
+    lhs = _tr_neg_part(hermitian_eigenvalues(build_special_Z(m)))
+    rhs = _tr_sqrt_clipped(-hermitian_eigenvalues(commutator_gap(m)))
+    return make_report("ineqid1", lhs, rhs, tol, d=m.shape[0])
 
 
 def check_ineqid2(b, sign: str = "minus", tol: float = TAU_CHECK) -> InequalityReport:
@@ -107,7 +128,9 @@ def check_ineqid2(b, sign: str = "minus", tol: float = TAU_CHECK) -> InequalityR
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
     m = _square(b)
-    return _ineqid2_report(m, hermitian_eigenvalues(commutator_gap(m)), sign, tol)
+    gap_eigs = hermitian_eigenvalues(commutator_gap(m))
+    lhs = _tr_sqrt_clipped(-gap_eigs if sign == "minus" else gap_eigs)
+    return make_report(f"ineqid2_{sign}", lhs, _norm_bound(m), tol, d=m.shape[0])
 
 
 def _gap_split(m: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -118,29 +141,26 @@ def _gap_split(m: np.ndarray) -> tuple[np.ndarray, ...]:
     zeros (the products carry that much roundoff) and are dropped from all
     but the raw eigenvalues: sqrt(noise) ~ 1e-8 entries in the stacks and
     the E blocks would wreck otherwise exact cases such as normal or
-    zero-padded B.
+    zero-padded B. The clamp is taken per matrix of a stack.
     """
-    delta = commutator_gap(m)
-    dec = hermitian_eig(delta)
-    clamp = 64.0 * float(np.finfo(float).eps) * float(np.linalg.norm(m)) ** 2
-    w = np.where(np.abs(dec.eigenvalues) <= clamp, 0.0, dec.eigenvalues)
-    v = dec.eigenvectors
-    wp, wm = np.clip(w, 0.0, None), np.clip(-w, 0.0, None)
-    parts = [(v * x) @ v.conj().T for x in (wp, wm, np.sqrt(wp), np.sqrt(wm))]
-    return (delta, dec.eigenvalues, wm, *parts)
+    delta = _gap(m)
+    raw, v = _lapack(np.linalg.eigh, delta)
+    clamp = 64.0 * _EPS * np.linalg.norm(m, axis=(-2, -1)) ** 2
+    w = np.where(np.abs(raw) <= np.expand_dims(clamp, -1), 0.0, raw)
+    wp, wm = np.maximum(w, 0.0), np.maximum(-w, 0.0)
+    x = np.array([wp, wm, np.sqrt(wp), np.sqrt(wm)])
+    dplus, dminus, sp, sm = _herm((v * x[..., None, :]) @ _adj(v))
+    return delta, raw, wm, dplus, dminus, sp, sm
 
 
-def _fit_unitary(m, sqrt_plus, sqrt_minus) -> tuple[np.ndarray, float]:
+def _fit_unitary(m, sqrt_plus, sqrt_minus) -> tuple[np.ndarray, np.ndarray]:
     """Connecting unitary of the stacks S1 = (B, sqrt_plus), S2 = (B*,
     sqrt_minus), and the residual max |U S1 - S2| it leaves on them."""
-    s1 = np.vstack([m, sqrt_plus])
-    s2 = np.vstack([m.conj().T, sqrt_minus])
-    try:
-        w, _, vh = np.linalg.svd(s2 @ s1.conj().T)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
+    s1 = np.concatenate([m, sqrt_plus], axis=-2)
+    s2 = np.concatenate([_adj(m), sqrt_minus], axis=-2)
+    w, _, vh = _lapack(np.linalg.svd, s2 @ _adj(s1))
     u = w @ vh
-    return u, float(np.abs(u @ s1 - s2).max())
+    return u, np.abs(u @ s1 - s2).max(axis=(-2, -1))
 
 
 def connecting_unitary(b) -> np.ndarray:
@@ -189,6 +209,120 @@ class SpecialCaseTrace:
         }
 
 
+# The reports of the chain, one column each in the _chain_batch arrays: the
+# certified steps (a StepFailedError on violation) and then the four bounds.
+STEPS = (
+    "step_a_interlacing",
+    "step_b_equal_spectra",
+    "step_c_weyl",
+    "step_d_lowest_eigs",
+    "step_e_neg_count",
+    "step_f_E3_psd",
+    "unitary_residual",
+)
+BOUNDS = ("ineqid", "ineqid1", "ineqid2_minus", "ineqid2_plus")
+
+
+def _chain_batch(m: np.ndarray, tol: float):
+    """The proof chain of interlacing_trace for N matrices B at once, from a
+    stack m of shape (N, d, d).
+
+    Returns (lhs, rhs, tols, mats): lhs, rhs and tols have shape (N, 11),
+    one column per report of STEPS + BOUNDS, and report k of matrix i holds
+    when rhs[i, k] - lhs[i, k] >= -tols[i, k]; mats holds the stacks
+    (Z, Delta, Delta_plus, Delta_minus, U, E1, E2, E3, E4). The work is one
+    eigh of Delta, one eigvalsh each of Z and E1..E4 and one SVD, each over
+    the whole stack.
+
+    This is the only definition of the chain; m is not validated, so
+    callers check outside input first (interlacing_trace does, through
+    _square).
+    """
+    n, d = m.shape[0], m.shape[-1]
+    delta, gap_eigs, mu, dplus, dminus, sp, sm = _gap_split(m)
+
+    # E3 = [[1, 0, B*], [0, 1, 0], [B, 0, BB*]], E4 has sqrt(Delta_minus) in
+    # the (2, 3) and (3, 2) blocks, E2 = E3 + E4; E1 is E2 with B <-> B* and
+    # sqrt(Delta_plus) in place of sqrt(Delta_minus).
+    mh, bb, z = _blocks(m)
+    lo, hi = slice(d, 2 * d), slice(2 * d, 3 * d)
+    e3 = np.zeros((n, 3 * d, 3 * d), dtype=complex)
+    e3[:, : 2 * d, : 2 * d] = np.eye(2 * d)
+    e3[:, :d, hi], e3[:, hi, :d], e3[:, hi, hi] = mh, m, bb
+    e4 = np.zeros_like(e3)
+    e4[:, lo, hi] = e4[:, hi, lo] = sm
+    e2 = e3 + e4
+    e1 = e3.copy()
+    e1[:, :d, hi], e1[:, hi, :d], e1[:, lo, hi], e1[:, hi, lo] = m, mh, sp, sp
+    u, residual = _fit_unitary(m, sp, sm)
+
+    eig_z, eig_e1, eig_e2, eig_e3, eig_e4 = (
+        _lapack(np.linalg.eigvalsh, x) for x in (z, e1, e2, e3, e4)
+    )
+
+    atol = tol * (1.0 + np.abs(eig_e1).max(axis=1))
+    n_neg = (eig_z < -atol[:, None]).sum(axis=1)
+    # Square roots of the gap parts move by sqrt(||E||) under an eps-sized
+    # perturbation E, so when the gap is singular (rank-deficient B, e.g.
+    # zero padding) no unitary maps the computed stacks better than about
+    # sqrt(eps * ||Delta||). Widen the residual budget accordingly; a wrong
+    # unitary still overshoots this by many orders of magnitude.
+    resid_tol = np.maximum(
+        tol, 8.0 * np.sqrt(_EPS * np.maximum(1.0, np.abs(delta).max(axis=(1, 2))))
+    )
+
+    tr_neg = _tr_neg_part(eig_z)
+    sqrt_minus = _tr_sqrt_clipped(-gap_eigs)
+    bound = _norm_bound(m)
+    zero = np.zeros(n)
+    # Built with one row per report, then transposed to one row per matrix.
+    lhs = np.array([
+        # (a) lowest 2d eigenvalues of E1 sit below the eigenvalues of Z
+        (eig_e1[:, : 2 * d] - eig_z).max(axis=1),
+        # (b) E1 and E2 have equal spectra as sorted multisets
+        np.abs(eig_e1 - eig_e2).max(axis=1),
+        # (c) E2 dominates E4 eigenvalue by eigenvalue
+        (eig_e4 - eig_e2).max(axis=1),
+        # (d) d smallest eigenvalues of E4 are -sqrt(mu), mu descending.
+        # Compare squares: near mu = 0 the square root amplifies eigenvalue
+        # roundoff from eps to sqrt(eps), so the direct gap is ill-posed.
+        np.maximum(
+            np.abs(eig_e4[:, :d] ** 2 - mu).max(axis=1),
+            eig_e4[:, :d].max(axis=1, initial=0.0),
+        ),
+        # (e) Z has at most d negative eigenvalues
+        n_neg,
+        # (f) E3 is psd
+        -eig_e3[:, 0],
+        residual,
+        tr_neg,
+        tr_neg,
+        sqrt_minus,
+        _tr_sqrt_clipped(gap_eigs),
+    ], dtype=float).T
+    rhs = np.array([zero, zero, zero, zero, zero + d, zero, zero,
+                    bound, sqrt_minus, bound, bound]).T
+    tols = np.array([atol, atol, atol, atol, zero, atol, resid_tol,
+                     zero + tol, zero + tol, zero + tol, zero + tol]).T
+    return lhs, rhs, tols, (z, delta, dplus, dminus, u, e1, e2, e3, e4)
+
+
+def _chain_reports(b: np.ndarray, lhs, rhs, tols) -> list[InequalityReport]:
+    """The reports of one matrix b from its row of a _chain_batch result.
+    A failed chain step raises StepFailedError carrying b as its instance."""
+    d = b.shape[0]
+    reports = [
+        make_report(name, *row, d=d)
+        for name, *row in zip(STEPS + BOUNDS, lhs, rhs, tols)
+    ]
+    for rep in reports[: len(STEPS)]:
+        if not rep.holds:
+            raise StepFailedError(
+                rep.name, f"lhs={rep.lhs!r} rhs={rep.rhs!r}", matrix_to_dict(b)
+            )
+    return reports
+
+
 def interlacing_trace(b, tol: float = TAU_CHECK) -> SpecialCaseTrace:
     """Verify the proof chain bounding the negative spectrum of Z.
 
@@ -208,73 +342,6 @@ def interlacing_trace(b, tol: float = TAU_CHECK) -> SpecialCaseTrace:
     appended as reports; a failing residual also raises StepFailedError.
     """
     m = _square(b)
-    d = m.shape[0]
-    delta, gap_eigs, mu, dplus, dminus, sp, sm = _gap_split(m)
-
-    # E3 = [[1, 0, B*], [0, 1, 0], [B, 0, BB*]], E4 has sqrt(Delta_minus) in
-    # the (2, 3) and (3, 2) blocks, E2 = E3 + E4; E1 is E2 with B <-> B* and
-    # sqrt(Delta_plus) in place of sqrt(Delta_minus). Filled by slices, as
-    # np.block costs more than the decompositions at these sizes.
-    z = build_special_Z(m)
-    lo, hi = slice(d, 2 * d), slice(2 * d, 3 * d)
-    e3 = np.zeros((3 * d, 3 * d), dtype=complex)
-    e3[: 2 * d, : 2 * d] = np.eye(2 * d)
-    e3[:d, hi], e3[hi, :d], e3[hi, hi] = m.conj().T, m, z[d:, d:]
-    e4 = np.zeros_like(e3)
-    e4[lo, hi] = e4[hi, lo] = sm
-    e2 = e3 + e4
-    e1 = e3.copy()
-    e1[:d, hi], e1[hi, :d], e1[lo, hi], e1[hi, lo] = m, m.conj().T, sp, sp
-    u, residual = _fit_unitary(m, sp, sm)
-
-    eig_z, eig_e1, eig_e2, eig_e3, eig_e4 = map(hermitian_eigenvalues, (z, e1, e2, e3, e4))
-
-    scale = 1.0 + float(np.abs(eig_e1).max())
-    atol = tol * scale
-
-    # (a) lowest 2d eigenvalues of E1 sit below the eigenvalues of Z
-    gap_a = float(np.max(eig_e1[: 2 * d] - eig_z))
-    # (b) equal spectra as sorted multisets
-    gap_b = float(np.max(np.abs(eig_e1 - eig_e2)))
-    # (c) E2 dominates E4 eigenvalue by eigenvalue
-    gap_c = float(np.max(eig_e4 - eig_e2))
-    # (d) d smallest eigenvalues of E4 are -sqrt(mu), mu descending.
-    # Compare squares: near mu = 0 the square root amplifies eigenvalue
-    # roundoff from eps to sqrt(eps), so the direct gap is ill-posed.
-    gap_d = max(
-        float(np.max(np.abs(eig_e4[:d] ** 2 - mu))),
-        float(np.max(eig_e4[:d], initial=0.0)),
-    )
-    # (e) negative eigenvalue count of Z
-    n_neg = int(np.sum(eig_z < -atol))
-    # (f) E3 psd
-    min_e3 = float(eig_e3[0])
-
-    # Square roots of the gap parts move by sqrt(||E||) under an eps-sized
-    # perturbation E, so when the gap is singular (rank-deficient B, e.g.
-    # zero padding) no unitary maps the computed stacks better than about
-    # sqrt(eps * ||Delta||). Widen the residual budget accordingly; a wrong
-    # unitary still overshoots this by many orders of magnitude.
-    eps = float(np.finfo(float).eps)
-    resid_tol = max(tol, 8.0 * np.sqrt(eps * max(1.0, float(np.abs(delta).max()))))
-
-    steps = [
-        make_report("step_a_interlacing", gap_a, 0.0, atol, d=d),
-        make_report("step_b_equal_spectra", gap_b, 0.0, atol, d=d),
-        make_report("step_c_weyl", gap_c, 0.0, atol, d=d),
-        make_report("step_d_lowest_eigs", gap_d, 0.0, atol, d=d),
-        make_report("step_e_neg_count", float(n_neg), float(d), 0.0, d=d),
-        make_report("step_f_E3_psd", -min_e3, 0.0, atol, d=d),
-        make_report("unitary_residual", residual, 0.0, resid_tol, d=d),
-    ]
-    for rep in steps:
-        if not rep.holds:
-            raise StepFailedError(rep.name, f"lhs={rep.lhs!r} rhs={rep.rhs!r}")
-
-    reports = steps + [
-        _ineqid_report(m, eig_z, tol),
-        _ineqid1_report(m, eig_z, gap_eigs, tol),
-        _ineqid2_report(m, gap_eigs, "minus", tol),
-        _ineqid2_report(m, gap_eigs, "plus", tol),
-    ]
-    return SpecialCaseTrace(m, z, delta, dplus, dminus, u, e1, e2, e3, e4, reports)
+    lhs, rhs, tols, mats = _chain_batch(m[None], tol)
+    reports = _chain_reports(m, lhs[0], rhs[0], tols[0])
+    return SpecialCaseTrace(m, *(x[0] for x in mats), reports)

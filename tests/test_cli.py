@@ -1,10 +1,13 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from negmono.cli import main
-from negmono.matcore import save_matrix
+from negmono.errors import StepFailedError
+from negmono.matcore import complex_gaussian, matrix_from_dict, save_matrix
+from negmono.specialcase import interlacing_trace
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +99,23 @@ def test_special_case_malformed_file_is_usage_error(capsys, tmp_path, blob):
     assert len(err.strip().splitlines()) == 1 and "matrix JSON" in err
 
 
+def test_special_case_failed_step_is_replayable(capsys):
+    # a negative tolerance fails the chain; stderr names the step and then
+    # carries the matrix, which replays to the same failure
+    code, out, err = run_cli(capsys, "special-case", "--d", "3", "--seed", "2",
+                             "--tol=-1")
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("certified chain failed at step_")
+    b = matrix_from_dict(json.loads(lines[1])["instance"])
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(2,)))
+    np.testing.assert_array_equal(b, complex_gaussian(rng, (3, 3)))
+    with pytest.raises(StepFailedError) as exc:
+        interlacing_trace(b, tol=-1.0)
+    assert lines[0].startswith(f"certified chain failed at {exc.value.step}:")
+    assert all(rep.holds for rep in interlacing_trace(b).reports)
+
+
 def test_perm_lemma(capsys):
     code, out, _ = run_cli(capsys, "perm-lemma", "--d", "4", "--samples", "3")
     assert code == 0
@@ -136,6 +156,17 @@ def test_im_approx_ndjson(capsys):
     assert code == 0
     rec = parse_ndjson(out)[0]
     assert rec["s"] == 4.0 and rec["sup_error"] > 0
+
+
+def test_im_approx_unattainable_tolerance_is_usage_error(capsys):
+    # far below the rounding error of the quadrature: fails at the first
+    # panel instead of subdividing to the depth limit
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "im-approx", "--quad-tol", "1e-30",
+                             "--s-list", "1")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "rounding error" in err
 
 
 def test_search_ndjson_and_result_line(capsys):

@@ -6,7 +6,10 @@ import pytest
 from negmono.errors import NotSquareError
 from negmono.matcore import complex_gaussian, jordan_parts
 from negmono.specialcase import (
+    BOUNDS,
+    STEPS,
     SpecialCaseTrace,
+    _chain_batch,
     build_special_Z,
     check_ineqid,
     check_ineqid1,
@@ -222,6 +225,41 @@ def test_interlacing_trace_decomposition_count(monkeypatch):
     interlacing_trace(complex_gaussian(np.random.default_rng(8), (4, 4)))
     assert counts["eigvalsh"] + counts["eigh"] == 6
     assert counts["svd"] == 1
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_chain_batch_rows_match_single_traces(d):
+    # one stack mixing generic, nilpotent, zero, rank-deficient, nearly
+    # normal and large matrices: the clamp and the tolerances must act per
+    # matrix, so every row equals the N = 1 trace of its matrix. The gap of
+    # the nearly normal matrix (~1e-9) is far above its own clamp (~1e-13)
+    # and far below that of the large matrix (~1e-7).
+    rng = np.random.default_rng(30 + d)
+    shift = np.zeros((d, d), dtype=complex)
+    shift[:2, :2] = SHIFT
+    nearly_normal = np.diag(np.arange(1.0, d + 1.0)) + 1e-9 * complex_gaussian(rng, (d, d))
+    cases = [
+        complex_gaussian(rng, (d, d)),
+        shift,
+        np.zeros((d, d), dtype=complex),
+        pad_square(complex_gaussian(rng, (d // 2, d))),
+        nearly_normal,
+        1000.0 * complex_gaussian(rng, (d, d)),
+        complex_gaussian(rng, (d, d)),
+    ]
+    lhs, rhs, tols, mats = _chain_batch(np.stack(cases), 1e-9)
+    assert lhs.shape == rhs.shape == tols.shape == (len(cases), len(STEPS + BOUNDS))
+    for i, b in enumerate(cases):
+        trace = interlacing_trace(b, tol=1e-9)
+        assert [r.name for r in trace.reports] == list(STEPS + BOUNDS)
+        for k, rep in enumerate(trace.reports):
+            assert abs(lhs[i, k] - rep.lhs) <= 1e-12 * (1.0 + abs(rep.lhs)), rep.name
+            assert abs(rhs[i, k] - rep.rhs) <= 1e-12 * (1.0 + abs(rep.rhs)), rep.name
+            assert (rhs[i, k] - lhs[i, k] >= -tols[i, k]) == rep.holds, rep.name
+        single = (trace.Z, trace.delta, trace.delta_plus, trace.delta_minus,
+                  trace.U, trace.E1, trace.E2, trace.E3, trace.E4)
+        for stacked, one in zip(mats, single):
+            np.testing.assert_allclose(stacked[i], one, rtol=0, atol=1e-12)
 
 
 def test_interlacing_trace_zero_matrix():
