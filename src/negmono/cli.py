@@ -19,9 +19,9 @@ import numpy as np
 from . import acceptance
 from .imfunc import DEFAULT_QUAD_TOL, DEFAULT_THETA, IMParams, sup_error_table
 from .matcore import TAU_CHECK, complex_gaussian, load_matrix
-from .monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
+from .monogamy import verify_batch, verify_reports
 from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearranged_sum
-from .qstate import coeff_matrices, random_state
+from .qstate import random_state
 from .search import TARGETS, SearchConfig, run_search
 from .specialcase import interlacing_trace, pad_square
 from .errors import QuadratureFailureError, StepFailedError
@@ -55,6 +55,11 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8"), True
 
 
+# States per verify_batch call in verify-conjecture. The stacks stay small,
+# so peak memory barely moves; the output does not depend on CHUNK.
+CHUNK = 16
+
+
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
@@ -63,32 +68,30 @@ def _cmd_verify(args) -> int:
     status = 0
     worst = None
     try:
-        for trial in range(args.trials):
-            state = random_state(dims, rng)
-            mats = coeff_matrices(state)
-            reports = [
-                ineq2_report(state, tol=args.tol),
-                ineq3_report(mats, tol=args.tol),
-                ineq4_report(mats, tol=args.tol),
-                *monotonicity_report(state, tol=args.tol),
-            ]
-            for rep in reports:
-                rec = rep.with_meta(seed=seed, trial=trial).to_dict()
-                _emit(rec, out)
-                if rep.holds:
-                    continue
-                if rep.name in CONJECTURED:
-                    _emit({"finding": "conjecture-violation", **rec}, out)
-                    print(f"finding: {rep.name} violated at trial {trial} "
-                          f"(slack {rep.slack:.3e})", file=sys.stderr)
-                else:
+        for start in range(0, args.trials, CHUNK):
+            # drawn one state at a time, so the stream does not depend on CHUNK
+            c = np.stack([random_state(dims, rng).coeffs
+                          for _ in range(min(CHUNK, args.trials - start))])
+            values = np.column_stack(verify_batch(c))
+            for k, row in enumerate(values):
+                trial = start + k
+                for rep in verify_reports(dims, row, args.tol, seed=seed, trial=trial):
+                    rec = rep.to_dict()
+                    _emit(rec, out)
+                    if rep.holds:
+                        continue
+                    if rep.name in CONJECTURED:
+                        _emit({"finding": "conjecture-violation", **rec}, out)
+                        print(f"finding: {rep.name} violated at trial {trial} "
+                              f"(slack {rep.slack:.3e})", file=sys.stderr)
+                        continue
                     status = 1
-                if worst is None or rep.slack < worst["slack"]:
-                    worst = rec
+                    if worst is None or rep.slack < worst["slack"]:
+                        worst = rec
     finally:
         if close:
             out.close()
-    if worst is not None and status == 1:
+    if worst is not None:
         print(f"proven statement violated: {worst['name']} "
               f"slack {worst['slack']:.3e}", file=sys.stderr)
     return status
@@ -338,6 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_usage(args) -> None:
+    """Reject option values that make a run vacuous or meaningless: a
+    non-finite --tol, and fewer than one trial or sample."""
+    tol = getattr(args, "tol", 0.0)
+    if not np.isfinite(tol):
+        raise ValueError(f"--tol must be finite, got {tol}")
+    for name in ("trials", "samples"):
+        count = getattr(args, name, 1)
+        if count < 1:
+            raise ValueError(f"--{name} must be at least 1, got {count}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -345,6 +360,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_usage(args)
         return args.func(args)
     except (ValueError, OSError, QuadratureFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

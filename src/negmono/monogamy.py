@@ -13,18 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergenceError, NotNormalizedError
-from .matcore import InequalityReport, TAU_CHECK, make_report, negativity, schatten
+from .matcore import InequalityReport, TAU_CHECK, make_report, schatten
 from .qstate import (
     TAU_NORM,
     TripartiteState,
+    _density,
+    _partial_trace_B,
+    _partial_trace_C,
+    _partial_transpose_A,
     _stacked,
     coeff_matrices,
-    density,
-    gram_matrix,
-    partial_trace_B,
-    partial_trace_C,
-    partial_transpose_A,
 )
+
+# The reports of verify-conjecture for each state, in output order.
+VERIFY_NAMES = ("ineq2", "ineq3", "ineq4", "monotonicity_AB", "monotonicity_AC")
 
 
 def _z1(c: np.ndarray) -> np.ndarray:
@@ -76,11 +78,69 @@ def ineq4_batch(c: np.ndarray):
     return n1, n2, n1**2 + n2**2, cross**2
 
 
-def _digest(m: np.ndarray, rhs: float, lhs: float) -> dict:
-    d = {"dims": [int(m.shape[0]), int(m.shape[1]), int(m.shape[2])]}
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    # symmetrised as require_hermitian does, so the spectra match it bit for bit
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+
+
+def verify_batch(c: np.ndarray):
+    """The per-state quantities of verify-conjecture for N states at once,
+    from their coefficient tensors c of shape (N, dA, dB, dC), each an
+    array of length N: the left-hand side shared by ineq2-4, the ineq2,
+    ineq3 and ineq4 right-hand sides, and the negativities N(A|B), N(A|C)
+    and N(A|BC) of the partially transposed density matrix.
+
+    This is the only definition of these quantities; c is not validated,
+    and the ineq2/ineq3 right-hand sides assume unit weight, so callers
+    check outside input first. A chunk takes one stacked eigvalsh each of
+    Z1, Z2, the partial transpose and its two partial traces, and one
+    stacked SVD of the overlap matrices."""
+    _, _, lhs, rhs4 = ineq4_batch(c)
+    n, dA = c.shape[:2]
+    dims = c.shape[1:]
+    # columns of a are the vectorised A_i (amat), so a* a is the overlap matrix
+    a = c.reshape(n, dA, -1).swapaxes(1, 2).copy()
+    try:
+        sv = np.linalg.svd(a.conj().swapaxes(1, 2) @ a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+    # The squares are taken on Python floats, by C pow as in schatten; the
+    # stacked ** 2 is x * x, which differs from pow in the last bit for
+    # about one value in a thousand.
+    rhs2 = np.array([(q ** 2.0 - 1.0) ** 2 for q in np.sum(sv**0.5, axis=-1).tolist()])
+    rhs3 = np.array([(t ** 2 - 1.0) ** 2 for t in np.sum(_norms(c), axis=1).tolist()])
+    pt = _partial_transpose_A(_density(c), dims)
+    n_ab = _negativities(_hermitian_part(_partial_trace_C(pt, dims)))
+    n_ac = _negativities(_hermitian_part(_partial_trace_B(pt, dims)))
+    n_abc = _negativities(_hermitian_part(pt))
+    return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc
+
+
+def _digest(dims, rhs: float, lhs: float) -> dict:
+    d = {"dims": [int(s) for s in dims]}
     if rhs > 0:
         d["slack_rel"] = float((rhs - lhs) / rhs)
     return d
+
+
+def verify_reports(dims, values, tol: float = TAU_CHECK, **meta) -> list[InequalityReport]:
+    """The five reports of one state, named as in VERIFY_NAMES, from its
+    entries (lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc) of verify_batch.
+    meta (such as seed and trial) ends each report's digest."""
+    lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = (float(v) for v in values)
+    bounds = [
+        make_report(name, lhs, rhs, tol, **_digest(dims, rhs, lhs), **meta)
+        for name, rhs in zip(VERIFY_NAMES[:3], (rhs2, rhs3, rhs4))
+    ]
+    links = [
+        make_report(name, n, n_abc, tol, dims=[int(d) for d in dims], **meta)
+        for name, n in zip(VERIFY_NAMES[3:], (n_ab, n_ac))
+    ]
+    return bounds + links
+
+
+def _single_state_reports(m: np.ndarray, tol: float) -> list[InequalityReport]:
+    return verify_reports(m.shape, [v[0] for v in verify_batch(m[None])], tol)
 
 
 def _require_unit_weight(m: np.ndarray) -> None:
@@ -95,13 +155,9 @@ def ineq2_report(state: TripartiteState, tol: float = TAU_CHECK) -> InequalityRe
     """Monogamy for a normalised state with the tight right-hand side:
     (||Z1||_1 - 1)^2 + (||Z2||_1 - 1)^2 <= (||G||_{1/2} - 1)^2 where G is
     the overlap matrix of the coefficient matrices."""
-    mats = coeff_matrices(state)
-    m = _stacked(mats)
+    m = _stacked(coeff_matrices(state))
     _require_unit_weight(m)
-    _, _, lhs, _ = ineq4_batch(m[None])
-    lhs = float(lhs[0])
-    rhs = (schatten(gram_matrix(mats), 0.5) - 1.0) ** 2
-    return make_report("ineq2", lhs, rhs, tol, **_digest(m, rhs, lhs))
+    return _single_state_reports(m, tol)[0]
 
 
 def ineq3_report(mats, tol: float = TAU_CHECK) -> InequalityReport:
@@ -109,10 +165,7 @@ def ineq3_report(mats, tol: float = TAU_CHECK) -> InequalityReport:
     right-hand side ((sum_i ||A_i||_2)^2 - 1)^2."""
     m = _stacked(mats)
     _require_unit_weight(m)
-    _, _, lhs, _ = ineq4_batch(m[None])
-    lhs = float(lhs[0])
-    rhs = (float(np.sum(_norms(m))) ** 2 - 1.0) ** 2
-    return make_report("ineq3", lhs, rhs, tol, **_digest(m, rhs, lhs))
+    return _single_state_reports(m, tol)[1]
 
 
 def ineq4_report(mats, tol: float = TAU_CHECK) -> InequalityReport:
@@ -122,7 +175,7 @@ def ineq4_report(mats, tol: float = TAU_CHECK) -> InequalityReport:
     m = _stacked(mats)
     _, _, lhs, rhs = ineq4_batch(m[None])
     lhs, rhs = float(lhs[0]), float(rhs[0])
-    return make_report("ineq4", lhs, rhs, tol, **_digest(m, rhs, lhs))
+    return make_report("ineq4", lhs, rhs, tol, **_digest(m.shape, rhs, lhs))
 
 
 def monotonicity_report(
@@ -131,16 +184,7 @@ def monotonicity_report(
     """Negativity cannot grow when one party is traced out: reports for
     N(A|B) <= N(A|BC) and N(A|C) <= N(A|BC), computed through the density
     matrix, its partial transpose and partial traces."""
-    dims = state.dims
-    pt = partial_transpose_A(density(state), dims)
-    n_abc = negativity(pt)
-    n_ab = negativity(partial_trace_C(pt, dims))
-    n_ac = negativity(partial_trace_B(pt, dims))
-    digest = {"dims": [int(d) for d in dims]}
-    return (
-        make_report("monotonicity_AB", n_ab, n_abc, tol, **digest),
-        make_report("monotonicity_AC", n_ac, n_abc, tol, **digest),
-    )
+    return tuple(_single_state_reports(state.coeffs, tol)[3:])
 
 
 def single_term_bound(

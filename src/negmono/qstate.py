@@ -105,10 +105,16 @@ def gram_matrix(mats) -> np.ndarray:
     return a.conj().T @ a
 
 
+def _density(c: np.ndarray) -> np.ndarray:
+    """Rank-one density matrices of a stack of coefficient tensors
+    (..., dA, dB, dC), in the composite basis."""
+    psi = c.reshape(*c.shape[:-3], -1)
+    return psi[..., :, None] * psi[..., None, :].conj()
+
+
 def density(state: TripartiteState) -> np.ndarray:
     """Rank-one density matrix in the composite basis."""
-    psi = state.coeffs.reshape(-1)
-    return np.outer(psi, psi.conj())
+    return _density(state.coeffs)
 
 
 def _check_op_dims(x: np.ndarray, dims) -> tuple[int, int, int]:
@@ -121,31 +127,49 @@ def _check_op_dims(x: np.ndarray, dims) -> tuple[int, int, int]:
     return dA, dB, dC
 
 
+# The stacked forms below act on operators of shape (..., n, n) with
+# n = dA * dB * dC and validate nothing; the public single-operator forms
+# check their input once and delegate.
+
+def _factors(x: np.ndarray, dims) -> np.ndarray:
+    return x.reshape(*x.shape[:-2], *dims, *dims)
+
+
+def _partial_transpose_A(x: np.ndarray, dims) -> np.ndarray:
+    return np.moveaxis(_factors(x, dims), (-6, -3), (-3, -6)).reshape(x.shape)
+
+
+def _partial_trace_B(x: np.ndarray, dims) -> np.ndarray:
+    dA, _, dC = dims
+    t = np.einsum("...ajbcjd->...abcd", _factors(x, dims))
+    return t.reshape(*x.shape[:-2], dA * dC, dA * dC)
+
+
+def _partial_trace_C(x: np.ndarray, dims) -> np.ndarray:
+    dA, dB, _ = dims
+    t = np.einsum("...abkcdk->...abcd", _factors(x, dims))
+    return t.reshape(*x.shape[:-2], dA * dB, dA * dB)
+
+
 def partial_transpose_A(x, dims) -> np.ndarray:
     """Transpose the first tensor factor: <ijk|R|i'j'k'> = <i'jk|X|ij'k'>.
 
     Pure index relabelling, so applying it twice returns the input exactly.
     """
     m = as_complex_matrix(x)
-    dA, dB, dC = _check_op_dims(m, dims)
-    t = m.reshape(dA, dB, dC, dA, dB, dC)
-    return t.transpose(3, 1, 2, 0, 4, 5).reshape(m.shape)
+    return _partial_transpose_A(m, _check_op_dims(m, dims))
 
 
 def partial_trace_B(x, dims) -> np.ndarray:
     """Trace out the middle factor, leaving a (dA*dC) x (dA*dC) operator."""
     m = as_complex_matrix(x)
-    dA, dB, dC = _check_op_dims(m, dims)
-    t = m.reshape(dA, dB, dC, dA, dB, dC)
-    return np.einsum("ajbcjd->abcd", t).reshape(dA * dC, dA * dC)
+    return _partial_trace_B(m, _check_op_dims(m, dims))
 
 
 def partial_trace_C(x, dims) -> np.ndarray:
     """Trace out the last factor, leaving a (dA*dB) x (dA*dB) operator."""
     m = as_complex_matrix(x)
-    dA, dB, dC = _check_op_dims(m, dims)
-    t = m.reshape(dA, dB, dC, dA, dB, dC)
-    return np.einsum("abkcdk->abcd", t).reshape(dA * dB, dA * dB)
+    return _partial_trace_C(m, _check_op_dims(m, dims))
 
 
 def negativity_ABC(state: TripartiteState) -> float:

@@ -2,11 +2,11 @@
 prints a single PASS/FAIL line with its runtime, and asserts the outcome.
 The tests after it check how criterion 4 batches its matrices: the
 decompositions it makes, its independence of the chunk size, and which
-matrix a failure reports."""
+matrix a failure reports; and which state a failure of criterion 3
+reports."""
 
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ import pytest
 from negmono import acceptance, matcore
 from negmono.errors import StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict
+from negmono.monogamy import monotonicity_report
+from negmono.qstate import random_state
 from negmono.specialcase import STEPS, interlacing_trace
 
 CASES = [(i + 1, fn) for i, fn in enumerate(acceptance.CRITERIA)]
@@ -21,6 +23,7 @@ CASES = [(i + 1, fn) for i, fn in enumerate(acceptance.CRITERIA)]
 # Seed-0 details pinned to perfbench/reference.json: floats within
 # 1e-12 + 1e-9 * |ref|, integers exactly.
 PINNED = {
+    "partial_trace_monotonicity": {"min_slack": 0.06252605384407017},
     "special_case_chain": {
         "min_slack": 0.01418362475343704,
         "max_unitary_residual": 1.6360469837353703e-14,
@@ -55,31 +58,14 @@ def test_criterion(index, criterion):
             assert abs(got - ref) <= 1e-12 + 1e-9 * abs(ref), key
 
 
-def _count_calls(monkeypatch, counts, module, name):
-    """Count calls of module.name at every negmono namespace that binds it."""
-    orig = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return orig(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname == "negmono" or modname.startswith("negmono."):
-            for attr, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, attr, wrapper)
-    if module is np.linalg:
-        monkeypatch.setattr(np.linalg, name, wrapper)
-
-
-def test_special_case_chain_counts_and_chunk_independence(monkeypatch):
+def test_special_case_chain_counts_and_chunk_independence(monkeypatch, call_counts):
     # per chunk of B: one eigh, five eigvalsh and one SVD over the stack,
     # and no per-B validation or report
-    counts = dict.fromkeys(("eigh", "eigvalsh", "svd", "require_hermitian", "make_report"), 0)
+    counts, count = call_counts
     for name in ("eigh", "eigvalsh", "svd"):
-        _count_calls(monkeypatch, counts, np.linalg, name)
+        count(np.linalg, name)
     for name in ("require_hermitian", "make_report"):
-        _count_calls(monkeypatch, counts, matcore, name)
+        count(matcore, name)
     default = acceptance.special_case_chain(seed=0)
     chunks = 7 * math.ceil(1000 / acceptance.CHUNK)
     assert counts == {"eigh": chunks, "eigvalsh": 5 * chunks, "svd": chunks,
@@ -125,3 +111,30 @@ def test_special_case_chain_failed_bound_is_reported(monkeypatch):
     assert not result.passed
     assert result.details["failed"]["name"] == "ineqid1"
     assert result.details["failed"]["holds"] is False
+
+
+def test_partial_trace_monotonicity_reports_first_failure_in_draw_order(monkeypatch):
+    # inject a failing A|C link into the fifth state drawn (the second
+    # 2x3x3 state) and a failing A|B link into the seventh (the third
+    # 2x2x2 state); the earlier one in draw order is reported
+    orig = acceptance.verify_batch
+
+    def kernel(c):
+        lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = orig(c)
+        n_ab, n_ac = n_ab.copy(), n_ac.copy()
+        if c.shape[1:] == (2, 3, 3):
+            n_ac[1] = n_abc[1] + 1.0
+        if c.shape[1:] == (2, 2, 2):
+            n_ab[2] = n_abc[2] + 1.0
+        return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc
+
+    monkeypatch.setattr(acceptance, "verify_batch", kernel)
+    result = acceptance.partial_trace_monotonicity(seed=0)
+    assert not result.passed
+    failed = result.details["failed"]
+    assert failed["name"] == "monotonicity_AC" and failed["dims"] == [2, 3, 3]
+    assert result.details["min_slack"] == pytest.approx(-1.0)
+    # the report is rebuilt from the fifth state drawn
+    rng = acceptance._rng(0, 3)
+    states = [random_state(acceptance.STATE_DIMS[i % 3], rng) for i in range(5)]
+    assert failed["lhs"] == monotonicity_report(states[4], tol=1e-10)[1].lhs

@@ -1,12 +1,16 @@
 import json
+import os
 import time
 
 import numpy as np
 import pytest
 
+from negmono import cli, matcore, monogamy
 from negmono.cli import main
 from negmono.errors import StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, save_matrix
+from negmono.monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
+from negmono.qstate import coeff_matrices, random_state
 from negmono.specialcase import interlacing_trace
 
 
@@ -225,3 +229,120 @@ def test_out_file(capsys, tmp_path):
     with open(path) as fh:
         records = [json.loads(line) for line in fh]
     assert len(records) == 10
+
+
+def _single_state_ndjson(dims, trials, seed):
+    """verify-conjecture records built one state at a time from the public
+    single-state reports."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+    lines = []
+    for trial in range(trials):
+        state = random_state(dims, rng)
+        mats = coeff_matrices(state)
+        for rep in (ineq2_report(state), ineq3_report(mats), ineq4_report(mats),
+                    *monotonicity_report(state)):
+            rec = rep.with_meta(seed=seed, trial=trial).to_dict()
+            lines.append(json.dumps(rec, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 3), (3, 2, 4)])
+def test_verify_records_match_single_state_reports(capsys, dims):
+    text = "x".join(str(d) for d in dims)
+    code, out, _ = run_cli(capsys, "verify-conjecture", "--dims", text,
+                           "--trials", "40", "--seed", "4")
+    assert code == 0
+    assert out == _single_state_ndjson(dims, 40, 4)
+
+
+def test_verify_output_does_not_depend_on_chunk(capsys, monkeypatch):
+    args = ("verify-conjecture", "--dims", "2x3x3", "--trials", "30", "--seed", "8")
+    outs = []
+    for chunk in (1, 7, 16):
+        monkeypatch.setattr(cli, "CHUNK", chunk)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert len(outs[0].splitlines()) == 5 * 30
+
+
+def test_verify_counts_per_chunk(monkeypatch, call_counts):
+    # per chunk: five stacked eigvalsh (Z1, Z2, the partial transpose and its
+    # two partial traces) and one SVD; no per-state validation or
+    # eigensolver call; one ineq4_batch row per state
+    counts, count = call_counts
+    for name in ("eigvalsh", "svd"):
+        count(np.linalg, name)
+    for name in ("require_hermitian", "hermitian_eigenvalues"):
+        count(matcore, name)
+    rows = []
+    orig = monogamy.ineq4_batch
+
+    def ineq4_batch(c):
+        rows.append(len(c))
+        return orig(c)
+
+    monkeypatch.setattr(monogamy, "ineq4_batch", ineq4_batch)
+    trials = 2 * cli.CHUNK + 3
+    assert main(["verify-conjecture", "--dims", "3x2x4", "--trials", str(trials),
+                 "--out", os.devnull]) == 0
+    chunks = 3
+    assert counts == {"eigvalsh": 5 * chunks, "svd": chunks,
+                      "require_hermitian": 0, "hermitian_eigenvalues": 0}
+    assert rows == [cli.CHUNK, cli.CHUNK, 3]
+
+
+def test_verify_exit_message_names_the_proven_failure(capsys, monkeypatch):
+    # an ineq4 finding with a lower slack must not take the place of the
+    # failed proven link in the exit-1 message
+    orig = cli.verify_batch
+
+    def kernel(c):
+        lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = orig(c)
+        rhs4 = rhs4.copy()
+        rhs4[0] = lhs[0] - 10.0
+        n_ab = n_ab.copy()
+        n_ab[1] = n_abc[1] + 1.0
+        return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc
+
+    monkeypatch.setattr(cli, "verify_batch", kernel)
+    code, out, err = run_cli(capsys, "verify-conjecture", "--trials", "3")
+    assert code == 1
+    records = parse_ndjson(out)
+    findings = [r for r in records if "finding" in r]
+    assert len(findings) == 1
+    assert findings[0]["name"] == "ineq4" and findings[0]["trial"] == 0
+    assert findings[0]["slack"] == pytest.approx(-10.0)
+    failed = [r for r in records if not r["holds"] and "finding" not in r]
+    assert [(r["name"], r["trial"]) for r in failed] == [("ineq4", 0), ("monotonicity_AB", 1)]
+    lines = err.strip().splitlines()
+    assert lines[0].startswith("finding: ineq4 violated at trial 0")
+    assert lines[-1].startswith("proven statement violated: monotonicity_AB slack -1.000e+00")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-conjecture", "--tol", "nan", "--trials", "1"),
+    ("verify-conjecture", "--tol", "inf"),
+    ("verify-conjecture", "--tol=-inf"),
+    ("special-case", "--tol", "nan"),
+    ("perm-lemma", "--tol", "inf"),
+    ("drury-check", "--tol", "nan"),
+    ("search", "--target", "ineqid", "--d", "2", "--tol", "inf"),
+])
+def test_non_finite_tol_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "--tol must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-conjecture", "--trials", "0"),
+    ("perm-lemma", "--samples", "0"),
+    ("drury-check", "--trials", "-2"),
+    ("search", "--target", "ineqid", "--d", "2", "--trials", "0"),
+])
+def test_no_trials_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "must be at least 1" in err

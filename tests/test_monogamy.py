@@ -11,6 +11,7 @@ from negmono.monogamy import (
     ineq4_report,
     monotonicity_report,
     single_term_bound,
+    verify_batch,
 )
 from negmono.qstate import (
     TripartiteState,
@@ -89,6 +90,32 @@ def test_inequality_chain_holds_on_random_states(dims):
         # for unit-weight states the cross-term form equals the sum form
         assert r4.rhs == pytest.approx(r3.rhs, rel=1e-10, abs=1e-12)
         assert r4.lhs == pytest.approx(r2.lhs, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", DIMS + [(1, 3, 2), (4, 1, 1)])
+def test_verify_batch_matches_single_state_formulas(dims):
+    # the stacked kernel does the arithmetic of the single-matrix route
+    # (require_hermitian's symmetrisation, schatten's SVD, C pow on floats),
+    # so every value agrees to the last bit (x * x in place of pow changes
+    # about one square in a thousand)
+    rng = np.random.default_rng(11)
+    states = [random_state(dims, rng) for _ in range(200)]
+    got = np.column_stack(verify_batch(np.stack([s.coeffs for s in states])))
+    for row, s in zip(got, states):
+        mats = coeff_matrices(s)
+        r4 = ineq4_report(mats)
+        norms = [np.sqrt(np.sum(np.abs(m) ** 2)) for m in mats]
+        pt = partial_transpose_A(density(s), dims)
+        want = [
+            r4.lhs,
+            (schatten(gram_matrix(mats), 0.5) - 1.0) ** 2,
+            (float(np.sum(norms)) ** 2 - 1.0) ** 2,
+            r4.rhs,
+            negativity(partial_trace_C(pt, dims)),
+            negativity(partial_trace_B(pt, dims)),
+            negativity(pt),
+        ]
+        assert row.tolist() == want
 
 
 def test_ineq2_requires_normalized_state():

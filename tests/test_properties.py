@@ -2,10 +2,12 @@
 derandomize=True so that every run draws the same examples."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from negmono.matcore import complex_gaussian
+from negmono.monogamy import verify_batch
+from negmono.qstate import _partial_transpose_A, partial_transpose_A
 from negmono.specialcase import check_ineqid2, interlacing_trace, pad_square
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -77,3 +79,60 @@ def test_zero_padding_preserves_every_bound(b, extra):
         if rep.name.startswith("ineqid"):
             assert abs(rep.lhs - by_name[rep.name].lhs) <= _tol(b)
             assert rep.rhs >= by_name[rep.name].rhs - _tol(b)
+
+
+# -- monogamy of the negativity ----------------------------------------------
+
+DIMS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+
+
+@st.composite
+def coefficient_tensors(draw):
+    """Unit-weight tensors of drawn dims: grid entries give product,
+    GHZ-like and sparse states, the Gaussian part generic ones."""
+    dims = draw(DIMS)
+    size = int(np.prod(dims))
+    re = draw(st.lists(ENTRY, min_size=size, max_size=size))
+    im = draw(st.lists(ENTRY, min_size=size, max_size=size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = (np.array(re) + 1j * np.array(im)).reshape(dims)
+    c = c + draw(NOISE) * complex_gaussian(rng, dims)
+    weight = float(np.sum(np.abs(c) ** 2))
+    assume(weight > 1e-6)
+    return c / np.sqrt(weight)
+
+
+def _unitary(rng, d):
+    return np.linalg.qr(complex_gaussian(rng, (d, d)))[0]
+
+
+@PROPERTY
+@given(c=coefficient_tensors(), seed=st.integers(0, 2**32 - 1))
+def test_negativities_invariant_under_local_unitaries(c, seed):
+    rng = np.random.default_rng(seed)
+    ua, ub, uc = (_unitary(rng, d) for d in c.shape)
+    rotated = np.einsum("ai,bj,ck,ijk->abc", ua, ub, uc, c)
+    *_, n_ab, n_ac, n_abc = verify_batch(np.stack([c, rotated]))
+    for n in (n_ab, n_ac, n_abc):
+        assert abs(n[1] - n[0]) <= 1e-10
+
+
+@PROPERTY
+@given(c=coefficient_tensors(), t=st.floats(0.05, 20.0))
+def test_ineq4_sides_scale_as_fourth_power(c, t):
+    lhs, _, _, rhs4, *_ = verify_batch(np.stack([c, t * c]))
+    # both sides are O(1) at unit weight, so their roundoff is ~1e-15 * t^4
+    assert abs(lhs[1] - t**4 * lhs[0]) <= 1e-10 * t**4
+    assert abs(rhs4[1] - t**4 * rhs4[0]) <= 1e-10 * t**4
+
+
+@PROPERTY
+@given(dims=DIMS, n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_partial_transpose_of_a_stack_is_an_exact_involution(dims, n, seed):
+    size = int(np.prod(dims))
+    x = complex_gaussian(np.random.default_rng(seed), (n, size, size))
+    pt = _partial_transpose_A(x, dims)
+    np.testing.assert_array_equal(_partial_transpose_A(pt, dims), x)
+    # each matrix of the stack is transposed as on its own
+    for k in range(n):
+        np.testing.assert_array_equal(pt[k], partial_transpose_A(x[k], dims))
