@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -49,10 +50,14 @@ def _resolve_seed(args) -> int:
     return int(os.environ.get("NEGMONO_SEED", "0"))
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """stdout, or the file at path opened for writing and closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 # States per verify_batch call in verify-conjecture. The stacks stay small,
@@ -64,10 +69,9 @@ def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    out, close = _open_out(args.out)
     status = 0
     worst = None
-    try:
+    with _output(args.out) as out:
         for start in range(0, args.trials, CHUNK):
             # drawn one state at a time, so the stream does not depend on CHUNK
             c = np.stack([random_state(dims, rng).coeffs
@@ -88,9 +92,6 @@ def _cmd_verify(args) -> int:
                     status = 1
                     if worst is None or rep.slack < worst["slack"]:
                         worst = rec
-    finally:
-        if close:
-            out.close()
     if worst is not None:
         print(f"proven statement violated: {worst['name']} "
               f"slack {worst['slack']:.3e}", file=sys.stderr)
@@ -104,8 +105,7 @@ def _cmd_special(args) -> int:
     else:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
         b = complex_gaussian(rng, (args.d, args.d))
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         try:
             trace = interlacing_trace(b, tol=args.tol)
         except StepFailedError as exc:
@@ -122,9 +122,6 @@ def _cmd_special(args) -> int:
                 print(f"proven statement violated: {rep.name} "
                       f"slack {rep.slack:.3e}", file=sys.stderr)
         return status
-    finally:
-        if close:
-            out.close()
 
 
 def _cmd_perm(args) -> int:
@@ -133,9 +130,8 @@ def _cmd_perm(args) -> int:
         print(f"d={args.d} exceeds the exhaustive limit {D_MAX}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    out, close = _open_out(args.out)
     status = 0
-    try:
+    with _output(args.out) as out:
         for sample in range(args.samples):
             mu = np.sort(rng.random(args.d))[::-1]
             best, image = max_rearranged_sum(mu)
@@ -147,9 +143,6 @@ def _cmd_perm(args) -> int:
                 status = 1
                 print(f"proven statement violated: {rep.name} "
                       f"slack {rep.slack:.3e}", file=sys.stderr)
-    finally:
-        if close:
-            out.close()
     return status
 
 
@@ -159,9 +152,8 @@ def _cmd_drury(args) -> int:
         print(f"d={args.d} exceeds the exhaustive limit {D_MAX}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    out, close = _open_out(args.out)
     status = 0
-    try:
+    with _output(args.out) as out:
         for trial in range(args.trials):
             rep = drury_numeric_check(complex_gaussian(rng, (args.d, args.d)),
                                       tol=args.tol)
@@ -170,9 +162,6 @@ def _cmd_drury(args) -> int:
                 status = 1
                 print(f"proven statement violated: {rep.name} "
                       f"slack {rep.slack:.3e}", file=sys.stderr)
-    finally:
-        if close:
-            out.close()
     return status
 
 
@@ -189,8 +178,7 @@ def _cmd_im(args) -> int:
     params = IMParams(theta=args.theta, quad_tol=args.quad_tol,
                       grid_lo=lo, grid_hi=hi, grid_n=n)
     table = sup_error_table(s_values, params)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "csv":
             out.write("s,sup_error\n")
             for s, err in table:
@@ -198,9 +186,6 @@ def _cmd_im(args) -> int:
         else:
             for s, err in table:
                 _emit({"s": s, "sup_error": err, "theta": args.theta}, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -216,20 +201,15 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print(f"bad search configuration: {exc}", file=sys.stderr)
         return 2
-    out, close = _open_out(args.out)
+    with _output(args.out) as out:
+        def on_trial(t: int, slack: float) -> None:
+            if args.jobs == 1:
+                _emit({"trial": t, "slack": slack}, out)
+            if (t + 1) % 1000 == 0:
+                print(f"{t + 1}/{cfg.trials} trials", file=sys.stderr)
 
-    def on_trial(t: int, slack: float) -> None:
-        if args.jobs == 1:
-            _emit({"trial": t, "slack": slack}, out)
-        if (t + 1) % 1000 == 0:
-            print(f"{t + 1}/{cfg.trials} trials", file=sys.stderr)
-
-    try:
         res = run_search(cfg, jobs=args.jobs, on_trial=on_trial)
         _emit({"result": res.to_dict(), "target": cfg.target, "seed": seed}, out)
-    finally:
-        if close:
-            out.close()
     if res.violations:
         kind = "finding" if cfg.target == "ineq4" else "proven statement violated"
         print(f"{kind}: {res.violations} violation(s) for target {cfg.target}",
@@ -241,9 +221,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_selftest(args) -> int:
     seed = _resolve_seed(args)
-    out, close = _open_out(args.out)
     failed = 0
-    try:
+    with _output(args.out) as out:
         for fn in acceptance.CRITERIA:
             res = fn(seed)
             print(res.line(), file=sys.stderr)
@@ -252,9 +231,6 @@ def _cmd_selftest(args) -> int:
                   out)
             if not res.passed:
                 failed += 1
-    finally:
-        if close:
-            out.close()
     return 1 if failed else 0
 
 

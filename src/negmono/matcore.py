@@ -71,23 +71,23 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(h) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    hs = require_hermitian(h)
+def _lapack(fn, *args, **kwargs):
+    """fn(*args, **kwargs) for a numpy.linalg decomposition fn, with a
+    LAPACK failure raised as NoConvergenceError."""
     try:
-        w, v = np.linalg.eigh(hs)
+        return fn(*args, **kwargs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    return HermitianEigen(w, v)
+
+
+def hermitian_eig(h) -> HermitianEigen:
+    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    return HermitianEigen(*_lapack(np.linalg.eigh, require_hermitian(h)))
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix."""
-    hs = require_hermitian(h)
-    try:
-        return np.linalg.eigvalsh(hs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
+    return _lapack(np.linalg.eigvalsh, require_hermitian(h))
 
 
 def schatten(x, q: float) -> float:
@@ -95,11 +95,7 @@ def schatten(x, q: float) -> float:
     singular values; q in (0, 1) gives the quasi-norm used for q = 1/2."""
     if not q > 0:
         raise NonPositiveQError(f"Schatten exponent must be positive, got {q}")
-    m = as_complex_matrix(x)
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
+    s = _lapack(np.linalg.svd, as_complex_matrix(x), compute_uv=False)
     return float(np.sum(s**q) ** (1.0 / q))
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotNormalizedError
-from .matcore import InequalityReport, TAU_CHECK, make_report, schatten
+from .errors import NotNormalizedError
+from .matcore import InequalityReport, TAU_CHECK, _lapack, make_report, schatten
 from .qstate import (
     TAU_NORM,
     TripartiteState,
@@ -54,10 +54,7 @@ def _norms(m: np.ndarray) -> np.ndarray:
 
 
 def _negativities(z: np.ndarray) -> np.ndarray:
-    try:
-        w = np.linalg.eigvalsh(z)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
+    w = _lapack(np.linalg.eigvalsh, z)
     return 2.0 * np.sum(np.clip(-w, 0.0, None), axis=-1)
 
 
@@ -100,10 +97,7 @@ def verify_batch(c: np.ndarray):
     dims = c.shape[1:]
     # columns of a are the vectorised A_i (amat), so a* a is the overlap matrix
     a = c.reshape(n, dA, -1).swapaxes(1, 2).copy()
-    try:
-        sv = np.linalg.svd(a.conj().swapaxes(1, 2) @ a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
+    sv = _lapack(np.linalg.svd, a.conj().swapaxes(1, 2) @ a, compute_uv=False)
     # The squares are taken on Python floats, by C pow as in schatten; the
     # stacked ** 2 is x * x, which differs from pow in the last bit for
     # about one value in a thousand.

@@ -78,18 +78,34 @@ def ma_chains(image) -> list[tuple[int, ...]]:
     return chains
 
 
-def commutative_lhs(mu, image) -> float:
-    """sum_i sqrt((mu_i - mu_{pi(i)})_+)."""
+def _spectrum_and_images(mu, image, sorted_required: bool = True):
+    """The validated mu and, as a row, the 0-based images of pi."""
     img = _validate_permutation(image)
-    v = _validate_spectrum(mu, sorted_required=False)
+    v = _validate_spectrum(mu, sorted_required)
     if v.size != len(img):
         raise SizeMismatchError(f"len(mu)={v.size} but len(pi)={len(img)}")
-    return float(_rearranged_sums(v, np.array(img)[None, :] - 1)[0])
+    return v, np.array(img)[None, :] - 1
+
+
+def commutative_lhs(mu, image) -> float:
+    """sum_i sqrt((mu_i - mu_{pi(i)})_+)."""
+    return float(_rearranged_sums(*_spectrum_and_images(mu, image, sorted_required=False))[0])
 
 
 def _rearranged_sums(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """sum_i sqrt((v_i - v_{pi(i)})_+) for each row pi of 0-based images."""
-    return np.sqrt(np.clip(v[None, :] - v[perms], 0.0, None)).sum(axis=1)
+    """sum_i sqrt((v_i - v_{pi(i)})_+) for each row pi of perms, 0-based
+    indices into v.ravel(): v is one vector, or a stack (N, d) with row k
+    of perms offset by k * d."""
+    return np.sqrt(np.clip(v - v.ravel()[perms], 0.0, None)).sum(axis=-1)
+
+
+def _commutative_sides(mu: np.ndarray, perms: np.ndarray):
+    """(lhs, rhs) of check_commutative for spectra mu and 0-based images
+    perms, both (N, d), unvalidated. The sum is squared by C pow on Python
+    floats; numpy's s * s differs in the last bit about once in 1000."""
+    n, d = mu.shape
+    sums = _rearranged_sums(mu, perms + d * np.arange(n)[:, None])
+    return np.array([float(s) ** 2 for s in sums]), (d / 2.0) * mu.sum(axis=1)
 
 
 def chain_component_sum(mu, chain) -> float:
@@ -111,10 +127,9 @@ def chain_split_sum(mu, image) -> float:
 def check_commutative(mu, image, tol: float = TAU_CHECK) -> InequalityReport:
     """(sum_i sqrt((mu_i - mu_{pi(i)})_+))^2 <= (d/2) sum_i mu_i for sorted
     non-negative mu."""
-    v = _validate_spectrum(mu)
-    lhs = commutative_lhs(v, image) ** 2
-    rhs = (v.size / 2.0) * float(np.sum(v))
-    return make_report("commutative", lhs, rhs, tol, d=int(v.size))
+    v, perm = _spectrum_and_images(mu, image)
+    lhs, rhs = _commutative_sides(v[None], perm)
+    return make_report("commutative", lhs[0], rhs[0], tol, d=int(v.size))
 
 
 def chain_bound(mu, chain, tol: float = TAU_CHECK) -> InequalityReport:

@@ -4,29 +4,25 @@ monogamy and special-case inequalities.
 Every trial is a pure function of (seed, trial_index) through splittable
 seed sequences, so results are reproducible and independent of worker
 scheduling; the final minimum is merged by (slack, trial_index). Trials run
-in fixed chunks of CHUNK consecutive indices; the ineq4 trials of a chunk
-descend in lockstep through one batched kernel call per step.
+in fixed chunks of CHUNK consecutive indices, and the trials of a chunk
+descend in lockstep through one batched slack evaluation per step, for
+every target.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
 from .matcore import TAU_CHECK, complex_gaussian, matrix_from_dict, matrix_to_dict
 from .monogamy import ineq4_batch
-from .permlemma import check_commutative
-from .qstate import (
-    TripartiteState,
-    _stacked,
-    random_state,
-    state_from_dict,
-    state_to_dict,
-)
-from .specialcase import check_ineqid, check_ineqid1, check_ineqid2
+from .permlemma import _commutative_sides, _spectrum_and_images
+from .qstate import TripartiteState, random_state, state_from_dict, state_to_dict
+from .specialcase import _SIDES, _square
 
 TARGETS = ("ineq4", "ineqid", "ineqid1", "ineqid2", "commutative")
 
@@ -66,8 +62,8 @@ class SearchConfig:
             raise ValueError("trials must be at least 1")
         if self.local_steps < 0:
             raise ValueError("local_steps must be non-negative")
-        if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
+        if not (self.step_scale > 0 and math.isfinite(self.step_scale)):
+            raise ValueError(f"step_scale must be finite and positive, got {self.step_scale}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.target == "ineq4":
@@ -85,12 +81,7 @@ class SearchResult:
     violations: int
 
     def to_dict(self) -> dict:
-        return {
-            "min_slack": self.min_slack,
-            "argmin": self.argmin,
-            "trial_index": self.trial_index,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
 def _trial_seeds(cfg: SearchConfig, trial_index: int):
@@ -117,63 +108,124 @@ def _sample(cfg: SearchConfig, rng: np.random.Generator):
     return complex_gaussian(rng, (cfg.d, cfg.d))
 
 
+def _normalised(c: np.ndarray):
+    weight = np.sum(np.abs(c) ** 2, axis=(1, 2, 3))
+    c /= np.sqrt(np.where(weight > 0.0, weight, 1.0))[:, None, None, None]
+    return c, weight
+
+
+def _simplex(mu: np.ndarray):
+    # clipped, sorted descending and divided by the total taken before sorting
+    np.clip(mu, 0.0, None, out=mu)
+    total = mu.sum(axis=1)
+    mu[:, ::-1].sort(axis=1)
+    mu /= np.where(total > 0.0, total, 1.0)[:, None]
+    return mu, total
+
+
+def _slack(sides):
+    """rhs - lhs of a batched function whose last two outputs are (lhs, rhs)."""
+    def slack(x):
+        lhs, rhs = sides(x)[-2:]
+        return rhs - lhs
+    return slack
+
+
+def _bound(name: str) -> tuple:
+    return (_square, lambda m: (m, np.sum(np.abs(m) ** 2, axis=(1, 2))),
+            lambda starts: _slack(_SIDES[name]), lambda m, start: m)
+
+
+def _commutative_slack(starts):
+    perms = np.concatenate([_spectrum_and_images(mu, pi)[1] for mu, pi in starts])
+    return _slack(lambda mu: _commutative_sides(mu, perms))
+
+
+# The descent of each target: (array, settle, slack, instance). array(instance)
+# is the part that descends; settle(raw) turns raw candidates, in place, into
+# (candidates, weight), the norm or total that normalises them (zero rejects a
+# candidate); slack(starts) is the batched slack of stacks descended from
+# those starts; instance(row, start) rebuilds a descended instance.
+_DESCENTS = {
+    "ineq4": (lambda state: state.coeffs, _normalised,
+              lambda starts: _slack(ineq4_batch), lambda c, start: TripartiteState(c)),
+    "ineqid": _bound("ineqid"),
+    "ineqid1": _bound("ineqid1"),
+    "ineqid2": _bound("ineqid2_minus"),
+    "commutative": (lambda inst: np.asarray(inst[0], dtype=float), _simplex,
+                    _commutative_slack, lambda mu, start: (mu, start[1])),
+}
+
+
+def _descent(target: str) -> tuple:
+    if target not in _DESCENTS:
+        raise ValueError(f"unknown target {target!r}")
+    return _DESCENTS[target]
+
+
 def evaluate_slack(target: str, instance) -> float:
     """Slack of the targeted inequality on one instance; negative means a
     violation candidate."""
-    if target == "ineq4":
-        _, _, lhs, rhs = ineq4_batch(_stacked(instance.coeffs)[None])
-        return float(rhs[0] - lhs[0])
-    if target == "ineqid":
-        return check_ineqid(instance).slack
-    if target == "ineqid1":
-        return check_ineqid1(instance).slack
-    if target == "ineqid2":
-        return check_ineqid2(instance).slack
-    if target == "commutative":
-        mu, pi = instance
-        return check_commutative(mu, pi).slack
-    raise ValueError(f"unknown target {target!r}")
+    array, _, slack, _ = _descent(target)
+    return float(slack([instance])(array(instance)[None])[0])
 
 
-def _perturb(target: str, instance, scale: float, rng: np.random.Generator):
-    if target == "ineq4":
-        c = instance.coeffs + scale * complex_gaussian(rng, instance.dims)
-        if not np.any(c):
-            return instance
-        return TripartiteState(c, normalize=True)
-    if target == "commutative":
-        mu, pi = instance
-        cand = np.clip(mu + scale * rng.standard_normal(mu.size), 0.0, None)
-        total = cand.sum()
-        if total == 0.0:
-            return instance
-        cand[::-1].sort()
-        return cand / total, pi
-    return instance + scale * complex_gaussian(rng, instance.shape)
+def _descend(target: str, starts: list, rngs: list, steps: int, scale: float):
+    """Greedy descent on the slack of several start instances in lockstep,
+    with one batched slack evaluation per step. Returns (best instances,
+    their slacks).
+
+    Each start has its own descent stream, drawn NOISE_BLOCK steps at a
+    time: per step a real Gaussian vector for commutative, the real and then
+    the imaginary part of a complex Gaussian for the other targets. A
+    candidate is accepted only when its weight is nonzero and it strictly
+    decreases the slack; the scale halves after STALL_LIMIT consecutive
+    rejections. So the result of a start does not depend on which other
+    starts share its lockstep."""
+    array, settle, slack_of, instance = _descent(target)
+    n = len(starts)
+    best = np.stack([array(s) for s in starts])
+    slack = slack_of(starts)
+    best_slack = slack(best)
+    scales = np.full(n, float(scale))
+    stalled = np.zeros(n, dtype=int)
+    per_start = (slice(None),) + (None,) * (best.ndim - 1)
+    complex_noise = np.iscomplexobj(best)
+    step_shape = ((2,) if complex_noise else ()) + best.shape[1:]
+    for step in range(steps):
+        k = step % NOISE_BLOCK
+        if k == 0:
+            noise = np.empty((n, min(NOISE_BLOCK, steps - step), *step_shape))
+            for rng, out in zip(rngs, noise):
+                rng.standard_normal(out=out)
+        step_noise = noise[:, k]
+        if complex_noise:  # as complex_gaussian
+            step_noise = (step_noise[:, 0] + 1j * step_noise[:, 1]) / np.sqrt(2.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            cand = best + scales[per_start] * step_noise
+            finite = np.all(np.isfinite(cand))
+            cand, weight = settle(cand)
+        if not (finite and np.all(np.isfinite(weight))):
+            raise ValueError(f"step_scale {scale:g} overflows: a descent candidate "
+                             "or its weight is not finite")
+        cand_slack = slack(cand)
+        accept = (weight > 0.0) & (cand_slack < best_slack)
+        best[accept] = cand[accept]
+        best_slack = np.where(accept, cand_slack, best_slack)
+        stalled = np.where(accept, 0, stalled + 1)
+        halve = stalled >= STALL_LIMIT
+        scales[halve] *= 0.5
+        stalled[halve] = 0
+    return [instance(row, s) for row, s in zip(best, starts)], best_slack
 
 
 def local_descend(instance, target: str, steps: int, scale: float, seed):
-    """Greedy descent on the slack: accept a Gaussian perturbation only when
-    it strictly decreases the slack; halve the scale after STALL_LIMIT
-    consecutive rejections. Returns (best_instance, best_slack).
+    """The lockstep descent of a single instance. Returns (best_instance,
+    best_slack).
 
     seed may be an int or a numpy SeedSequence."""
-    rng = np.random.default_rng(seed)
-    best = instance
-    best_slack = evaluate_slack(target, instance)
-    stalled = 0
-    for _ in range(steps):
-        cand = _perturb(target, best, scale, rng)
-        cand_slack = evaluate_slack(target, cand)
-        if cand_slack < best_slack:
-            best, best_slack = cand, cand_slack
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= STALL_LIMIT:
-                scale *= 0.5
-                stalled = 0
-    return best, best_slack
+    [best], [slack] = _descend(target, [instance], [np.random.default_rng(seed)], steps, scale)
+    return best, float(slack)
 
 
 def serialize_instance(target: str, instance) -> dict:
@@ -196,66 +248,16 @@ def deserialize_instance(obj: dict):
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def _descend_ineq4(cfg: SearchConfig, trials: range) -> list:
-    """local_descend on target ineq4 for several trials in lockstep.
-
-    Each trial keeps its own start state, its own descent stream (drawn
-    NOISE_BLOCK steps at a time, in the order _perturb draws it step by
-    step) and the step rules of local_descend: strict improvement, halving
-    after STALL_LIMIT rejections, rejection of a zero candidate, and
-    ValueError on a non-finite one. So the result of a trial does not
-    depend on which other trials share its lockstep."""
-    steps = cfg.local_steps
+def _run_trials(cfg: SearchConfig, trials: range) -> list:
+    """[(trial_index, slack, best_instance)] for the given trials, descended
+    in lockstep."""
     starts, rngs = [], []
     for t in trials:
         start_seq, descent_seq = _trial_seeds(cfg, t)
-        starts.append(_sample(cfg, np.random.default_rng(start_seq)).coeffs)
+        starts.append(_sample(cfg, np.random.default_rng(start_seq)))
         rngs.append(np.random.default_rng(descent_seq))
-    best = np.stack(starts)
-    _, _, lhs, rhs = ineq4_batch(best)
-    best_slack = rhs - lhs
-    scale = np.full(len(trials), float(cfg.step_scale))
-    stalled = np.zeros(len(trials), dtype=int)
-    per_trial = (slice(None), None, None, None)
-    for step in range(steps):
-        k = step % NOISE_BLOCK
-        if k == 0:
-            noise = np.empty((len(trials), min(NOISE_BLOCK, steps - step), 2, *cfg.dims))
-            for rng, out in zip(rngs, noise):
-                rng.standard_normal(out=out)
-        gauss = (noise[:, k, 0] + 1j * noise[:, k, 1]) / np.sqrt(2.0)  # as complex_gaussian
-        cand = best + scale[per_trial] * gauss
-        if not np.all(np.isfinite(cand)):
-            raise ValueError("coefficients must be finite")
-        weight = np.sum(np.abs(cand) ** 2, axis=(1, 2, 3))
-        nonzero = weight > 0.0
-        cand /= np.sqrt(np.where(nonzero, weight, 1.0))[per_trial]
-        _, _, lhs, rhs = ineq4_batch(cand)
-        cand_slack = rhs - lhs
-        accept = nonzero & (cand_slack < best_slack)
-        best[accept] = cand[accept]
-        best_slack = np.where(accept, cand_slack, best_slack)
-        stalled = np.where(accept, 0, stalled + 1)
-        halve = stalled >= STALL_LIMIT
-        scale[halve] *= 0.5
-        stalled[halve] = 0
-    return [(t, float(slack), TripartiteState(c))
-            for t, slack, c in zip(trials, best_slack, best)]
-
-
-def _run_trials(cfg: SearchConfig, trials: range) -> list:
-    """[(trial_index, slack, best_instance)] for the given trials."""
-    if cfg.target == "ineq4":
-        return _descend_ineq4(cfg, trials)
-    out = []
-    for t in trials:
-        start_seq, descent_seq = _trial_seeds(cfg, t)
-        instance = _sample(cfg, np.random.default_rng(start_seq))
-        best, slack = local_descend(
-            instance, cfg.target, cfg.local_steps, cfg.step_scale, descent_seq
-        )
-        out.append((t, float(slack), best))
-    return out
+    best, slacks = _descend(cfg.target, starts, rngs, cfg.local_steps, cfg.step_scale)
+    return [(t, float(slack), inst) for t, slack, inst in zip(trials, slacks, best)]
 
 
 def run_trial(cfg: SearchConfig, trial_index: int) -> tuple[int, float, dict]:

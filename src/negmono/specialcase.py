@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotSquareError, StepFailedError
+from .errors import NotSquareError, StepFailedError
 from .matcore import (
     InequalityReport,
     TAU_CHECK,
+    _lapack,
     as_complex_matrix,
-    hermitian_eigenvalues,
     make_report,
     matrix_to_dict,
 )
@@ -51,13 +51,6 @@ def _adj(x: np.ndarray) -> np.ndarray:
 
 def _herm(x: np.ndarray) -> np.ndarray:
     return (x + _adj(x)) / 2.0
-
-
-def _lapack(fn, x):
-    try:
-        return fn(x)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
 
 
 def _gap(m: np.ndarray) -> np.ndarray:
@@ -104,19 +97,39 @@ def _norm_bound(m: np.ndarray) -> np.ndarray:
     return np.sqrt(m.shape[-1] / 2.0) * np.linalg.norm(m, axis=(-2, -1))
 
 
+def _z_neg(m: np.ndarray) -> np.ndarray:
+    return _tr_neg_part(_lapack(np.linalg.eigvalsh, _blocks(m)[2]))
+
+
+def _gap_eigs(m: np.ndarray) -> np.ndarray:
+    return _lapack(np.linalg.eigvalsh, _gap(m))
+
+
+# (lhs, rhs) of each bound for a stack m of shape (N, d, d), unvalidated:
+# ineqid needs only the spectrum of Z, ineqid2 only that of Delta, ineqid1
+# both. The public checks and the search descent both evaluate these.
+_SIDES = {
+    "ineqid": lambda m: (_z_neg(m), _norm_bound(m)),
+    "ineqid1": lambda m: (_z_neg(m), _tr_sqrt_clipped(-_gap_eigs(m))),
+    "ineqid2_minus": lambda m: (_tr_sqrt_clipped(-_gap_eigs(m)), _norm_bound(m)),
+    "ineqid2_plus": lambda m: (_tr_sqrt_clipped(_gap_eigs(m)), _norm_bound(m)),
+}
+
+
+def _check(name: str, b, tol: float) -> InequalityReport:
+    m = _square(b)
+    lhs, rhs = _SIDES[name](m[None])
+    return make_report(name, lhs[0], rhs[0], tol, d=m.shape[0])
+
+
 def check_ineqid(b, tol: float = TAU_CHECK) -> InequalityReport:
     """tr Z_- <= sqrt(d/2) ||B||_2."""
-    m = _square(b)
-    lhs = _tr_neg_part(hermitian_eigenvalues(build_special_Z(m)))
-    return make_report("ineqid", lhs, _norm_bound(m), tol, d=m.shape[0])
+    return _check("ineqid", b, tol)
 
 
 def check_ineqid1(b, tol: float = TAU_CHECK) -> InequalityReport:
     """tr Z_- <= tr sqrt(Delta_minus)."""
-    m = _square(b)
-    lhs = _tr_neg_part(hermitian_eigenvalues(build_special_Z(m)))
-    rhs = _tr_sqrt_clipped(-hermitian_eigenvalues(commutator_gap(m)))
-    return make_report("ineqid1", lhs, rhs, tol, d=m.shape[0])
+    return _check("ineqid1", b, tol)
 
 
 def check_ineqid2(b, sign: str = "minus", tol: float = TAU_CHECK) -> InequalityReport:
@@ -127,10 +140,7 @@ def check_ineqid2(b, sign: str = "minus", tol: float = TAU_CHECK) -> InequalityR
     """
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    m = _square(b)
-    gap_eigs = hermitian_eigenvalues(commutator_gap(m))
-    lhs = _tr_sqrt_clipped(-gap_eigs if sign == "minus" else gap_eigs)
-    return make_report(f"ineqid2_{sign}", lhs, _norm_bound(m), tol, d=m.shape[0])
+    return _check(f"ineqid2_{sign}", b, tol)
 
 
 def _gap_split(m: np.ndarray) -> tuple[np.ndarray, ...]:

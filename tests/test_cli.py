@@ -346,3 +346,31 @@ def test_no_trials_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "must be at least 1" in err
+
+
+SEARCH_TARGETS = [
+    ("--target", "ineq4", "--dims", "2x2x2"),
+    ("--target", "ineqid", "--d", "3"),
+    ("--target", "ineqid1", "--d", "3"),
+    ("--target", "ineqid2", "--d", "3"),
+    ("--target", "commutative", "--d", "4"),
+]
+
+
+@pytest.mark.parametrize("target", SEARCH_TARGETS, ids=lambda t: t[1])
+@pytest.mark.parametrize("scale", ["inf", "1e308"])
+def test_search_rejects_overflowing_step_scale(capsys, target, scale):
+    # inf is refused with the configuration; 1e308 overflows the first steps
+    code, out, err = run_cli(capsys, "search", *target, "--trials", "2",
+                             "--step-scale", scale)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "step_scale" in err
+
+
+@pytest.mark.parametrize("target", SEARCH_TARGETS[:4], ids=lambda t: t[1])
+def test_search_rejects_step_scale_whose_weight_overflows(capsys, target):
+    # the candidates stay finite, but their squared weight overflows
+    code, out, err = run_cli(capsys, "search", *target, "--trials", "2",
+                             "--step-scale", "1e200")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "step_scale" in err

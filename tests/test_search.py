@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from negmono import matcore, search
+from negmono.matcore import complex_gaussian
 from negmono.monogamy import ineq4_report
+from negmono.permlemma import check_commutative
 from negmono.qstate import TripartiteState
 from negmono.search import (
     CHUNK,
     NOISE_BLOCK,
+    STALL_LIMIT,
     SearchConfig,
     SearchResult,
     deserialize_instance,
@@ -17,6 +21,25 @@ from negmono.search import (
     run_trial,
     serialize_instance,
 )
+from negmono.specialcase import check_ineqid, check_ineqid1, check_ineqid2
+
+# One configuration per proven target, at the sizes the pins below use.
+PROVEN = {
+    "ineqid": dict(d=4),
+    "ineqid1": dict(d=4),
+    "ineqid2": dict(d=4),
+    "commutative": dict(d=6),
+}
+ALL_TARGETS = {"ineq4": dict(dims=(2, 3, 3)), **PROVEN}
+
+# Seed-0 results of 1000 trials with the default descent, measured with the
+# scalar descent the lockstep engine replaced.
+PINNED = {
+    "ineqid": (1.2914300096788445, 361),
+    "ineqid1": (0.46874629544948343, 915),
+    "ineqid2": (0.30902166420970545, 3),
+    "commutative": (0.0009183474912108913, 668),
+}
 
 
 def test_config_validation():
@@ -119,15 +142,71 @@ def test_parallel_merge_matches_serial():
     assert run_search(cfg, jobs=1) == run_search(cfg, jobs=2)
 
 
-def _scalar_descent_slacks(cfg):
-    slacks = []
+# The scalar descent, one trial and one step at a time, kept as the
+# reference of the lockstep engine: every step perturbs one instance and
+# evaluates it through the public, validating reports.
+def _reference_slack(target, instance):
+    if target == "ineq4":
+        return ineq4_report(list(instance.coeffs)).slack
+    if target == "commutative":
+        return check_commutative(*instance).slack
+    check = {"ineqid": check_ineqid, "ineqid1": check_ineqid1, "ineqid2": check_ineqid2}
+    return check[target](instance).slack
+
+
+def _reference_perturb(target, instance, scale, rng):
+    if target == "ineq4":
+        c = instance.coeffs + scale * complex_gaussian(rng, instance.dims)
+        if not np.any(c):
+            return instance
+        return TripartiteState(c, normalize=True)
+    if target == "commutative":
+        mu, pi = instance
+        cand = np.clip(mu + scale * rng.standard_normal(mu.size), 0.0, None)
+        total = cand.sum()
+        if total == 0.0:
+            return instance
+        cand[::-1].sort()
+        return cand / total, pi
+    return instance + scale * complex_gaussian(rng, instance.shape)
+
+
+def _reference_descend(instance, target, steps, scale, seed):
+    """(best_instance, best_slack, final_scale): accept a perturbation only
+    when it strictly decreases the slack, halve the scale after STALL_LIMIT
+    consecutive rejections."""
+    rng = np.random.default_rng(seed)
+    best = instance
+    best_slack = _reference_slack(target, instance)
+    stalled = 0
+    for _ in range(steps):
+        cand = _reference_perturb(target, best, scale, rng)
+        cand_slack = _reference_slack(target, cand)
+        if cand_slack < best_slack:
+            best, best_slack = cand, cand_slack
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= STALL_LIMIT:
+                scale *= 0.5
+                stalled = 0
+    return best, best_slack, scale
+
+
+def _scalar_descent(cfg):
+    """[(slack, final_scale)] of every trial through the reference descent."""
+    out = []
     for t in range(cfg.trials):
         descent_seed = np.random.SeedSequence(entropy=(cfg.seed, t)).spawn(2)[1]
-        _, slack = local_descend(
+        _, slack, scale = _reference_descend(
             random_instance(cfg, t), cfg.target, cfg.local_steps, cfg.step_scale, descent_seed
         )
-        slacks.append(slack)
-    return slacks
+        out.append((slack, scale))
+    return out
+
+
+def _scalar_descent_slacks(cfg):
+    return [slack for slack, _ in _scalar_descent(cfg)]
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 3)])
@@ -136,7 +215,7 @@ def test_lockstep_matches_scalar_descent(dims):
     assert 2 * CHUNK < cfg.trials < 3 * CHUNK  # two full chunks and a partial one
     lockstep = [slack for _, slack, _ in iter_trials(cfg)]
     scalar = _scalar_descent_slacks(cfg)
-    np.testing.assert_allclose(lockstep, scalar, rtol=0, atol=1e-12)
+    assert lockstep == scalar
     assert np.argmin(lockstep) == np.argmin(scalar)
 
 
@@ -145,7 +224,7 @@ def test_lockstep_long_descent_matches_scalar_descent():
     cfg = SearchConfig(target="ineq4", dims=(3, 2, 2), trials=8, local_steps=75, seed=2)
     assert cfg.local_steps > 2 * NOISE_BLOCK
     lockstep = [slack for _, slack, _ in iter_trials(cfg)]
-    np.testing.assert_allclose(lockstep, _scalar_descent_slacks(cfg), rtol=0, atol=1e-12)
+    assert lockstep == _scalar_descent_slacks(cfg)
 
 
 def test_lockstep_keeps_the_start_state_on_ties():
@@ -163,9 +242,106 @@ def test_parallel_merge_matches_serial_across_chunks():
 
 
 def test_lockstep_rejects_non_finite_candidates():
-    cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=3, step_scale=np.inf)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="step_scale"):
+        SearchConfig(target="ineq4", dims=(2, 2, 2), trials=3, step_scale=np.inf)
+    # a finite scale whose perturbations overflow stops at the in-loop guard
+    cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=3, step_scale=1e200)
+    with pytest.raises(ValueError, match="step_scale"):
         run_search(cfg)
+
+
+@pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_config_rejects_bad_step_scale(scale):
+    with pytest.raises(ValueError, match="step_scale"):
+        SearchConfig(target="ineqid", d=2, step_scale=scale)
+
+
+@pytest.mark.parametrize("target", list(ALL_TARGETS))
+def test_overflowing_step_scale_names_the_option(target):
+    cfg = SearchConfig(target=target, trials=2, step_scale=1e308, seed=0, **ALL_TARGETS[target])
+    with pytest.raises(ValueError, match="step_scale"):
+        run_search(cfg)
+
+
+@pytest.mark.parametrize("target", list(PROVEN))
+def test_proven_lockstep_matches_scalar_descent(target):
+    cfg = SearchConfig(target=target, trials=150, seed=0, **PROVEN[target])
+    assert 2 * CHUNK < cfg.trials < 3 * CHUNK  # two full chunks and a partial one
+    lockstep = [slack for _, slack, _ in iter_trials(cfg)]
+    scalar = _scalar_descent_slacks(cfg)
+    assert lockstep == scalar
+    assert np.argmin(lockstep) == np.argmin(scalar)
+    res = run_search(cfg)
+    assert res.violations == sum(s < -cfg.tol for s in scalar)
+    assert res.trial_index == np.argmin(scalar)
+
+
+@pytest.mark.parametrize("target", list(ALL_TARGETS))
+def test_lockstep_long_descent_halves_the_scale_as_scalar_descent(target):
+    cfg = SearchConfig(target=target, trials=8, local_steps=75, seed=2, **ALL_TARGETS[target])
+    assert cfg.local_steps > 2 * NOISE_BLOCK
+    scalar = _scalar_descent(cfg)
+    assert any(scale < cfg.step_scale for _, scale in scalar)
+    assert [slack for _, slack, _ in iter_trials(cfg)] == [slack for slack, _ in scalar]
+
+
+@pytest.mark.parametrize("target", list(ALL_TARGETS))
+def test_lockstep_output_does_not_depend_on_chunk(monkeypatch, target):
+    cfg = SearchConfig(target=target, trials=20, seed=1, **ALL_TARGETS[target])
+    outputs = []
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(search, "CHUNK", chunk)
+        outputs.append([(t, slack, serialize_instance(target, inst))
+                        for t, slack, inst in iter_trials(cfg)])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("target", list(PROVEN))
+def test_proven_parallel_merge_matches_serial(target):
+    cfg = SearchConfig(target=target, trials=150, seed=4, **PROVEN[target])
+    assert run_search(cfg, jobs=1) == run_search(cfg, jobs=2)
+
+
+@pytest.mark.parametrize("target", list(PROVEN))
+def test_proven_targets_pinned_at_seed_0(target):
+    res = run_search(SearchConfig(target=target, trials=1000, seed=0, **PROVEN[target]))
+    ref_slack, ref_trial = PINNED[target]
+    assert abs(res.min_slack - ref_slack) <= 1e-12 + 1e-9 * abs(ref_slack)
+    assert res.trial_index == ref_trial
+    assert res.violations == 0
+
+
+@pytest.mark.parametrize("target", list(ALL_TARGETS))
+def test_evaluate_slack_matches_public_checks(target):
+    cfg = SearchConfig(target=target, seed=3, **ALL_TARGETS[target])
+    for t in range(5):
+        inst = random_instance(cfg, t)
+        assert evaluate_slack(target, inst) == _reference_slack(target, inst)
+
+
+# The call that evaluates the batched slack of each target once: the ineq4
+# kernel, the commutative kernel, or the eigvalsh calls of Z and Delta.
+KERNEL_CALLS = {
+    "ineq4": ("ineq4_batch", 1),
+    "ineqid": ("eigvalsh", 1),
+    "ineqid1": ("eigvalsh", 2),
+    "ineqid2": ("eigvalsh", 1),
+    "commutative": ("_commutative_sides", 1),
+}
+
+
+@pytest.mark.parametrize("target", list(ALL_TARGETS))
+def test_lockstep_counts_one_slack_evaluation_per_step(call_counts, target):
+    counts, count = call_counts
+    name, per_eval = KERNEL_CALLS[target]
+    count(np.linalg if name == "eigvalsh" else search, name)
+    for name in ("require_hermitian", "make_report", "hermitian_eigenvalues"):
+        count(matcore, name)
+    cfg = SearchConfig(target=target, trials=150, local_steps=10, seed=0, **ALL_TARGETS[target])
+    run_search(cfg)
+    chunks = -(-cfg.trials // CHUNK)
+    assert counts == {KERNEL_CALLS[target][0]: per_eval * chunks * (cfg.local_steps + 1),
+                      "require_hermitian": 0, "make_report": 0, "hermitian_eigenvalues": 0}
 
 
 def test_result_to_dict():
