@@ -4,7 +4,8 @@ Reports go to stdout, one JSON object per line (NDJSON) unless CSV is
 selected where supported. Progress and diagnostics go to stderr. Exit
 status is 0 when every checked statement holds (a violation of the
 conjectured inequality is reported as a finding but still exits 0),
-1 when a proven statement is violated numerically, and 2 on usage errors.
+1 when a proven statement is violated numerically, 2 on usage errors and
+3 on internal errors (a LAPACK routine or a bracketing search failed).
 """
 
 from __future__ import annotations
@@ -25,13 +26,17 @@ from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearra
 from .qstate import random_state
 from .search import TARGETS, SearchConfig, run_search
 from .specialcase import interlacing_trace, pad_square
-from .errors import QuadratureFailureError, StepFailedError
+from .errors import (NoConvergenceError, QuadratureFailureError, RootNotBracketedError,
+                     StepFailedError)
 
 CONJECTURED = ("ineq4",)
 
+# One compact encoder for every record, rather than one per json.dumps call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _emit(obj: dict, out) -> None:
-    out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    out.write(_encode(obj) + "\n")
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -110,8 +115,7 @@ def _cmd_special(args) -> int:
             trace = interlacing_trace(b, tol=args.tol)
         except StepFailedError as exc:
             print(f"certified chain failed at {exc.step}: {exc}", file=sys.stderr)
-            print(json.dumps({"instance": exc.instance}, separators=(",", ":")),
-                  file=sys.stderr)
+            print(_encode({"instance": exc.instance}), file=sys.stderr)
             return 1
         status = 0
         for rep in trace.reports:
@@ -341,6 +345,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, QuadratureFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NoConvergenceError, RootNotBracketedError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

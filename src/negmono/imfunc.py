@@ -205,6 +205,10 @@ class IMParams:
     grid_n: int = 2001
 
     def __post_init__(self):
+        for name in ("theta", "s", "quad_tol", "grid_lo", "grid_hi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.theta > 0 and self.s > 0 and self.quad_tol > 0):
             raise ValueError("theta, s and quad_tol must be positive")
         if not (self.grid_hi > self.grid_lo and self.grid_n >= 2):

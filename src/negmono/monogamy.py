@@ -29,14 +29,26 @@ from .qstate import (
 VERIFY_NAMES = ("ineq2", "ineq3", "ineq4", "monotonicity_AB", "monotonicity_AC")
 
 
+def _block_gram(f: np.ndarray, dA: int) -> np.ndarray:
+    # g = f f* holds block (j, i) at rows of block j; swapping the two block
+    # indices moves it to block (i, j), as in Z1 and Z2
+    n, m, _ = f.shape
+    g = f @ f.conj().swapaxes(1, 2)
+    d = m // dA
+    return g.reshape(n, dA, d, dA, d).swapaxes(1, 3).reshape(n, m, m)
+
+
 def _z1(c: np.ndarray) -> np.ndarray:
-    n, dA, dB, _ = c.shape
-    return np.einsum("njpq,nirq->nipjr", c, c.conj()).reshape(n, dA * dB, dA * dB)
+    # rows (j, p) of f hold A_j[p, :], so block (j, i) of f f* is A_j A_i*
+    n, dA, dB, dC = c.shape
+    return _block_gram(c.reshape(n, dA * dB, dC), dA)
 
 
 def _z2(c: np.ndarray) -> np.ndarray:
-    n, dA, _, dC = c.shape
-    return np.einsum("njqp,niqr->nipjr", c.conj(), c).reshape(n, dA * dC, dA * dC)
+    # rows (j, p) of f hold the conjugate of A_j[:, p], so block (j, i) of
+    # f f* is A_j* A_i
+    n, dA, dB, dC = c.shape
+    return _block_gram(c.conj().swapaxes(2, 3).reshape(n, dA * dC, dB), dA)
 
 
 def build_Z1(mats) -> np.ndarray:

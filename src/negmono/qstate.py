@@ -66,10 +66,15 @@ class TripartiteState:
         return f"TripartiteState(dims={self.dims})"
 
 
+def _random_coeffs(dims, rng: np.random.Generator) -> np.ndarray:
+    """The normalised coefficient tensor of random_state, unchecked."""
+    c = complex_gaussian(rng, tuple(int(d) for d in dims))
+    return c / np.sqrt(float(np.sum(np.abs(c) ** 2)))
+
+
 def random_state(dims, rng: np.random.Generator) -> TripartiteState:
     """State with i.i.d. standard complex Gaussian coefficients, normalised."""
-    dA, dB, dC = (int(d) for d in dims)
-    return TripartiteState(complex_gaussian(rng, (dA, dB, dC)), normalize=True)
+    return TripartiteState(_random_coeffs(dims, rng))
 
 
 def coeff_matrices(state: TripartiteState) -> list[np.ndarray]:

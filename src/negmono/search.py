@@ -6,7 +6,8 @@ seed sequences, so results are reproducible and independent of worker
 scheduling; the final minimum is merged by (slack, trial_index). Trials run
 in fixed chunks of CHUNK consecutive indices, and the trials of a chunk
 descend in lockstep through one batched slack evaluation per step, for
-every target.
+every target. A chunk stays a stack of arrays from its start draws to its
+slacks; only its argmin is rebuilt as an instance.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .matcore import TAU_CHECK, complex_gaussian, matrix_from_dict, matrix_to_dict
 from .monogamy import ineq4_batch
 from .permlemma import _commutative_sides, _spectrum_and_images
-from .qstate import TripartiteState, random_state, state_from_dict, state_to_dict
+from .qstate import TripartiteState, _random_coeffs, state_from_dict, state_to_dict
 from .specialcase import _SIDES, _square
 
 TARGETS = ("ineq4", "ineqid", "ineqid1", "ineqid2", "commutative")
@@ -35,10 +36,10 @@ STALL_LIMIT = 20
 
 # Trials per chunk. Chunk k holds trials [k * CHUNK, (k + 1) * CHUNK), so
 # the boundaries depend only on the trial index, never on --jobs.
-CHUNK = 64
+CHUNK = 128
 # Descent steps whose noise a lockstep chunk draws at once; bounds the noise
-# buffer (370 kB at 2x3x3) whatever --local-steps is.
-NOISE_BLOCK = 32
+# buffer (590 kB at 2x3x3) whatever --local-steps is.
+NOISE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -85,20 +86,26 @@ class SearchResult:
 
 
 def _trial_seeds(cfg: SearchConfig, trial_index: int):
-    """The (start state, descent) seed sequences of one trial."""
-    return np.random.SeedSequence(entropy=(cfg.seed, int(trial_index))).spawn(2)
+    """The (start state, descent) seed sequences of one trial: the two
+    children of SeedSequence((seed, trial_index)), built without their
+    parent."""
+    entropy = (cfg.seed, int(trial_index))
+    return [np.random.SeedSequence(entropy, spawn_key=(k,)) for k in (0, 1)]
 
 
 def random_instance(cfg: SearchConfig, trial_index: int):
     """Deterministic random instance for one trial: a normalised Gaussian
     state for ineq4, a complex Gaussian matrix for the ineqid targets, or a
     sorted exponentially spaced spectrum plus uniform permutation."""
-    return _sample(cfg, np.random.default_rng(_trial_seeds(cfg, trial_index)[0]))
+    start = _sample(cfg, np.random.default_rng(_trial_seeds(cfg, trial_index)[0]))
+    return TripartiteState(start) if cfg.target == "ineq4" else start
 
 
 def _sample(cfg: SearchConfig, rng: np.random.Generator):
+    """The start of a descent: an instance, or the coefficient tensor of a
+    state for ineq4."""
     if cfg.target == "ineq4":
-        return random_state(cfg.dims, rng)
+        return _random_coeffs(cfg.dims, rng)
     if cfg.target == "commutative":
         mu = np.exp(-MU_GAMMA * rng.random(cfg.d))
         mu[::-1].sort()
@@ -141,13 +148,14 @@ def _commutative_slack(starts):
     return _slack(lambda mu: _commutative_sides(mu, perms))
 
 
-# The descent of each target: (array, settle, slack, instance). array(instance)
-# is the part that descends; settle(raw) turns raw candidates, in place, into
-# (candidates, weight), the norm or total that normalises them (zero rejects a
-# candidate); slack(starts) is the batched slack of stacks descended from
-# those starts; instance(row, start) rebuilds a descended instance.
+# The descent of each target: (array, settle, slack, instance). array(start)
+# is the part of a start (as _sample draws it) that descends; settle(raw)
+# turns raw candidates, in place, into (candidates, weight), the norm or total
+# that normalises them (zero rejects a candidate); slack(starts) is the
+# batched slack of stacks descended from those starts; instance(row, start)
+# rebuilds a descended instance.
 _DESCENTS = {
-    "ineq4": (lambda state: state.coeffs, _normalised,
+    "ineq4": (lambda c: c, _normalised,
               lambda starts: _slack(ineq4_batch), lambda c, start: TripartiteState(c)),
     "ineqid": _bound("ineqid"),
     "ineqid1": _bound("ineqid1"),
@@ -163,17 +171,23 @@ def _descent(target: str) -> tuple:
     return _DESCENTS[target]
 
 
+def _start(target: str, instance):
+    """The descent start of a public instance."""
+    return instance.coeffs if target == "ineq4" else instance
+
+
 def evaluate_slack(target: str, instance) -> float:
     """Slack of the targeted inequality on one instance; negative means a
     violation candidate."""
     array, _, slack, _ = _descent(target)
-    return float(slack([instance])(array(instance)[None])[0])
+    start = _start(target, instance)
+    return float(slack([start])(array(start)[None])[0])
 
 
 def _descend(target: str, starts: list, rngs: list, steps: int, scale: float):
-    """Greedy descent on the slack of several start instances in lockstep,
-    with one batched slack evaluation per step. Returns (best instances,
-    their slacks).
+    """Greedy descent on the slack of several starts in lockstep, with one
+    batched slack evaluation per step. Returns (best rows, their slacks) as
+    stacks; the instance of row k is instance(rows[k], starts[k]).
 
     Each start has its own descent stream, drawn NOISE_BLOCK steps at a
     time: per step a real Gaussian vector for commutative, the real and then
@@ -182,7 +196,7 @@ def _descend(target: str, starts: list, rngs: list, steps: int, scale: float):
     decreases the slack; the scale halves after STALL_LIMIT consecutive
     rejections. So the result of a start does not depend on which other
     starts share its lockstep."""
-    array, settle, slack_of, instance = _descent(target)
+    array, settle, slack_of, _ = _descent(target)
     n = len(starts)
     best = np.stack([array(s) for s in starts])
     slack = slack_of(starts)
@@ -216,7 +230,7 @@ def _descend(target: str, starts: list, rngs: list, steps: int, scale: float):
         halve = stalled >= STALL_LIMIT
         scales[halve] *= 0.5
         stalled[halve] = 0
-    return [instance(row, s) for row, s in zip(best, starts)], best_slack
+    return best, best_slack
 
 
 def local_descend(instance, target: str, steps: int, scale: float, seed):
@@ -224,8 +238,9 @@ def local_descend(instance, target: str, steps: int, scale: float, seed):
     best_slack).
 
     seed may be an int or a numpy SeedSequence."""
-    [best], [slack] = _descend(target, [instance], [np.random.default_rng(seed)], steps, scale)
-    return best, float(slack)
+    start = _start(target, instance)
+    [best], [slack] = _descend(target, [start], [np.random.default_rng(seed)], steps, scale)
+    return _descent(target)[3](best, start), float(slack)
 
 
 def serialize_instance(target: str, instance) -> dict:
@@ -248,52 +263,55 @@ def deserialize_instance(obj: dict):
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def _run_trials(cfg: SearchConfig, trials: range) -> list:
-    """[(trial_index, slack, best_instance)] for the given trials, descended
-    in lockstep."""
+def _run_trials(cfg: SearchConfig, trials: range) -> tuple[list, tuple]:
+    """The slacks of the given trials, descended in lockstep, and their
+    argmin (slack, trial_index, best_instance): the lowest slack, first
+    trial on ties."""
     starts, rngs = [], []
     for t in trials:
         start_seq, descent_seq = _trial_seeds(cfg, t)
         starts.append(_sample(cfg, np.random.default_rng(start_seq)))
         rngs.append(np.random.default_rng(descent_seq))
-    best, slacks = _descend(cfg.target, starts, rngs, cfg.local_steps, cfg.step_scale)
-    return [(t, float(slack), inst) for t, slack, inst in zip(trials, slacks, best)]
+    rows, slacks = _descend(cfg.target, starts, rngs, cfg.local_steps, cfg.step_scale)
+    k = int(np.argmin(slacks))
+    best = _descent(cfg.target)[3](rows[k], starts[k])
+    return slacks.tolist(), (float(slacks[k]), trials[k], best)
 
 
 def run_trial(cfg: SearchConfig, trial_index: int) -> tuple[int, float, dict]:
     """One full trial: sample, descend, serialize the survivor."""
-    [(t, slack, best)] = _run_trials(cfg, range(trial_index, trial_index + 1))
+    _, (slack, t, best) = _run_trials(cfg, range(trial_index, trial_index + 1))
     return t, slack, serialize_instance(cfg.target, best)
 
 
-def _run_chunk(cfg: SearchConfig, start: int) -> list:
-    return _run_trials(cfg, range(start, min(start + CHUNK, cfg.trials)))
-
-
-def iter_trials(cfg: SearchConfig, jobs: int = 1):
-    """Yield (trial_index, slack, best_instance) in trial order, one chunk
-    of CHUNK trials at a time, in this process or in `jobs` workers."""
-    starts = range(0, cfg.trials, CHUNK)
+def _chunks(cfg: SearchConfig, jobs: int):
+    """The _run_trials result of every chunk of CHUNK trials, in trial
+    order, computed in this process or in `jobs` workers."""
+    chunks = [range(k, min(k + CHUNK, cfg.trials)) for k in range(0, cfg.trials, CHUNK)]
     if jobs <= 1:
-        yield from chain.from_iterable(map(_run_chunk, repeat(cfg), starts))
+        yield from map(_run_trials, repeat(cfg), chunks)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from chain.from_iterable(pool.map(_run_chunk, repeat(cfg), starts))
+        yield from pool.map(_run_trials, repeat(cfg), chunks)
 
 
 def run_search(cfg: SearchConfig, jobs: int = 1, on_trial=None) -> SearchResult:
-    """Scan all trials and merge by (slack, trial_index), so the result is
-    independent of worker count and scheduling. on_trial(trial_index,
-    slack), when given, is called for every trial in trial order."""
+    """Scan all trials and merge the chunk argmins by (slack, trial_index),
+    so the result is independent of worker count and scheduling.
+    on_trial(trial_index, slack), when given, is called for every trial in
+    trial order."""
     best = None
     violations = 0
-    for t, slack, inst in iter_trials(cfg, jobs):
-        if on_trial is not None:
-            on_trial(t, slack)
-        if slack < -cfg.tol:
-            violations += 1
-        if best is None or (slack, t) < (best[0], best[1]):
-            best = (slack, t, inst)
+    t = 0
+    for slacks, argmin in _chunks(cfg, jobs):
+        for slack in slacks:
+            if on_trial is not None:
+                on_trial(t, slack)
+            if slack < -cfg.tol:
+                violations += 1
+            t += 1
+        if best is None or argmin[:2] < best[:2]:
+            best = argmin
     return SearchResult(
         min_slack=best[0],
         argmin=serialize_instance(cfg.target, best[2]),

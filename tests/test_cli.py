@@ -1,13 +1,14 @@
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from negmono import cli, matcore, monogamy
 from negmono.cli import main
-from negmono.errors import StepFailedError
+from negmono.errors import RootNotBracketedError, StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, save_matrix
 from negmono.monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
 from negmono.qstate import coeff_matrices, random_state
@@ -171,6 +172,48 @@ def test_im_approx_unattainable_tolerance_is_usage_error(capsys):
     assert time.perf_counter() - t0 < 5.0
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "rounding error" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--grid", "0:inf:5"), "grid_hi must be finite, got inf"),
+    (("--grid=-inf:0:5",), "grid_lo must be finite, got -inf"),
+    (("--s-list", "inf"), "s must be finite, got inf"),
+    (("--theta", "inf"), "theta must be finite, got inf"),
+    (("--quad-tol", "nan"), "quad_tol must be finite, got nan"),
+], ids=["grid_hi", "grid_lo", "s", "theta", "quad_tol"])
+def test_im_approx_non_finite_parameter_is_usage_error(capsys, argv, message):
+    # refused up front with the field's name, before any quadrature warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "im-approx", *argv)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
+def _fail_lapack(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-conjecture", "--dims", "2x2x2", "--trials", "2"),
+    ("search", "--target", "ineq4", "--dims", "2x2x2", "--trials", "2"),
+])
+def test_lapack_failure_is_internal_error(capsys, monkeypatch, argv):
+    # exit 1 is kept for proven bounds that fail; a crash is not a finding
+    monkeypatch.setattr(np.linalg, "eigvalsh", _fail_lapack)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.strip().splitlines() == ["internal error: Eigenvalues did not converge"]
+
+
+def test_bracketing_failure_is_internal_error(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RootNotBracketedError("no positive root for level 0.25")
+
+    monkeypatch.setattr(cli, "sup_error_table", fail)
+    code, out, err = run_cli(capsys, "im-approx", "--s-list", "1")
+    assert code == 3 and out == ""
+    assert err.strip().splitlines() == ["internal error: no positive root for level 0.25"]
 
 
 def test_search_ndjson_and_result_line(capsys):

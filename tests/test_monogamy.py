@@ -4,6 +4,8 @@ import pytest
 from negmono.errors import NotNormalizedError
 from negmono.matcore import complex_gaussian, negativity, schatten
 from negmono.monogamy import (
+    _z1,
+    _z2,
     build_Z1,
     build_Z2,
     ineq2_report,
@@ -15,6 +17,7 @@ from negmono.monogamy import (
 )
 from negmono.qstate import (
     TripartiteState,
+    _random_coeffs,
     coeff_matrices,
     density,
     diagonalize_gram,
@@ -45,6 +48,31 @@ def test_block_matrices_against_loops(dims):
             z2[i * dc:(i + 1) * dc, j * dc:(j + 1) * dc] = mats[j].conj().T @ mats[i]
     np.testing.assert_allclose(build_Z1(mats), z1, atol=1e-13)
     np.testing.assert_allclose(build_Z2(mats), z2, atol=1e-13)
+
+
+# The index contractions that defined Z1 and Z2 before they became one
+# matmul per stack, kept as the reference of the kernels.
+def _einsum_z1(c):
+    n, dA, dB, _ = c.shape
+    return np.einsum("njpq,nirq->nipjr", c, c.conj()).reshape(n, dA * dB, dA * dB)
+
+
+def _einsum_z2(c):
+    n, dA, _, dC = c.shape
+    return np.einsum("njqp,niqr->nipjr", c.conj(), c).reshape(n, dA * dC, dA * dC)
+
+
+@pytest.mark.parametrize("dims", DIMS + [(1, 3, 2), (4, 1, 1), (3, 3, 3)])
+def test_z_kernels_match_einsum_and_do_not_depend_on_the_stack(dims):
+    rng = np.random.default_rng(14)
+    c = np.stack([_random_coeffs(dims, rng) for _ in range(128)])
+    for kernel, reference in ((_z1, _einsum_z1), (_z2, _einsum_z2)):
+        z = kernel(c)
+        np.testing.assert_allclose(z, reference(c), rtol=0, atol=1e-13)
+        # each row equals an N = 1 call bit for bit, which the exact
+        # lockstep-vs-scalar descent tests rely on
+        for k in range(len(c)):
+            np.testing.assert_array_equal(kernel(c[k:k + 1])[0], z[k])
 
 
 @pytest.mark.parametrize("dims", DIMS)

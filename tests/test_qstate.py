@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from negmono.errors import NotNormalizedError
-from negmono.matcore import negativity, schatten
+from negmono.matcore import complex_gaussian, negativity, schatten
 from negmono.qstate import (
     TripartiteState,
+    _random_coeffs,
     amat,
     coeff_matrices,
     density,
@@ -170,3 +171,18 @@ def test_random_state_deterministic_per_seed():
     a = random_state((2, 2, 2), np.random.default_rng(42))
     b = random_state((2, 2, 2), np.random.default_rng(42))
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 3), (3, 2, 4), (1, 1, 1)])
+def test_random_coeffs_are_the_random_state_draw(dims):
+    # the unchecked drawer of the search, random_state and the former
+    # definition of random_state (a Gaussian tensor normalised by the
+    # constructor) draw the same bits and leave their generators in step
+    rngs = [np.random.default_rng(13) for _ in range(3)]
+    for _ in range(200):
+        c = _random_coeffs(dims, rngs[0])
+        assert c.shape == dims and c.dtype == complex
+        np.testing.assert_array_equal(c, random_state(dims, rngs[1]).coeffs)
+        former = TripartiteState(complex_gaussian(rngs[2], dims), normalize=True)
+        np.testing.assert_array_equal(c, former.coeffs)
+    assert len({rng.random() for rng in rngs}) == 1

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from negmono import matcore, search
+from negmono import matcore, qstate, search
 from negmono.matcore import complex_gaussian
 from negmono.monogamy import ineq4_report
 from negmono.permlemma import check_commutative
 from negmono.qstate import TripartiteState
 from negmono.search import (
-    CHUNK,
     NOISE_BLOCK,
     STALL_LIMIT,
     SearchConfig,
     SearchResult,
     deserialize_instance,
+    _descend,
     evaluate_slack,
-    iter_trials,
     local_descend,
     random_instance,
     run_search,
@@ -62,6 +61,14 @@ def test_random_instance_deterministic_per_trial():
     c = random_instance(cfg, 4)
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
     assert np.abs(a.coeffs - c.coeffs).max() > 0
+
+
+def test_trial_seeds_are_the_spawned_children():
+    cfg = SearchConfig(target="ineqid", d=2, seed=11)
+    for t in (0, 1, 63, 10**6):
+        spawned = np.random.SeedSequence(entropy=(cfg.seed, t)).spawn(2)
+        for got, want in zip(search._trial_seeds(cfg, t), spawned):
+            np.testing.assert_array_equal(got.generate_state(8), want.generate_state(8))
 
 
 def test_random_instance_kinds():
@@ -209,11 +216,19 @@ def _scalar_descent_slacks(cfg):
     return [slack for slack, _ in _scalar_descent(cfg)]
 
 
+def _trial_slacks(cfg, jobs=1):
+    """The per-trial slacks of a search, in trial order."""
+    slacks = []
+    run_search(cfg, jobs, on_trial=lambda t, slack: slacks.append(slack))
+    return slacks
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 3)])
-def test_lockstep_matches_scalar_descent(dims):
+def test_lockstep_matches_scalar_descent(monkeypatch, dims):
+    monkeypatch.setattr(search, "CHUNK", 64)
     cfg = SearchConfig(target="ineq4", dims=dims, trials=150, seed=0)
-    assert 2 * CHUNK < cfg.trials < 3 * CHUNK  # two full chunks and a partial one
-    lockstep = [slack for _, slack, _ in iter_trials(cfg)]
+    assert 2 * search.CHUNK < cfg.trials < 3 * search.CHUNK  # two full chunks and a partial one
+    lockstep = _trial_slacks(cfg)
     scalar = _scalar_descent_slacks(cfg)
     assert lockstep == scalar
     assert np.argmin(lockstep) == np.argmin(scalar)
@@ -223,21 +238,23 @@ def test_lockstep_long_descent_matches_scalar_descent():
     # several noise blocks, and enough rejections to halve the scale
     cfg = SearchConfig(target="ineq4", dims=(3, 2, 2), trials=8, local_steps=75, seed=2)
     assert cfg.local_steps > 2 * NOISE_BLOCK
-    lockstep = [slack for _, slack, _ in iter_trials(cfg)]
-    assert lockstep == _scalar_descent_slacks(cfg)
+    assert _trial_slacks(cfg) == _scalar_descent_slacks(cfg)
 
 
 def test_lockstep_keeps_the_start_state_on_ties():
     # every 1x1x1 state has slack exactly 0, so no proposal is strictly better
     cfg = SearchConfig(target="ineq4", dims=(1, 1, 1), trials=3, seed=0)
-    for t, slack, best in iter_trials(cfg):
-        assert slack == 0.0
-        np.testing.assert_array_equal(best.coeffs, random_instance(cfg, t).coeffs)
+    starts = [random_instance(cfg, t).coeffs for t in range(cfg.trials)]
+    rngs = [np.random.default_rng(t) for t in range(cfg.trials)]
+    rows, slacks = _descend("ineq4", starts, rngs, cfg.local_steps, cfg.step_scale)
+    assert slacks.tolist() == [0.0] * cfg.trials
+    np.testing.assert_array_equal(rows, np.stack(starts))
 
 
-def test_parallel_merge_matches_serial_across_chunks():
+def test_parallel_merge_matches_serial_across_chunks(monkeypatch):
+    monkeypatch.setattr(search, "CHUNK", 64)
     cfg = SearchConfig(target="ineq4", dims=(2, 3, 3), trials=150, seed=4)
-    assert cfg.trials > 2 * CHUNK
+    assert cfg.trials > 2 * search.CHUNK
     assert run_search(cfg, jobs=1) == run_search(cfg, jobs=2)
 
 
@@ -264,10 +281,11 @@ def test_overflowing_step_scale_names_the_option(target):
 
 
 @pytest.mark.parametrize("target", list(PROVEN))
-def test_proven_lockstep_matches_scalar_descent(target):
+def test_proven_lockstep_matches_scalar_descent(monkeypatch, target):
+    monkeypatch.setattr(search, "CHUNK", 64)
     cfg = SearchConfig(target=target, trials=150, seed=0, **PROVEN[target])
-    assert 2 * CHUNK < cfg.trials < 3 * CHUNK  # two full chunks and a partial one
-    lockstep = [slack for _, slack, _ in iter_trials(cfg)]
+    assert 2 * search.CHUNK < cfg.trials < 3 * search.CHUNK  # two full chunks and a partial one
+    lockstep = _trial_slacks(cfg)
     scalar = _scalar_descent_slacks(cfg)
     assert lockstep == scalar
     assert np.argmin(lockstep) == np.argmin(scalar)
@@ -282,18 +300,35 @@ def test_lockstep_long_descent_halves_the_scale_as_scalar_descent(target):
     assert cfg.local_steps > 2 * NOISE_BLOCK
     scalar = _scalar_descent(cfg)
     assert any(scale < cfg.step_scale for _, scale in scalar)
-    assert [slack for _, slack, _ in iter_trials(cfg)] == [slack for slack, _ in scalar]
+    assert _trial_slacks(cfg) == [slack for slack, _ in scalar]
 
 
 @pytest.mark.parametrize("target", list(ALL_TARGETS))
 def test_lockstep_output_does_not_depend_on_chunk(monkeypatch, target):
     cfg = SearchConfig(target=target, trials=20, seed=1, **ALL_TARGETS[target])
     outputs = []
-    for chunk in (1, 7, 64):
+    for chunk in (1, 7, 64, 128):
         monkeypatch.setattr(search, "CHUNK", chunk)
-        outputs.append([(t, slack, serialize_instance(target, inst))
-                        for t, slack, inst in iter_trials(cfg)])
-    assert outputs[0] == outputs[1] == outputs[2]
+        outputs.append((_trial_slacks(cfg), run_search(cfg)))
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+
+
+@pytest.mark.parametrize("target", list(ALL_TARGETS))
+def test_lockstep_rows_do_not_depend_on_their_stack(target):
+    # the descended instance of a start is the same alone and in a stack
+    cfg = SearchConfig(target=target, trials=9, seed=6, **ALL_TARGETS[target])
+    seeds = [np.random.SeedSequence(entropy=(cfg.seed, t)).spawn(2) for t in range(cfg.trials)]
+    starts = [search._sample(cfg, np.random.default_rng(s)) for s, _ in seeds]
+
+    def descend(ks):
+        return _descend(target, [starts[k] for k in ks],
+                        [np.random.default_rng(seeds[k][1]) for k in ks], 30, cfg.step_scale)
+
+    rows, slacks = descend(range(cfg.trials))
+    for k in range(cfg.trials):
+        row, slack = descend([k])
+        np.testing.assert_array_equal(row[0], rows[k])
+        assert slack[0] == slacks[k]
 
 
 @pytest.mark.parametrize("target", list(PROVEN))
@@ -339,9 +374,38 @@ def test_lockstep_counts_one_slack_evaluation_per_step(call_counts, target):
         count(matcore, name)
     cfg = SearchConfig(target=target, trials=150, local_steps=10, seed=0, **ALL_TARGETS[target])
     run_search(cfg)
-    chunks = -(-cfg.trials // CHUNK)
+    chunks = -(-cfg.trials // search.CHUNK)
     assert counts == {KERNEL_CALLS[target][0]: per_eval * chunks * (cfg.local_steps + 1),
                       "require_hermitian": 0, "make_report": 0, "hermitian_eigenvalues": 0}
+
+
+def test_search_rebuilds_states_only_for_chunk_argmins(monkeypatch, call_counts):
+    # a chunk stays an array stack; one TripartiteState per chunk, its argmin
+    counts, count = call_counts
+    count(qstate, "random_state")
+    built = []
+    init = TripartiteState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TripartiteState, "__init__", counting_init)
+    cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=300, local_steps=3, seed=0)
+    res = run_search(cfg)
+    assert len(built) == -(-cfg.trials // search.CHUNK) == 3
+    assert counts == {"random_state": 0}
+    assert evaluate_slack("ineq4", deserialize_instance(res.argmin)) == pytest.approx(
+        res.min_slack, abs=1e-12)
+
+
+def test_chunk_argmin_is_the_first_lowest_trial():
+    # 1x1x1 states tie at slack 0, so the argmin is the chunk's first trial
+    cfg = SearchConfig(target="ineq4", dims=(1, 1, 1), trials=10, seed=0)
+    slacks, (slack, t, best) = search._run_trials(cfg, range(3, 8))
+    assert slacks == [0.0] * 5 and (slack, t) == (0.0, 3)
+    np.testing.assert_array_equal(best.coeffs, random_instance(cfg, 3).coeffs)
+    assert run_search(cfg).trial_index == 0
 
 
 def test_result_to_dict():
