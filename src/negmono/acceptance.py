@@ -35,7 +35,7 @@ from .qstate import (
     random_state,
 )
 from .search import SearchConfig, evaluate_slack, deserialize_instance, run_search
-from .specialcase import STEPS, _chain_batch, _chain_reports, check_ineqid2
+from .specialcase import STEPS, _chain_batch, _chain_reports, check_ineqid, check_ineqid2
 
 STATE_DIMS = ((2, 2, 2), (2, 3, 3), (3, 2, 4))
 
@@ -202,9 +202,7 @@ def tightness_witness(seed: int = 0) -> AcceptanceResult:
     t0 = time.perf_counter()
     b = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     rep = check_ineqid2(b, "minus")
-    z = np.block([[np.eye(2), b], [b.conj().T, b @ b.conj().T]])
-    w = np.linalg.eigvalsh(z)
-    tr_neg = float(np.sum(np.clip(-w, 0.0, None)))
+    tr_neg = check_ineqid(b).lhs
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     passed = abs(rep.slack) <= 1e-12 and abs(tr_neg - golden) <= 1e-10
     return _result(

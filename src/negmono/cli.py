@@ -55,6 +55,10 @@ def _resolve_seed(args) -> int:
     return int(os.environ.get("NEGMONO_SEED", "0"))
 
 
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+
+
 @contextmanager
 def _output(path):
     """stdout, or the file at path opened for writing and closed on exit."""
@@ -65,42 +69,51 @@ def _output(path):
         yield fh
 
 
+def _verdict(reports, out) -> int:
+    """Write the record of every report, in order, and return the exit
+    status: 1 when a proven report failed, else 0. A failed conjectured
+    report is a finding: it adds a finding record and a stderr note. The
+    failed proven report with the lowest slack (the first on ties) is named
+    in one stderr line at the end."""
+    worst = None
+    for rep in reports:
+        rec = rep.to_dict()
+        _emit(rec, out)
+        if rep.holds:
+            continue
+        if rep.name in CONJECTURED:
+            _emit({"finding": "conjecture-violation", **rec}, out)
+            print(f"finding: {rep.name} violated at trial {rec['trial']} "
+                  f"(slack {rep.slack:.3e})", file=sys.stderr)
+        elif worst is None or rep.slack < worst.slack:
+            worst = rep
+    if worst is None:
+        return 0
+    print(f"proven statement violated: {worst.name} slack {worst.slack:.3e}",
+          file=sys.stderr)
+    return 1
+
+
 # States per verify_batch call in verify-conjecture. The stacks stay small,
 # so peak memory barely moves; the output does not depend on CHUNK.
 CHUNK = 16
 
 
+def _verify_reports(dims, trials: int, tol: float, seed: int):
+    rng = _rng(seed)
+    for start in range(0, trials, CHUNK):
+        # drawn one state at a time, so the stream does not depend on CHUNK
+        c = np.stack([random_state(dims, rng).coeffs
+                      for _ in range(min(CHUNK, trials - start))])
+        for k, row in enumerate(np.column_stack(verify_batch(c))):
+            yield from verify_reports(dims, row, tol, seed=seed, trial=start + k)
+
+
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    status = 0
-    worst = None
     with _output(args.out) as out:
-        for start in range(0, args.trials, CHUNK):
-            # drawn one state at a time, so the stream does not depend on CHUNK
-            c = np.stack([random_state(dims, rng).coeffs
-                          for _ in range(min(CHUNK, args.trials - start))])
-            values = np.column_stack(verify_batch(c))
-            for k, row in enumerate(values):
-                trial = start + k
-                for rep in verify_reports(dims, row, args.tol, seed=seed, trial=trial):
-                    rec = rep.to_dict()
-                    _emit(rec, out)
-                    if rep.holds:
-                        continue
-                    if rep.name in CONJECTURED:
-                        _emit({"finding": "conjecture-violation", **rec}, out)
-                        print(f"finding: {rep.name} violated at trial {trial} "
-                              f"(slack {rep.slack:.3e})", file=sys.stderr)
-                        continue
-                    status = 1
-                    if worst is None or rep.slack < worst["slack"]:
-                        worst = rec
-    if worst is not None:
-        print(f"proven statement violated: {worst['name']} "
-              f"slack {worst['slack']:.3e}", file=sys.stderr)
-    return status
+        return _verdict(_verify_reports(dims, args.trials, args.tol, seed), out)
 
 
 def _cmd_special(args) -> int:
@@ -108,8 +121,7 @@ def _cmd_special(args) -> int:
     if args.file is not None:
         b = pad_square(load_matrix(args.file))
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-        b = complex_gaussian(rng, (args.d, args.d))
+        b = complex_gaussian(_rng(seed), (args.d, args.d))
     with _output(args.out) as out:
         try:
             trace = interlacing_trace(b, tol=args.tol)
@@ -117,56 +129,39 @@ def _cmd_special(args) -> int:
             print(f"certified chain failed at {exc.step}: {exc}", file=sys.stderr)
             print(_encode({"instance": exc.instance}), file=sys.stderr)
             return 1
-        status = 0
-        for rep in trace.reports:
-            rec = rep.with_meta(seed=seed).to_dict()
-            _emit(rec, out)
-            if not rep.holds:
-                status = 1
-                print(f"proven statement violated: {rep.name} "
-                      f"slack {rep.slack:.3e}", file=sys.stderr)
-        return status
+        return _verdict((rep.with_meta(seed=seed) for rep in trace.reports), out)
+
+
+def _perm_reports(d: int, samples: int, tol: float, seed: int):
+    rng = _rng(seed)
+    for sample in range(samples):
+        mu = np.sort(rng.random(d))[::-1]
+        _, image = max_rearranged_sum(mu)
+        yield check_commutative(mu, image, tol=tol).with_meta(
+            seed=seed, sample=sample, argworst=[int(i) for i in image])
+
+
+def _exhaustive(args, reports) -> int:
+    """The verdict of reports that enumerate all permutations of size args.d."""
+    if args.d > D_MAX:
+        raise ValueError(f"d={args.d} exceeds the exhaustive limit {D_MAX}")
+    with _output(args.out) as out:
+        return _verdict(reports, out)
 
 
 def _cmd_perm(args) -> int:
-    seed = _resolve_seed(args)
-    if args.d > D_MAX:
-        print(f"d={args.d} exceeds the exhaustive limit {D_MAX}", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    status = 0
-    with _output(args.out) as out:
-        for sample in range(args.samples):
-            mu = np.sort(rng.random(args.d))[::-1]
-            best, image = max_rearranged_sum(mu)
-            rep = check_commutative(mu, image, tol=args.tol)
-            rec = rep.with_meta(seed=seed, sample=sample,
-                                argworst=[int(i) for i in image]).to_dict()
-            _emit(rec, out)
-            if not rep.holds:
-                status = 1
-                print(f"proven statement violated: {rep.name} "
-                      f"slack {rep.slack:.3e}", file=sys.stderr)
-    return status
+    return _exhaustive(args, _perm_reports(args.d, args.samples, args.tol, _resolve_seed(args)))
+
+
+def _drury_reports(d: int, trials: int, tol: float, seed: int):
+    rng = _rng(seed)
+    for trial in range(trials):
+        b = complex_gaussian(rng, (d, d))
+        yield drury_numeric_check(b, tol=tol).with_meta(seed=seed, trial=trial)
 
 
 def _cmd_drury(args) -> int:
-    seed = _resolve_seed(args)
-    if args.d > D_MAX:
-        print(f"d={args.d} exceeds the exhaustive limit {D_MAX}", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    status = 0
-    with _output(args.out) as out:
-        for trial in range(args.trials):
-            rep = drury_numeric_check(complex_gaussian(rng, (args.d, args.d)),
-                                      tol=args.tol)
-            _emit(rep.with_meta(seed=seed, trial=trial).to_dict(), out)
-            if not rep.holds:
-                status = 1
-                print(f"proven statement violated: {rep.name} "
-                      f"slack {rep.slack:.3e}", file=sys.stderr)
-    return status
+    return _exhaustive(args, _drury_reports(args.d, args.trials, args.tol, _resolve_seed(args)))
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -196,15 +191,9 @@ def _cmd_im(args) -> int:
 def _cmd_search(args) -> int:
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims) if args.dims is not None else None
-    try:
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        cfg = SearchConfig(target=args.target, dims=dims, d=args.d,
-                           trials=args.trials, local_steps=args.local_steps,
-                           step_scale=args.step_scale, seed=seed, tol=args.tol)
-    except ValueError as exc:
-        print(f"bad search configuration: {exc}", file=sys.stderr)
-        return 2
+    cfg = SearchConfig(target=args.target, dims=dims, d=args.d,
+                       trials=args.trials, local_steps=args.local_steps,
+                       step_scale=args.step_scale, seed=seed, tol=args.tol)
     with _output(args.out) as out:
         def on_trial(t: int, slack: float) -> None:
             if args.jobs == 1:
@@ -323,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_usage(args) -> None:
     """Reject option values that make a run vacuous or meaningless: a
-    non-finite --tol, and fewer than one trial or sample."""
+    non-finite --tol, and fewer than one trial, sample or job."""
     tol = getattr(args, "tol", 0.0)
     if not np.isfinite(tol):
         raise ValueError(f"--tol must be finite, got {tol}")
-    for name in ("trials", "samples"):
+    for name in ("trials", "samples", "jobs"):
         count = getattr(args, name, 1)
         if count < 1:
             raise ValueError(f"--{name} must be at least 1, got {count}")

@@ -238,36 +238,29 @@ def sup_error_table(s_values, params: IMParams) -> list[tuple[float, float]]:
 
 
 def _bisect_level(c: float, theta: float, positive: bool, tol: float) -> float:
-    """Solve g(t) = c on the requested monotone branch by bisection."""
+    """Solve g(t) = c on the requested monotone branch by bisection.
+
+    The bracket runs from inner = 0, where g = 1/2 > c, to an outer end
+    doubled until g(outer) <= c. A midpoint with g > c replaces the inner
+    end. A tie g = c replaces the end at the larger t: the outer one on the
+    positive branch, the inner one on the negative branch.
+    """
     if not 0.0 < c < 0.5:
         raise RootNotBracketedError(f"level must lie in (0, 1/2), got {c}")
-    if positive:
-        lo, hi = 0.0, 1.0
-        while g(hi, theta) > c:
-            hi *= 2.0
-            if hi > 1e12:
-                raise RootNotBracketedError(f"no positive root for level {c}")
-        # g decreasing on [lo, hi]
-        while hi - lo > tol * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if g(mid, theta) > c:
-                lo = mid
-            else:
-                hi = mid
-    else:
-        lo, hi = -1.0, 0.0
-        while g(lo, theta) > c:
-            lo *= 2.0
-            if lo < -1e12:
-                raise RootNotBracketedError(f"no negative root for level {c}")
-        # g increasing on [lo, hi]
-        while hi - lo > tol * max(1.0, abs(lo)):
-            mid = 0.5 * (lo + hi)
-            if g(mid, theta) < c:
-                lo = mid
-            else:
-                hi = mid
-    return 0.5 * (lo + hi)
+    inner, outer = 0.0, (1.0 if positive else -1.0)
+    while g(outer, theta) > c:
+        outer *= 2.0
+        if abs(outer) > 1e12:
+            side = "positive" if positive else "negative"
+            raise RootNotBracketedError(f"no {side} root for level {c}")
+    while abs(outer - inner) > tol * max(1.0, abs(outer)):
+        mid = 0.5 * (inner + outer)
+        gm = g(mid, theta)
+        if gm > c or (gm == c and not positive):
+            inner = mid
+        else:
+            outer = mid
+    return 0.5 * (inner + outer)
 
 
 def im_pair_check(

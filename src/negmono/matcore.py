@@ -1,6 +1,7 @@
 """Dense complex matrix core: Hermitian spectra, Schatten (quasi-)norms,
-Jordan decomposition, matrix modulus, psd square roots and the shared
-inequality-report record.
+Jordan decomposition, matrix modulus, psd square roots, the shared
+inequality-report record and the stacked primitives (adjoint, Hermitian
+part, negative-part trace) that the batched kernels share.
 
 All tolerances are relative to the largest entry magnitude of the input,
 except the global slack tolerance TAU_CHECK which is absolute.
@@ -44,23 +45,44 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _square(x) -> np.ndarray:
+    """as_complex_matrix, rejecting a non-square matrix."""
+    m = as_complex_matrix(x)
+    if m.shape[0] != m.shape[1]:
+        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+# The stacked primitives below take a single matrix or a stack (..., m, n)
+# and do not validate; the public functions check their input first.
+def _adj(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
+def _herm(x: np.ndarray) -> np.ndarray:
+    return (x + _adj(x)) / 2.0
+
+
+def _tr_neg(w: np.ndarray) -> np.ndarray:
+    """Trace of the negative part from the eigenvalues w (..., n)."""
+    return np.clip(-w, 0.0, None).sum(axis=-1)
+
+
 def require_hermitian(x) -> np.ndarray:
     """Return the symmetrised copy (H + H*)/2, rejecting real asymmetry.
 
     Asymmetry up to HERM_TOL_FACTOR times the largest entry magnitude is
     treated as roundoff and silently symmetrised away.
     """
-    m = as_complex_matrix(x)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(x)
     scale = float(np.abs(m).max())
-    asym = float(np.abs(m - m.conj().T).max())
+    asym = float(np.abs(m - _adj(m)).max())
     if asym > HERM_TOL_FACTOR * scale:
         raise NotHermitianError(
             f"asymmetry {asym:.3e} exceeds {HERM_TOL_FACTOR:g} * max|entry| = "
             f"{HERM_TOL_FACTOR * scale:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return _herm(m)
 
 
 @dataclass(frozen=True)
@@ -103,15 +125,14 @@ def jordan_parts(h) -> tuple[np.ndarray, np.ndarray]:
     """Positive and negative parts (P, N) with H = P - N, both psd."""
     e = hermitian_eig(h)
     v = e.eigenvectors
-    pos = (v * np.clip(e.eigenvalues, 0.0, None)) @ v.conj().T
-    neg = (v * np.clip(-e.eigenvalues, 0.0, None)) @ v.conj().T
+    pos = (v * np.clip(e.eigenvalues, 0.0, None)) @ _adj(v)
+    neg = (v * np.clip(-e.eigenvalues, 0.0, None)) @ _adj(v)
     return pos, neg
 
 
 def negativity(h) -> float:
     """Trace norm minus trace; equals twice the trace of the negative part."""
-    w = hermitian_eigenvalues(h)
-    return float(2.0 * np.sum(np.clip(-w, 0.0, None)))
+    return float(2.0 * _tr_neg(hermitian_eigenvalues(h)))
 
 
 def psd_sqrt(p) -> np.ndarray:
@@ -128,13 +149,13 @@ def psd_sqrt(p) -> np.ndarray:
             f"smallest eigenvalue {e.eigenvalues[0]:.3e} below clamp -{tol:.3e}"
         )
     v = e.eigenvectors
-    return (v * np.sqrt(np.clip(e.eigenvalues, 0.0, None))) @ v.conj().T
+    return (v * np.sqrt(np.clip(e.eigenvalues, 0.0, None))) @ _adj(v)
 
 
 def modulus(x) -> np.ndarray:
     """Matrix modulus |X| = (X* X)^(1/2)."""
     m = as_complex_matrix(x)
-    return psd_sqrt(m.conj().T @ m)
+    return psd_sqrt(_adj(m) @ m)
 
 
 @dataclass(frozen=True)

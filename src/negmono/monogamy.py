@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotNormalizedError
-from .matcore import InequalityReport, TAU_CHECK, _lapack, make_report, schatten
+from .matcore import (InequalityReport, TAU_CHECK, _adj, _herm, _lapack, _tr_neg, make_report,
+                      schatten)
 from .qstate import (
     TAU_NORM,
     TripartiteState,
@@ -33,7 +34,7 @@ def _block_gram(f: np.ndarray, dA: int) -> np.ndarray:
     # g = f f* holds block (j, i) at rows of block j; swapping the two block
     # indices moves it to block (i, j), as in Z1 and Z2
     n, m, _ = f.shape
-    g = f @ f.conj().swapaxes(1, 2)
+    g = f @ _adj(f)
     d = m // dA
     return g.reshape(n, dA, d, dA, d).swapaxes(1, 3).reshape(n, m, m)
 
@@ -66,8 +67,7 @@ def _norms(m: np.ndarray) -> np.ndarray:
 
 
 def _negativities(z: np.ndarray) -> np.ndarray:
-    w = _lapack(np.linalg.eigvalsh, z)
-    return 2.0 * np.sum(np.clip(-w, 0.0, None), axis=-1)
+    return 2.0 * _tr_neg(_lapack(np.linalg.eigvalsh, z))
 
 
 def ineq4_batch(c: np.ndarray):
@@ -87,11 +87,6 @@ def ineq4_batch(c: np.ndarray):
     return n1, n2, n1**2 + n2**2, cross**2
 
 
-def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    # symmetrised as require_hermitian does, so the spectra match it bit for bit
-    return (x + x.conj().swapaxes(-1, -2)) / 2.0
-
-
 def verify_batch(c: np.ndarray):
     """The per-state quantities of verify-conjecture for N states at once,
     from their coefficient tensors c of shape (N, dA, dB, dC), each an
@@ -109,16 +104,17 @@ def verify_batch(c: np.ndarray):
     dims = c.shape[1:]
     # columns of a are the vectorised A_i (amat), so a* a is the overlap matrix
     a = c.reshape(n, dA, -1).swapaxes(1, 2).copy()
-    sv = _lapack(np.linalg.svd, a.conj().swapaxes(1, 2) @ a, compute_uv=False)
+    sv = _lapack(np.linalg.svd, _adj(a) @ a, compute_uv=False)
     # The squares are taken on Python floats, by C pow as in schatten; the
     # stacked ** 2 is x * x, which differs from pow in the last bit for
     # about one value in a thousand.
     rhs2 = np.array([(q ** 2.0 - 1.0) ** 2 for q in np.sum(sv**0.5, axis=-1).tolist()])
     rhs3 = np.array([(t ** 2 - 1.0) ** 2 for t in np.sum(_norms(c), axis=1).tolist()])
+    # symmetrised as require_hermitian does, so the spectra match it bit for bit
     pt = _partial_transpose_A(_density(c), dims)
-    n_ab = _negativities(_hermitian_part(_partial_trace_C(pt, dims)))
-    n_ac = _negativities(_hermitian_part(_partial_trace_B(pt, dims)))
-    n_abc = _negativities(_hermitian_part(pt))
+    n_ab = _negativities(_herm(_partial_trace_C(pt, dims)))
+    n_ac = _negativities(_herm(_partial_trace_B(pt, dims)))
+    n_abc = _negativities(_herm(pt))
     return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc
 
 

@@ -20,18 +20,18 @@ from .errors import (
     NegativeEntryError,
     NotProbabilityError,
     NotSortedError,
-    NotSquareError,
     SizeMismatchError,
     TooLargeError,
 )
 from .matcore import (
     InequalityReport,
     TAU_CHECK,
-    as_complex_matrix,
+    _adj,
+    _square,
     hermitian_eigenvalues,
     make_report,
 )
-from .specialcase import commutator_gap
+from .specialcase import _tr_sqrt_clipped, commutator_gap
 
 # Largest size for which all d! permutations are enumerated.
 D_MAX = 8
@@ -187,13 +187,10 @@ def drury_numeric_check(b, tol: float = TAU_CHECK) -> InequalityReport:
     """Rearrangement bound for the commutator gap: with mu the spectrum of
     B B*, tr sqrt((B B* - B* B)_+) is at most the brute-force maximum of
     sum_i sqrt((mu_i - mu_{pi(i)})_+) over all permutations."""
-    m = as_complex_matrix(b)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(b)
     if m.shape[0] > D_MAX:
         raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
-    gap_eigs = hermitian_eigenvalues(commutator_gap(m))
-    lhs = float(np.sum(np.sqrt(np.clip(gap_eigs, 0.0, None))))
-    mu = hermitian_eigenvalues(m @ m.conj().T)[::-1]
+    lhs = float(_tr_sqrt_clipped(hermitian_eigenvalues(commutator_gap(m))))
+    mu = hermitian_eigenvalues(m @ _adj(m))[::-1]
     rhs, _ = max_rearranged_sum(np.clip(mu, 0.0, None))
     return make_report("drury", lhs, rhs, tol, d=int(m.shape[0]))

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError, ShapeMismatchError
-from .matcore import as_complex_matrix, complex_gaussian, json_entries, schatten
+from .matcore import _lapack, as_complex_matrix, complex_gaussian, json_entries, schatten
 
 # Accepted deviation of the total squared weight from one.
 TAU_NORM = 1e-10
@@ -192,7 +192,7 @@ def diagonalize_gram(state: TripartiteState) -> TripartiteState:
     is unchanged.
     """
     a = amat(coeff_matrices(state))
-    u, _, _ = np.linalg.svd(a.conj().T, full_matrices=True)
+    u, _, _ = _lapack(np.linalg.svd, a.conj().T, full_matrices=True)
     rotated = np.einsum("im,ijk->mjk", u, state.coeffs)
     return TripartiteState(rotated, normalize=True)
 

@@ -19,11 +19,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .matcore import TAU_CHECK, complex_gaussian, matrix_from_dict, matrix_to_dict
+from .matcore import TAU_CHECK, _square, complex_gaussian, matrix_from_dict, matrix_to_dict
 from .monogamy import ineq4_batch
 from .permlemma import _commutative_sides, _spectrum_and_images
 from .qstate import TripartiteState, _random_coeffs, state_from_dict, state_to_dict
-from .specialcase import _SIDES, _square
+from .specialcase import _SIDES
 
 TARGETS = ("ineq4", "ineqid", "ineqid1", "ineqid2", "commutative")
 

@@ -13,22 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSquareError, StepFailedError
+from .errors import StepFailedError
 from .matcore import (
     InequalityReport,
     TAU_CHECK,
+    _adj,
+    _herm,
     _lapack,
+    _square,
+    _tr_neg,
     as_complex_matrix,
     make_report,
     matrix_to_dict,
 )
-
-
-def _square(b) -> np.ndarray:
-    m = as_complex_matrix(b)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    return m
 
 
 def pad_square(b) -> np.ndarray:
@@ -45,14 +42,6 @@ _EPS = float(np.finfo(float).eps)
 
 # The private helpers below take a single matrix or a stack (..., d, d) and
 # do not validate; the public functions check their input first.
-def _adj(x: np.ndarray) -> np.ndarray:
-    return x.conj().swapaxes(-1, -2)
-
-
-def _herm(x: np.ndarray) -> np.ndarray:
-    return (x + _adj(x)) / 2.0
-
-
 def _gap(m: np.ndarray) -> np.ndarray:
     return _herm(m @ _adj(m) - _adj(m) @ m)
 
@@ -84,10 +73,6 @@ def build_special_Z(b) -> np.ndarray:
     return _blocks(_square(b)[None])[2][0]
 
 
-def _tr_neg_part(eig_z: np.ndarray) -> np.ndarray:
-    return np.maximum(-eig_z, 0.0).sum(axis=-1)
-
-
 def _tr_sqrt_clipped(eigs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(eigs, 0.0)).sum(axis=-1)
 
@@ -98,7 +83,7 @@ def _norm_bound(m: np.ndarray) -> np.ndarray:
 
 
 def _z_neg(m: np.ndarray) -> np.ndarray:
-    return _tr_neg_part(_lapack(np.linalg.eigvalsh, _blocks(m)[2]))
+    return _tr_neg(_lapack(np.linalg.eigvalsh, _blocks(m)[2]))
 
 
 def _gap_eigs(m: np.ndarray) -> np.ndarray:
@@ -281,7 +266,7 @@ def _chain_batch(m: np.ndarray, tol: float):
         tol, 8.0 * np.sqrt(_EPS * np.maximum(1.0, np.abs(delta).max(axis=(1, 2))))
     )
 
-    tr_neg = _tr_neg_part(eig_z)
+    tr_neg = _tr_neg(eig_z)
     sqrt_minus = _tr_sqrt_clipped(-gap_eigs)
     bound = _norm_bound(m)
     zero = np.zeros(n)

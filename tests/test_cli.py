@@ -135,6 +135,13 @@ def test_perm_lemma_too_large(capsys):
     assert run_cli(capsys, "perm-lemma", "--d", "11")[0] == 2
 
 
+@pytest.mark.parametrize("command", ["perm-lemma", "drury-check"])
+def test_exhaustive_limit_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--d", "9")
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == ["error: d=9 exceeds the exhaustive limit 8"]
+
+
 def test_drury_check(capsys):
     code, out, _ = run_cli(capsys, "drury-check", "--d", "3", "--trials", "4")
     assert code == 0
@@ -247,6 +254,34 @@ def test_search_rejects_jobs_below_one(capsys, jobs):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "--jobs" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--d", "3", "--jobs", "0"), "--jobs must be at least 1, got 0"),
+    (("--trials", "2"), "target ineqid needs a matrix size d >= 1"),
+])
+def test_bad_search_configuration_is_a_usage_error(capsys, argv, message):
+    # --jobs is checked with the other counts, and SearchConfig's own
+    # rejections print as every other usage error
+    code, out, err = run_cli(capsys, "search", "--target", "ineqid", *argv)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("perm-lemma", "--d", "4", "--samples", "5"),
+    ("drury-check", "--d", "3", "--trials", "5"),
+])
+def test_failed_run_names_the_lowest_slack_once(capsys, argv):
+    # a tolerance of -10 fails every report; one stderr line names the worst
+    code, out, err = run_cli(capsys, *argv, "--tol=-10")
+    assert code == 1
+    records = parse_ndjson(out)
+    assert len(records) == 5 and not any(r["holds"] for r in records)
+    worst = min(records, key=lambda r: r["slack"])
+    assert err.strip().splitlines() == [
+        f"proven statement violated: {worst['name']} slack {worst['slack']:.3e}"
+    ]
 
 
 def test_search_missing_dims(capsys):

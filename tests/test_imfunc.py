@@ -238,6 +238,57 @@ def test_level_crossing_outside_range_raises():
     assert g(t_pos) == pytest.approx(0.25, abs=1e-9)
 
 
+def _two_branch_bisect(c, theta, positive, tol, g=g):
+    # the former _bisect_level, one mirrored loop per branch
+    if positive:
+        lo, hi = 0.0, 1.0
+        while g(hi, theta) > c:
+            hi *= 2.0
+        while hi - lo > tol * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if g(mid, theta) > c:
+                lo = mid
+            else:
+                hi = mid
+    else:
+        lo, hi = -1.0, 0.0
+        while g(lo, theta) > c:
+            lo *= 2.0
+        while hi - lo > tol * max(1.0, abs(lo)):
+            mid = 0.5 * (lo + hi)
+            if g(mid, theta) < c:
+                lo = mid
+            else:
+                hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("positive", [False, True])
+def test_bisect_level_matches_two_branch_reference(theta, positive):
+    from negmono.imfunc import _bisect_level
+
+    for c in np.linspace(0.01, 0.49, 100):
+        got = _bisect_level(float(c), theta, positive, 1e-12)
+        assert got == _two_branch_bisect(float(c), theta, positive, 1e-12)
+
+
+def test_bisect_level_ties_keep_each_branch_rule(monkeypatch):
+    # with g equal to the level everywhere, every midpoint is a tie: the
+    # positive branch moves its outer end and the negative branch its
+    # inner end, as the two-branch form did
+    from negmono import imfunc
+
+    def flat(t, theta):
+        return 0.25
+
+    monkeypatch.setattr(imfunc, "g", flat)
+    roots = [imfunc._bisect_level(0.25, 1.0, positive, 1e-3) for positive in (False, True)]
+    assert roots == [_two_branch_bisect(0.25, 1.0, positive, 1e-3, g=flat)
+                     for positive in (False, True)]
+    assert roots[0] < -0.99 and 0.0 < roots[1] < 0.01
+
+
 def test_lower_bound_machinery():
     # h'(x) - f'(x) stays above the two-term envelope for x > 1
     for x in np.geomspace(1.05, 40.0, 25):

@@ -27,6 +27,8 @@ from negmono.matcore import (
     save_matrix,
     schatten,
 )
+from negmono.permlemma import drury_numeric_check
+from negmono.specialcase import check_ineqid, commutator_gap, connecting_unitary
 
 
 def random_hermitian(rng, d):
@@ -177,3 +179,12 @@ def test_complex_gaussian_unit_variance():
     rng = np.random.default_rng(10)
     z = complex_gaussian(rng, (200, 200))
     assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.05)
+
+
+@pytest.mark.parametrize("check", [require_hermitian, check_ineqid, commutator_gap,
+                                   connecting_unitary, drury_numeric_check],
+                         ids=lambda f: f.__name__)
+def test_non_square_input_gives_one_message(check):
+    # every public boundary that needs a square matrix shares one check
+    with pytest.raises(NotSquareError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        check(np.ones((2, 3), dtype=complex))

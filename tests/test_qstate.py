@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from negmono.errors import NotNormalizedError
+from negmono.errors import NoConvergenceError, NotNormalizedError
 from negmono.matcore import complex_gaussian, negativity, schatten
 from negmono.qstate import (
     TripartiteState,
@@ -186,3 +186,13 @@ def test_random_coeffs_are_the_random_state_draw(dims):
         former = TripartiteState(complex_gaussian(rngs[2], dims), normalize=True)
         np.testing.assert_array_equal(c, former.coeffs)
     assert len({rng.random() for rng in rngs}) == 1
+
+
+def test_diagonalize_gram_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    s = random_state((2, 2, 2), np.random.default_rng(14))
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergenceError, match="SVD did not converge"):
+        diagonalize_gram(s)
