@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imfunc import IMParams, beta_sign_report, h, im_pair_check, sup_error
-from .matcore import complex_gaussian, negativity, schatten
-from .monogamy import build_Z1, build_Z2, monotonicity_report, verify_batch
+from .matcore import _adj, _complex_gaussians, _herm, _rng, complex_gaussian, schatten
+from .monogamy import _negativities, _overlaps, _z1, _z2, monotonicity_report, verify_batch
 from .permlemma import (
     _perm_array,
     _rearranged_sums,
@@ -25,14 +25,12 @@ from .permlemma import (
     ma_chains,
 )
 from .qstate import (
-    amat,
-    coeff_matrices,
-    density,
-    gram_matrix,
-    partial_trace_B,
-    partial_trace_C,
-    partial_transpose_A,
-    random_state,
+    TripartiteState,
+    _density,
+    _partial_trace_B,
+    _partial_trace_C,
+    _partial_transpose_A,
+    _random_coeffs,
 )
 from .search import SearchConfig, evaluate_slack, deserialize_instance, run_search
 from .specialcase import STEPS, _chain_batch, _chain_reports, check_ineqid, check_ineqid2
@@ -53,44 +51,34 @@ class AcceptanceResult:
         return f"[{status}] criterion {self.index:2d} {self.name} ({self.elapsed_s:.1f} s)"
 
 
-def _rng(seed: int, criterion: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, criterion)))
-
-
 def _result(index, name, passed, t0, **details) -> AcceptanceResult:
     return AcceptanceResult(index, name, bool(passed), time.perf_counter() - t0, details)
 
 
-# States per verify_batch call in criterion 3 and matrices B per _chain_batch
+# States per kernel call in criteria 1-3 and matrices B per _chain_batch
 # call in criterion 4. The stacks stay small, so peak memory barely moves;
 # stacks of hundreds cost MBs to tens of MB.
 CHUNK = 16
+
+
+def _state_chunks(rng: np.random.Generator):
+    """(dims, stack) of 200 states per dims, CHUNK per generator call."""
+    return ((dims, _random_coeffs(dims, rng, min(CHUNK, 200 - start)))
+            for dims in STATE_DIMS for start in range(0, 200, CHUNK))
 
 
 def representation_equivalence(seed: int = 0) -> AcceptanceResult:
     """Criterion 1: partial traces of the partially transposed density equal
     the block matrices, entrywise within 1e-12; both carry unit trace."""
     t0 = time.perf_counter()
-    rng = _rng(seed, 1)
-    worst_block = 0.0
-    worst_trace = 0.0
-    for dims in STATE_DIMS:
-        for _ in range(200):
-            s = random_state(dims, rng)
-            mats = coeff_matrices(s)
-            pt = partial_transpose_A(density(s), dims)
-            z1 = build_Z1(mats)
-            z2 = build_Z2(mats)
-            worst_block = max(
-                worst_block,
-                float(np.abs(partial_trace_C(pt, dims) - z1).max()),
-                float(np.abs(partial_trace_B(pt, dims) - z2.conj()).max()),
-            )
-            worst_trace = max(
-                worst_trace,
-                abs(float(np.trace(z1).real) - 1.0),
-                abs(float(np.trace(z2).real) - 1.0),
-            )
+    worst_block = worst_trace = 0.0
+    for dims, c in _state_chunks(_rng(seed, 1)):
+        pt = _partial_transpose_A(_density(c), dims)
+        z1, z2 = _z1(c), _z2(c)
+        worst_block = max(worst_block, float(np.abs(_partial_trace_C(pt, dims) - z1).max()),
+                          float(np.abs(_partial_trace_B(pt, dims) - z2.conj()).max()))
+        traces = np.concatenate([np.trace(z, axis1=1, axis2=2).real for z in (z1, z2)])
+        worst_trace = max(worst_trace, float(np.abs(traces - 1.0).max()))
     elapsed = time.perf_counter() - t0
     passed = worst_block <= 1e-12 and worst_trace <= 1e-10 and elapsed < 10.0
     return _result(
@@ -106,20 +94,17 @@ def negativity_identity(seed: int = 0) -> AcceptanceResult:
     squared partial transpose is the Kronecker product of the two Gram
     forms (entrywise 1e-10)."""
     t0 = time.perf_counter()
-    rng = _rng(seed, 2)
-    worst_rel = 0.0
-    worst_kron = 0.0
-    for dims in STATE_DIMS:
-        for _ in range(200):
-            s = random_state(dims, rng)
-            mats = coeff_matrices(s)
-            pt = partial_transpose_A(density(s), dims)
-            a = negativity(pt)
-            b = schatten(gram_matrix(mats), 0.5) - 1.0
-            worst_rel = max(worst_rel, abs(a - b) / max(abs(a), abs(b), 1e-30))
-            am = amat(mats)
-            kron = np.kron(am.conj().T @ am, am @ am.conj().T)
-            worst_kron = max(worst_kron, float(np.abs(pt @ pt - kron).max()))
+    worst_rel = worst_kron = 0.0
+    for dims, c in _state_chunks(_rng(seed, 2)):
+        pt = _partial_transpose_A(_density(c), dims)
+        a = _negativities(_herm(pt))
+        am, gram, half_norms = _overlaps(c)
+        b = np.array(half_norms) - 1.0
+        rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-30)
+        worst_rel = max(worst_rel, float(rel.max()))
+        # kron(gram, am am*) as one broadcast product
+        kron = gram[:, :, None, :, None] * (am @ _adj(am))[:, None, :, None, :]
+        worst_kron = max(worst_kron, float(np.abs(pt @ pt - kron.reshape(pt.shape)).max()))
     passed = worst_rel <= 1e-9 and worst_kron <= 1e-10
     return _result(
         2, "negativity-identity", passed, t0,
@@ -138,20 +123,20 @@ def partial_trace_monotonicity(seed: int = 0) -> AcceptanceResult:
     t0 = time.perf_counter()
     rng = _rng(seed, 3)
     k = len(STATE_DIMS)
-    states = [random_state(STATE_DIMS[i % k], rng) for i in range(500)]
+    states = [_random_coeffs(STATE_DIMS[i % k], rng, 1)[0] for i in range(500)]
     # slack[i] holds the A|B and A|C slacks of state i
     slack = np.empty((len(states), 2))
     for j in range(k):
         same_dims = np.arange(j, len(states), k)
         for start in range(0, len(same_dims), CHUNK):
             rows = same_dims[start:start + CHUNK]
-            *_, n_ab, n_ac, n_abc = verify_batch(np.stack([states[i].coeffs for i in rows]))
+            *_, n_ab, n_ac, n_abc = verify_batch(np.stack([states[i] for i in rows]))
             slack[rows] = np.column_stack((n_abc - n_ab, n_abc - n_ac))
     slack = slack.ravel()  # in report order
     bad = np.flatnonzero(~(slack >= -1e-10))
     if bad.size:
         i = bad[0]
-        rep = monotonicity_report(states[i // 2], tol=1e-10)[i % 2]
+        rep = monotonicity_report(TripartiteState(states[i // 2]), tol=1e-10)[i % 2]
         return _result(3, "partial-trace-monotonicity", False, t0,
                        min_slack=float(slack[: i + 1].min()), failed=rep.to_dict())
     worst = float(slack.min())
@@ -164,10 +149,11 @@ def special_case_chain(seed: int = 0) -> AcceptanceResult:
     chain passes all steps and the connecting-unitary residual stays
     within 1e-9.
 
-    The B are drawn one at a time and certified CHUNK at a time; the
-    results do not depend on CHUNK. Only the first failing B, in draw
-    order, gets reports: a failed chain step raises StepFailedError with
-    that B as its instance, a failed bound is returned as the detail."""
+    The B are drawn CHUNK at a time, by one generator call per chunk, and
+    certified one chunk per kernel call; the results do not depend on
+    CHUNK. Only the first failing B, in draw order, gets reports: a failed
+    chain step raises StepFailedError with that B as its instance, a failed
+    bound is returned as the detail."""
     t0 = time.perf_counter()
     rng = _rng(seed, 4)
     worst_slack = math.inf
@@ -175,8 +161,7 @@ def special_case_chain(seed: int = 0) -> AcceptanceResult:
     residual_col = STEPS.index("unitary_residual")
     for d in range(2, 9):
         for start in range(0, 1000, CHUNK):
-            bs = np.stack([complex_gaussian(rng, (d, d))
-                           for _ in range(min(CHUNK, 1000 - start))])
+            bs = _complex_gaussians(rng, min(CHUNK, 1000 - start), (d, d))
             lhs, rhs, tols, _ = _chain_batch(bs, 1e-9)
             slack = rhs - lhs
             bad = np.flatnonzero(~np.all(slack >= -tols, axis=1))
@@ -264,8 +249,8 @@ def drury_reduction(seed: int = 0) -> AcceptanceResult:
     rng = _rng(seed, 7)
     worst = math.inf
     for d in range(2, 6):
-        for _ in range(200):
-            rep = drury_numeric_check(complex_gaussian(rng, (d, d)), tol=1e-9)
+        for b in _complex_gaussians(rng, 200, (d, d)):
+            rep = drury_numeric_check(b, tol=1e-9)
             worst = min(worst, rep.slack)
             if not rep.holds:
                 return _result(7, "drury-reduction", False, t0, failed=rep.to_dict())

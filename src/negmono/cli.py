@@ -20,10 +20,10 @@ import numpy as np
 
 from . import acceptance
 from .imfunc import DEFAULT_QUAD_TOL, DEFAULT_THETA, IMParams, sup_error_table
-from .matcore import TAU_CHECK, complex_gaussian, load_matrix
+from .matcore import TAU_CHECK, _rng, complex_gaussian, load_matrix
 from .monogamy import verify_batch, verify_reports
 from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearranged_sum
-from .qstate import random_state
+from .qstate import _random_coeffs
 from .search import TARGETS, SearchConfig, run_search
 from .specialcase import interlacing_trace, pad_square
 from .errors import (NoConvergenceError, QuadratureFailureError, RootNotBracketedError,
@@ -50,13 +50,18 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else NEGMONO_SEED, else 0; anything but an integer >= 0 is a usage error."""
     if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("NEGMONO_SEED", "0"))
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+        source, text = "--seed", str(args.seed)
+    else:
+        source, text = "NEGMONO_SEED", os.environ.get("NEGMONO_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 @contextmanager
@@ -102,9 +107,7 @@ CHUNK = 16
 def _verify_reports(dims, trials: int, tol: float, seed: int):
     rng = _rng(seed)
     for start in range(0, trials, CHUNK):
-        # drawn one state at a time, so the stream does not depend on CHUNK
-        c = np.stack([random_state(dims, rng).coeffs
-                      for _ in range(min(CHUNK, trials - start))])
+        c = _random_coeffs(dims, rng, min(CHUNK, trials - start))
         for k, row in enumerate(np.column_stack(verify_batch(c))):
             yield from verify_reports(dims, row, tol, seed=seed, trial=start + k)
 

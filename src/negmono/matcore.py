@@ -40,9 +40,20 @@ def as_complex_matrix(x) -> np.ndarray:
     return m
 
 
+def _rng(*entropy: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+
+
+def _complex_gaussians(rng: np.random.Generator, k: int, shape: tuple) -> np.ndarray:
+    """k complex_gaussian(rng, shape) draws stacked (k, *shape) by one
+    generator call: the stream of k single draws, bit for bit."""
+    x = rng.standard_normal((k, 2, *shape))
+    return (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
+
+
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """I.i.d. standard complex Gaussian entries (unit complex variance)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return _complex_gaussians(rng, 1, np.atleast_1d(shape))[0]
 
 
 def _square(x) -> np.ndarray:

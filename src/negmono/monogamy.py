@@ -87,6 +87,18 @@ def ineq4_batch(c: np.ndarray):
     return n1, n2, n1**2 + n2**2, cross**2
 
 
+def _overlaps(c: np.ndarray):
+    """The amat a of each tensor of a stack c, its overlap matrix g = a* a
+    and the 1/2 quasi-norms of g from one stacked SVD. The norms are squared
+    on Python floats, by C pow as in schatten; a stacked ** 2 is x * x,
+    which differs from pow in the last bit for about one value in 1000."""
+    n, dA = c.shape[:2]
+    a = c.reshape(n, dA, -1).swapaxes(1, 2).copy()
+    g = _adj(a) @ a
+    sv = _lapack(np.linalg.svd, g, compute_uv=False)
+    return a, g, [q ** 2.0 for q in np.sum(sv**0.5, axis=-1).tolist()]
+
+
 def verify_batch(c: np.ndarray):
     """The per-state quantities of verify-conjecture for N states at once,
     from their coefficient tensors c of shape (N, dA, dB, dC), each an
@@ -100,15 +112,8 @@ def verify_batch(c: np.ndarray):
     Z1, Z2, the partial transpose and its two partial traces, and one
     stacked SVD of the overlap matrices."""
     _, _, lhs, rhs4 = ineq4_batch(c)
-    n, dA = c.shape[:2]
     dims = c.shape[1:]
-    # columns of a are the vectorised A_i (amat), so a* a is the overlap matrix
-    a = c.reshape(n, dA, -1).swapaxes(1, 2).copy()
-    sv = _lapack(np.linalg.svd, _adj(a) @ a, compute_uv=False)
-    # The squares are taken on Python floats, by C pow as in schatten; the
-    # stacked ** 2 is x * x, which differs from pow in the last bit for
-    # about one value in a thousand.
-    rhs2 = np.array([(q ** 2.0 - 1.0) ** 2 for q in np.sum(sv**0.5, axis=-1).tolist()])
+    rhs2 = np.array([(q - 1.0) ** 2 for q in _overlaps(c)[2]])
     rhs3 = np.array([(t ** 2 - 1.0) ** 2 for t in np.sum(_norms(c), axis=1).tolist()])
     # symmetrised as require_hermitian does, so the spectra match it bit for bit
     pt = _partial_transpose_A(_density(c), dims)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError, ShapeMismatchError
-from .matcore import _lapack, as_complex_matrix, complex_gaussian, json_entries, schatten
+from .matcore import _complex_gaussians, _lapack, as_complex_matrix, json_entries, schatten
 
 # Accepted deviation of the total squared weight from one.
 TAU_NORM = 1e-10
@@ -66,15 +66,18 @@ class TripartiteState:
         return f"TripartiteState(dims={self.dims})"
 
 
-def _random_coeffs(dims, rng: np.random.Generator) -> np.ndarray:
-    """The normalised coefficient tensor of random_state, unchecked."""
-    c = complex_gaussian(rng, tuple(int(d) for d in dims))
-    return c / np.sqrt(float(np.sum(np.abs(c) ** 2)))
+def _random_coeffs(dims, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k random_state coefficient tensors (k, dA, dB, dC) from one generator
+    call, unchecked; row i is the i-th of k single draws, bit for bit."""
+    c = _complex_gaussians(rng, k, dims)
+    flat = c.reshape(k, -1)
+    flat /= np.sqrt((np.abs(flat) ** 2).sum(axis=1, keepdims=True))
+    return c
 
 
 def random_state(dims, rng: np.random.Generator) -> TripartiteState:
     """State with i.i.d. standard complex Gaussian coefficients, normalised."""
-    return TripartiteState(_random_coeffs(dims, rng))
+    return TripartiteState(_random_coeffs(dims, rng, 1)[0])
 
 
 def coeff_matrices(state: TripartiteState) -> list[np.ndarray]:

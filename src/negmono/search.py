@@ -105,7 +105,7 @@ def _sample(cfg: SearchConfig, rng: np.random.Generator):
     """The start of a descent: an instance, or the coefficient tensor of a
     state for ineq4."""
     if cfg.target == "ineq4":
-        return _random_coeffs(cfg.dims, rng)
+        return _random_coeffs(cfg.dims, rng, 1)[0]
     if cfg.target == "commutative":
         mu = np.exp(-MU_GAMMA * rng.random(cfg.d))
         mu[::-1].sort()

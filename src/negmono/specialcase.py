@@ -224,7 +224,8 @@ def _chain_batch(m: np.ndarray, tol: float):
 
     Returns (lhs, rhs, tols, mats): lhs, rhs and tols have shape (N, 11),
     one column per report of STEPS + BOUNDS, and report k of matrix i holds
-    when rhs[i, k] - lhs[i, k] >= -tols[i, k]; mats holds the stacks
+    when rhs[i, k] - lhs[i, k] >= -tols[i, k]; tol is that of the four
+    bounds (the steps keep their TAU_CHECK budget). mats holds the stacks
     (Z, Delta, Delta_plus, Delta_minus, U, E1, E2, E3, E4). The work is one
     eigh of Delta, one eigvalsh each of Z and E1..E4 and one SVD, each over
     the whole stack.
@@ -255,7 +256,9 @@ def _chain_batch(m: np.ndarray, tol: float):
         _lapack(np.linalg.eigvalsh, x) for x in (z, e1, e2, e3, e4)
     )
 
-    atol = tol * (1.0 + np.abs(eig_e1).max(axis=1))
+    # The proven steps compare spectra equal up to eigenvalue roundoff, so
+    # their budget is TAU_CHECK whatever tol is; tol governs only the bounds.
+    atol = TAU_CHECK * (1.0 + np.abs(eig_e1).max(axis=1))
     n_neg = (eig_z < -atol[:, None]).sum(axis=1)
     # Square roots of the gap parts move by sqrt(||E||) under an eps-sized
     # perturbation E, so when the gap is singular (rank-deficient B, e.g.
@@ -263,7 +266,7 @@ def _chain_batch(m: np.ndarray, tol: float):
     # sqrt(eps * ||Delta||). Widen the residual budget accordingly; a wrong
     # unitary still overshoots this by many orders of magnitude.
     resid_tol = np.maximum(
-        tol, 8.0 * np.sqrt(_EPS * np.maximum(1.0, np.abs(delta).max(axis=(1, 2))))
+        TAU_CHECK, 8.0 * np.sqrt(_EPS * np.maximum(1.0, np.abs(delta).max(axis=(1, 2))))
     )
 
     tr_neg = _tr_neg(eig_z)
@@ -335,6 +338,8 @@ def interlacing_trace(b, tol: float = TAU_CHECK) -> SpecialCaseTrace:
 
     The connecting-unitary residual and the four ineqid bounds are
     appended as reports; a failing residual also raises StepFailedError.
+    tol applies to the four bounds only: the steps and the residual keep
+    their roundoff budget whatever tol is.
     """
     m = _square(b)
     lhs, rhs, tols, mats = _chain_batch(m[None], tol)

@@ -1,9 +1,10 @@
 """Acceptance gate: each test_criterion case runs one end-to-end criterion,
 prints a single PASS/FAIL line with its runtime, and asserts the outcome.
-The tests after it check how criterion 4 batches its matrices: the
-decompositions it makes, its independence of the chunk size, and which
-matrix a failure reports; and which state a failure of criterion 3
-reports."""
+The tests after it check how criteria 1, 2 and 4 batch their inputs: the
+decompositions they make, their independence of the chunk size, that
+criteria 1 and 2 give the details of their per-state form, and which
+matrix a failure of criterion 4 reports; and which state a failure of
+criterion 3 reports."""
 
 import json
 import math
@@ -13,9 +14,10 @@ import pytest
 
 from negmono import acceptance, matcore
 from negmono.errors import StepFailedError
-from negmono.matcore import complex_gaussian, matrix_from_dict
-from negmono.monogamy import monotonicity_report
-from negmono.qstate import random_state
+from negmono.matcore import complex_gaussian, matrix_from_dict, negativity, schatten
+from negmono.monogamy import build_Z1, build_Z2, monotonicity_report
+from negmono.qstate import (amat, coeff_matrices, density, gram_matrix, partial_trace_B,
+                            partial_trace_C, partial_transpose_A, random_state)
 from negmono.specialcase import STEPS, interlacing_trace
 
 CASES = [(i + 1, fn) for i, fn in enumerate(acceptance.CRITERIA)]
@@ -73,6 +75,78 @@ def test_special_case_chain_counts_and_chunk_independence(monkeypatch, call_coun
     # the results do not depend on the chunk size, to the last bit
     monkeypatch.setattr(acceptance, "CHUNK", 1)
     single = acceptance.special_case_chain(seed=0)
+    assert default.passed and single.passed
+    assert default.details == single.details
+
+
+def _per_state_representation_equivalence(seed):
+    # criterion 1 one state at a time through the public functions, as it
+    # was written before it ran on stacks
+    rng = acceptance._rng(seed, 1)
+    worst_block = worst_trace = 0.0
+    for dims in acceptance.STATE_DIMS:
+        for _ in range(200):
+            s = random_state(dims, rng)
+            mats = coeff_matrices(s)
+            pt = partial_transpose_A(density(s), dims)
+            z1, z2 = build_Z1(mats), build_Z2(mats)
+            worst_block = max(worst_block,
+                              float(np.abs(partial_trace_C(pt, dims) - z1).max()),
+                              float(np.abs(partial_trace_B(pt, dims) - z2.conj()).max()))
+            worst_trace = max(worst_trace, abs(float(np.trace(z1).real) - 1.0),
+                              abs(float(np.trace(z2).real) - 1.0))
+    return {"max_block_diff": worst_block, "max_trace_diff": worst_trace, "budget_s": 10.0}
+
+
+def _per_state_negativity_identity(seed):
+    # criterion 2 one state at a time, as for criterion 1 above
+    rng = acceptance._rng(seed, 2)
+    worst_rel = worst_kron = 0.0
+    for dims in acceptance.STATE_DIMS:
+        for _ in range(200):
+            s = random_state(dims, rng)
+            mats = coeff_matrices(s)
+            pt = partial_transpose_A(density(s), dims)
+            a = negativity(pt)
+            b = schatten(gram_matrix(mats), 0.5) - 1.0
+            worst_rel = max(worst_rel, abs(a - b) / max(abs(a), abs(b), 1e-30))
+            am = amat(mats)
+            kron = np.kron(am.conj().T @ am, am @ am.conj().T)
+            worst_kron = max(worst_kron, float(np.abs(pt @ pt - kron).max()))
+    return {"max_rel_diff": worst_rel, "max_kron_diff": worst_kron}
+
+
+STACKED = [(acceptance.representation_equivalence, _per_state_representation_equivalence),
+           (acceptance.negativity_identity, _per_state_negativity_identity)]
+
+
+@pytest.mark.parametrize("criterion,reference", STACKED,
+                         ids=[c.__name__ for c, _ in STACKED])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stacked_criteria_give_the_per_state_details(criterion, reference, seed):
+    # the same floats to the last bit, not merely within a tolerance
+    result = criterion(seed=seed)
+    assert result.passed
+    assert result.details == reference(seed)
+
+
+@pytest.mark.parametrize("criterion", [c for c, _ in STACKED], ids=lambda c: c.__name__)
+def test_stacked_criteria_counts_and_chunk_independence(monkeypatch, call_counts, criterion):
+    # per chunk of states: criterion 2 makes one eigvalsh (the partial
+    # transpose) and one SVD (the overlap matrices), criterion 1 neither;
+    # no per-state validation
+    counts, count = call_counts
+    for name in ("eigvalsh", "svd"):
+        count(np.linalg, name)
+    for name in ("require_hermitian", "as_complex_matrix"):
+        count(matcore, name)
+    default = criterion(seed=0)
+    chunks = len(acceptance.STATE_DIMS) * math.ceil(200 / acceptance.CHUNK)
+    per_chunk = 1 if criterion is acceptance.negativity_identity else 0
+    assert counts == {"eigvalsh": per_chunk * chunks, "svd": per_chunk * chunks,
+                      "require_hermitian": 0, "as_complex_matrix": 0}
+    monkeypatch.setattr(acceptance, "CHUNK", 1)
+    single = criterion(seed=0)
     assert default.passed and single.passed
     assert default.details == single.details
 

@@ -1,18 +1,20 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from negmono import cli, matcore, monogamy
+from negmono import cli, matcore, monogamy, specialcase
 from negmono.cli import main
 from negmono.errors import RootNotBracketedError, StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, save_matrix
 from negmono.monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
 from negmono.qstate import coeff_matrices, random_state
-from negmono.specialcase import interlacing_trace
+from negmono.specialcase import BOUNDS, STEPS, interlacing_trace
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +59,39 @@ def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("NEGMONO_SEED", "99")
     _, out_both, _ = run_cli(capsys, "verify-conjecture", "--trials", "2", "--seed", "12")
     assert out_both == out_flag
+
+
+SEEDED = ["verify-conjecture", "special-case", "perm-lemma", "drury-check", "selftest"]
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_negative_seed_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--seed=-1")
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == ["error: --seed must be a non-negative integer, got '-1'"]
+
+
+@pytest.mark.parametrize("command", SEEDED)
+@pytest.mark.parametrize("value", ["abc", "1.5", "-4"])
+def test_bad_seed_environment_is_a_usage_error(capsys, monkeypatch, command, value):
+    monkeypatch.setenv("NEGMONO_SEED", value)
+    code, out, err = run_cli(capsys, command)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [
+        f"error: NEGMONO_SEED must be a non-negative integer, got '{value}'"
+    ]
+
+
+def test_module_entry_point_runs_the_cli():
+    # python -m negmono from a checkout, with src on the path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "negmono", "--help"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: negmono")
+    assert "verify-conjecture" in proc.stdout
 
 
 def test_bad_dims_is_usage_error(capsys):
@@ -104,11 +139,12 @@ def test_special_case_malformed_file_is_usage_error(capsys, tmp_path, blob):
     assert len(err.strip().splitlines()) == 1 and "matrix JSON" in err
 
 
-def test_special_case_failed_step_is_replayable(capsys):
-    # a negative tolerance fails the chain; stderr names the step and then
-    # carries the matrix, which replays to the same failure
-    code, out, err = run_cli(capsys, "special-case", "--d", "3", "--seed", "2",
-                             "--tol=-1")
+def test_special_case_failed_step_is_replayable(capsys, monkeypatch):
+    # --tol does not reach the certified steps, so a negative step budget is
+    # patched in to fail the chain; stderr names the step and then carries
+    # the matrix, which replays to the same failure
+    monkeypatch.setattr(specialcase, "TAU_CHECK", -1.0)
+    code, out, err = run_cli(capsys, "special-case", "--d", "3", "--seed", "2")
     assert code == 1 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 2 and lines[0].startswith("certified chain failed at step_")
@@ -116,9 +152,36 @@ def test_special_case_failed_step_is_replayable(capsys):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(2,)))
     np.testing.assert_array_equal(b, complex_gaussian(rng, (3, 3)))
     with pytest.raises(StepFailedError) as exc:
-        interlacing_trace(b, tol=-1.0)
+        interlacing_trace(b)
     assert lines[0].startswith(f"certified chain failed at {exc.value.step}:")
+    monkeypatch.undo()
     assert all(rep.holds for rep in interlacing_trace(b).reports)
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-30"])
+def test_special_case_steps_keep_their_roundoff_budget(capsys, tol):
+    # step_b_equal_spectra compares two spectra that agree up to about 1e-14
+    # of eigenvalue roundoff here; a zero or tiny negative --tol must not
+    # turn that into a failed proof step
+    code, out, err = run_cli(capsys, "special-case", "--d", "5", "--seed", "3",
+                             f"--tol={tol}")
+    assert code == 0 and err == ""
+    records = parse_ndjson(out)
+    assert [r["name"] for r in records] == list(STEPS + BOUNDS)
+    assert all(r["holds"] for r in records)
+
+
+def test_special_case_negative_tol_fails_a_bound_not_a_step(capsys):
+    code, out, err = run_cli(capsys, "special-case", "--d", "5", "--seed", "3",
+                             "--tol=-10")
+    assert code == 1
+    records = parse_ndjson(out)
+    assert all(r["holds"] for r in records if r["name"] in STEPS)
+    worst = min((r for r in records if not r["holds"]), key=lambda r: r["slack"])
+    assert worst["name"] in BOUNDS
+    assert err.strip().splitlines() == [
+        f"proven statement violated: {worst['name']} slack {worst['slack']:.3e}"
+    ]
 
 
 def test_perm_lemma(capsys):

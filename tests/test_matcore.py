@@ -11,6 +11,7 @@ from negmono.errors import (
     NotSquareError,
 )
 from negmono.matcore import (
+    _complex_gaussians,
     as_complex_matrix,
     complex_gaussian,
     hermitian_eig,
@@ -179,6 +180,36 @@ def test_complex_gaussian_unit_variance():
     rng = np.random.default_rng(10)
     z = complex_gaussian(rng, (200, 200))
     assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.05)
+
+
+def _former_complex_gaussian(rng, shape):
+    # the definition before one generator call drew a whole stack
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+# 8x8x8 and 3x7x7 hold more entries than numpy's pairwise-sum block of 128
+@pytest.mark.parametrize("shape", [(1,), (2, 2), (5, 3), (2, 3, 3), (3, 7, 7), (8, 8, 8)])
+@pytest.mark.parametrize("k", [1, 2, 16, 33])
+def test_complex_gaussians_are_k_single_draws(shape, k):
+    # one generator call for k draws gives the bits of k successive draws,
+    # in the former and in the current single-draw form, and leaves the
+    # generator where they leave it
+    rngs = [np.random.default_rng(21) for _ in range(3)]
+    stack = _complex_gaussians(rngs[0], k, shape)
+    assert stack.shape == (k, *shape) and stack.dtype == complex
+    former = np.stack([_former_complex_gaussian(rngs[1], shape) for _ in range(k)])
+    single = np.stack([complex_gaussian(rngs[2], shape) for _ in range(k)])
+    np.testing.assert_array_equal(stack.view(float), former.view(float))
+    np.testing.assert_array_equal(stack.view(float), single.view(float))
+    nxt = [_complex_gaussians(rngs[0], 1, shape)[0], _former_complex_gaussian(rngs[1], shape),
+           complex_gaussian(rngs[2], shape)]
+    np.testing.assert_array_equal(nxt[0], nxt[1])
+    np.testing.assert_array_equal(nxt[0], nxt[2])
+
+
+def test_complex_gaussian_accepts_an_integer_shape():
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    np.testing.assert_array_equal(complex_gaussian(a, 5), _former_complex_gaussian(b, 5))
 
 
 @pytest.mark.parametrize("check", [require_hermitian, check_ineqid, commutator_gap,

@@ -65,7 +65,7 @@ def _einsum_z2(c):
 @pytest.mark.parametrize("dims", DIMS + [(1, 3, 2), (4, 1, 1), (3, 3, 3)])
 def test_z_kernels_match_einsum_and_do_not_depend_on_the_stack(dims):
     rng = np.random.default_rng(14)
-    c = np.stack([_random_coeffs(dims, rng) for _ in range(128)])
+    c = _random_coeffs(dims, rng, 128)
     for kernel, reference in ((_z1, _einsum_z1), (_z2, _einsum_z2)):
         z = kernel(c)
         np.testing.assert_allclose(z, reference(c), rtol=0, atol=1e-13)

@@ -180,12 +180,33 @@ def test_random_coeffs_are_the_random_state_draw(dims):
     # constructor) draw the same bits and leave their generators in step
     rngs = [np.random.default_rng(13) for _ in range(3)]
     for _ in range(200):
-        c = _random_coeffs(dims, rngs[0])
+        c = _random_coeffs(dims, rngs[0], 1)[0]
         assert c.shape == dims and c.dtype == complex
         np.testing.assert_array_equal(c, random_state(dims, rngs[1]).coeffs)
         former = TripartiteState(complex_gaussian(rngs[2], dims), normalize=True)
         np.testing.assert_array_equal(c, former.coeffs)
     assert len({rng.random() for rng in rngs}) == 1
+
+
+# 4x6x7 and 8x8x8 hold more entries than numpy's pairwise-sum block of 128,
+# so a row weight summed in another order would show
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (1, 1, 1), (4, 6, 7), (8, 8, 8)])
+@pytest.mark.parametrize("k", [1, 5, 16])
+def test_random_coeffs_stack_is_k_single_draws(dims, k):
+    # each row of a stack is normalised by its own weight and equals the
+    # matching one of k single draws normalised by the constructor (one
+    # float sum over the whole tensor), bit for bit; the draw after the
+    # stack matches too
+    rngs = [np.random.default_rng(17), np.random.default_rng(17)]
+
+    def single():
+        return TripartiteState(complex_gaussian(rngs[1], dims), normalize=True).coeffs
+
+    c = _random_coeffs(dims, rngs[0], k)
+    assert c.shape == (k, *dims) and c.dtype == complex
+    singles = np.stack([single() for _ in range(k)])
+    np.testing.assert_array_equal(c.view(float), singles.view(float))
+    np.testing.assert_array_equal(_random_coeffs(dims, rngs[0], 1)[0], single())
 
 
 def test_diagonalize_gram_lapack_failure_is_no_convergence(monkeypatch):
