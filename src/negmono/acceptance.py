@@ -1,13 +1,16 @@
 """End-to-end acceptance checks with pinned tolerances.
 
-Each criterion function returns an AcceptanceResult and is deterministic in
-its seed; the CLI selftest and the acceptance test module both run these.
+Each criterion is a body seed -> (passed, details) that the _criterion
+runner makes into a function seed -> AcceptanceResult, deterministic in its
+seed apart from the timing; the CLI selftest and the acceptance test module
+both run these.
 A genuine violation of the conjectured inequality found by the scan in
 criterion 10 is reported as a finding, not as a failure of the scan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -51,8 +54,25 @@ class AcceptanceResult:
         return f"[{status}] criterion {self.index:2d} {self.name} ({self.elapsed_s:.1f} s)"
 
 
-def _result(index, name, passed, t0, **details) -> AcceptanceResult:
-    return AcceptanceResult(index, name, bool(passed), time.perf_counter() - t0, details)
+def _criterion(budget_s: float | None = None):
+    """Make a body seed -> (passed, details) into a criterion seed ->
+    AcceptanceResult. The runner times the call, fails a run that takes
+    budget_s or longer and then reports budget_s as the last detail, and
+    takes the index from the criterion's place in CRITERIA and the name
+    from its function name."""
+    def decorate(body):
+        @functools.wraps(body)
+        def run(seed: int = 0) -> AcceptanceResult:
+            t0 = time.perf_counter()
+            passed, details = body(seed)
+            elapsed = time.perf_counter() - t0
+            if budget_s is not None:
+                passed = passed and elapsed < budget_s
+                details["budget_s"] = budget_s
+            return AcceptanceResult(CRITERIA.index(run) + 1, run.__name__.replace("_", "-"),
+                                    bool(passed), elapsed, details)
+        return run
+    return decorate
 
 
 # States per kernel call in criteria 1-3 and matrices B per _chain_batch
@@ -67,10 +87,10 @@ def _state_chunks(rng: np.random.Generator):
             for dims in STATE_DIMS for start in range(0, 200, CHUNK))
 
 
-def representation_equivalence(seed: int = 0) -> AcceptanceResult:
+@_criterion(budget_s=10.0)
+def representation_equivalence(seed):
     """Criterion 1: partial traces of the partially transposed density equal
     the block matrices, entrywise within 1e-12; both carry unit trace."""
-    t0 = time.perf_counter()
     worst_block = worst_trace = 0.0
     for dims, c in _state_chunks(_rng(seed, 1)):
         pt = _partial_transpose_A(_density(c), dims)
@@ -79,21 +99,16 @@ def representation_equivalence(seed: int = 0) -> AcceptanceResult:
                           float(np.abs(_partial_trace_B(pt, dims) - z2.conj()).max()))
         traces = np.concatenate([np.trace(z, axis1=1, axis2=2).real for z in (z1, z2)])
         worst_trace = max(worst_trace, float(np.abs(traces - 1.0).max()))
-    elapsed = time.perf_counter() - t0
-    passed = worst_block <= 1e-12 and worst_trace <= 1e-10 and elapsed < 10.0
-    return _result(
-        1, "representation-equivalence", passed, t0,
-        max_block_diff=worst_block, max_trace_diff=worst_trace,
-        budget_s=10.0,
-    )
+    passed = worst_block <= 1e-12 and worst_trace <= 1e-10
+    return passed, {"max_block_diff": worst_block, "max_trace_diff": worst_trace}
 
 
-def negativity_identity(seed: int = 0) -> AcceptanceResult:
+@_criterion()
+def negativity_identity(seed):
     """Criterion 2: negativity of the partial transpose matches the 1/2
     quasi-norm of the overlap matrix minus one (relative 1e-9), and the
     squared partial transpose is the Kronecker product of the two Gram
     forms (entrywise 1e-10)."""
-    t0 = time.perf_counter()
     worst_rel = worst_kron = 0.0
     for dims, c in _state_chunks(_rng(seed, 2)):
         pt = _partial_transpose_A(_density(c), dims)
@@ -106,13 +121,11 @@ def negativity_identity(seed: int = 0) -> AcceptanceResult:
         kron = gram[:, :, None, :, None] * (am @ _adj(am))[:, None, :, None, :]
         worst_kron = max(worst_kron, float(np.abs(pt @ pt - kron.reshape(pt.shape)).max()))
     passed = worst_rel <= 1e-9 and worst_kron <= 1e-10
-    return _result(
-        2, "negativity-identity", passed, t0,
-        max_rel_diff=worst_rel, max_kron_diff=worst_kron,
-    )
+    return passed, {"max_rel_diff": worst_rel, "max_kron_diff": worst_kron}
 
 
-def partial_trace_monotonicity(seed: int = 0) -> AcceptanceResult:
+@_criterion()
+def partial_trace_monotonicity(seed):
     """Criterion 3: over 500 random states, tracing out one party never
     increases the negativity (tolerance 1e-10).
 
@@ -120,7 +133,6 @@ def partial_trace_monotonicity(seed: int = 0) -> AcceptanceResult:
     evaluated by verify_batch CHUNK states of one dims at a time. Only the
     first failing report, in draw order, is built and returned as the
     detail."""
-    t0 = time.perf_counter()
     rng = _rng(seed, 3)
     k = len(STATE_DIMS)
     states = [_random_coeffs(STATE_DIMS[i % k], rng, 1)[0] for i in range(500)]
@@ -137,13 +149,13 @@ def partial_trace_monotonicity(seed: int = 0) -> AcceptanceResult:
     if bad.size:
         i = bad[0]
         rep = monotonicity_report(TripartiteState(states[i // 2]), tol=1e-10)[i % 2]
-        return _result(3, "partial-trace-monotonicity", False, t0,
-                       min_slack=float(slack[: i + 1].min()), failed=rep.to_dict())
+        return False, {"min_slack": float(slack[: i + 1].min()), "failed": rep.to_dict()}
     worst = float(slack.min())
-    return _result(3, "partial-trace-monotonicity", worst >= -1e-10, t0, min_slack=worst)
+    return worst >= -1e-10, {"min_slack": worst}
 
 
-def special_case_chain(seed: int = 0) -> AcceptanceResult:
+@_criterion(budget_s=60.0)
+def special_case_chain(seed):
     """Criterion 4: for 1000 random B per size d in 2..8, the commutator-gap
     bounds hold (slack >= -1e-9, both signs), the certified interlacing
     chain passes all steps and the connecting-unitary residual stays
@@ -154,7 +166,6 @@ def special_case_chain(seed: int = 0) -> AcceptanceResult:
     CHUNK. Only the first failing B, in draw order, gets reports: a failed
     chain step raises StepFailedError with that B as its instance, a failed
     bound is returned as the detail."""
-    t0 = time.perf_counter()
     rng = _rng(seed, 4)
     worst_slack = math.inf
     worst_residual = 0.0
@@ -169,39 +180,31 @@ def special_case_chain(seed: int = 0) -> AcceptanceResult:
                 i = bad[0]
                 reports = _chain_reports(bs[i], lhs[i], rhs[i], tols[i])
                 failed = next(rep for rep in reports if not rep.holds)
-                return _result(4, "special-case-chain", False, t0,
-                               failed=failed.to_dict())
+                return False, {"failed": failed.to_dict()}
             worst_residual = max(worst_residual, float(lhs[:, residual_col].max()))
             worst_slack = min(worst_slack, float(slack[:, len(STEPS):].min()))
-    elapsed = time.perf_counter() - t0
-    passed = worst_slack >= -1e-9 and worst_residual <= 1e-9 and elapsed < 60.0
-    return _result(
-        4, "special-case-chain", passed, t0,
-        min_slack=worst_slack, max_unitary_residual=worst_residual, budget_s=60.0,
-    )
+    passed = worst_slack >= -1e-9 and worst_residual <= 1e-9
+    return passed, {"min_slack": worst_slack, "max_unitary_residual": worst_residual}
 
 
-def tightness_witness(seed: int = 0) -> AcceptanceResult:
+@_criterion()
+def tightness_witness(seed):
     """Criterion 5: the 2x2 nilpotent shift saturates the commutator-gap
     bound (|slack| <= 1e-12) and tr Z_- equals (sqrt(5) - 1)/2 to 1e-10."""
-    t0 = time.perf_counter()
     b = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     rep = check_ineqid2(b, "minus")
     tr_neg = check_ineqid(b).lhs
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     passed = abs(rep.slack) <= 1e-12 and abs(tr_neg - golden) <= 1e-10
-    return _result(
-        5, "tightness-witness", passed, t0,
-        ineqid2_slack=rep.slack, tr_neg=tr_neg, expected=golden,
-    )
+    return passed, {"ineqid2_slack": rep.slack, "tr_neg": tr_neg, "expected": golden}
 
 
-def commutative_lemma_exhaustive(seed: int = 0) -> AcceptanceResult:
+@_criterion(budget_s=120.0)
+def commutative_lemma_exhaustive(seed):
     """Criterion 6: exhaustive over all permutations for d <= 7 with 100
     random sorted spectra each; the lemma holds, the chain-split identity
     agrees within 1e-12, chain completeness is exact, and the two-point
     swap witness has zero slack."""
-    t0 = time.perf_counter()
     rng = _rng(seed, 6)
     worst_slack = math.inf
     worst_split = 0.0
@@ -215,8 +218,7 @@ def commutative_lemma_exhaustive(seed: int = 0) -> AcceptanceResult:
             edges = [(a, b) for c in ma_chains(pi) for a, b in zip(c[:-1], c[1:])]
             # completeness: the non-terminal chain elements are the ascents
             if {a for a, _ in edges} != {i for i in range(1, d + 1) if pi[i - 1] > i}:
-                return _result(6, "commutative-lemma-exhaustive", False, t0,
-                               completeness_failed_for=list(pi))
+                return False, {"completeness_failed_for": list(pi)}
             for a, b in edges:
                 nxt[a - 1] = b - 1
         for _ in range(100):
@@ -227,25 +229,16 @@ def commutative_lemma_exhaustive(seed: int = 0) -> AcceptanceResult:
             slack = (d / 2.0) * float(np.sum(mu)) - direct**2
             worst_slack = min(worst_slack, float(np.min(slack)))
     swap = check_commutative(np.array([1.0, 0.0]), (2, 1))
-    elapsed = time.perf_counter() - t0
-    passed = (
-        worst_slack >= -1e-9
-        and worst_split <= 1e-12
-        and abs(swap.slack) <= 1e-12
-        and elapsed < 120.0
-    )
-    return _result(
-        6, "commutative-lemma-exhaustive", passed, t0,
-        min_slack=worst_slack, max_split_diff=worst_split,
-        swap_slack=swap.slack, budget_s=120.0,
-    )
+    passed = worst_slack >= -1e-9 and worst_split <= 1e-12 and abs(swap.slack) <= 1e-12
+    return passed, {"min_slack": worst_slack, "max_split_diff": worst_split,
+                    "swap_slack": swap.slack}
 
 
-def drury_reduction(seed: int = 0) -> AcceptanceResult:
+@_criterion()
+def drury_reduction(seed):
     """Criterion 7: for 200 random B per size d in 2..5, the commutator-gap
     half-power trace is bounded by the brute-force rearrangement maximum
     (slack >= -1e-9)."""
-    t0 = time.perf_counter()
     rng = _rng(seed, 7)
     worst = math.inf
     for d in range(2, 6):
@@ -253,16 +246,16 @@ def drury_reduction(seed: int = 0) -> AcceptanceResult:
             rep = drury_numeric_check(b, tol=1e-9)
             worst = min(worst, rep.slack)
             if not rep.holds:
-                return _result(7, "drury-reduction", False, t0, failed=rep.to_dict())
-    return _result(7, "drury-reduction", worst >= -1e-9, t0, min_slack=worst)
+                return False, {"failed": rep.to_dict()}
+    return worst >= -1e-9, {"min_slack": worst}
 
 
-def approximation_suite(seed: int = 0) -> AcceptanceResult:
+@_criterion()
+def approximation_suite(seed):
     """Criterion 8: h(0) < sqrt(pi/2) at theta=1; the paired-derivative
     check passes at 100 levels; the beta sign pattern holds on a 1000-point
     grid; and the sup error at s=100 is at most 1/8 of the s=1 value on the
     standard grid."""
-    t0 = time.perf_counter()
     h0 = h(0.0)
     pair = im_pair_check(theta=1.0, sample_count=100)
     signs = beta_sign_report(theta=1.0, n=1000)
@@ -274,19 +267,16 @@ def approximation_suite(seed: int = 0) -> AcceptanceResult:
         and signs.slack > 0
         and err100 <= err1 / 8.0
     )
-    return _result(
-        8, "approximation-suite", passed, t0,
-        h0=h0, h0_bound=math.sqrt(math.pi / 2.0),
-        min_pair_sum=pair.rhs, min_beta_margin=signs.rhs,
-        sup_err_s1=err1, sup_err_s100=err100,
-    )
+    return passed, {"h0": h0, "h0_bound": math.sqrt(math.pi / 2.0),
+                    "min_pair_sum": pair.rhs, "min_beta_margin": signs.rhs,
+                    "sup_err_s1": err1, "sup_err_s100": err100}
 
 
-def diagonal_quasinorm_monotonicity(seed: int = 0) -> AcceptanceResult:
+@_criterion()
+def diagonal_quasinorm_monotonicity(seed):
     """Criterion 9: for 500 random psd matrices (sizes up to 6), replacing
     the matrix by its diagonal cannot decrease the 1/2 quasi-norm
     (slack >= -1e-9)."""
-    t0 = time.perf_counter()
     rng = _rng(seed, 9)
     worst = math.inf
     for i in range(500):
@@ -295,12 +285,11 @@ def diagonal_quasinorm_monotonicity(seed: int = 0) -> AcceptanceResult:
         p = gmat @ gmat.conj().T
         diag_q = float(np.sum(np.sqrt(np.clip(np.diag(p).real, 0.0, None)))) ** 2
         worst = min(worst, diag_q - schatten(p, 0.5))
-    return _result(
-        9, "diagonal-quasinorm-monotonicity", worst >= -1e-9, t0, min_slack=worst
-    )
+    return worst >= -1e-9, {"min_slack": worst}
 
 
-def conjecture_scan(seed: int = 0) -> AcceptanceResult:
+@_criterion()
+def conjecture_scan(seed):
     """Criterion 10: monogamy scans over 10^4 seeded trials of normalised
     states for dims (2,2,2) and (2,3,3) find no violation at tolerance 1e-8;
     the minimum slack and its instance are deterministic and replayable.
@@ -311,7 +300,6 @@ def conjecture_scan(seed: int = 0) -> AcceptanceResult:
     A genuine violation would be surfaced as a finding in the details and
     would not by itself fail this criterion.
     """
-    t0 = time.perf_counter()
     details = {}
     passed = True
     findings = []
@@ -333,7 +321,7 @@ def conjecture_scan(seed: int = 0) -> AcceptanceResult:
             details[f"replay_mismatch_{key}"] = replayed
     if findings:
         details["findings"] = findings
-    return _result(10, "conjecture-scan", passed, t0, **details)
+    return passed, details
 
 
 CRITERIA = (

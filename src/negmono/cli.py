@@ -4,8 +4,9 @@ Reports go to stdout, one JSON object per line (NDJSON) unless CSV is
 selected where supported. Progress and diagnostics go to stderr. Exit
 status is 0 when every checked statement holds (a violation of the
 conjectured inequality is reported as a finding but still exits 0),
-1 when a proven statement is violated numerically, 2 on usage errors and
-3 on internal errors (a LAPACK routine or a bracketing search failed).
+1 when a proven statement is violated numerically or a certified chain
+step fails, 2 on usage errors, 3 on internal errors (a LAPACK routine or a
+bracketing search failed) and 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from .errors import (NoConvergenceError, QuadratureFailureError, RootNotBrackete
 
 CONJECTURED = ("ineq4",)
 
-# One compact encoder for every record, rather than one per json.dumps call.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# One compact encoder for every record, rather than one per json.dumps call;
+# numpy scalars (np.int64, np.bool_, ...) are written as their Python value.
+_encode = json.JSONEncoder(separators=(",", ":"), default=lambda o: o.item()).encode
 
 
 def _emit(obj: dict, out) -> None:
@@ -126,12 +128,7 @@ def _cmd_special(args) -> int:
     else:
         b = complex_gaussian(_rng(seed), (args.d, args.d))
     with _output(args.out) as out:
-        try:
-            trace = interlacing_trace(b, tol=args.tol)
-        except StepFailedError as exc:
-            print(f"certified chain failed at {exc.step}: {exc}", file=sys.stderr)
-            print(_encode({"instance": exc.instance}), file=sys.stderr)
-            return 1
+        trace = interlacing_trace(b, tol=args.tol)
         return _verdict((rep.with_meta(seed=seed) for rep in trace.reports), out)
 
 
@@ -223,21 +220,11 @@ def _cmd_selftest(args) -> int:
             res = fn(seed)
             print(res.line(), file=sys.stderr)
             _emit({"index": res.index, "name": res.name, "passed": res.passed,
-                   "elapsed_s": res.elapsed_s, "details": _jsonable(res.details)},
+                   "elapsed_s": res.elapsed_s, "details": res.details},
                   out)
             if not res.passed:
                 failed += 1
     return 1 if failed else 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,6 +321,17 @@ def main(argv=None) -> int:
     try:
         _check_usage(args)
         return args.func(args)
+    except StepFailedError as exc:
+        print(f"certified chain failed at {exc.step}: {exc}", file=sys.stderr)
+        print(_encode({"instance": exc.instance}), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout (`negmono ... | head`): not a usage error.
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process it killed
     except (ValueError, OSError, QuadratureFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from .matcore import (
     hermitian_eigenvalues,
     make_report,
 )
-from .specialcase import _tr_sqrt_clipped, commutator_gap
+from .specialcase import _SIDES
 
 # Largest size for which all d! permutations are enumerated.
 D_MAX = 8
@@ -190,7 +190,7 @@ def drury_numeric_check(b, tol: float = TAU_CHECK) -> InequalityReport:
     m = _square(b)
     if m.shape[0] > D_MAX:
         raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
-    lhs = float(_tr_sqrt_clipped(hermitian_eigenvalues(commutator_gap(m))))
+    lhs = float(_SIDES["ineqid2_plus"](m[None])[0][0])  # tr sqrt(Delta_plus)
     mu = hermitian_eigenvalues(m @ _adj(m))[::-1]
     rhs, _ = max_rearranged_sum(np.clip(mu, 0.0, None))
     return make_report("drury", lhs, rhs, tol, d=int(m.shape[0]))

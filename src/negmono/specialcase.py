@@ -9,7 +9,7 @@ parts; mu denotes the eigenvalues of Delta_minus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -188,20 +188,10 @@ class SpecialCaseTrace:
     reports: list[InequalityReport] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "d": int(self.B.shape[0]),
-            "B": matrix_to_dict(self.B),
-            "Z": matrix_to_dict(self.Z),
-            "delta": matrix_to_dict(self.delta),
-            "delta_plus": matrix_to_dict(self.delta_plus),
-            "delta_minus": matrix_to_dict(self.delta_minus),
-            "U": matrix_to_dict(self.U),
-            "E1": matrix_to_dict(self.E1),
-            "E2": matrix_to_dict(self.E2),
-            "E3": matrix_to_dict(self.E3),
-            "E4": matrix_to_dict(self.E4),
-            "reports": [r.to_dict() for r in self.reports],
-        }
+        """d, then every matrix field in declaration order, then the reports."""
+        mats = {f.name: matrix_to_dict(getattr(self, f.name)) for f in fields(self)[:-1]}
+        return {"d": int(self.B.shape[0]), **mats,
+                "reports": [r.to_dict() for r in self.reports]}
 
 
 # The reports of the chain, one column each in the _chain_batch arrays: the

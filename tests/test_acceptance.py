@@ -1,6 +1,7 @@
 """Acceptance gate: each test_criterion case runs one end-to-end criterion,
 prints a single PASS/FAIL line with its runtime, and asserts the outcome.
-The tests after it check how criteria 1, 2 and 4 batch their inputs: the
+The tests after it check how the criterion runner numbers, names and
+budgets a criterion; how criteria 1, 2 and 4 batch their inputs: the
 decompositions they make, their independence of the chunk size, that
 criteria 1 and 2 give the details of their per-state form, and which
 matrix a failure of criterion 4 reports; and which state a failure of
@@ -51,6 +52,7 @@ def test_criterion(index, criterion):
     result = criterion(seed=0)
     print(result.line())
     assert result.index == index
+    assert result.name == criterion.__name__.replace("_", "-")
     assert result.passed, result.details
     for key, ref in PINNED.get(criterion.__name__, {}).items():
         got = result.details[key]
@@ -58,6 +60,26 @@ def test_criterion(index, criterion):
             assert got == ref, key
         else:
             assert abs(got - ref) <= 1e-12 + 1e-9 * abs(ref), key
+
+
+@pytest.mark.parametrize("budget_s,passed,details", [
+    (0.0, False, {"seed": 3, "budget_s": 0.0}),
+    (None, True, {"seed": 3}),
+])
+def test_criterion_runner_owns_index_name_and_budget(monkeypatch, budget_s, passed, details):
+    # a body returns (passed, details); the runner numbers the criterion by
+    # its place in CRITERIA, names it after the function and enforces the
+    # budget, reporting it as the last detail
+    @acceptance._criterion(budget_s=budget_s)
+    def an_extra_criterion(seed):
+        return True, {"seed": seed}
+
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA + (an_extra_criterion,))
+    result = an_extra_criterion(seed=3)
+    assert an_extra_criterion.__name__ == "an_extra_criterion"
+    assert (result.index, result.name) == (11, "an-extra-criterion")
+    assert result.passed is passed and result.elapsed_s >= 0.0
+    assert list(result.details.items()) == list(details.items())
 
 
 def test_special_case_chain_counts_and_chunk_independence(monkeypatch, call_counts):

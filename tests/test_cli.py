@@ -82,12 +82,15 @@ def test_bad_seed_environment_is_a_usage_error(capsys, monkeypatch, command, val
     ]
 
 
-def test_module_entry_point_runs_the_cli():
+def _module_env():
     # python -m negmono from a checkout, with src on the path
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "negmono", "--help"],
-                          env={**os.environ, "PYTHONPATH": path},
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "negmono", "--help"], env=_module_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.startswith("usage: negmono")
@@ -156,6 +159,21 @@ def test_special_case_failed_step_is_replayable(capsys, monkeypatch):
     assert lines[0].startswith(f"certified chain failed at {exc.value.step}:")
     monkeypatch.undo()
     assert all(rep.holds for rep in interlacing_trace(b).reports)
+
+
+def test_selftest_failed_step_is_reported_not_raised(capsys, monkeypatch):
+    # criterion 4 runs the certified chain; a failed step ends selftest with
+    # the same two stderr lines as special-case, after the earlier records
+    monkeypatch.setattr(specialcase, "TAU_CHECK", -1.0)
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 1
+    assert [r["index"] for r in parse_ndjson(out)] == [1, 2, 3]
+    lines = err.strip().splitlines()
+    assert len(lines) == 5 and all(" criterion " in line for line in lines[:3])
+    assert lines[3].startswith("certified chain failed at step_")
+    # the instance is the first B that criterion 4 draws
+    b = matrix_from_dict(json.loads(lines[4])["instance"])
+    np.testing.assert_array_equal(b, complex_gaussian(matcore._rng(0, 4), (2, 2)))
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-30"])
@@ -370,6 +388,36 @@ def test_out_file(capsys, tmp_path):
     with open(path) as fh:
         records = [json.loads(line) for line in fh]
     assert len(records) == 10
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the reader stops after 10 bytes, as `negmono ... | head -c 10` does;
+    # the records that follow hit a closed pipe, which is not a usage error
+    proc = subprocess.Popen([sys.executable, "-m", "negmono", "verify-conjecture",
+                             "--trials", "3000"],
+                            env={**_module_env(), "PYTHONUNBUFFERED": unbuffered},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_unwritable_out_path_is_still_a_usage_error(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "negmono", "verify-conjecture",
+                           "--out", str(tmp_path / "missing" / "report.ndjson")],
+                          env=_module_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: [Errno 2]")
+
+
+def test_encoder_writes_numpy_scalars_as_python_values():
+    record = {"flag": np.bool_(True), "count": np.int64(3), "x": np.float64(0.5),
+              "xs": (np.float32(0.25), [np.int32(-1)])}
+    assert cli._encode(record) == '{"flag":true,"count":3,"x":0.5,"xs":[0.25,[-1]]}'
 
 
 def _single_state_ndjson(dims, trials, seed):

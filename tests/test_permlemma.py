@@ -12,7 +12,7 @@ from negmono.errors import (
     NotSortedError,
     TooLargeError,
 )
-from negmono.matcore import complex_gaussian
+from negmono.matcore import _complex_gaussians, complex_gaussian, hermitian_eigenvalues
 from negmono.permlemma import (
     D_MAX,
     chain_bound,
@@ -24,6 +24,7 @@ from negmono.permlemma import (
     ma_chains,
     max_rearranged_sum,
 )
+from negmono.specialcase import _tr_sqrt_clipped, commutator_gap
 
 
 @pytest.mark.parametrize(
@@ -188,6 +189,17 @@ def test_drury_random_matrices(d):
     for _ in range(15):
         rep = drury_numeric_check(complex_gaussian(rng, (d, d)))
         assert rep.holds, rep
+
+
+@pytest.mark.parametrize("d", range(1, D_MAX + 1))
+def test_drury_lhs_is_the_ineqid2_plus_side(d):
+    # the left side is tr sqrt(Delta_plus) as the special-case bound
+    # ineqid2_plus defines it: to the last bit the validated per-matrix form
+    # (d = 8 enumerates 40320 permutations per B, so it gets fewer B)
+    rng = np.random.default_rng(100 + d)
+    for b in _complex_gaussians(rng, 300 if d < D_MAX else 40, (d, d)):
+        ref = float(_tr_sqrt_clipped(hermitian_eigenvalues(commutator_gap(b))))
+        assert drury_numeric_check(b).lhs == ref
 
 
 def test_drury_normal_matrix_trivial():
