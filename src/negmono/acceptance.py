@@ -288,7 +288,7 @@ def diagonal_quasinorm_monotonicity(seed):
     return worst >= -1e-9, {"min_slack": worst}
 
 
-@_criterion()
+@_criterion(budget_s=60.0)
 def conjecture_scan(seed):
     """Criterion 10: monogamy scans over 10^4 seeded trials of normalised
     states for dims (2,2,2) and (2,3,3) find no violation at tolerance 1e-8;

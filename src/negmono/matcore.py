@@ -1,7 +1,7 @@
 """Dense complex matrix core: Hermitian spectra, Schatten (quasi-)norms,
-Jordan decomposition, matrix modulus, psd square roots, the shared
-inequality-report record and the stacked primitives (adjoint, Hermitian
-part, negative-part trace) that the batched kernels share.
+Jordan decomposition, psd square roots, the shared inequality-report
+record and the stacked primitives (adjoint, Hermitian part, negative-part
+trace) that the batched kernels share.
 
 All tolerances are relative to the largest entry magnitude of the input,
 except the global slack tolerance TAU_CHECK which is absolute.
@@ -163,12 +163,6 @@ def psd_sqrt(p) -> np.ndarray:
     return (v * np.sqrt(np.clip(e.eigenvalues, 0.0, None))) @ _adj(v)
 
 
-def modulus(x) -> np.ndarray:
-    """Matrix modulus |X| = (X* X)^(1/2)."""
-    m = as_complex_matrix(x)
-    return psd_sqrt(_adj(m) @ m)
-
-
 @dataclass(frozen=True)
 class InequalityReport:
     """Outcome of one numerical inequality check: lhs <= rhs up to tolerance."""
@@ -241,11 +235,6 @@ def matrix_from_dict(obj: dict) -> np.ndarray:
     if flat.size != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {flat.size}")
     return as_complex_matrix(flat.reshape(rows, cols))
-
-
-def save_matrix(path, x) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_dict(x), fh)
 
 
 def load_matrix(path) -> np.ndarray:

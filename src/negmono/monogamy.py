@@ -1,6 +1,6 @@
 """Block-matrix forms of the two-party negativities and the squared-negativity
 monogamy inequality in its normalised (ineq2, ineq3) and scale-free (ineq4)
-variants, plus the partial-trace monotonicity and single-term bounds.
+variants, plus the partial-trace monotonicity bounds.
 
 For coefficient matrices A_1..A_n, block (i, j) of Z1 holds A_j A_i* and
 block (i, j) of Z2 holds A_j* A_i; for a normalised state these equal the
@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotNormalizedError
-from .matcore import (InequalityReport, TAU_CHECK, _adj, _herm, _lapack, _tr_neg, make_report,
-                      schatten)
+from .matcore import InequalityReport, TAU_CHECK, _adj, _herm, _lapack, _tr_neg, make_report
 from .qstate import (
     TAU_NORM,
     TripartiteState,
@@ -192,26 +191,3 @@ def monotonicity_report(
     N(A|B) <= N(A|BC) and N(A|C) <= N(A|BC), computed through the density
     matrix, its partial transpose and partial traces."""
     return tuple(_single_state_reports(state.coeffs, tol)[3:])
-
-
-def single_term_bound(
-    mats, tol: float = TAU_CHECK
-) -> tuple[InequalityReport, InequalityReport]:
-    """Two-step bound on the trace norm of Z1: the block triangle inequality
-    ||Z1||_1 <= sum_{ij} ||A_j A_i*||_1 followed by Cauchy-Schwarz
-    sum_{ij} ||A_j A_i*||_1 <= (sum_i ||A_i||_2)^2."""
-    m = _stacked(mats)
-    t1 = schatten(build_Z1(mats), 1.0)
-    mid = float(
-        sum(
-            schatten(m[j] @ m[i].conj().T, 1.0)
-            for i in range(m.shape[0])
-            for j in range(m.shape[0])
-        )
-    )
-    r = float(np.sum(_norms(m))) ** 2
-    digest = {"dims": [int(s) for s in m.shape]}
-    return (
-        make_report("single_term_triangle", t1, mid, tol, **digest),
-        make_report("single_term_cauchy_schwarz", mid, r, tol, **digest),
-    )

@@ -117,13 +117,6 @@ def chain_component_sum(mu, chain) -> float:
     return total
 
 
-def chain_split_sum(mu, image) -> float:
-    """commutative_lhs re-evaluated chain by chain; for sorted mu the two
-    agree because every non-ascending term is clipped to zero."""
-    v = _validate_spectrum(mu)
-    return float(sum(chain_component_sum(v, c) for c in ma_chains(image)))
-
-
 def check_commutative(mu, image, tol: float = TAU_CHECK) -> InequalityReport:
     """(sum_i sqrt((mu_i - mu_{pi(i)})_+))^2 <= (d/2) sum_i mu_i for sorted
     non-negative mu."""

@@ -1,5 +1,5 @@
 """Tripartite pure states as rank-3 coefficient tensors, their coefficient
-matrices, partial transpose/trace operations and the induced negativity.
+matrices, partial transpose/trace operations and their JSON form.
 
 The composite basis index is always ((i * dB) + j) * dC + k, i.e. the first
 tensor axis is the slowest. Coefficient matrix i is the dB x dC slice c[i].
@@ -7,12 +7,10 @@ tensor axis is the slowest. Coefficient matrix i is the dB x dC slice c[i].
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError, ShapeMismatchError
-from .matcore import _complex_gaussians, _lapack, as_complex_matrix, json_entries, schatten
+from .matcore import _complex_gaussians, _lapack, as_complex_matrix, json_entries
 
 # Accepted deviation of the total squared weight from one.
 TAU_NORM = 1e-10
@@ -180,13 +178,6 @@ def partial_trace_C(x, dims) -> np.ndarray:
     return _partial_trace_C(m, _check_op_dims(m, dims))
 
 
-def negativity_ABC(state: TripartiteState) -> float:
-    """Negativity across the A | BC cut: trace norm of the stacked
-    coefficient matrix squared, minus one."""
-    a = amat(coeff_matrices(state))
-    return float(schatten(a, 1.0) ** 2 - 1.0)
-
-
 def diagonalize_gram(state: TripartiteState) -> TripartiteState:
     """Rotate the first tensor index so the overlap matrix becomes diagonal.
 
@@ -212,20 +203,10 @@ def state_to_dict(state: TripartiteState) -> dict:
     }
 
 
-def state_from_dict(obj: dict, normalize: bool = False) -> TripartiteState:
+def state_from_dict(obj: dict) -> TripartiteState:
     (dA, dB, dC), flat = json_entries(obj, "state", ("dA", "dB", "dC"), "coeffs")
     if flat.size != dA * dB * dC:
         raise DimensionMismatchError(
             f"expected {dA * dB * dC} coefficients, got {flat.size}"
         )
-    return TripartiteState(flat.reshape(dA, dB, dC), normalize=normalize)
-
-
-def save_state(path, state: TripartiteState) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh)
-
-
-def load_state(path, normalize: bool = False) -> TripartiteState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh), normalize=normalize)
+    return TripartiteState(flat.reshape(dA, dB, dC))

@@ -70,8 +70,12 @@ class SearchConfig:
         if self.target == "ineq4":
             if self.dims is None or len(self.dims) != 3 or min(self.dims) < 1:
                 raise ValueError("target ineq4 needs dims = (dA, dB, dC)")
+            if self.d is not None:
+                raise ValueError("target ineq4 takes dims, not d")
         elif self.d is None or self.d < 1:
             raise ValueError(f"target {self.target} needs a matrix size d >= 1")
+        elif self.dims is not None:
+            raise ValueError(f"target {self.target} takes d, not dims")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ parts; mu denotes the eigenvalues of Delta_minus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,12 +186,6 @@ class SpecialCaseTrace:
     E3: np.ndarray
     E4: np.ndarray
     reports: list[InequalityReport] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """d, then every matrix field in declaration order, then the reports."""
-        mats = {f.name: matrix_to_dict(getattr(self, f.name)) for f in fields(self)[:-1]}
-        return {"d": int(self.B.shape[0]), **mats,
-                "reports": [r.to_dict() for r in self.reports]}
 
 
 # The reports of the chain, one column each in the _chain_batch arrays: the

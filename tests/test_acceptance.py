@@ -46,6 +46,16 @@ PINNED = {
     },
 }
 
+# The criteria with a time budget, which each reports as its last detail.
+# The others report none: perfbench compares the detail keys of criteria
+# 1-9 with perfbench/reference.json.
+BUDGETS = {
+    "representation_equivalence": 10.0,
+    "special_case_chain": 60.0,
+    "commutative_lemma_exhaustive": 120.0,
+    "conjecture_scan": 60.0,
+}
+
 
 @pytest.mark.parametrize("index,criterion", CASES, ids=[f.__name__ for _, f in CASES])
 def test_criterion(index, criterion):
@@ -54,6 +64,12 @@ def test_criterion(index, criterion):
     assert result.index == index
     assert result.name == criterion.__name__.replace("_", "-")
     assert result.passed, result.details
+    budget = BUDGETS.get(criterion.__name__)
+    if budget is None:
+        assert "budget_s" not in result.details
+    else:
+        assert list(result.details)[-1] == "budget_s"
+        assert result.details["budget_s"] == budget
     for key, ref in PINNED.get(criterion.__name__, {}).items():
         got = result.details[key]
         if isinstance(ref, int):

@@ -11,7 +11,7 @@ import pytest
 from negmono import cli, matcore, monogamy, specialcase
 from negmono.cli import main
 from negmono.errors import RootNotBracketedError, StepFailedError
-from negmono.matcore import complex_gaussian, matrix_from_dict, save_matrix
+from negmono.matcore import complex_gaussian, matrix_from_dict, matrix_to_dict
 from negmono.monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
 from negmono.qstate import coeff_matrices, random_state
 from negmono.specialcase import BOUNDS, STEPS, interlacing_trace
@@ -118,7 +118,7 @@ def test_special_case_random(capsys):
 
 def test_special_case_from_file(capsys, tmp_path):
     path = tmp_path / "b.json"
-    save_matrix(path, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    path.write_text(json.dumps(matrix_to_dict(np.array([[0.0, 1.0], [0.0, 0.0]]))))
     code, out, _ = run_cli(capsys, "special-case", "--file", str(path))
     assert code == 0
     by_name = {r["name"]: r for r in parse_ndjson(out)}
@@ -127,7 +127,7 @@ def test_special_case_from_file(capsys, tmp_path):
 
 def test_special_case_pads_rectangles(capsys, tmp_path):
     path = tmp_path / "rect.json"
-    save_matrix(path, np.array([[1.0, 2.0, 0.5]], dtype=complex))
+    path.write_text(json.dumps(matrix_to_dict(np.array([[1.0, 2.0, 0.5]]))))
     code, out, _ = run_cli(capsys, "special-case", "--file", str(path))
     assert code == 0
     assert parse_ndjson(out)[0]["d"] == 3
@@ -338,13 +338,15 @@ def test_search_rejects_jobs_below_one(capsys, jobs):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--d", "3", "--jobs", "0"), "--jobs must be at least 1, got 0"),
-    (("--trials", "2"), "target ineqid needs a matrix size d >= 1"),
+    (("--target", "ineqid", "--d", "3", "--jobs", "0"), "--jobs must be at least 1, got 0"),
+    (("--target", "ineqid", "--trials", "2"), "target ineqid needs a matrix size d >= 1"),
+    (("--target", "ineqid", "--d", "2", "--dims", "2x2x2"), "target ineqid takes d, not dims"),
+    (("--target", "ineq4", "--dims", "2x2x2", "--d", "2"), "target ineq4 takes dims, not d"),
 ])
 def test_bad_search_configuration_is_a_usage_error(capsys, argv, message):
     # --jobs is checked with the other counts, and SearchConfig's own
     # rejections print as every other usage error
-    code, out, err = run_cli(capsys, "search", "--target", "ineqid", *argv)
+    code, out, err = run_cli(capsys, "search", *argv)
     assert code == 2 and out == ""
     assert err.strip().splitlines() == [f"error: {message}"]
 

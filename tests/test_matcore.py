@@ -21,11 +21,9 @@ from negmono.matcore import (
     make_report,
     matrix_from_dict,
     matrix_to_dict,
-    modulus,
     negativity,
     psd_sqrt,
     require_hermitian,
-    save_matrix,
     schatten,
 )
 from negmono.permlemma import drury_numeric_check
@@ -142,18 +140,6 @@ def test_psd_sqrt_squares_back():
         psd_sqrt(np.diag([1.0, -0.5]))
 
 
-def test_modulus_oracle():
-    # |X| for X = [[0,2],[0,0]] is diag(0, 2): X*X = diag(0, 4)
-    m = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
-    np.testing.assert_allclose(modulus(m), np.diag([0.0, 2.0]), atol=1e-13)
-
-
-def test_modulus_trace_is_trace_norm():
-    rng = np.random.default_rng(8)
-    h = random_hermitian(rng, 6)
-    assert float(np.trace(modulus(h)).real) == pytest.approx(schatten(h, 1), abs=1e-11)
-
-
 def test_make_report_fields():
     rep = make_report("demo", 1.0, 1.5, d=3)
     assert rep.holds and rep.slack == pytest.approx(0.5)
@@ -167,13 +153,12 @@ def test_make_report_fields():
 def test_matrix_json_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     m = complex_gaussian(rng, (3, 4))
-    path = tmp_path / "m.json"
-    save_matrix(path, m)
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = matrix_to_dict(m)
     assert raw["rows"] == 3 and raw["cols"] == 4 and len(raw["data"]) == 12
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
     np.testing.assert_array_equal(load_matrix(path), m)
-    np.testing.assert_array_equal(matrix_from_dict(matrix_to_dict(m)), m)
+    np.testing.assert_array_equal(matrix_from_dict(raw), m)
 
 
 def test_complex_gaussian_unit_variance():

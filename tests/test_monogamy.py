@@ -12,7 +12,6 @@ from negmono.monogamy import (
     ineq3_report,
     ineq4_report,
     monotonicity_report,
-    single_term_bound,
     verify_batch,
 )
 from negmono.qstate import (
@@ -195,25 +194,3 @@ def test_monotonicity_equality_for_trivial_C():
     s = random_state((2, 3, 1), np.random.default_rng(10))
     rep_ab, _ = monotonicity_report(s)
     assert rep_ab.slack == pytest.approx(0.0, abs=1e-10)
-
-
-def test_single_term_bound_chain():
-    rng = np.random.default_rng(11)
-    mats = random_mats(rng, 3, 2, 2)
-    tri, cs = single_term_bound(mats)
-    assert tri.name == "single_term_triangle"
-    assert cs.name == "single_term_cauchy_schwarz"
-    assert tri.holds and cs.holds
-    # chain: ||Z1||_1 <= sum of block trace norms <= (sum of frobenius norms)^2
-    assert tri.lhs <= tri.rhs + 1e-10
-    assert tri.rhs == pytest.approx(cs.lhs, abs=1e-12)
-    assert cs.lhs <= cs.rhs + 1e-10
-
-
-def test_single_term_bound_equality_cases():
-    # a single unitary coefficient matrix saturates both bounds at d
-    u = np.linalg.qr(complex_gaussian(np.random.default_rng(12), (3, 3)))[0]
-    tri, cs = single_term_bound([u])
-    assert tri.slack == pytest.approx(0.0, abs=1e-10)
-    assert cs.slack == pytest.approx(0.0, abs=1e-10)
-    assert tri.lhs == pytest.approx(3.0, abs=1e-10)

@@ -16,7 +16,6 @@ from negmono.matcore import _complex_gaussians, complex_gaussian, hermitian_eige
 from negmono.permlemma import (
     D_MAX,
     chain_bound,
-    chain_split_sum,
     check_commutative,
     commutative_lhs,
     drury_numeric_check,
@@ -80,21 +79,11 @@ def test_commutative_lhs_hand_value():
     assert commutative_lhs(mu, (1, 2, 3)) == 0.0
 
 
-def test_chain_split_matches_direct_sum():
-    rng = np.random.default_rng(0)
-    for d in range(2, 7):
-        mu = np.sort(rng.random(d))[::-1]
-        for perm in itertools.permutations(range(1, d + 1)):
-            direct = commutative_lhs(mu, perm)
-            split = chain_split_sum(mu, perm)
-            assert split == pytest.approx(direct, abs=1e-12)
-
-
-def test_chain_split_requires_sorted_input():
+def test_check_commutative_requires_sorted_input():
     with pytest.raises(NotSortedError):
-        chain_split_sum(np.array([1.0, 2.0]), (2, 1))
+        check_commutative(np.array([1.0, 2.0]), (2, 1))
     with pytest.raises(NegativeEntryError):
-        chain_split_sum(np.array([1.0, -0.1]), (2, 1))
+        check_commutative(np.array([1.0, -0.1]), (2, 1))
 
 
 def test_check_commutative_swap_saturates():

@@ -1,11 +1,10 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from negmono.errors import NotSquareError
-from negmono.matcore import complex_gaussian, jordan_parts, matrix_to_dict
+from negmono.matcore import complex_gaussian, jordan_parts
 from negmono.specialcase import (
     BOUNDS,
     STEPS,
@@ -177,18 +176,6 @@ def test_interlacing_trace_structure():
         "unitary_residual",
     ]
     assert all(r.holds for r in trace.reports)
-    d = trace.to_dict()
-    assert d["d"] == 3 and len(d["reports"]) == len(trace.reports)
-
-
-def test_trace_to_dict_key_order_and_bytes():
-    trace = interlacing_trace(complex_gaussian(np.random.default_rng(6), (3, 3)))
-    names = ["B", "Z", "delta", "delta_plus", "delta_minus", "U", "E1", "E2", "E3", "E4"]
-    expected = {"d": 3, **{k: matrix_to_dict(getattr(trace, k)) for k in names},
-                "reports": [r.to_dict() for r in trace.reports]}
-    d = trace.to_dict()
-    assert list(d) == ["d", *names, "reports"]
-    assert json.dumps(d) == json.dumps(expected)
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
