@@ -13,17 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotNormalizedError
-from .matcore import InequalityReport, TAU_CHECK, _adj, _herm, _lapack, _tr_neg, make_report
-from .qstate import (
-    TAU_NORM,
-    TripartiteState,
-    _density,
-    _partial_trace_B,
-    _partial_trace_C,
-    _partial_transpose_A,
-    _stacked,
-    coeff_matrices,
-)
+from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _tr_neg, make_report
+from .qstate import TAU_NORM, TripartiteState, _stacked, coeff_matrices
 
 # The reports of verify-conjecture for each state, in output order.
 VERIFY_NAMES = ("ineq2", "ineq3", "ineq4", "monotonicity_AB", "monotonicity_AC")
@@ -88,38 +79,37 @@ def ineq4_batch(c: np.ndarray):
 
 def _overlaps(c: np.ndarray):
     """The amat a of each tensor of a stack c, its overlap matrix g = a* a
-    and the 1/2 quasi-norms of g from one stacked SVD. The norms are squared
-    on Python floats, by C pow as in schatten; a stacked ** 2 is x * x,
-    which differs from pow in the last bit for about one value in 1000."""
+    and q = ||g||_{1/2} = ||a||_1^2 from one stacked SVD of a, whose
+    singular values are the Schmidt coefficients of the A|BC cut. Summing
+    them before squaring keeps q exact to roundoff when g is rank-deficient
+    (dA > dB dC), where the square roots of g's roundoff-level singular
+    values would add about 1e-8. The sums are squared on Python floats, by
+    C pow as in schatten(a, 1.0) ** 2; a stacked ** 2 is x * x, which
+    differs from pow in the last bit for about one value in 1000."""
     n, dA = c.shape[:2]
     a = c.reshape(n, dA, -1).swapaxes(1, 2).copy()
-    g = _adj(a) @ a
-    sv = _lapack(np.linalg.svd, g, compute_uv=False)
-    return a, g, [q ** 2.0 for q in np.sum(sv**0.5, axis=-1).tolist()]
+    sv = _lapack(np.linalg.svd, a, compute_uv=False)
+    return a, _adj(a) @ a, [t ** 2.0 for t in np.sum(sv, axis=-1).tolist()]
 
 
 def verify_batch(c: np.ndarray):
     """The per-state quantities of verify-conjecture for N states at once,
     from their coefficient tensors c of shape (N, dA, dB, dC), each an
     array of length N: the left-hand side shared by ineq2-4, the ineq2,
-    ineq3 and ineq4 right-hand sides, and the negativities N(A|B), N(A|C)
-    and N(A|BC) of the partially transposed density matrix.
+    ineq3 and ineq4 right-hand sides, and the negativities
+    N(A|B) = ||Z1||_1 - tr Z1, N(A|C) = ||Z2||_1 - tr Z2 and
+    N(A|BC) = ||a||_1^2 - 1 of a pure state.
 
     This is the only definition of these quantities; c is not validated,
-    and the ineq2/ineq3 right-hand sides assume unit weight, so callers
-    check outside input first. A chunk takes one stacked eigvalsh each of
-    Z1, Z2, the partial transpose and its two partial traces, and one
-    stacked SVD of the overlap matrices."""
-    _, _, lhs, rhs4 = ineq4_batch(c)
-    dims = c.shape[1:]
-    rhs2 = np.array([(q - 1.0) ** 2 for q in _overlaps(c)[2]])
+    and the ineq2/ineq3 right-hand sides and N(A|BC) assume unit weight,
+    so callers check outside input first. A chunk takes one stacked
+    eigvalsh each of Z1 and Z2 and one stacked SVD of the A|BC coefficient
+    matrices, and builds no density matrix."""
+    n_ab, n_ac, lhs, rhs4 = ineq4_batch(c)
+    q = _overlaps(c)[2]
+    rhs2 = np.array([(t - 1.0) ** 2 for t in q])
     rhs3 = np.array([(t ** 2 - 1.0) ** 2 for t in np.sum(_norms(c), axis=1).tolist()])
-    # symmetrised as require_hermitian does, so the spectra match it bit for bit
-    pt = _partial_transpose_A(_density(c), dims)
-    n_ab = _negativities(_herm(_partial_trace_C(pt, dims)))
-    n_ac = _negativities(_herm(_partial_trace_B(pt, dims)))
-    n_abc = _negativities(_herm(pt))
-    return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc
+    return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, np.array(q) - 1.0
 
 
 def _digest(dims, rhs: float, lhs: float) -> dict:
@@ -188,6 +178,6 @@ def monotonicity_report(
     state: TripartiteState, tol: float = TAU_CHECK
 ) -> tuple[InequalityReport, InequalityReport]:
     """Negativity cannot grow when one party is traced out: reports for
-    N(A|B) <= N(A|BC) and N(A|C) <= N(A|BC), computed through the density
-    matrix, its partial transpose and partial traces."""
+    N(A|B) <= N(A|BC) and N(A|C) <= N(A|BC), with N(A|B) and N(A|C) from
+    the spectra of Z1 and Z2 and N(A|BC) from the Schmidt coefficients."""
     return tuple(_single_state_reports(state.coeffs, tol)[3:])

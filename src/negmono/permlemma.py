@@ -27,8 +27,9 @@ from .matcore import (
     InequalityReport,
     TAU_CHECK,
     _adj,
+    _herm,
+    _lapack,
     _square,
-    hermitian_eigenvalues,
     make_report,
 )
 from .specialcase import _SIDES
@@ -184,6 +185,7 @@ def drury_numeric_check(b, tol: float = TAU_CHECK) -> InequalityReport:
     if m.shape[0] > D_MAX:
         raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
     lhs = float(_SIDES["ineqid2_plus"](m[None])[0][0])  # tr sqrt(Delta_plus)
-    mu = hermitian_eigenvalues(m @ _adj(m))[::-1]
+    # m is checked above; B B* is Hermitian by construction
+    mu = _lapack(np.linalg.eigvalsh, _herm(m @ _adj(m)))[::-1]
     rhs, _ = max_rearranged_sum(np.clip(mu, 0.0, None))
     return make_report("drury", lhs, rhs, tol, d=int(m.shape[0]))

@@ -290,12 +290,15 @@ def run_trial(cfg: SearchConfig, trial_index: int) -> tuple[int, float, dict]:
 
 def _chunks(cfg: SearchConfig, jobs: int):
     """The _run_trials result of every chunk of CHUNK trials, in trial
-    order, computed in this process or in `jobs` workers."""
+    order, computed in this process or in up to `jobs` workers, never more
+    than there are chunks: a forking pool starts all its workers at the
+    first submit."""
     chunks = [range(k, min(k + CHUNK, cfg.trials)) for k in range(0, cfg.trials, CHUNK)]
-    if jobs <= 1:
+    workers = min(jobs, len(chunks))
+    if workers <= 1:
         yield from map(_run_trials, repeat(cfg), chunks)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_run_trials, repeat(cfg), chunks)
 
 

@@ -17,8 +17,8 @@ from negmono import acceptance, matcore
 from negmono.errors import StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, negativity, schatten
 from negmono.monogamy import build_Z1, build_Z2, monotonicity_report
-from negmono.qstate import (amat, coeff_matrices, density, gram_matrix, partial_trace_B,
-                            partial_trace_C, partial_transpose_A, random_state)
+from negmono.qstate import (amat, coeff_matrices, density, partial_trace_B, partial_trace_C,
+                            partial_transpose_A, random_state)
 from negmono.specialcase import STEPS, interlacing_trace
 
 CASES = [(i + 1, fn) for i, fn in enumerate(acceptance.CRITERIA)]
@@ -146,9 +146,9 @@ def _per_state_negativity_identity(seed):
             mats = coeff_matrices(s)
             pt = partial_transpose_A(density(s), dims)
             a = negativity(pt)
-            b = schatten(gram_matrix(mats), 0.5) - 1.0
-            worst_rel = max(worst_rel, abs(a - b) / max(abs(a), abs(b), 1e-30))
             am = amat(mats)
+            b = schatten(am, 1.0) ** 2 - 1.0
+            worst_rel = max(worst_rel, abs(a - b) / max(abs(a), abs(b), 1e-30))
             kron = np.kron(am.conj().T @ am, am @ am.conj().T)
             worst_kron = max(worst_kron, float(np.abs(pt @ pt - kron).max()))
     return {"max_rel_diff": worst_rel, "max_kron_diff": worst_kron}

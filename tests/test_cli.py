@@ -459,9 +459,9 @@ def test_verify_output_does_not_depend_on_chunk(capsys, monkeypatch):
 
 
 def test_verify_counts_per_chunk(monkeypatch, call_counts):
-    # per chunk: five stacked eigvalsh (Z1, Z2, the partial transpose and its
-    # two partial traces) and one SVD; no per-state validation or
-    # eigensolver call; one ineq4_batch row per state
+    # per chunk: two stacked eigvalsh (Z1, Z2) and one SVD (the A|BC
+    # coefficient matrices); no per-state validation or eigensolver call;
+    # one ineq4_batch row per state
     counts, count = call_counts
     for name in ("eigvalsh", "svd"):
         count(np.linalg, name)
@@ -479,7 +479,7 @@ def test_verify_counts_per_chunk(monkeypatch, call_counts):
     assert main(["verify-conjecture", "--dims", "3x2x4", "--trials", str(trials),
                  "--out", os.devnull]) == 0
     chunks = 3
-    assert counts == {"eigvalsh": 5 * chunks, "svd": chunks,
+    assert counts == {"eigvalsh": 2 * chunks, "svd": chunks,
                       "require_hermitian": 0, "hermitian_eigenvalues": 0}
     assert rows == [cli.CHUNK, cli.CHUNK, 3]
 

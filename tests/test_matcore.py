@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from negmono.errors import (
-    NoConvergenceError,
     NonPositiveQError,
     NotHermitianError,
     NotPSDError,

@@ -11,16 +11,16 @@ from negmono.monogamy import (
     ineq2_report,
     ineq3_report,
     ineq4_report,
+    ineq4_batch,
     monotonicity_report,
     verify_batch,
 )
 from negmono.qstate import (
-    TripartiteState,
     _random_coeffs,
+    amat,
     coeff_matrices,
     density,
     diagonalize_gram,
-    gram_matrix,
     partial_trace_B,
     partial_trace_C,
     partial_transpose_A,
@@ -121,28 +121,34 @@ def test_inequality_chain_holds_on_random_states(dims):
 
 @pytest.mark.parametrize("dims", DIMS + [(1, 3, 2), (4, 1, 1)])
 def test_verify_batch_matches_single_state_formulas(dims):
-    # the stacked kernel does the arithmetic of the single-matrix route
-    # (require_hermitian's symmetrisation, schatten's SVD, C pow on floats),
-    # so every value agrees to the last bit (x * x in place of pow changes
-    # about one square in a thousand)
+    # the stacked kernel does the arithmetic of the single-state route
+    # (ineq4_batch's Z1/Z2 spectra, schatten's SVD of the A|BC coefficient
+    # matrix, C pow on floats), so every value agrees to the last bit (x * x
+    # in place of pow changes about one square in a thousand); the three
+    # negativities also stay within 1e-13 of the density route
     rng = np.random.default_rng(11)
     states = [random_state(dims, rng) for _ in range(200)]
     got = np.column_stack(verify_batch(np.stack([s.coeffs for s in states])))
     for row, s in zip(got, states):
         mats = coeff_matrices(s)
         r4 = ineq4_report(mats)
+        n1, n2, _, _ = ineq4_batch(s.coeffs[None])
         norms = [np.sqrt(np.sum(np.abs(m) ** 2)) for m in mats]
-        pt = partial_transpose_A(density(s), dims)
+        q = schatten(amat(mats), 1.0) ** 2
         want = [
             r4.lhs,
-            (schatten(gram_matrix(mats), 0.5) - 1.0) ** 2,
+            (q - 1.0) ** 2,
             (float(np.sum(norms)) ** 2 - 1.0) ** 2,
             r4.rhs,
-            negativity(partial_trace_C(pt, dims)),
-            negativity(partial_trace_B(pt, dims)),
-            negativity(pt),
+            float(n1[0]),
+            float(n2[0]),
+            q - 1.0,
         ]
         assert row.tolist() == want
+        pt = partial_transpose_A(density(s), dims)
+        density_route = [negativity(partial_trace_C(pt, dims)),
+                         negativity(partial_trace_B(pt, dims)), negativity(pt)]
+        np.testing.assert_allclose(row[4:], density_route, rtol=0.0, atol=1e-13)
 
 
 def test_ineq2_requires_normalized_state():
@@ -191,6 +197,11 @@ def test_monotonicity_reports():
 
 def test_monotonicity_equality_for_trivial_C():
     # dC = 1 means BC is just B, so the A|B negativity equals the A|BC one
-    s = random_state((2, 3, 1), np.random.default_rng(10))
-    rep_ab, _ = monotonicity_report(s)
-    assert rep_ab.slack == pytest.approx(0.0, abs=1e-10)
+    # (dB = 1 likewise for A|C), and ineq2 is tight; dA > dB * dC makes the
+    # overlap matrix rank-deficient
+    rng = np.random.default_rng(10)
+    for dims in [(2, 3, 1), (3, 2, 1), (3, 1, 2)]:
+        s = random_state(dims, rng)
+        rep_ab, rep_ac = monotonicity_report(s)
+        assert (rep_ab if dims[2] == 1 else rep_ac).slack == pytest.approx(0.0, abs=1e-10)
+        assert abs(ineq2_report(s).slack) <= 1e-12

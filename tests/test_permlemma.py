@@ -12,6 +12,7 @@ from negmono.errors import (
     NotSortedError,
     TooLargeError,
 )
+from negmono import matcore
 from negmono.matcore import _complex_gaussians, complex_gaussian, hermitian_eigenvalues
 from negmono.permlemma import (
     D_MAX,
@@ -189,6 +190,20 @@ def test_drury_lhs_is_the_ineqid2_plus_side(d):
     for b in _complex_gaussians(rng, 300 if d < D_MAX else 40, (d, d)):
         ref = float(_tr_sqrt_clipped(hermitian_eigenvalues(commutator_gap(b))))
         assert drury_numeric_check(b).lhs == ref
+
+
+def test_drury_validates_its_input_once(call_counts):
+    # B is checked at the boundary and its own product B B* is not checked
+    # again; the spectrum of B B* is the validated one to the last bit
+    counts, count = call_counts
+    for name in ("as_complex_matrix", "require_hermitian"):
+        count(matcore, name)
+    bs = _complex_gaussians(np.random.default_rng(7), 20, (4, 4))
+    reps = [drury_numeric_check(b) for b in bs]
+    assert counts == {"as_complex_matrix": len(bs), "require_hermitian": 0}
+    for b, rep in zip(bs, reps):
+        mu = hermitian_eigenvalues(b @ b.conj().T)[::-1]
+        assert rep.rhs == max_rearranged_sum(np.clip(mu, 0.0, None))[0]
 
 
 def test_drury_normal_matrix_trivial():

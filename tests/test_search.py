@@ -258,6 +258,33 @@ def test_parallel_merge_matches_serial_across_chunks(monkeypatch):
     assert run_search(cfg, jobs=1) == run_search(cfg, jobs=2)
 
 
+def test_search_starts_no_more_workers_than_chunks(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker is started whatever the size asked for
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=300, local_steps=3, seed=0)
+    assert run_search(cfg, jobs=64) == run_search(cfg, jobs=1)
+    assert sizes == [3]
+    one_chunk = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=100, local_steps=3, seed=0)
+    assert run_search(one_chunk, jobs=8) == run_search(one_chunk, jobs=1)
+    assert sizes == [3]
+
+
 def test_lockstep_rejects_non_finite_candidates():
     with pytest.raises(ValueError, match="step_scale"):
         SearchConfig(target="ineq4", dims=(2, 2, 2), trials=3, step_scale=np.inf)
