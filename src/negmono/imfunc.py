@@ -238,7 +238,8 @@ def sup_error_table(s_values, params: IMParams) -> list[tuple[float, float]]:
 
 
 def _bisect_level(c: float, theta: float, positive: bool, tol: float) -> float:
-    """Solve g(t) = c on the requested monotone branch by bisection.
+    """Solve g(t) = c on the requested monotone branch by bisection,
+    evaluating g by _g_scalar, the pure-math g of the quadrature.
 
     The bracket runs from inner = 0, where g = 1/2 > c, to an outer end
     doubled until g(outer) <= c. A midpoint with g > c replaces the inner
@@ -248,14 +249,14 @@ def _bisect_level(c: float, theta: float, positive: bool, tol: float) -> float:
     if not 0.0 < c < 0.5:
         raise RootNotBracketedError(f"level must lie in (0, 1/2), got {c}")
     inner, outer = 0.0, (1.0 if positive else -1.0)
-    while g(outer, theta) > c:
+    while _g_scalar(outer, theta) > c:
         outer *= 2.0
         if abs(outer) > 1e12:
             side = "positive" if positive else "negative"
             raise RootNotBracketedError(f"no {side} root for level {c}")
     while abs(outer - inner) > tol * max(1.0, abs(outer)):
         mid = 0.5 * (inner + outer)
-        gm = g(mid, theta)
+        gm = _g_scalar(mid, theta)
         if gm > c or (gm == c and not positive):
             inner = mid
         else:

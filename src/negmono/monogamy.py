@@ -78,8 +78,8 @@ def ineq4_batch(c: np.ndarray):
 
 
 def _overlaps(c: np.ndarray):
-    """The amat a of each tensor of a stack c, its overlap matrix g = a* a
-    and q = ||g||_{1/2} = ||a||_1^2 from one stacked SVD of a, whose
+    """The amat a of each tensor of a stack c and q = ||g||_{1/2} =
+    ||a||_1^2 of its overlap matrix g = a* a, from one stacked SVD of a, whose
     singular values are the Schmidt coefficients of the A|BC cut. Summing
     them before squaring keeps q exact to roundoff when g is rank-deficient
     (dA > dB dC), where the square roots of g's roundoff-level singular
@@ -89,7 +89,7 @@ def _overlaps(c: np.ndarray):
     n, dA = c.shape[:2]
     a = c.reshape(n, dA, -1).swapaxes(1, 2).copy()
     sv = _lapack(np.linalg.svd, a, compute_uv=False)
-    return a, _adj(a) @ a, [t ** 2.0 for t in np.sum(sv, axis=-1).tolist()]
+    return a, [t ** 2.0 for t in np.sum(sv, axis=-1).tolist()]
 
 
 def verify_batch(c: np.ndarray):
@@ -106,7 +106,7 @@ def verify_batch(c: np.ndarray):
     eigvalsh each of Z1 and Z2 and one stacked SVD of the A|BC coefficient
     matrices, and builds no density matrix."""
     n_ab, n_ac, lhs, rhs4 = ineq4_batch(c)
-    q = _overlaps(c)[2]
+    q = _overlaps(c)[1]
     rhs2 = np.array([(t - 1.0) ** 2 for t in q])
     rhs3 = np.array([(t ** 2 - 1.0) ** 2 for t in np.sum(_norms(c), axis=1).tolist()])
     return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, np.array(q) - 1.0

@@ -49,6 +49,8 @@ def _validate_spectrum(mu, sorted_required: bool = True) -> np.ndarray:
     v = np.asarray(mu, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a non-empty vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("spectrum entries must be finite")
     if np.any(v < 0):
         raise NegativeEntryError("spectrum entries must be non-negative")
     if sorted_required and np.any(np.diff(v) > 0):
@@ -90,14 +92,28 @@ def _spectrum_and_images(mu, image, sorted_required: bool = True):
 
 def commutative_lhs(mu, image) -> float:
     """sum_i sqrt((mu_i - mu_{pi(i)})_+)."""
-    return float(_rearranged_sums(*_spectrum_and_images(mu, image, sorted_required=False))[0])
+    v, perm = _spectrum_and_images(mu, image, sorted_required=False)
+    return float(_rearranged_sums(_pair_table(v), perm)[0])
 
 
-def _rearranged_sums(v: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """sum_i sqrt((v_i - v_{pi(i)})_+) for each row pi of perms, 0-based
-    indices into v.ravel(): v is one vector, or a stack (N, d) with row k
-    of perms offset by k * d."""
-    return np.sqrt(np.clip(v - v.ravel()[perms], 0.0, None)).sum(axis=-1)
+def _pair_table(v: np.ndarray) -> np.ndarray:
+    """The table T[..., i * d + j] = sqrt((v_i - v_j)_+) of spectra v of
+    shape (..., d): the d^2 distinct terms of every rearranged sum of v."""
+    diff = v[..., :, None] - v[..., None, :]
+    return np.sqrt(np.clip(diff, 0.0, None)).reshape(*v.shape[:-1], -1)
+
+
+def _rearranged_sums(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """sum_i sqrt((v_i - v_{pi(i)})_+) for each row pi of perms, read from
+    the _pair_table of v: every table of a stack (..., d^2) meets every row
+    of perms (P, d), 0-based images, giving (..., P). For a stack of N
+    tables that meets one permutation each, pass table.ravel() and offset
+    row k of perms by k * d^2. Each sum adds the same floats in the same
+    order as the elementwise sqrt(clip(v - v[pi], 0)).sum(), so it is that
+    sum to the last bit. The gather holds (..., P, d) floats; callers with
+    many tables and permutations bound it by chunks."""
+    d = perms.shape[-1]
+    return np.take(table, perms + d * np.arange(d), axis=-1).sum(axis=-1)
 
 
 def _commutative_sides(mu: np.ndarray, perms: np.ndarray):
@@ -105,7 +121,7 @@ def _commutative_sides(mu: np.ndarray, perms: np.ndarray):
     perms, both (N, d), unvalidated. The sum is squared by C pow on Python
     floats; numpy's s * s differs in the last bit about once in 1000."""
     n, d = mu.shape
-    sums = _rearranged_sums(mu, perms + d * np.arange(n)[:, None])
+    sums = _rearranged_sums(_pair_table(mu).ravel(), perms + d * d * np.arange(n)[:, None])
     return np.array([float(s) ** 2 for s in sums]), (d / 2.0) * mu.sum(axis=1)
 
 
@@ -150,6 +166,8 @@ def holder_half(x, p, tol: float = TAU_CHECK) -> InequalityReport:
     pv = np.asarray(p, dtype=float)
     if xv.shape != pv.shape or xv.ndim != 1 or xv.size < 1:
         raise SizeMismatchError(f"shapes {xv.shape} and {pv.shape} must match")
+    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(pv))):
+        raise ValueError("x and p entries must be finite")
     if np.any(xv < 0):
         raise NegativeEntryError("x entries must be non-negative")
     if np.any(pv <= 0) or abs(float(np.sum(pv)) - 1.0) > 1e-12:
@@ -167,25 +185,38 @@ def _perm_array(d: int) -> np.ndarray:
 
 def max_rearranged_sum(mu) -> tuple[float, tuple[int, ...]]:
     """max over permutations of sum_i sqrt((mu_i - mu_{pi(i)})_+) by brute
-    force, returning the maximum and a 1-based argmax image."""
-    v = np.asarray(mu, dtype=float)
+    force, returning the maximum and a 1-based argmax image. mu is a
+    finite non-negative vector, in any order; its one _pair_table meets
+    all d! permutations."""
+    v = _validate_spectrum(mu, sorted_required=False)
     if v.size > D_MAX:
         raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
     perms = _perm_array(v.size)
-    vals = _rearranged_sums(v, perms)
+    vals = _rearranged_sums(_pair_table(v), perms)
     best = int(np.argmax(vals))
     return float(vals[best]), tuple(int(i) + 1 for i in perms[best])
+
+
+def _drury_sides(m: np.ndarray):
+    """(lhs, rhs) of drury_numeric_check for a stack m of shape (N, d, d),
+    unvalidated: lhs is tr sqrt(Delta_plus), the ineqid2_plus side, and
+    rhs the maximum over all d! permutations of the rearranged sums of mu,
+    the clipped spectrum of B B*, sorted non-increasing. The gather holds
+    N d! d floats."""
+    lhs = _SIDES["ineqid2_plus"](m)[0]
+    # B B* is Hermitian by construction
+    mu = _lapack(np.linalg.eigvalsh, _herm(m @ _adj(m)))[:, ::-1]
+    table = _pair_table(np.clip(mu, 0.0, None))
+    return lhs, _rearranged_sums(table, _perm_array(m.shape[-1])).max(axis=-1)
 
 
 def drury_numeric_check(b, tol: float = TAU_CHECK) -> InequalityReport:
     """Rearrangement bound for the commutator gap: with mu the spectrum of
     B B*, tr sqrt((B B* - B* B)_+) is at most the brute-force maximum of
-    sum_i sqrt((mu_i - mu_{pi(i)})_+) over all permutations."""
+    sum_i sqrt((mu_i - mu_{pi(i)})_+) over all permutations. B is checked
+    here, once; _drury_sides evaluates it as a stack of one."""
     m = _square(b)
     if m.shape[0] > D_MAX:
         raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
-    lhs = float(_SIDES["ineqid2_plus"](m[None])[0][0])  # tr sqrt(Delta_plus)
-    # m is checked above; B B* is Hermitian by construction
-    mu = _lapack(np.linalg.eigvalsh, _herm(m @ _adj(m)))[::-1]
-    rhs, _ = max_rearranged_sum(np.clip(mu, 0.0, None))
-    return make_report("drury", lhs, rhs, tol, d=int(m.shape[0]))
+    lhs, rhs = _drury_sides(m[None])
+    return make_report("drury", lhs[0], rhs[0], tol, d=int(m.shape[0]))

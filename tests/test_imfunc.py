@@ -282,7 +282,7 @@ def test_bisect_level_ties_keep_each_branch_rule(monkeypatch):
     def flat(t, theta):
         return 0.25
 
-    monkeypatch.setattr(imfunc, "g", flat)
+    monkeypatch.setattr(imfunc, "_g_scalar", flat)
     roots = [imfunc._bisect_level(0.25, 1.0, positive, 1e-3) for positive in (False, True)]
     assert roots == [_two_branch_bisect(0.25, 1.0, positive, 1e-3, g=flat)
                      for positive in (False, True)]

@@ -16,6 +16,9 @@ from negmono import matcore
 from negmono.matcore import _complex_gaussians, complex_gaussian, hermitian_eigenvalues
 from negmono.permlemma import (
     D_MAX,
+    _pair_table,
+    _perm_array,
+    _rearranged_sums,
     chain_bound,
     check_commutative,
     commutative_lhs,
@@ -141,6 +144,15 @@ def test_holder_half_bound_and_equality():
         holder_half(-x, p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_holder_half_rejects_non_finite_entries(bad):
+    p = np.full(3, 1.0 / 3.0)
+    with pytest.raises(ValueError, match="finite"):
+        holder_half([1.0, bad, 0.5], p)
+    with pytest.raises(ValueError, match="finite"):
+        holder_half([1.0, 2.0, 0.5], [0.5, 0.5, bad])
+
+
 def test_max_rearranged_sum_two_point():
     best, image = max_rearranged_sum(np.array([1.0, 0.0]))
     assert best == pytest.approx(1.0)
@@ -163,6 +175,45 @@ def test_max_rearranged_sum_brute_force_agrees():
 def test_max_rearranged_sum_size_limit():
     with pytest.raises(TooLargeError):
         max_rearranged_sum(np.ones(D_MAX + 1))
+
+
+@pytest.mark.parametrize("mu", [[np.nan, 1.0], [np.inf, 0.0], [], [[1.0, 0.0]], [1.0, -0.5]],
+                         ids=["nan", "inf", "empty", "2-d", "negative"])
+def test_max_rearranged_sum_rejects_malformed_spectra(mu):
+    # a non-finite entry used to give (nan, (1, 2)) and an empty vector
+    # (0.0, ()); a 2-d input failed inside numpy's broadcasting
+    with pytest.raises(ValueError, match="non-empty vector|finite|non-negative"):
+        max_rearranged_sum(mu)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_commutative_rejects_non_finite_spectra(bad):
+    # a non-finite entry is bad input, not a failure of the proven lemma
+    with pytest.raises(ValueError, match="finite"):
+        check_commutative([bad, 0.0], (2, 1))
+    with pytest.raises(ValueError, match="finite"):
+        commutative_lhs([0.0, bad], (2, 1))
+
+
+@pytest.mark.parametrize("d", range(1, D_MAX + 1))
+def test_rearranged_sums_match_the_elementwise_sum(d):
+    # the pair-table gather is the elementwise sum to the last bit: for one
+    # spectrum against all of S_d, and for a stack with one permutation per
+    # row; unsorted spectra with ties and zeros reach the clip at 0
+    rng = np.random.default_rng(200 + d)
+    mu = rng.random(d)
+    mu[rng.random(d) < 0.3] = 0.0
+    if d > 2:
+        mu[1] = mu[2]
+    perms = _perm_array(d)
+    got = _rearranged_sums(_pair_table(mu), perms)
+    ref = [np.sqrt(np.clip(mu - mu[perm], 0, None)).sum() for perm in perms]
+    assert got.tolist() == [float(r) for r in ref]
+    stack = rng.random((50, d))
+    rows = perms[rng.integers(len(perms), size=50)]
+    got = _rearranged_sums(_pair_table(stack).ravel(), rows + d * d * np.arange(50)[:, None])
+    ref = [np.sqrt(np.clip(v - v[perm], 0, None)).sum() for v, perm in zip(stack, rows)]
+    assert got.tolist() == [float(r) for r in ref]
 
 
 def test_drury_shift_equality():
