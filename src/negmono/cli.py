@@ -204,10 +204,10 @@ def _cmd_search(args) -> int:
         res = run_search(cfg, jobs=args.jobs, on_trial=on_trial)
         _emit({"result": res.to_dict(), "target": cfg.target, "seed": seed}, out)
     if res.violations:
-        kind = "finding" if cfg.target == "ineq4" else "proven statement violated"
+        kind = "finding" if cfg.target in CONJECTURED else "proven statement violated"
         print(f"{kind}: {res.violations} violation(s) for target {cfg.target}",
               file=sys.stderr)
-        if cfg.target != "ineq4":
+        if cfg.target not in CONJECTURED:
             return 1
     return 0
 

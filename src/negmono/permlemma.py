@@ -66,14 +66,14 @@ def ma_chains(image) -> list[tuple[int, ...]]:
     the terminal element included, ordered by their first element. Every i
     with pi(i) > i appears as a non-terminal element of exactly one chain.
     """
-    img = _validate_permutation(image)
-    d = len(img)
-    asc = {i: img[i - 1] for i in range(1, d + 1) if img[i - 1] > i}
-    inv = {img[i - 1]: i for i in range(1, d + 1)}
+    return _ma_chains(_validate_permutation(image))
+
+
+def _ma_chains(img: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """ma_chains of a valid 1-based image tuple, which it does not check."""
+    asc = {i: p for i, p in enumerate(img, 1) if p > i}
     chains = []
-    for start in sorted(asc):
-        if inv[start] in asc:  # start has an ascending predecessor
-            continue
+    for start in sorted(asc.keys() - asc.values()):  # no ascending predecessor
         chain = [start]
         while chain[-1] in asc:
             chain.append(asc[chain[-1]])

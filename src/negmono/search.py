@@ -148,7 +148,7 @@ def _bound(name: str) -> tuple:
 
 
 def _commutative_slack(starts):
-    perms = np.concatenate([_spectrum_and_images(mu, pi)[1] for mu, pi in starts])
+    perms = np.array([pi for _, pi in starts]) - 1
     return _slack(lambda mu: _commutative_sides(mu, perms))
 
 
@@ -176,7 +176,12 @@ def _descent(target: str) -> tuple:
 
 
 def _start(target: str, instance):
-    """The descent start of a public instance."""
+    """The descent start of a public instance, as _sample draws it; a
+    commutative (mu, pi) is validated here, once."""
+    if target == "commutative":
+        mu, pi = instance
+        v, perm = _spectrum_and_images(mu, pi)
+        return v, tuple(int(i) + 1 for i in perm[0])
     return instance.coeffs if target == "ineq4" else instance
 
 

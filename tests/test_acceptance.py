@@ -4,8 +4,8 @@ The tests after it check how the criterion runner numbers, names and
 budgets a criterion; how criteria 1, 2, 4, 6, 7 and 9 batch their inputs:
 the calls they make, their independence of the chunk size, that criteria
 1, 2, 6, 7 and 9 give the details of their per-item form, and which
-matrix a failure of criterion 4 or 7 reports; and which state a failure
-of criterion 3 reports."""
+matrix a failure of criterion 4 or 7 reports; which state a failure of
+criterion 3 reports; and which chains criterion 6 rejects."""
 
 import itertools
 import json
@@ -35,7 +35,7 @@ PINNED = {
     },
     "commutative_lemma_exhaustive": {
         "min_slack": 0.0005899481148988195,
-        "max_split_diff": 8.881784197001252e-16,
+        "max_split_diff": 0.0,
         "swap_slack": 0.0,
     },
     "conjecture_scan": {
@@ -157,8 +157,9 @@ def _per_state_negativity_identity(seed):
 
 
 def _per_spectrum_commutative_lemma_exhaustive(seed):
-    # criterion 6 one spectrum at a time, with the elementwise sums it made
-    # before it read pair tables
+    # criterion 6 one spectrum at a time, by elementwise sums; it computes
+    # the chain-split sums, whose largest difference from the direct sums
+    # the criterion reports as exactly 0.0 from its chain check
     rng = acceptance._rng(seed, 6)
     worst_slack = math.inf
     worst_split = 0.0
@@ -249,16 +250,44 @@ def test_stacked_criteria_counts_and_chunk_independence(monkeypatch, call_counts
 
 
 def test_commutative_lemma_exhaustive_counts_and_chunk_independence(monkeypatch, call_counts):
-    # ma_chains runs on every permutation of S_d for d <= 7, and the
-    # details do not depend on the gather bound
+    # _ma_chains runs once on every permutation of S_d for d <= 7 and only
+    # the swap witness validates one; each chunk makes one gather, the
+    # direct sum; and the details do not depend on the gather bound
     counts, count = call_counts
-    count(permlemma, "ma_chains")
+    for name in ("_ma_chains", "_validate_permutation", "_rearranged_sums"):
+        count(permlemma, name)
     default = acceptance.commutative_lemma_exhaustive(seed=0)
-    assert counts == {"ma_chains": 5913}  # the sum of d! over d <= 7
+    # 5913 is the sum of d! over d <= 7; at GATHER = 2**15 the chunks
+    # number 1 + 1 + 1 + 1 + 2 + 15 + 200 = 221, and the swap witness makes
+    # one more gather
+    assert counts == {"_ma_chains": 5913, "_validate_permutation": 1, "_rearranged_sums": 222}
     monkeypatch.setattr(acceptance, "GATHER", 2**10)
     small = acceptance.commutative_lemma_exhaustive(seed=0)
     assert default.passed and small.passed
     assert default.details == small.details
+
+
+def _edge_to_the_wrong_index(chains):
+    return [(*c[:-1], c[-1] + 1) for c in chains]
+
+
+def _a_chain_twice(chains):
+    return chains + chains[:1]
+
+
+def _a_chain_dropped(chains):
+    return chains[1:]
+
+
+@pytest.mark.parametrize("mutate", [_edge_to_the_wrong_index, _a_chain_twice, _a_chain_dropped])
+def test_commutative_lemma_exhaustive_rejects_inexact_chains(monkeypatch, mutate):
+    # the chain edges must be exactly the ascents (i, pi(i)), each once;
+    # (2, 1) is the first permutation in S_1, S_2, ... with a chain
+    chains = permlemma._ma_chains
+    monkeypatch.setattr(acceptance, "_ma_chains", lambda img: mutate(chains(img)))
+    result = acceptance.commutative_lemma_exhaustive(seed=0)
+    assert not result.passed
+    assert result.details["completeness_failed_for"] == [2, 1]
 
 
 def test_drury_reduction_counts_and_chunk_independence(monkeypatch, call_counts):

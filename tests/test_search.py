@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from negmono import matcore, qstate, search
+from negmono import matcore, permlemma, qstate, search
+from negmono.errors import (InvalidPermutationError, NegativeEntryError, NotSortedError,
+                            SizeMismatchError)
 from negmono.matcore import complex_gaussian
 from negmono.monogamy import ineq4_report
 from negmono.permlemma import check_commutative
@@ -404,6 +406,28 @@ def test_lockstep_counts_one_slack_evaluation_per_step(call_counts, target):
     chunks = -(-cfg.trials // search.CHUNK)
     assert counts == {KERNEL_CALLS[target][0]: per_eval * chunks * (cfg.local_steps + 1),
                       "require_hermitian": 0, "make_report": 0, "hermitian_eigenvalues": 0}
+
+
+def test_commutative_search_validates_no_drawn_start(call_counts):
+    # the drawn starts are valid by construction; only public instances
+    # are checked, in search._start
+    counts, count = call_counts
+    count(permlemma, "_spectrum_and_images")
+    run_search(SearchConfig(target="commutative", d=5, trials=150, local_steps=3, seed=0))
+    assert counts == {"_spectrum_and_images": 0}
+
+
+@pytest.mark.parametrize("mu,pi,error", [
+    ([0.2, 0.5, 0.3], (1, 2, 3), NotSortedError),
+    ([0.5, 0.6, -0.1], (1, 2, 3), NegativeEntryError),
+    ([0.5, 0.3, 0.2], (1, 1, 3), InvalidPermutationError),
+    ([0.5, 0.3, 0.2], (1, 2), SizeMismatchError),
+])
+def test_public_commutative_instances_are_validated(mu, pi, error):
+    with pytest.raises(error):
+        evaluate_slack("commutative", (mu, pi))
+    with pytest.raises(error):
+        local_descend((mu, pi), "commutative", steps=5, scale=0.1, seed=0)
 
 
 def test_search_rebuilds_states_only_for_chunk_argmins(monkeypatch, call_counts):
