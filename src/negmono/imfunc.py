@@ -13,7 +13,7 @@ budget, not a per-panel one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,15 +116,15 @@ def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth) -> float:
     )
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 60) -> float:
-    """Adaptive Simpson quadrature with Richardson correction."""
+def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson quadrature with Richardson correction, 60 halvings deep at most."""
     if b <= a:
         return 0.0
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(fa, fm, fb, a, b)
-    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, max_depth)
+    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, 60)
 
 
 def tail_bound(x: float, theta: float = DEFAULT_THETA) -> float:
@@ -144,18 +144,15 @@ def tail_cutoff(theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL
 
 
 def h(x: float, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Antiderivative h(x) = integral of g over (-inf, x]."""
-    lo = tail_cutoff(theta, quad_tol)
-    if x <= lo:
-        return 0.0
-    return adaptive_simpson(lambda y: _g_scalar(y, theta), lo, float(x), 0.5 * quad_tol)
+    """Antiderivative h(x) = integral of g over (-inf, x]: h_grid at one point."""
+    return float(h_grid([x], theta, quad_tol)[0])
 
 
 def h_grid(xs, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """h evaluated on an ascending grid by cumulative segment quadrature.
 
-    The total budget quad_tol is split across the tail cutoff and the
-    segments, so errors cannot accumulate past it.
+    The total budget quad_tol is split into half for the tail cutoff and
+    half shared by the n segments, so errors cannot accumulate past it.
     """
     v = np.asarray(xs, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -163,7 +160,7 @@ def h_grid(xs, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL)
     if np.any(np.diff(v) < 0):
         raise ValueError("grid must be ascending")
     lo = tail_cutoff(theta, quad_tol)
-    seg_tol = 0.5 * quad_tol / (v.size + 1)
+    seg_tol = 0.5 * quad_tol / v.size
     fn = lambda y: _g_scalar(y, theta)
     out = np.zeros(v.size)
     acc = 0.0
@@ -231,9 +228,7 @@ def sup_error_table(s_values, params: IMParams) -> list[tuple[float, float]]:
     for s in s_values:
         if not s > 0:
             raise ValueError(f"scale must be positive, got {s}")
-        p = IMParams(params.theta, float(s), params.quad_tol,
-                     params.grid_lo, params.grid_hi, params.grid_n)
-        rows.append((float(s), sup_error(p)))
+        rows.append((float(s), sup_error(replace(params, s=float(s)))))
     return rows
 
 
@@ -264,15 +259,14 @@ def _bisect_level(c: float, theta: float, positive: bool, tol: float) -> float:
     return 0.5 * (inner + outer)
 
 
-def im_pair_check(
-    theta: float = DEFAULT_THETA, sample_count: int = 100, tol: float = 1e-12
-) -> InequalityReport:
+def im_pair_check(theta: float = DEFAULT_THETA, sample_count: int = 100) -> InequalityReport:
     """For sampled levels c in (0, 1/2), locate the two preimages
     t1 < 0 < t2 of c under g and check g'(t1) + g'(t2) > 0.
 
     This is the increasing-rearrangement criterion for g being the
     derivative of a matrix-compatible increasing approximant; the report
-    carries the smallest derivative sum over all sampled levels.
+    carries the smallest derivative sum over all sampled levels, at
+    preimages bisected to a relative width of 1e-12.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -280,8 +274,8 @@ def im_pair_check(
     worst = math.inf
     worst_level = None
     for c in levels:
-        t1 = _bisect_level(float(c), theta, positive=False, tol=tol)
-        t2 = _bisect_level(float(c), theta, positive=True, tol=tol)
+        t1 = _bisect_level(float(c), theta, positive=False, tol=1e-12)
+        t2 = _bisect_level(float(c), theta, positive=True, tol=1e-12)
         total = g_prime(t1, theta) + g_prime(t2, theta)
         if total < worst:
             worst = total
@@ -292,12 +286,10 @@ def im_pair_check(
     )
 
 
-def beta_sign_report(
-    theta: float = DEFAULT_THETA, lo: float = -10.0, hi: float = 10.0, n: int = 1000
-) -> InequalityReport:
+def beta_sign_report(theta: float = DEFAULT_THETA, n: int = 1000) -> InequalityReport:
     """Worst margin of the sign pattern beta > 2 for x < 0 and beta < 2 for
-    x > 0 over an n-point grid (x = 0, where beta = 2, is skipped)."""
-    xs = np.linspace(lo, hi, n)
+    x > 0 over an n-point grid on [-10, 10], skipping x = 0 (beta = 2)."""
+    xs = np.linspace(-10.0, 10.0, n)
     bs = beta(xs, theta)
     margins = np.where(xs < 0, bs - 2.0, 2.0 - bs)[xs != 0]
     return make_report(

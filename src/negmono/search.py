@@ -13,7 +13,6 @@ slacks; only its argmin is rebuilt as an instance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import repeat
 
@@ -143,7 +142,7 @@ def _slack(sides):
 
 
 def _bound(name: str) -> tuple:
-    return (_square, lambda m: (m, np.sum(np.abs(m) ** 2, axis=(1, 2))),
+    return (lambda m: m, lambda m: (m, np.sum(np.abs(m) ** 2, axis=(1, 2))),
             lambda starts: _slack(_SIDES[name]), lambda m, start: m)
 
 
@@ -177,12 +176,12 @@ def _descent(target: str) -> tuple:
 
 def _start(target: str, instance):
     """The descent start of a public instance, as _sample draws it; a
-    commutative (mu, pi) is validated here, once."""
+    commutative (mu, pi) or a matrix is validated here, once."""
     if target == "commutative":
         mu, pi = instance
         v, perm = _spectrum_and_images(mu, pi)
         return v, tuple(int(i) + 1 for i in perm[0])
-    return instance.coeffs if target == "ineq4" else instance
+    return instance.coeffs if target == "ineq4" else _square(instance)
 
 
 def evaluate_slack(target: str, instance) -> float:
@@ -247,9 +246,10 @@ def local_descend(instance, target: str, steps: int, scale: float, seed):
     best_slack).
 
     seed may be an int or a numpy SeedSequence."""
+    instance_of = _descent(target)[3]
     start = _start(target, instance)
     [best], [slack] = _descend(target, [start], [np.random.default_rng(seed)], steps, scale)
-    return _descent(target)[3](best, start), float(slack)
+    return instance_of(best, start), float(slack)
 
 
 def serialize_instance(target: str, instance) -> dict:
@@ -303,6 +303,8 @@ def _chunks(cfg: SearchConfig, jobs: int):
     if workers <= 1:
         yield from map(_run_trials, repeat(cfg), chunks)
         return
+    # imported here, so that loading negmono loads no process pool
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_run_trials, repeat(cfg), chunks)
 

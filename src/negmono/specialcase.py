@@ -92,7 +92,9 @@ def _gap_eigs(m: np.ndarray) -> np.ndarray:
 
 # (lhs, rhs) of each bound for a stack m of shape (N, d, d), unvalidated:
 # ineqid needs only the spectrum of Z, ineqid2 only that of Delta, ineqid1
-# both. The public checks and the search descent both evaluate these.
+# both. The public checks and the search descent both evaluate these, with
+# Delta's spectrum from eigvalsh, not _chain_batch's eigh: neither is closer
+# to mpmath's (2.8e-14, 2.3e-14 over 1400 B) and eigh costs 1.8x eigvalsh.
 _SIDES = {
     "ineqid": lambda m: (_z_neg(m), _norm_bound(m)),
     "ineqid1": lambda m: (_z_neg(m), _tr_sqrt_clipped(-_gap_eigs(m))),

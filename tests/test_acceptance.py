@@ -1,11 +1,12 @@
 """Acceptance gate: each test_criterion case runs one end-to-end criterion,
 prints a single PASS/FAIL line with its runtime, and asserts the outcome.
 The tests after it check how the criterion runner numbers, names and
-budgets a criterion; how criteria 1, 2, 4, 6, 7 and 9 batch their inputs:
-the calls they make, their independence of the chunk size, that criteria
-1, 2, 6, 7 and 9 give the details of their per-item form, and which
-matrix a failure of criterion 4 or 7 reports; which state a failure of
-criterion 3 reports; and which chains criterion 6 rejects."""
+budgets a criterion; how criteria 1-4, 6, 7 and 9 batch their inputs:
+the calls they make, the independence of criteria 1, 2, 4 and 6 of their
+chunk size, that criteria 1, 2, 6, 7 and 9 give the details of their
+per-item form, and which matrix a failure of criterion 4 or 7 reports;
+which state a failure of criterion 3 reports; and which chains criterion
+6 rejects."""
 
 import itertools
 import json
@@ -14,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from negmono import acceptance, matcore, permlemma
+from negmono import acceptance, matcore, monogamy, permlemma
 from negmono.errors import StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, negativity, schatten
 from negmono.monogamy import build_Z1, build_Z2, monotonicity_report
@@ -290,38 +291,34 @@ def test_commutative_lemma_exhaustive_rejects_inexact_chains(monkeypatch, mutate
     assert result.details["completeness_failed_for"] == [2, 1]
 
 
-def test_drury_reduction_counts_and_chunk_independence(monkeypatch, call_counts):
-    # a passing run validates no B and builds no report
+def test_drury_reduction_counts(call_counts):
+    # a passing run makes one _drury_sides call per size d in 2..5,
+    # validates no B and builds no report
     counts, count = call_counts
+    count(permlemma, "_drury_sides")
     for name in ("as_complex_matrix", "make_report"):
         count(matcore, name)
-    default = acceptance.drury_reduction(seed=0)
-    assert counts == {"as_complex_matrix": 0, "make_report": 0}
-    monkeypatch.setattr(acceptance, "DRURY_CHUNK", 7)
-    small = acceptance.drury_reduction(seed=0)
-    assert default.passed and small.passed
-    assert default.details == small.details
+    assert acceptance.drury_reduction(seed=0).passed
+    assert counts == {"_drury_sides": 4, "as_complex_matrix": 0, "make_report": 0}
 
 
 def test_drury_reduction_reports_first_failing_b_in_draw_order(monkeypatch):
-    # inject failures into rows 5 and 9 of the second chunk: the sixth B
-    # of that chunk (d = 2) is reported, by drury_numeric_check
+    # inject failures into rows 69 and 73 of the d = 2 stack: B 69 is
+    # reported, by drury_numeric_check
     orig = acceptance._drury_sides
     calls = []
 
     def kernel(m):
         lhs, rhs = orig(m)
         calls.append(len(m))
-        if len(calls) == 2:
-            lhs = lhs.copy()
-            lhs[[5, 9]] = rhs[[5, 9]] + 1.0
+        lhs = lhs.copy()
+        lhs[[69, 73]] = rhs[[69, 73]] + 1.0
         return lhs, rhs
 
     monkeypatch.setattr(acceptance, "_drury_sides", kernel)
     result = acceptance.drury_reduction(seed=0)
-    chunk = acceptance.DRURY_CHUNK
-    assert not result.passed and calls == [chunk, chunk]
-    b = matcore._complex_gaussians(acceptance._rng(0, 7), 200, (2, 2))[chunk + 5]
+    assert not result.passed and calls == [200]
+    b = matcore._complex_gaussians(acceptance._rng(0, 7), 200, (2, 2))[69]
     assert result.details == {"failed": drury_numeric_check(b, tol=1e-9).to_dict()}
 
 
@@ -366,6 +363,13 @@ def test_special_case_chain_failed_bound_is_reported(monkeypatch):
     assert not result.passed
     assert result.details["failed"]["name"] == "ineqid1"
     assert result.details["failed"]["holds"] is False
+
+
+def test_partial_trace_monotonicity_makes_one_verify_batch_per_dims(call_counts):
+    counts, count = call_counts
+    count(monogamy, "verify_batch")
+    assert acceptance.partial_trace_monotonicity(seed=0).passed
+    assert counts == {"verify_batch": len(acceptance.STATE_DIMS)} == {"verify_batch": 3}
 
 
 def test_partial_trace_monotonicity_reports_first_failure_in_draw_order(monkeypatch):

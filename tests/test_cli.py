@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from negmono import cli, matcore, monogamy, specialcase
+from negmono import acceptance, cli, matcore, monogamy, search, specialcase
 from negmono.cli import main
 from negmono.errors import RootNotBracketedError, StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, matrix_to_dict
@@ -87,6 +87,14 @@ def _module_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return {**os.environ, "PYTHONPATH": path}
+
+
+def test_import_loads_no_process_pool():
+    # search imports its pool on the --jobs > 1 path only
+    code = "import sys, negmono; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_module_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_module_entry_point_runs_the_cli():
@@ -302,6 +310,35 @@ def test_bracketing_failure_is_internal_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "im-approx", "--s-list", "1")
     assert code == 3 and out == ""
     assert err.strip().splitlines() == ["internal error: no positive root for level 0.25"]
+
+
+# A kernel of each subcommand, and a short run that reaches it.
+_CRASH_RUNS = {
+    "verify-conjecture": ((cli, "verify_batch"), ("--trials", "2")),
+    "special-case": ((specialcase, "_chain_batch"), ("--d", "3")),
+    "search": ((search, "ineq4_batch"), ("--target", "ineq4", "--dims", "2x2x2",
+                                         "--trials", "2")),
+    "selftest": ((acceptance, "_z1"), ()),
+}
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), IndexError("index 3 is out of bounds"),
+                                 RuntimeError("kernel gave up")],
+                         ids=["MemoryError", "IndexError", "RuntimeError"])
+@pytest.mark.parametrize("command", list(_CRASH_RUNS))
+def test_any_crash_is_one_internal_error_line(capsys, monkeypatch, command, exc):
+    # never exit 1, which means a proven bound failed, and never a traceback;
+    # an exception with no message is named by its class
+    (module, name), argv = _CRASH_RUNS[command]
+
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, crash)
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 3 and out == ""
+    assert err.strip().splitlines() == [f"internal error: {str(exc) or type(exc).__name__}"]
+    assert "Traceback" not in err
 
 
 def test_search_ndjson_and_result_line(capsys):

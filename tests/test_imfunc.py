@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from negmono import imfunc
 from negmono.errors import RootNotBracketedError
 from negmono.imfunc import (
     DEFAULT_QUAD_TOL,
@@ -166,6 +167,20 @@ def test_h_grid_matches_pointwise():
     grid_vals = h_grid(xs)
     for k in (0, 17, 50, 100):
         assert grid_vals[k] == pytest.approx(h(float(xs[k])), abs=1e-9)
+
+
+@pytest.mark.parametrize("theta,quad_tol", [(1.0, DEFAULT_QUAD_TOL), (2.5, 1e-8)])
+def test_h_is_h_grid_at_one_point(theta, quad_tol):
+    # bit for bit, and bit for bit one quadrature over [L, x] with half the
+    # budget, L the tail cutoff; at or below L, h is exactly 0
+    lo = tail_cutoff(theta, quad_tol)
+    for x in (lo - 1.0, lo, -3.0, 0.0, 0.5, 7.0, 500.0):
+        got = h(x, theta, quad_tol)
+        assert got == h_grid([x], theta, quad_tol)[0]
+        ref = 0.0 if x <= lo else adaptive_simpson(
+            lambda y: imfunc._g_scalar(y, theta), lo, x, 0.5 * quad_tol)
+        assert got == ref
+    assert h(lo, theta, quad_tol) == 0.0 and h(lo - 1.0, theta, quad_tol) == 0.0
 
 
 def test_h_grid_requires_ascending_input():

@@ -1,9 +1,11 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
 from negmono import matcore, permlemma, qstate, search
 from negmono.errors import (InvalidPermutationError, NegativeEntryError, NotSortedError,
-                            SizeMismatchError)
+                            NotSquareError, SizeMismatchError)
 from negmono.matcore import complex_gaussian
 from negmono.monogamy import ineq4_report
 from negmono.permlemma import check_commutative
@@ -278,7 +280,7 @@ def test_search_starts_no_more_workers_than_chunks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=300, local_steps=3, seed=0)
     assert run_search(cfg, jobs=64) == run_search(cfg, jobs=1)
     assert sizes == [3]
@@ -415,6 +417,29 @@ def test_commutative_search_validates_no_drawn_start(call_counts):
     count(permlemma, "_spectrum_and_images")
     run_search(SearchConfig(target="commutative", d=5, trials=150, local_steps=3, seed=0))
     assert counts == {"_spectrum_and_images": 0}
+
+
+@pytest.mark.parametrize("target", ["ineqid", "ineqid1", "ineqid2"])
+def test_matrix_search_validates_no_drawn_start(call_counts, target):
+    # the drawn starts are complex square matrices by construction; the one
+    # validation left serializes the argmin
+    counts, count = call_counts
+    count(matcore, "as_complex_matrix")
+    run_search(SearchConfig(target=target, d=3, trials=150, local_steps=3, seed=0))
+    assert counts == {"as_complex_matrix": 1}
+
+
+@pytest.mark.parametrize("instance,error,message", [
+    (np.ones((2, 3)), NotSquareError, "square"),
+    (np.zeros((0, 0)), ValueError, "non-empty"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError, "finite"),
+], ids=["non-square", "empty", "non-finite"])
+@pytest.mark.parametrize("target", ["ineqid", "ineqid1", "ineqid2"])
+def test_public_matrix_instances_are_validated(target, instance, error, message):
+    with pytest.raises(error, match=message):
+        evaluate_slack(target, instance)
+    with pytest.raises(error, match=message):
+        local_descend(instance, target, steps=5, scale=0.1, seed=0)
 
 
 @pytest.mark.parametrize("mu,pi,error", [
