@@ -2,7 +2,7 @@
 
 Reports go to stdout, one JSON object per line (NDJSON) unless CSV is
 selected where supported. Progress and diagnostics go to stderr. Exit
-status is 0 when every checked statement holds (a violation of the
+status is 0 when every checked statement holds (a violation of a
 conjectured inequality is reported as a finding but still exits 0),
 1 when a proven statement is violated numerically or a certified chain
 step fails, 2 on usage errors, 3 on any other failure of the run (say, a
@@ -22,14 +22,17 @@ import numpy as np
 from . import acceptance
 from .imfunc import DEFAULT_QUAD_TOL, DEFAULT_THETA, IMParams, sup_error_table
 from .matcore import TAU_CHECK, _rng, complex_gaussian, load_matrix
-from .monogamy import verify_batch, verify_reports
+from .monogamy import VERIFY_NAMES, verify_batch
 from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearranged_sum
 from .qstate import _random_coeffs
 from .search import TARGETS, SearchConfig, run_search
 from .specialcase import interlacing_trace, pad_square
 from .errors import QuadratureFailureError, StepFailedError
 
-CONJECTURED = ("ineq4",)
+# ineq2 is He and Vidal's conjectured monogamy of the squared negativity;
+# ineq3 follows from it and ineq4 is equivalent to it, so all three are
+# findings when violated, never proven failures.
+CONJECTURED = ("ineq2", "ineq3", "ineq4")
 
 # One compact encoder for every record, rather than one per json.dumps call;
 # numpy scalars (np.int64, np.bool_, ...) are written as their Python value.
@@ -75,29 +78,38 @@ def _output(path):
         yield fh
 
 
-def _verdict(reports, out) -> int:
-    """Write the record of every report, in order, and return the exit
-    status: 1 when a proven report failed, else 0. A failed conjectured
-    report is a finding: it adds a finding record and a stderr note. The
-    failed proven report with the lowest slack (the first on ties) is named
-    in one stderr line at the end."""
+def _verdict(rows, out) -> int:
+    """Write the record text of every row (name, slack, holds, text), in
+    order, and return the exit status: 1 when a proven report failed, else
+    0. A failed conjectured report is a finding: it adds a finding record
+    and a stderr note. The failed proven report with the lowest slack (the
+    first on ties) is named in one stderr line at the end.
+
+    This is the one verdict loop. A row's text is its report's record as
+    _encode writes it: special-case, perm-lemma and drury-check pass
+    _rows(reports); verify-conjecture renders its rows a chunk at a time
+    (_verify_rows), byte for byte the records of monogamy.verify_reports."""
     worst = None
-    for rep in reports:
-        rec = rep.to_dict()
-        _emit(rec, out)
-        if rep.holds:
+    for name, slack, holds, text in rows:
+        out.write(text + "\n")
+        if holds:
             continue
-        if rep.name in CONJECTURED:
-            _emit({"finding": "conjecture-violation", **rec}, out)
-            print(f"finding: {rep.name} violated at trial {rec['trial']} "
-                  f"(slack {rep.slack:.3e})", file=sys.stderr)
-        elif worst is None or rep.slack < worst.slack:
-            worst = rep
+        if name in CONJECTURED:
+            out.write('{"finding":"conjecture-violation",' + text[1:] + "\n")
+            print(f"finding: {name} violated at trial {json.loads(text)['trial']} "
+                  f"(slack {slack:.3e})", file=sys.stderr)
+        elif worst is None or slack < worst[1]:
+            worst = (name, slack)
     if worst is None:
         return 0
-    print(f"proven statement violated: {worst.name} slack {worst.slack:.3e}",
-          file=sys.stderr)
+    print(f"proven statement violated: {worst[0]} slack {worst[1]:.3e}", file=sys.stderr)
     return 1
+
+
+def _rows(reports):
+    """The _verdict rows of InequalityReport objects."""
+    for rep in reports:
+        yield rep.name, rep.slack, rep.holds, _encode(rep.to_dict())
 
 
 # States per verify_batch call in verify-conjecture, which streams its
@@ -105,19 +117,47 @@ def _verdict(reports, out) -> int:
 CHUNK = 16
 
 
-def _verify_reports(dims, trials: int, tol: float, seed: int):
+def _verify_rows(dims, trials: int, tol: float, seed: int):
+    """The _verdict rows of verify-conjecture, rendered a chunk at a time
+    from the arrays of verify_batch. slack, holds and slack_rel are the
+    IEEE operations of make_report and monogamy._digest, taken on arrays;
+    every float of a chunk is written by one _encode call, so NaN and
+    Infinity read as in any record, and each line fills a fixed template
+    per report name with the key order of InequalityReport.to_dict."""
     rng = _rng(seed)
+    dims_text = _encode([int(d) for d in dims])
+    templates = [f'{{"name":"{name}","lhs":%s,"rhs":%s,"slack":%s,"holds":%s,'
+                 f'"dims":{dims_text}%s,"seed":{seed},"trial":%d}}' for name in VERIFY_NAMES]
     for start in range(0, trials, CHUNK):
         c = _random_coeffs(dims, rng, min(CHUNK, trials - start))
-        for k, row in enumerate(np.column_stack(verify_batch(c))):
-            yield from verify_reports(dims, row, tol, seed=seed, trial=start + k)
+        lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = verify_batch(c)
+        # (N, 5): one column per report of VERIFY_NAMES
+        lhs = np.column_stack((lhs, lhs, lhs, n_ab, n_ac))
+        rhs = np.column_stack((rhs2, rhs3, rhs4, n_abc, n_abc))
+        with np.errstate(all="ignore"):  # Python float arithmetic does not warn
+            slack = rhs - lhs
+            rel = slack / rhs
+        holds = slack >= -tol
+        has_rel = rhs > 0
+        has_rel[:, 3:] = False  # the monotonicity links carry no slack_rel
+        floats = _encode(np.stack((lhs, rhs, slack, rel), axis=-1).ravel().tolist())
+        floats = floats[1:-1].split(",")
+        slack, holds, has_rel = slack.tolist(), holds.tolist(), has_rel.tolist()
+        for i in range(len(c)):
+            for k, name in enumerate(VERIFY_NAMES):
+                j = 4 * (5 * i + k)
+                lhs_t, rhs_t, slack_t, rel_t = floats[j:j + 4]
+                rel_t = ',"slack_rel":' + rel_t if has_rel[i][k] else ""
+                text = templates[k] % (lhs_t, rhs_t, slack_t,
+                                       "true" if holds[i][k] else "false", rel_t, start + i)
+                yield name, slack[i][k], holds[i][k], text
 
 
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
     with _output(args.out) as out:
-        return _verdict(_verify_reports(dims, args.trials, args.tol, seed), out)
+        return _verdict(_verify_rows(dims, args.trials, args.tol, seed), out)
 
 
 def _cmd_special(args) -> int:
@@ -128,7 +168,7 @@ def _cmd_special(args) -> int:
         b = complex_gaussian(_rng(seed), (args.d, args.d))
     with _output(args.out) as out:
         trace = interlacing_trace(b, tol=args.tol)
-        return _verdict((rep.with_meta(seed=seed) for rep in trace.reports), out)
+        return _verdict(_rows(rep.with_meta(seed=seed) for rep in trace.reports), out)
 
 
 def _perm_reports(d: int, samples: int, tol: float, seed: int):
@@ -145,7 +185,7 @@ def _exhaustive(args, reports) -> int:
     if args.d > D_MAX:
         raise ValueError(f"d={args.d} exceeds the exhaustive limit {D_MAX}")
     with _output(args.out) as out:
-        return _verdict(reports, out)
+        return _verdict(_rows(reports), out)
 
 
 def _cmd_perm(args) -> int:

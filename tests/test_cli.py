@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from negmono.cli import main
 from negmono.errors import RootNotBracketedError, StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, matrix_to_dict
 from negmono.monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
-from negmono.qstate import coeff_matrices, random_state
+from negmono.qstate import _random_coeffs, coeff_matrices, random_state
 from negmono.specialcase import BOUNDS, STEPS, interlacing_trace
 
 
@@ -497,13 +498,15 @@ def test_verify_output_does_not_depend_on_chunk(capsys, monkeypatch):
 
 def test_verify_counts_per_chunk(monkeypatch, call_counts):
     # per chunk: two stacked eigvalsh (Z1, Z2) and one SVD (the A|BC
-    # coefficient matrices); no per-state validation or eigensolver call;
-    # one ineq4_batch row per state
+    # coefficient matrices); no per-state validation or eigensolver call,
+    # and no report object: the records are rendered from the chunk's
+    # arrays; one ineq4_batch row per state
     counts, count = call_counts
     for name in ("eigvalsh", "svd"):
         count(np.linalg, name)
-    for name in ("require_hermitian", "hermitian_eigenvalues"):
+    for name in ("require_hermitian", "hermitian_eigenvalues", "make_report"):
         count(matcore, name)
+    count(monogamy, "verify_reports")
     rows = []
     orig = monogamy.ineq4_batch
 
@@ -517,8 +520,84 @@ def test_verify_counts_per_chunk(monkeypatch, call_counts):
                  "--out", os.devnull]) == 0
     chunks = 3
     assert counts == {"eigvalsh": 2 * chunks, "svd": chunks,
-                      "require_hermitian": 0, "hermitian_eigenvalues": 0}
+                      "require_hermitian": 0, "hermitian_eigenvalues": 0,
+                      "make_report": 0, "verify_reports": 0}
     assert rows == [cli.CHUNK, cli.CHUNK, 3]
+
+
+def _verdict_of_reports(capsys, dims, columns, tol, seed):
+    """Exit code, stdout and stderr of _verdict over the records of
+    monogamy.verify_reports, built state by state from the verify_batch
+    entries in columns (one tuple per trial)."""
+    reports = [rep for trial, values in enumerate(columns)
+               for rep in monogamy.verify_reports(dims, values, tol, seed=seed, trial=trial)]
+    out = io.StringIO()
+    code = cli._verdict(cli._rows(reports), out)
+    return code, out.getvalue(), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, -10.0])
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 3), (3, 2, 4)])
+def test_verify_rows_match_the_report_oracle(capsys, monkeypatch, dims, chunk, tol):
+    # --tol -10 fails every report: three findings and two proven failures
+    # per state, exit 1
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    trials, seed = 20, 6
+    got = run_cli(capsys, "verify-conjecture", "--dims", "x".join(map(str, dims)),
+                  "--trials", str(trials), "--seed", str(seed), f"--tol={tol!r}")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+    columns = [[v[0] for v in monogamy.verify_batch(random_state(dims, rng).coeffs[None])]
+               for _ in range(trials)]
+    assert got == _verdict_of_reports(capsys, dims, columns, tol, seed)
+    if tol == -10.0:
+        assert got[0] == 1 and got[1].count('"finding"') == 3 * trials
+
+
+def test_verify_non_finite_entries_render_as_the_encoder_writes_them(capsys, monkeypatch):
+    orig = cli.verify_batch
+
+    def kernel(c):
+        lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = (v.copy() for v in orig(c))
+        rhs2[0] = np.inf    # slack inf, slack_rel NaN
+        lhs[1] = np.nan     # every bound NaN: three findings
+        rhs3[2] = 0.0       # no slack_rel
+        rhs4[3] = -np.inf   # no slack_rel, slack -inf
+        lhs[4] = -np.inf    # slack inf, slack_rel inf
+        n_ab[5] = np.inf    # a proven link fails at -inf
+        n_abc[6] = np.nan   # both links NaN
+        return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc
+
+    monkeypatch.setattr(cli, "verify_batch", kernel)
+    dims, trials, seed = (2, 3, 3), 9, 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(capsys, "verify-conjecture", "--dims", "2x3x3",
+                      "--trials", str(trials), "--seed", str(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+    columns = list(zip(*kernel(_random_coeffs(dims, rng, trials))))
+    assert got == _verdict_of_reports(capsys, dims, columns, 1e-9, seed)
+    assert got[0] == 1
+    for text in ("NaN", "Infinity", "-Infinity"):
+        assert f":{text}," in got[1]
+
+
+def test_verify_he_vidal_violation_is_a_finding_in_all_three_forms(capsys, monkeypatch):
+    # a counterexample to He-Vidal fails ineq2, ineq3 and ineq4 together:
+    # three findings per state, exit 0, no proven failure
+    orig = monogamy.ineq4_batch
+
+    def ineq4_batch(c):
+        n1, n2, lhs, rhs = orig(c)
+        return n1, n2, 20 * lhs, rhs
+
+    monkeypatch.setattr(monogamy, "ineq4_batch", ineq4_batch)
+    code, out, err = run_cli(capsys, "verify-conjecture", "--trials", "3")
+    assert code == 0
+    findings = [(r["name"], r["trial"]) for r in parse_ndjson(out) if "finding" in r]
+    assert findings == [(name, t) for t in range(3) for name in ("ineq2", "ineq3", "ineq4")]
+    assert "proven statement violated" not in err
+    assert len(err.strip().splitlines()) == 9
 
 
 def test_verify_exit_message_names_the_proven_failure(capsys, monkeypatch):
