@@ -44,11 +44,16 @@ def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
+def _complex_pairs(x: np.ndarray) -> np.ndarray:
+    """The complex Gaussians (x[:, 0] + i x[:, 1]) / sqrt(2) of a stack of
+    real standard normal pairs (k, 2, *shape)."""
+    return (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
+
+
 def _complex_gaussians(rng: np.random.Generator, k: int, shape: tuple) -> np.ndarray:
     """k complex_gaussian(rng, shape) draws stacked (k, *shape) by one
     generator call: the stream of k single draws, bit for bit."""
-    x = rng.standard_normal((k, 2, *shape))
-    return (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
+    return _complex_pairs(rng.standard_normal((k, 2, *shape)))
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

@@ -67,8 +67,12 @@ class TripartiteState:
 def _random_coeffs(dims, rng: np.random.Generator, k: int) -> np.ndarray:
     """k random_state coefficient tensors (k, dA, dB, dC) from one generator
     call, unchecked; row i is the i-th of k single draws, bit for bit."""
-    c = _complex_gaussians(rng, k, dims)
-    flat = c.reshape(k, -1)
+    return _unit_states(_complex_gaussians(rng, k, dims))
+
+
+def _unit_states(c: np.ndarray) -> np.ndarray:
+    """Divide each tensor of a stack (k, dA, dB, dC) by its norm, in place."""
+    flat = c.reshape(len(c), -1)
     flat /= np.sqrt((np.abs(flat) ** 2).sum(axis=1, keepdims=True))
     return c
 

@@ -1,12 +1,14 @@
 """Seeded random scans and derivative-free local descent on the slack of the
 monogamy and special-case inequalities.
 
-Every trial is a pure function of (seed, trial_index) through splittable
-seed sequences, so results are reproducible and independent of worker
+Every trial is a pure function of (seed, trial_index): its start and its
+descent draw from the two children of numpy's SeedSequence((seed,
+trial_index)), so results are reproducible and independent of worker
 scheduling; the final minimum is merged by (slack, trial_index). Trials run
-in fixed chunks of CHUNK consecutive indices, and the trials of a chunk
-descend in lockstep through one batched slack evaluation per step, for
-every target. A chunk stays a stack of arrays from its start draws to its
+in fixed chunks of CHUNK consecutive indices. A chunk seeds all its streams
+from one vectorised pass of the SeedSequence hash, and its trials descend
+in lockstep through one batched slack evaluation per step, for every
+target. A chunk stays a stack of arrays from its start draws to its
 slacks; only its argmin is rebuilt as an instance.
 """
 
@@ -14,14 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import repeat
 
 import numpy as np
 
-from .matcore import TAU_CHECK, _square, complex_gaussian, matrix_from_dict, matrix_to_dict
+from .matcore import TAU_CHECK, _complex_pairs, _square, matrix_from_dict, matrix_to_dict
 from .monogamy import ineq4_batch
 from .permlemma import _commutative_sides, _spectrum_and_images
-from .qstate import TripartiteState, _random_coeffs, state_from_dict, state_to_dict
+from .qstate import TripartiteState, _unit_states, state_from_dict, state_to_dict
 from .specialcase import _SIDES
 
 TARGETS = ("ineq4", "ineqid", "ineqid1", "ineqid2", "commutative")
@@ -40,11 +43,29 @@ CHUNK = 128
 # buffer (590 kB at 2x3x3) whatever --local-steps is.
 NOISE_BLOCK = 16
 
+# Most trials a search may run: every trial index is then one 32-bit word of
+# seed entropy, so all trials of a chunk share one entropy layout.
+MAX_TRIALS = 2**32
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): its default pool
+# size in 32-bit words, its hash constants and its xor-shift.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Scan parameters; dims is used by the state target ineq4, d by the
-    matrix and spectrum targets."""
+    matrix and spectrum targets.
+
+    The support of B in a state on A x B x C has dimension at most dA * dC
+    (and that of C at most dA * dB), so ineq4 dims beyond those add nothing:
+    2x2x5 searches nothing that 2x2x4 does not. trials is at most
+    MAX_TRIALS; the seed may be any non-negative integer."""
 
     target: str
     dims: tuple[int, int, int] | None = None
@@ -60,6 +81,8 @@ class SearchConfig:
             raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most 2**32, got {self.trials}")
         if self.local_steps < 0:
             raise ValueError("local_steps must be non-negative")
         if not (self.step_scale > 0 and math.isfinite(self.step_scale)):
@@ -88,34 +111,123 @@ class SearchResult:
         return asdict(self)
 
 
-def _trial_seeds(cfg: SearchConfig, trial_index: int):
-    """The (start state, descent) seed sequences of one trial: the two
-    children of SeedSequence((seed, trial_index)), built without their
-    parent."""
-    entropy = (cfg.seed, int(trial_index))
-    return [np.random.SeedSequence(entropy, spawn_key=(k,)) for k in (0, 1)]
+def _running_hash(init: int, mult: int):
+    """numpy SeedSequence's running hash of uint32 arrays: xor in the
+    current constant, advance the constant by mult, multiply by it and
+    xor-shift. The constants do not depend on the data, so one hash serves
+    every row at once."""
+    const = init
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hash_
+
+
+def _seed_words(seed: int, trials) -> np.ndarray:
+    """SeedSequence((seed, t), spawn_key=(k,)).generate_state(4, np.uint64)
+    for every t of trials (each below 2**32) and k in (0, 1), as a
+    (2, len(trials), 4) array: row [k, i] seeds stream k of trials[i].
+
+    One pass of numpy's hash with one uint32 array per entropy word. The
+    run entropy is the 32-bit words of seed, least significant first, then
+    t; it is padded with zeros to the pool size, because a spawn key
+    follows, and then comes k."""
+    if min(trials) < 0 or max(trials) >= MAX_TRIALS:
+        raise ValueError(f"trial indices must lie in [0, 2**32), got {min(trials)}..{max(trials)}")
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    n = len(trials)
+    entropy = np.zeros((max(len(words) + 1, _POOL) + 1, 2, n), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None, None]
+    entropy[len(words)] = np.asarray(trials, dtype=np.uint32)
+    entropy[-1, 1] = 1
+    entropy = entropy.reshape(len(entropy), 2 * n)
+    hashmix = _running_hash(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    # the entropy always outgrows the pool, so every pool word starts from it
+    pool = [hashmix(e) for e in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    # generate_state(4, np.uint64): 8 words cycling over the pool, paired
+    # little-endian into 64-bit words
+    out_hash = _running_hash(_INIT_B, _MULT_B)
+    out = [out_hash(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
+    state = np.stack([lo | hi << np.uint64(32) for lo, hi in zip(out[0::2], out[1::2])])
+    return np.ascontiguousarray(state.reshape(4, 2, n).transpose(1, 2, 0))
+
+
+@cache
+def _precomputed_seed():
+    """A numpy ISeedSequence whose generate_state returns words computed
+    beforehand; defined on first use, so that importing negmono loads no
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PrecomputedSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+                raise ValueError(f"holds {len(self.words)} {self.words.dtype} words")
+            return self.words
+
+    return PrecomputedSeed
+
+
+def _generators(seed: int, trials) -> list:
+    """[start generators, descent generators] of the given trials: for
+    trial t, the generators default_rng gives the two children of
+    SeedSequence((seed, t)), stream for stream, built from one _seed_words
+    pass."""
+    precomputed = _precomputed_seed()
+    return [[np.random.Generator(np.random.PCG64(precomputed(w))) for w in words]
+            for words in _seed_words(seed, trials)]
 
 
 def random_instance(cfg: SearchConfig, trial_index: int):
     """Deterministic random instance for one trial: a normalised Gaussian
     state for ineq4, a complex Gaussian matrix for the ineqid targets, or a
     sorted exponentially spaced spectrum plus uniform permutation."""
-    start = _sample(cfg, np.random.default_rng(_trial_seeds(cfg, trial_index)[0]))
+    [start] = _sample(cfg, _generators(cfg.seed, [trial_index])[0])
     return TripartiteState(start) if cfg.target == "ineq4" else start
 
 
-def _sample(cfg: SearchConfig, rng: np.random.Generator):
-    """The start of a descent: an instance, or the coefficient tensor of a
-    state for ineq4."""
-    if cfg.target == "ineq4":
-        return _random_coeffs(cfg.dims, rng, 1)[0]
+def _sample(cfg: SearchConfig, rngs: list):
+    """The descent starts drawn from the given generators, one each, every
+    start as a single draw from its generator would give it: a stack of
+    state coefficient tensors for ineq4 or of matrices for the ineqid
+    targets, a list of (spectrum, permutation) for commutative."""
+    n = len(rngs)
     if cfg.target == "commutative":
-        mu = np.exp(-MU_GAMMA * rng.random(cfg.d))
-        mu[::-1].sort()
-        mu /= mu.sum()
-        pi = tuple(int(i) + 1 for i in rng.permutation(cfg.d))
-        return mu, pi
-    return complex_gaussian(rng, (cfg.d, cfg.d))
+        u = np.empty((n, cfg.d))
+        perms = []
+        for rng, out in zip(rngs, u):
+            rng.random(out=out)
+            perms.append(tuple(int(i) + 1 for i in rng.permutation(cfg.d)))
+        mu = np.exp(-MU_GAMMA * u)
+        mu[:, ::-1].sort(axis=1)
+        mu /= mu.sum(axis=1, keepdims=True)
+        return list(zip(mu, perms))
+    shape = cfg.dims if cfg.target == "ineq4" else (cfg.d, cfg.d)
+    x = np.empty((n, 2, *shape))
+    for rng, out in zip(rngs, x):
+        rng.standard_normal(out=out)
+    c = _complex_pairs(x)
+    return _unit_states(c) if cfg.target == "ineq4" else c
 
 
 def _normalised(c: np.ndarray):
@@ -192,7 +304,7 @@ def evaluate_slack(target: str, instance) -> float:
     return float(slack([start])(array(start)[None])[0])
 
 
-def _descend(target: str, starts: list, rngs: list, steps: int, scale: float):
+def _descend(target: str, starts: list | np.ndarray, rngs: list, steps: int, scale: float):
     """Greedy descent on the slack of several starts in lockstep, with one
     batched slack evaluation per step. Returns (best rows, their slacks) as
     stacks; the instance of row k is instance(rows[k], starts[k]).
@@ -221,8 +333,8 @@ def _descend(target: str, starts: list, rngs: list, steps: int, scale: float):
             for rng, out in zip(rngs, noise):
                 rng.standard_normal(out=out)
         step_noise = noise[:, k]
-        if complex_noise:  # as complex_gaussian
-            step_noise = (step_noise[:, 0] + 1j * step_noise[:, 1]) / np.sqrt(2.0)
+        if complex_noise:
+            step_noise = _complex_pairs(step_noise)
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below
             cand = best + scales[per_start] * step_noise
             finite = np.all(np.isfinite(cand))
@@ -276,12 +388,9 @@ def _run_trials(cfg: SearchConfig, trials: range) -> tuple[list, tuple]:
     """The slacks of the given trials, descended in lockstep, and their
     argmin (slack, trial_index, best_instance): the lowest slack, first
     trial on ties."""
-    starts, rngs = [], []
-    for t in trials:
-        start_seq, descent_seq = _trial_seeds(cfg, t)
-        starts.append(_sample(cfg, np.random.default_rng(start_seq)))
-        rngs.append(np.random.default_rng(descent_seq))
-    rows, slacks = _descend(cfg.target, starts, rngs, cfg.local_steps, cfg.step_scale)
+    start_rngs, descent_rngs = _generators(cfg.seed, trials)
+    starts = _sample(cfg, start_rngs)
+    rows, slacks = _descend(cfg.target, starts, descent_rngs, cfg.local_steps, cfg.step_scale)
     k = int(np.argmin(slacks))
     best = _descent(cfg.target)[3](rows[k], starts[k])
     return slacks.tolist(), (float(slacks[k]), trials[k], best)

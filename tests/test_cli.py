@@ -91,11 +91,13 @@ def _module_env():
 
 
 def test_import_loads_no_process_pool():
-    # search imports its pool on the --jobs > 1 path only
-    code = "import sys, negmono; print('multiprocessing' in sys.modules)"
+    # search imports its pool on the --jobs > 1 path only, and numpy.random
+    # when it first draws
+    code = ("import sys, negmono; "
+            "print('multiprocessing' in sys.modules, 'numpy.random' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=_module_env(),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_module_entry_point_runs_the_cli():
@@ -380,6 +382,8 @@ def test_search_rejects_jobs_below_one(capsys, jobs):
     (("--target", "ineqid", "--trials", "2"), "target ineqid needs a matrix size d >= 1"),
     (("--target", "ineqid", "--d", "2", "--dims", "2x2x2"), "target ineqid takes d, not dims"),
     (("--target", "ineq4", "--dims", "2x2x2", "--d", "2"), "target ineq4 takes dims, not d"),
+    (("--target", "ineq4", "--dims", "2x2x2", "--trials", str(2**32 + 1)),
+     f"trials must be at most 2**32, got {2**32 + 1}"),
 ])
 def test_bad_search_configuration_is_a_usage_error(capsys, argv, message):
     # --jobs is checked with the other counts, and SearchConfig's own

@@ -56,6 +56,10 @@ def test_config_validation():
         SearchConfig(target="ineqid", d=2, trials=0)
     with pytest.raises(ValueError):
         SearchConfig(target="ineqid", d=2, seed=-1)
+    # only built: a search at the cap would run for weeks
+    assert SearchConfig(target="ineqid", d=2, trials=2**32, seed=2**96).trials == search.MAX_TRIALS
+    with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+        SearchConfig(target="ineqid", d=2, trials=2**32 + 1)
 
 
 def test_random_instance_deterministic_per_trial():
@@ -67,12 +71,60 @@ def test_random_instance_deterministic_per_trial():
     assert np.abs(a.coeffs - c.coeffs).max() > 0
 
 
-def test_trial_seeds_are_the_spawned_children():
-    cfg = SearchConfig(target="ineqid", d=2, seed=11)
-    for t in (0, 1, 63, 10**6):
-        spawned = np.random.SeedSequence(entropy=(cfg.seed, t)).spawn(2)
-        for got, want in zip(search._trial_seeds(cfg, t), spawned):
-            np.testing.assert_array_equal(got.generate_state(8), want.generate_state(8))
+def test_seed_words_are_the_spawned_children():
+    # seeds of one to four 32-bit words, trial indices up to the last one below the cap
+    trials = [0, 1, 127, 128, 10**6, 2**32 - 1]
+    for seed in (0, 11, 2**32 - 1, 2**32, 2**64 + 5, 2**96):
+        words = search._seed_words(seed, trials)
+        generators = search._generators(seed, trials)
+        for i, t in enumerate(trials):
+            spawned = np.random.SeedSequence((seed, t)).spawn(2)
+            for k in (0, 1):
+                child = np.random.SeedSequence((seed, t), spawn_key=(k,))
+                np.testing.assert_array_equal(words[k, i], child.generate_state(4, np.uint64))
+                np.testing.assert_array_equal(
+                    generators[k][i].standard_normal(64),
+                    np.random.default_rng(spawned[k]).standard_normal(64))
+    cfg = SearchConfig(target="ineqid", d=2)
+    for t in (-1, 2**32):
+        with pytest.raises(ValueError, match="trial indices"):
+            random_instance(cfg, t)
+
+
+@pytest.mark.parametrize("target", list(ALL_TARGETS))
+def test_sampled_starts_are_single_draws(target):
+    # a chunk's stack of starts is, row by row, the start each stream draws alone
+    cfg = SearchConfig(target=target, seed=5, **ALL_TARGETS[target])
+    trials = range(3, 12)
+    starts = search._sample(cfg, search._generators(cfg.seed, trials)[0])
+    for t, start in zip(trials, starts):
+        want = _reference_start(cfg, np.random.SeedSequence((cfg.seed, t)).spawn(2)[0])
+        got = random_instance(cfg, t)
+        if target == "ineq4":
+            want, got = want.coeffs, got.coeffs
+        elif target == "commutative":
+            assert start[1] == got[1] == want[1]
+            start, got, want = start[0], got[0], want[0]
+        np.testing.assert_array_equal(start, want)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_search_builds_no_seed_sequence(monkeypatch):
+    # a chunk seeds its streams from precomputed words, not per trial
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=300, local_steps=3, seed=0)
+    assert -(-cfg.trials // search.CHUNK) == 3
+    run_search(cfg)
+    assert built == []
+    np.random.SeedSequence((0, 1))  # the counter sees a construction
+    assert built == [((0, 1),)]
 
 
 def test_random_instance_kinds():
@@ -204,13 +256,31 @@ def _reference_descend(instance, target, steps, scale, seed):
     return best, best_slack, scale
 
 
+def _reference_start(cfg, seed):
+    """The start of a trial drawn alone from default_rng(seed): a
+    random_state, a complex_gaussian matrix, or an exponentially spaced
+    spectrum, sorted and normalised, and then a uniform permutation."""
+    rng = np.random.default_rng(seed)
+    if cfg.target == "ineq4":
+        return qstate.random_state(cfg.dims, rng)
+    if cfg.target == "commutative":
+        mu = np.exp(-search.MU_GAMMA * rng.random(cfg.d))
+        mu[::-1].sort()
+        mu /= mu.sum()
+        return mu, tuple(int(i) + 1 for i in rng.permutation(cfg.d))
+    return complex_gaussian(rng, (cfg.d, cfg.d))
+
+
 def _scalar_descent(cfg):
-    """[(slack, final_scale)] of every trial through the reference descent."""
+    """[(slack, final_scale)] of every trial through the reference descent,
+    from starts and descent streams seeded by the spawned children of
+    SeedSequence((seed, t))."""
     out = []
     for t in range(cfg.trials):
-        descent_seed = np.random.SeedSequence(entropy=(cfg.seed, t)).spawn(2)[1]
+        start_seed, descent_seed = np.random.SeedSequence(entropy=(cfg.seed, t)).spawn(2)
         _, slack, scale = _reference_descend(
-            random_instance(cfg, t), cfg.target, cfg.local_steps, cfg.step_scale, descent_seed
+            _reference_start(cfg, start_seed), cfg.target, cfg.local_steps, cfg.step_scale,
+            descent_seed
         )
         out.append((slack, scale))
     return out
@@ -349,7 +419,7 @@ def test_lockstep_rows_do_not_depend_on_their_stack(target):
     # the descended instance of a start is the same alone and in a stack
     cfg = SearchConfig(target=target, trials=9, seed=6, **ALL_TARGETS[target])
     seeds = [np.random.SeedSequence(entropy=(cfg.seed, t)).spawn(2) for t in range(cfg.trials)]
-    starts = [search._sample(cfg, np.random.default_rng(s)) for s, _ in seeds]
+    starts = search._sample(cfg, [np.random.default_rng(s) for s, _ in seeds])
 
     def descend(ks):
         return _descend(target, [starts[k] for k in ks],
