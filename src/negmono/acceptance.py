@@ -23,6 +23,7 @@ from .monogamy import _negativities, _overlaps, _z1, _z2, monotonicity_report, v
 from .permlemma import (
     _drury_sides,
     _ma_chains,
+    _pair_index,
     _pair_table,
     _perm_array,
     _rearranged_sums,
@@ -226,14 +227,14 @@ def commutative_lemma_exhaustive(seed):
             if edges != [(i, p) for i, p in enumerate(pi, 1) if p > i]:
                 return False, {"completeness_failed_for": list(pi)}
         mu = np.sort(rng.random((100, d)), axis=1)[:, ::-1]
-        tables = _pair_table(mu)
+        tables, index = _pair_table(mu), _pair_index(perms)
         totals = (d / 2.0) * mu.sum(axis=1)[:, None]
         # a chunk pairs n_mu spectra with n_pi permutations
         pairs = GATHER // d
         n_mu, n_pi = max(1, pairs // len(perms)), min(len(perms), pairs)
         for k in range(0, len(mu), n_mu):
             for j in range(0, len(perms), n_pi):
-                direct = _rearranged_sums(tables[k:k + n_mu], perms[j:j + n_pi])
+                direct = _rearranged_sums(tables[k:k + n_mu], index[j:j + n_pi])
                 worst_slack = min(worst_slack, float(np.min(totals[k:k + n_mu] - direct**2)))
     swap = check_commutative(np.array([1.0, 0.0]), (2, 1))
     passed = worst_slack >= -1e-9 and abs(swap.slack) <= 1e-12

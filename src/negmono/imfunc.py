@@ -4,16 +4,17 @@ alpha(x) = 1 + exp(-theta x): the antiderivative h, its scaled family
 h_s(x) = h(s x)/sqrt(s), and the paired-derivative check that certifies g
 as the derivative of an increasing matrix-compatible approximant.
 
-h is computed by adaptive Simpson quadrature on [L, x] where the left
-cutoff L makes the analytic tail bound on the dropped integral smaller
-than half the requested tolerance; quad_tol is therefore a total error
-budget, not a per-panel one.
+h is computed by adaptive Simpson quadrature on [L, x], every panel of a
+grid in lockstep, where the left cutoff L makes the analytic tail bound on
+the dropped integral smaller than half the requested tolerance; quad_tol
+is therefore a total error budget, not a per-panel one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -26,6 +27,7 @@ DEFAULT_QUAD_TOL = 1e-10
 # exp() overflow guard; g underflows to zero long before this matters.
 _EXP_CLIP = 700.0
 _EPS = float(np.finfo(float).eps)
+_SLICE = 512  # most points in one _g_array call of h_grid
 
 
 def w(x):
@@ -76,7 +78,7 @@ def g_prime(x, theta: float = DEFAULT_THETA):
 
 
 def _g_scalar(y: float, theta: float) -> float:
-    # pure-math fast path for the quadrature inner loop
+    # one-point form of _g_array, which equals it bit for bit
     e = math.exp(min(-theta * y, _EXP_CLIP))
     u = (1.0 + e) * y
     a = abs(u)
@@ -85,46 +87,68 @@ def _g_scalar(y: float, theta: float) -> float:
     return 0.5 * (u * u + 1.0) ** -0.25
 
 
-def _simpson(fa, fm, fb, a, b) -> float:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan as from Python floats
+def _g_array(y: np.ndarray, theta: float) -> np.ndarray:
+    """_g_scalar at every point of y, bit for bit: numpy takes the IEEE-exact
+    steps, libm exp and pow (numpy's SIMD forms differ on 5% of inputs)."""
+    u = (1.0 + np.fromiter(map(math.exp, np.minimum(-theta * y, _EXP_CLIP).tolist()), float)) * y
+    big = np.abs(u) > 1e150
+    v = np.where(big, 0.0, u)
+    out = 0.5 * np.fromiter(map(pow, (v * v + 1.0).tolist(), repeat(-0.25)), float, y.size)
+    out[big] = 0.5 / np.sqrt(np.abs(u[big]))
+    return out
 
 
-def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth) -> float:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, a, m)
-    right = _simpson(fm, frm, fb, m, b)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise QuadratureFailureError(
-            f"max subdivision depth reached on [{a!r}, {b!r}]"
-        )
-    # Below the rounding error of the estimate, err is roundoff: halving the
-    # panels halves both, so the test above could only pass by chance.
-    if 15.0 * tol < _EPS * abs(whole):
-        raise QuadratureFailureError(
-            f"panel tolerance {tol:.3g} on [{a!r}, {b!r}] is below the rounding "
-            f"error {_EPS * abs(whole):.3g} of its Simpson estimate"
-        )
-    half = 0.5 * tol
-    return _adapt(f, a, fa, lm, flm, m, fm, left, half, depth - 1) + _adapt(
-        f, m, fm, rm, frm, b, fb, right, half, depth - 1
-    )
+@np.errstate(over="ignore", invalid="ignore")
+def _simpson_panels(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Adaptive Simpson with Richardson correction on the panels [a_k, b_k]
+    in lockstep, 60 halvings deep at most, f called once per level on the
+    left and once on the right midpoints. A tol under a panel's roundoff
+    fails, as err could meet it only by chance. The values, and the error of
+    the first failing panel from the left, are the recursion's bit for bit."""
+    m = 0.5 * (a + b)
+    fa, fb, fm = f(a), f(b), f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    levels, failure = [], None
+    for depth in range(60, -1, -1):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left, right = (m - a) / 6.0 * (fa + 4.0 * flm + fm), (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        split = ~(np.abs(err) <= 15.0 * tol)
+        bad = split & (depth <= 0 or 15.0 * tol < _EPS * np.abs(whole))
+        # a nan or inf at its points, or a nan tol, makes a panel fail at some depth
+        sick = ~(np.isfinite(fa) & np.isfinite(fm) & np.isfinite(fb)) | math.isnan(tol)
+        doomed = bad | split & sick
+        if doomed.any():  # advance only what lies left of the first
+            k = int(np.argmax(doomed))
+            if bad[k]:
+                span = f"on [{float(a[k])!r}, {float(b[k])!r}]"
+                failure = (f"max subdivision depth reached {span}" if depth <= 0 else
+                           f"panel tolerance {tol:.3g} {span} is below the rounding "
+                           f"error {_EPS * abs(float(whole[k])):.3g} of its Simpson estimate")
+            split[k if bad[k] else k + 1:] = False
+        levels.append((left + right + err / 15.0, split))
+        if not split.any():
+            break
+        tol = 0.5 * tol
+        a, m, b, fa, fm, fb, whole = (
+            np.column_stack((x[split], y[split])).ravel()
+            for x, y in ((a, m), (lm, rm), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right)))
+    if failure is not None:
+        raise QuadratureFailureError(failure)
+    value = levels.pop()[0]
+    for val, split in reversed(levels):  # a split panel sums its halves
+        val[split], value = value[0::2] + value[1::2], val
+    return value
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Adaptive Simpson quadrature with Richardson correction, 60 halvings deep at most."""
     if b <= a:
         return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(fa, fm, fb, a, b)
-    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, 60)
+    fs = lambda ys: np.fromiter(map(f, ys.tolist()), float, ys.size)
+    return float(_simpson_panels(fs, np.array([a], float), np.array([b], float), tol)[0])
 
 
 def tail_bound(x: float, theta: float = DEFAULT_THETA) -> float:
@@ -149,7 +173,8 @@ def h(x: float, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL
 
 
 def h_grid(xs, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """h evaluated on an ascending grid by cumulative segment quadrature.
+    """h evaluated on an ascending grid by one _simpson_panels call over the
+    segments between its points above L, summed left to right.
 
     The total budget quad_tol is split into half for the tail cutoff and
     half shared by the n segments, so errors cannot accumulate past it.
@@ -160,17 +185,15 @@ def h_grid(xs, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL)
     if np.any(np.diff(v) < 0):
         raise ValueError("grid must be ascending")
     lo = tail_cutoff(theta, quad_tol)
-    seg_tol = 0.5 * quad_tol / v.size
-    fn = lambda y: _g_scalar(y, theta)
+    up = ~(v <= lo)  # a point at or below L gives 0
+    starts, ends = np.concatenate(([lo], v[up]))[:-1], v[up]
+    run = ~(ends <= starts)  # a zero-length segment gives 0.0
+    seg = np.zeros(ends.size)
+    gs = lambda y: np.concatenate(  # _SLICE points at a time bound the Python floats held
+        [_g_array(t, theta) for t in np.split(y, range(_SLICE, y.size, _SLICE))])
+    seg[run] = _simpson_panels(gs, starts[run], ends[run], 0.5 * quad_tol / v.size)
     out = np.zeros(v.size)
-    acc = 0.0
-    prev = lo
-    for i, x in enumerate(v):
-        if x <= lo:
-            continue
-        acc += adaptive_simpson(fn, prev, float(x), seg_tol)
-        prev = float(x)
-        out[i] = acc
+    out[up] = np.cumsum(seg)
     return out
 
 
@@ -232,30 +255,29 @@ def sup_error_table(s_values, params: IMParams) -> list[tuple[float, float]]:
     return rows
 
 
-def _bisect_level(c: float, theta: float, positive: bool, tol: float) -> float:
-    """Solve g(t) = c on the requested monotone branch by bisection,
-    evaluating g by _g_scalar, the pure-math g of the quadrature.
+def _bisect_levels(c: np.ndarray, theta: float, positive: bool, tol: float) -> np.ndarray:
+    """Solve g(t) = c for every level of the array c on the requested
+    monotone branch by bisection, in lockstep, evaluating g by _g_array.
 
     The bracket runs from inner = 0, where g = 1/2 > c, to an outer end
     doubled until g(outer) <= c. A midpoint with g > c replaces the inner
     end. A tie g = c replaces the end at the larger t: the outer one on the
     positive branch, the inner one on the negative branch.
     """
-    if not 0.0 < c < 0.5:
-        raise RootNotBracketedError(f"level must lie in (0, 1/2), got {c}")
-    inner, outer = 0.0, (1.0 if positive else -1.0)
-    while _g_scalar(outer, theta) > c:
-        outer *= 2.0
-        if abs(outer) > 1e12:
-            side = "positive" if positive else "negative"
-            raise RootNotBracketedError(f"no {side} root for level {c}")
-    while abs(outer - inner) > tol * max(1.0, abs(outer)):
+    bad = ~((0.0 < c) & (c < 0.5))
+    if bad.any():
+        raise RootNotBracketedError(f"level must lie in (0, 1/2), got {float(c[bad][0])}")
+    ends = np.ldexp(1.0 if positive else -1.0, np.arange(40))  # the outer ends up to 1e12
+    stop = ~(_g_array(ends, theta) > c[:, None])
+    if not stop.any(axis=1).all():
+        side = "positive" if positive else "negative"
+        raise RootNotBracketedError(f"no {side} root for level {float(c[~stop.any(axis=1)][0])}")
+    inner, outer = np.zeros(c.shape), ends[stop.argmax(axis=1)]
+    while (live := np.abs(outer - inner) > tol * np.maximum(1.0, np.abs(outer))).any():
         mid = 0.5 * (inner + outer)
-        gm = _g_scalar(mid, theta)
-        if gm > c or (gm == c and not positive):
-            inner = mid
-        else:
-            outer = mid
+        gm = _g_array(mid, theta)
+        up = live & (gm > c if positive else gm >= c)
+        inner, outer = np.where(up, mid, inner), np.where(live & ~up, mid, outer)
     return 0.5 * (inner + outer)
 
 
@@ -266,20 +288,21 @@ def im_pair_check(theta: float = DEFAULT_THETA, sample_count: int = 100) -> Ineq
     This is the increasing-rearrangement criterion for g being the
     derivative of a matrix-compatible increasing approximant; the report
     carries the smallest derivative sum over all sampled levels, at
-    preimages bisected to a relative width of 1e-12.
+    preimages bisected to a relative width of 1e-12. g' is evaluated one
+    root at a time: numpy's array results are not its 0-d ones to the bit.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     levels = np.linspace(0.01, 0.49, sample_count)
+    roots = zip(_bisect_levels(levels, theta, False, 1e-12).tolist(),
+                _bisect_levels(levels, theta, True, 1e-12).tolist())
     worst = math.inf
     worst_level = None
-    for c in levels:
-        t1 = _bisect_level(float(c), theta, positive=False, tol=1e-12)
-        t2 = _bisect_level(float(c), theta, positive=True, tol=1e-12)
+    for c, (t1, t2) in zip(levels.tolist(), roots):
         total = g_prime(t1, theta) + g_prime(t2, theta)
         if total < worst:
             worst = total
-            worst_level = float(c)
+            worst_level = c
     return make_report(
         "im_pair_derivative_sum", 0.0, worst,
         theta=theta, samples=int(sample_count), worst_level=worst_level,

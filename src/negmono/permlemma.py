@@ -93,7 +93,7 @@ def _spectrum_and_images(mu, image, sorted_required: bool = True):
 def commutative_lhs(mu, image) -> float:
     """sum_i sqrt((mu_i - mu_{pi(i)})_+)."""
     v, perm = _spectrum_and_images(mu, image, sorted_required=False)
-    return float(_rearranged_sums(_pair_table(v), perm)[0])
+    return float(_rearranged_sums(_pair_table(v), _pair_index(perm))[0])
 
 
 def _pair_table(v: np.ndarray) -> np.ndarray:
@@ -103,17 +103,22 @@ def _pair_table(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(diff, 0.0, None)).reshape(*v.shape[:-1], -1)
 
 
-def _rearranged_sums(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """sum_i sqrt((v_i - v_{pi(i)})_+) for each row pi of perms, read from
-    the _pair_table of v: every table of a stack (..., d^2) meets every row
-    of perms (P, d), 0-based images, giving (..., P). For a stack of N
-    tables that meets one permutation each, pass table.ravel() and offset
-    row k of perms by k * d^2. Each sum adds the same floats in the same
-    order as the elementwise sqrt(clip(v - v[pi], 0)).sum(), so it is that
-    sum to the last bit. The gather holds (..., P, d) floats; callers with
-    many tables and permutations bound it by chunks."""
+def _pair_index(perms: np.ndarray) -> np.ndarray:
+    """The _pair_table index i * d + pi(i) of each row pi of perms (..., d)."""
     d = perms.shape[-1]
-    return np.take(table, perms + d * np.arange(d), axis=-1).sum(axis=-1)
+    return perms + d * np.arange(d)
+
+
+def _rearranged_sums(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """sum_i sqrt((v_i - v_{pi(i)})_+) for each row pi of perms, read from
+    the _pair_table of v by index = _pair_index(perms): every table of a
+    stack (..., d^2) meets every row of index (P, d), giving (..., P). For a
+    stack of N tables that meets one permutation each, pass table.ravel()
+    and offset row k of index by k * d^2. Each sum adds the same floats in
+    the same order as the elementwise sqrt(clip(v - v[pi], 0)).sum(), so it
+    is that sum to the last bit. The gather holds (..., P, d) floats;
+    callers with many tables and permutations bound it by chunks."""
+    return np.take(table, index, axis=-1).sum(axis=-1)
 
 
 def _commutative_sides(mu: np.ndarray, perms: np.ndarray):
@@ -121,7 +126,8 @@ def _commutative_sides(mu: np.ndarray, perms: np.ndarray):
     perms, both (N, d), unvalidated. The sum is squared by C pow on Python
     floats; numpy's s * s differs in the last bit about once in 1000."""
     n, d = mu.shape
-    sums = _rearranged_sums(_pair_table(mu).ravel(), perms + d * d * np.arange(n)[:, None])
+    index = _pair_index(perms) + d * d * np.arange(n)[:, None]
+    sums = _rearranged_sums(_pair_table(mu).ravel(), index)
     return np.array([float(s) ** 2 for s in sums]), (d / 2.0) * mu.sum(axis=1)
 
 
@@ -192,7 +198,7 @@ def max_rearranged_sum(mu) -> tuple[float, tuple[int, ...]]:
     if v.size > D_MAX:
         raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
     perms = _perm_array(v.size)
-    vals = _rearranged_sums(_pair_table(v), perms)
+    vals = _rearranged_sums(_pair_table(v), _pair_index(perms))
     best = int(np.argmax(vals))
     return float(vals[best]), tuple(int(i) + 1 for i in perms[best])
 
@@ -207,7 +213,7 @@ def _drury_sides(m: np.ndarray):
     # B B* is Hermitian by construction
     mu = _lapack(np.linalg.eigvalsh, _herm(m @ _adj(m)))[:, ::-1]
     table = _pair_table(np.clip(mu, 0.0, None))
-    return lhs, _rearranged_sums(table, _perm_array(m.shape[-1])).max(axis=-1)
+    return lhs, _rearranged_sums(table, _pair_index(_perm_array(m.shape[-1]))).max(axis=-1)
 
 
 def drury_numeric_check(b, tol: float = TAU_CHECK) -> InequalityReport:

@@ -4,7 +4,8 @@ The tests after it check how the criterion runner numbers, names and
 budgets a criterion; how criteria 1-4, 6, 7 and 9 batch their inputs:
 the calls they make, the independence of criteria 1, 2, 4 and 6 of their
 chunk size, that criteria 1, 2, 6, 7 and 9 give the details of their
-per-item form, and which matrix a failure of criterion 4 or 7 reports;
+per-item form and criterion 8 those of its former scalar quadrature and
+bisection, and which matrix a failure of criterion 4 or 7 reports;
 which state a failure of criterion 3 reports; and which chains criterion
 6 rejects."""
 
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from imfunc_oracles import reference_approximation_suite
 
 from negmono import acceptance, matcore, monogamy, permlemma
 from negmono.errors import StepFailedError
@@ -216,7 +218,8 @@ STACKED = [(acceptance.representation_equivalence, _per_state_representation_equ
            (acceptance.commutative_lemma_exhaustive, _per_spectrum_commutative_lemma_exhaustive),
            (acceptance.drury_reduction, _per_matrix_drury_reduction),
            (acceptance.diagonal_quasinorm_monotonicity,
-            _per_matrix_diagonal_quasinorm_monotonicity)]
+            _per_matrix_diagonal_quasinorm_monotonicity),
+           (acceptance.approximation_suite, reference_approximation_suite)]
 
 
 @pytest.mark.parametrize("criterion,reference", STACKED,
@@ -266,6 +269,15 @@ def test_commutative_lemma_exhaustive_counts_and_chunk_independence(monkeypatch,
     small = acceptance.commutative_lemma_exhaustive(seed=0)
     assert default.passed and small.passed
     assert default.details == small.details
+
+
+def test_commutative_lemma_exhaustive_builds_each_index_once(call_counts):
+    # one flat pair-table index per size, sliced for every chunk, and one
+    # for the swap witness
+    counts, count = call_counts
+    count(permlemma, "_pair_index")
+    assert acceptance.commutative_lemma_exhaustive(seed=0).passed
+    assert counts == {"_pair_index": 8}
 
 
 def _edge_to_the_wrong_index(chains):

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from imfunc_oracles import recursive_simpson, reference_h_grid, scalar_bisect
 from scipy.integrate import quad
 
 from negmono import imfunc
-from negmono.errors import RootNotBracketedError
+from negmono.cli import main
+from negmono.errors import QuadratureFailureError, RootNotBracketedError
 from negmono.imfunc import (
     DEFAULT_QUAD_TOL,
     IMParams,
@@ -240,9 +243,12 @@ def test_im_pair_check_positive_sums():
     assert rep.inputs_digest["samples"] == 50
 
 
-def test_level_crossing_outside_range_raises():
-    from negmono.imfunc import _bisect_level
+def _bisect_level(c, theta, positive, tol):
+    # _bisect_levels on a batch of one level
+    return float(imfunc._bisect_levels(np.array([c]), theta, positive, tol)[0])
 
+
+def test_level_crossing_outside_range_raises():
     with pytest.raises(RootNotBracketedError):
         _bisect_level(0.9, 1.0, True, 1e-12)
     # interior levels bracket two points with g(t) = c on opposite slopes
@@ -254,7 +260,7 @@ def test_level_crossing_outside_range_raises():
 
 
 def _two_branch_bisect(c, theta, positive, tol, g=g):
-    # the former _bisect_level, one mirrored loop per branch
+    # the one-level bisection as it was, one mirrored loop per branch
     if positive:
         lo, hi = 0.0, 1.0
         while g(hi, theta) > c:
@@ -281,8 +287,6 @@ def _two_branch_bisect(c, theta, positive, tol, g=g):
 @pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("positive", [False, True])
 def test_bisect_level_matches_two_branch_reference(theta, positive):
-    from negmono.imfunc import _bisect_level
-
     for c in np.linspace(0.01, 0.49, 100):
         got = _bisect_level(float(c), theta, positive, 1e-12)
         assert got == _two_branch_bisect(float(c), theta, positive, 1e-12)
@@ -292,13 +296,11 @@ def test_bisect_level_ties_keep_each_branch_rule(monkeypatch):
     # with g equal to the level everywhere, every midpoint is a tie: the
     # positive branch moves its outer end and the negative branch its
     # inner end, as the two-branch form did
-    from negmono import imfunc
-
     def flat(t, theta):
         return 0.25
 
-    monkeypatch.setattr(imfunc, "_g_scalar", flat)
-    roots = [imfunc._bisect_level(0.25, 1.0, positive, 1e-3) for positive in (False, True)]
+    monkeypatch.setattr(imfunc, "_g_array", lambda t, theta: np.full(t.shape, 0.25))
+    roots = [_bisect_level(0.25, 1.0, positive, 1e-3) for positive in (False, True)]
     assert roots == [_two_branch_bisect(0.25, 1.0, positive, 1e-3, g=flat)
                      for positive in (False, True)]
     assert roots[0] < -0.99 and 0.0 < roots[1] < 0.01
@@ -317,3 +319,168 @@ def test_h_minus_sqrt_bounded_on_positive_axis():
     h0 = h(0.0)
     for x in np.linspace(1.0, 100.0, 23):
         assert abs(h(float(x)) - math.sqrt(x)) <= h0 + 1.0
+
+
+# Lockstep against the former scalar forms in imfunc_oracles, to the last bit.
+
+def _counting_g_array(monkeypatch):
+    evals = [0]
+    g_array = imfunc._g_array
+
+    def counted(y, theta):
+        evals[0] += y.size
+        return g_array(y, theta)
+
+    monkeypatch.setattr(imfunc, "_g_array", counted)
+    return evals
+
+
+def _random_grids(theta, quad_tol, count=12):
+    # ascending, with duplicate points, points at and below the cutoff L,
+    # and a single point
+    rng = np.random.default_rng(int(100 * theta))
+    lo = imfunc.tail_cutoff(theta, quad_tol)
+    grids = [np.array([0.0]), np.array([lo]), np.array([lo - 3.0, lo, 1.0, 1.0])]
+    for _ in range(count):
+        pts = rng.uniform(1.3 * lo, 40.0, rng.integers(1, 40))
+        pts = np.concatenate([pts, pts[: rng.integers(0, 4)], [lo, 0.0]])
+        grids.append(np.sort(pts))
+    return grids
+
+
+def _criterion_grids():
+    xs = IMParams().grid()
+    return [xs, 100.0 * xs]
+
+
+@pytest.mark.parametrize("theta,quad_tol,grids", [
+    (1.0, DEFAULT_QUAD_TOL, _criterion_grids()),
+    (0.5, 1e-8, _random_grids(0.5, 1e-8)),
+    (2.5, 1e-8, _random_grids(2.5, 1e-8)),
+], ids=["criterion-8", "theta-0.5", "theta-2.5"])
+def test_h_grid_is_the_recursion_bit_for_bit(monkeypatch, theta, quad_tol, grids):
+    # the same values to the last bit from the same integrand evaluations
+    evals = _counting_g_array(monkeypatch)
+    for xs in grids:
+        evals[0] = 0
+        got = h_grid(xs, theta, quad_tol)
+        ref, ref_evals = reference_h_grid(xs, theta, quad_tol)
+        assert got.tobytes() == ref.tobytes()
+        assert evals[0] == ref_evals
+
+
+def test_h_grid_fails_where_the_recursion_fails_first():
+    # the first failing panel from the left: at 1e-14 and 3e-15 a later
+    # segment fails at once, at 1e-15 that happens too, but a panel of an
+    # earlier segment fails four halvings down and is the error
+    xs = np.array([-50.0, -20.0, 0.0, 0.0, 3.0, 40.0, 400.0, 4000.0])
+    seen = set()
+    for quad_tol in (1e-13, 3e-14, 1e-14, 3e-15, 1e-15, 1e-16, 1e-17, 1e-30):
+        try:
+            reference_h_grid(xs, 1.0, quad_tol)
+        except QuadratureFailureError as exc:
+            ref = str(exc)
+        else:
+            ref = None
+        if ref is None:
+            continue
+        with pytest.raises(QuadratureFailureError) as info:
+            h_grid(xs, 1.0, quad_tol)
+        assert str(info.value) == ref
+        seen.add(ref.split(" on [")[1].split(",")[0])
+    # failures in more than one segment
+    assert len(seen) > 1
+
+
+@pytest.mark.parametrize("xs", [[float("nan")], [0.0, float("nan"), 1.0], [float("inf")]])
+def test_h_grid_non_finite_points_fail_as_the_recursion(xs):
+    # a nan point fails at the depth limit along one path, not on 2**60 panels
+    with pytest.raises(QuadratureFailureError) as ref:
+        reference_h_grid(xs)
+    with pytest.raises(QuadratureFailureError) as got:
+        h_grid(xs)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("f,a,b,tol", [
+    (math.sin, 0.0, 10.0, 1e-11),
+    (lambda t: 1.0 / (1.0 + t * t), 0.0, 40.0, 1e-11),
+    (math.sqrt, 0.0, 2.0, 1e-10),
+    (math.sqrt, 0.0, 2.0, 1e-14),
+    (abs, -1.0, 2.0, 1e-300),
+    (math.exp, 0.0, 1.0, float("nan")),
+], ids=["sin", "lorentz", "sqrt", "sqrt-depth", "abs-roundoff", "nan-tol"])
+def test_adaptive_simpson_is_the_recursion(f, a, b, tol):
+    try:
+        ref = recursive_simpson(f, a, b, tol)
+    except QuadratureFailureError as exc:
+        with pytest.raises(QuadratureFailureError) as info:
+            adaptive_simpson(f, a, b, tol)
+        assert str(info.value) == str(exc)
+    else:
+        assert adaptive_simpson(f, a, b, tol) == ref
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])
+def test_lockstep_roots_are_the_scalar_bisection(theta):
+    levels = np.linspace(0.01, 0.49, 100)
+    for positive in (False, True):
+        got = imfunc._bisect_levels(levels, theta, positive, 1e-12).tolist()
+        assert got == [scalar_bisect(c, theta, positive, 1e-12) for c in levels.tolist()]
+    rep = im_pair_check(theta, 100)
+    sums = [g_prime(scalar_bisect(c, theta, False, 1e-12), theta)
+            + g_prime(scalar_bisect(c, theta, True, 1e-12), theta) for c in levels.tolist()]
+    assert rep.rhs == min(sums)
+    assert rep.inputs_digest["worst_level"] == levels.tolist()[sums.index(min(sums))]
+
+
+def test_bisect_levels_reject_what_the_scalar_loop_rejects():
+    for c in (0.0, 0.5, 0.9, float("nan")):
+        with pytest.raises(RootNotBracketedError) as ref:
+            scalar_bisect(c, 1.0, True, 1e-12)
+        with pytest.raises(RootNotBracketedError) as got:
+            imfunc._bisect_levels(np.array([0.25, c]), 1.0, True, 1e-12)
+        assert str(got.value) == str(ref.value)
+    # g that does not fall to the level by |t| = 1e12 leaves no bracket
+    for positive in (False, True):
+        with pytest.raises(RootNotBracketedError) as ref:
+            scalar_bisect(1e-7, 1e-15, positive, 1e-12)
+        with pytest.raises(RootNotBracketedError) as got:
+            imfunc._bisect_levels(np.array([0.25, 1e-7, 2e-7]), 1e-15, positive, 1e-12)
+        assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.5, 1e3])
+def test_g_array_is_g_scalar_bit_for_bit(theta):
+    # on spread points; below -700/theta the exp argument is clipped, above
+    # |u| = 1e150 the square root branch applies, and at +-0.0
+    rng = np.random.default_rng(7)
+    ys = np.concatenate([
+        rng.uniform(-80.0, 80.0, 3000), rng.standard_normal(3000),
+        -np.geomspace(700.0 / theta, 1e6, 200), -np.geomspace(1e3, 1e300, 50),
+        np.geomspace(1e149, 1e308, 200), -np.geomspace(1e149, 1e300, 50),
+        [0.0, -0.0, np.inf, -np.inf],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = imfunc._g_array(ys, theta)
+    ref = np.array([imfunc._g_scalar(y, theta) for y in ys.tolist()])
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_no_runtime_warning_escapes(capsys):
+    # u * u overflowing and 0.5 / sqrt(0) are never computed; inf and nan
+    # arise only where the former float code made them, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta, quad_tol in ((1.0, DEFAULT_QUAD_TOL), (2.5, 1e-8)):
+            for xs in _criterion_grids() + _random_grids(theta, quad_tol, 3):
+                h_grid(xs, theta, quad_tol)
+        for xs in ([0.0, 1e200], [float("inf")], [float("nan")]):
+            with pytest.raises(QuadratureFailureError):
+                h_grid(xs)
+        for theta in (0.5, 1.0, 3.0):
+            im_pair_check(theta, 100)
+        assert main(["im-approx"]) == 0
+        assert main(["im-approx", "--theta", "2.5", "--quad-tol", "1e-8"]) == 0
+    capsys.readouterr()

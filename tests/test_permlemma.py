@@ -16,6 +16,7 @@ from negmono import matcore
 from negmono.matcore import _complex_gaussians, complex_gaussian, hermitian_eigenvalues
 from negmono.permlemma import (
     D_MAX,
+    _pair_index,
     _pair_table,
     _perm_array,
     _rearranged_sums,
@@ -206,12 +207,13 @@ def test_rearranged_sums_match_the_elementwise_sum(d):
     if d > 2:
         mu[1] = mu[2]
     perms = _perm_array(d)
-    got = _rearranged_sums(_pair_table(mu), perms)
+    got = _rearranged_sums(_pair_table(mu), _pair_index(perms))
     ref = [np.sqrt(np.clip(mu - mu[perm], 0, None)).sum() for perm in perms]
     assert got.tolist() == [float(r) for r in ref]
     stack = rng.random((50, d))
     rows = perms[rng.integers(len(perms), size=50)]
-    got = _rearranged_sums(_pair_table(stack).ravel(), rows + d * d * np.arange(50)[:, None])
+    index = _pair_index(rows) + d * d * np.arange(50)[:, None]
+    got = _rearranged_sums(_pair_table(stack).ravel(), index)
     ref = [np.sqrt(np.clip(v - v[perm], 0, None)).sum() for v, perm in zip(stack, rows)]
     assert got.tolist() == [float(r) for r in ref]
 
