@@ -11,6 +11,7 @@ criterion 10 is reported as a finding, not as a failure of the scan.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -18,15 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imfunc import IMParams, beta_sign_report, h, im_pair_check, sup_error
-from .matcore import _adj, _complex_gaussians, _herm, _lapack, _rng, complex_gaussian
+from .matcore import _adj, _complex_gaussians, _complex_pairs, _herm, _lapack, _rng
 from .monogamy import _negativities, _overlaps, _z1, _z2, monotonicity_report, verify_batch
 from .permlemma import (
     _drury_sides,
     _ma_chains,
-    _pair_index,
-    _pair_table,
     _perm_array,
-    _rearranged_sums,
+    _rearranged_sum_blocks,
     check_commutative,
     drury_numeric_check,
 )
@@ -37,6 +36,7 @@ from .qstate import (
     _partial_trace_C,
     _partial_transpose_A,
     _random_coeffs,
+    _unit_states,
 )
 from .search import SearchConfig, evaluate_slack, deserialize_instance, run_search
 from .specialcase import STEPS, _chain_batch, _chain_reports, check_ineqid, check_ineqid2
@@ -90,6 +90,18 @@ def _state_chunks(rng: np.random.Generator):
             for dims in STATE_DIMS for start in range(0, 200, CHUNK))
 
 
+def _draws(rng: np.random.Generator, shapes, k: int) -> list[np.ndarray]:
+    """Real standard normal pairs (n, 2, *shape) for draws of the given
+    shapes, which repeat with period k, from one standard_normal call: the
+    j-th array stacks draws j, j + k, ... Each draw's slice is the stream
+    of its own call standard_normal((1, 2, *shape)), bit for bit."""
+    sizes = np.array([2 * math.prod(shape) for shape in shapes])
+    starts = np.cumsum(sizes) - sizes
+    z = rng.standard_normal(int(sizes.sum()))
+    return [z[starts[j::k, None] + np.arange(sizes[j])].reshape(-1, 2, *shapes[j])
+            for j in range(k)]
+
+
 @_criterion(budget_s=10.0)
 def representation_equivalence(seed):
     """Criterion 1: partial traces of the partially transposed density equal
@@ -133,23 +145,25 @@ def partial_trace_monotonicity(seed):
     """Criterion 3: over 500 random states, tracing out one party never
     increases the negativity (tolerance 1e-10).
 
-    The states are drawn one at a time, cycling through STATE_DIMS, and
-    evaluated by one verify_batch call per dims, on the stack of its
-    states. Only the first failing report, in draw order, is built and
+    The states cycle through STATE_DIMS in draw order, all drawn by one
+    standard_normal call: each slice is the stream of one random_state.
+    They are evaluated by one verify_batch call per dims, on the stack of
+    its states. Only the first failing report, in draw order, is built and
     returned as the detail."""
-    rng = _rng(seed, 3)
     k = len(STATE_DIMS)
-    states = [_random_coeffs(STATE_DIMS[i % k], rng, 1)[0] for i in range(500)]
+    stacks = [_unit_states(_complex_pairs(x))
+              for x in _draws(_rng(seed, 3), [STATE_DIMS[i % k] for i in range(500)], k)]
     # slack[i] holds the A|B and A|C slacks of state i
-    slack = np.empty((len(states), 2))
-    for j in range(k):
-        *_, n_ab, n_ac, n_abc = verify_batch(np.stack(states[j::k]))
+    slack = np.empty((500, 2))
+    for j, c in enumerate(stacks):
+        *_, n_ab, n_ac, n_abc = verify_batch(c)
         slack[j::k] = np.column_stack((n_abc - n_ab, n_abc - n_ac))
     slack = slack.ravel()  # in report order
     bad = np.flatnonzero(~(slack >= -1e-10))
     if bad.size:
         i = bad[0]
-        rep = monotonicity_report(TripartiteState(states[i // 2]), tol=1e-10)[i % 2]
+        state = stacks[i // 2 % k][i // 2 // k]
+        rep = monotonicity_report(TripartiteState(state), tol=1e-10)[i % 2]
         return False, {"min_slack": float(slack[: i + 1].min()), "failed": rep.to_dict()}
     worst = float(slack.min())
     return worst >= -1e-10, {"min_slack": worst}
@@ -200,42 +214,39 @@ def tightness_witness(seed):
     return passed, {"ineqid2_slack": rep.slack, "tr_neg": tr_neg, "expected": golden}
 
 
-# Most floats gathered at once from the pair tables in criterion 6; one
-# gather of all 100 spectra would hold 3.5M floats (28 MB) at d = 7.
-GATHER = 2**15
-
-
 @_criterion(budget_s=120.0)
 def commutative_lemma_exhaustive(seed):
     """Criterion 6: exhaustive over all permutations for d <= 7 with 100
     random sorted spectra each; the lemma holds, the chains are exact, and
     the two-point swap witness has zero slack.
 
-    _ma_chains runs once on every permutation of S_d (_perm_array rows are
-    valid), and its sorted chain edges must be exactly the ascents
-    (i, pi(i)), pi(i) > i: the other terms of a sorted spectrum's direct sum
-    are zero. The direct sums read each d's 100 spectra, drawn by one
-    generator call, from their _pair_table in chunks of at most GATHER
-    gathered floats."""
+    _ma_chains runs once on every permutation of S_d, in _perm_array's
+    order (itertools.permutations yields valid images), and writes each
+    chain edge (a, b) of the k-th into a byte buffer at k * d + a - 1. The
+    buffer must be exactly pi(i) at i - 1 for the ascents pi(i) > i and
+    zero elsewhere, each written once: the other terms of a sorted
+    spectrum's direct sum are zero. A failure names the first permutation
+    whose row differs. The direct sums of each d's 100 spectra, drawn by
+    one generator call, come from one _rearranged_sum_blocks call; the
+    least slack is that of the largest sum, as squaring and subtracting
+    keep the order of floats."""
     rng = _rng(seed, 6)
     worst_slack = math.inf
     for d in range(1, 8):
         perms = _perm_array(d)
-        for row in perms.tolist():
-            pi = tuple(i + 1 for i in row)
-            edges = sorted((a, b) for c in _ma_chains(pi) for a, b in zip(c[:-1], c[1:]))
-            if edges != [(i, p) for i, p in enumerate(pi, 1) if p > i]:
-                return False, {"completeness_failed_for": list(pi)}
+        edges = bytearray(perms.size)
+        for k, img in enumerate(itertools.permutations(range(1, d + 1))):
+            row = k * d - 1  # edges[row + a] is entry a - 1 of row k
+            for c in _ma_chains(img):
+                for a, b in zip(c, c[1:]):  # a source written twice cannot match
+                    edges[row + a] = 255 if edges[row + a] else b
+        ascents = np.where(perms > np.arange(d), perms + 1, 0).astype(np.uint8)
+        bad = np.flatnonzero((np.frombuffer(edges, np.uint8).reshape(-1, d) != ascents).any(axis=1))
+        if bad.size:
+            return False, {"completeness_failed_for": (perms[bad[0]] + 1).tolist()}
         mu = np.sort(rng.random((100, d)), axis=1)[:, ::-1]
-        tables, index = _pair_table(mu), _pair_index(perms)
-        totals = (d / 2.0) * mu.sum(axis=1)[:, None]
-        # a chunk pairs n_mu spectra with n_pi permutations
-        pairs = GATHER // d
-        n_mu, n_pi = max(1, pairs // len(perms)), min(len(perms), pairs)
-        for k in range(0, len(mu), n_mu):
-            for j in range(0, len(perms), n_pi):
-                direct = _rearranged_sums(tables[k:k + n_mu], index[j:j + n_pi])
-                worst_slack = min(worst_slack, float(np.min(totals[k:k + n_mu] - direct**2)))
+        direct = np.concatenate([sums.max(axis=1) for sums in _rearranged_sum_blocks(mu)])
+        worst_slack = min(worst_slack, float(np.min((d / 2.0) * mu.sum(axis=1) - direct**2)))
     swap = check_commutative(np.array([1.0, 0.0]), (2, 1))
     passed = worst_slack >= -1e-9 and abs(swap.slack) <= 1e-12
     # exact chains make the i-ordered chain-split sum add the direct sum's
@@ -296,15 +307,15 @@ def diagonal_quasinorm_monotonicity(seed):
     the matrix by its diagonal cannot decrease the 1/2 quasi-norm
     (slack >= -1e-9).
 
-    The matrices are drawn one at a time, cycling through the sizes, and
-    decomposed by one stacked SVD per size. Both square-root sums are
-    squared by C pow on Python floats, as schatten squares its sum, so each
-    slack is that of schatten(p, 0.5) to the last bit."""
-    rng = _rng(seed, 9)
-    draws = [complex_gaussian(rng, (1 + i % 6,) * 2) for i in range(500)]
+    The matrices cycle through the sizes in draw order, all drawn by one
+    standard_normal call: each slice is the stream of one complex_gaussian.
+    They are decomposed by one stacked SVD per size. Both square-root sums
+    are squared by C pow on Python floats, as schatten squares its sum, so
+    each slack is that of schatten(p, 0.5) to the last bit."""
+    shapes = [(1 + i % 6,) * 2 for i in range(500)]
     worst = math.inf
-    for d in range(1, 7):
-        gmat = np.stack(draws[d - 1::6])
+    for x in _draws(_rng(seed, 9), shapes, 6):
+        gmat = _complex_pairs(x)
         p = gmat @ _adj(gmat)
         sv = _lapack(np.linalg.svd, p, compute_uv=False)
         diag = np.sqrt(np.clip(np.diagonal(p, axis1=1, axis2=2).real, 0.0, None))

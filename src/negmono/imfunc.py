@@ -70,11 +70,20 @@ def g(x, theta: float = DEFAULT_THETA):
     return w(alpha(x, theta) * x)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan as at 0-d, silently
 def g_prime(x, theta: float = DEFAULT_THETA):
-    """Closed-form derivative w'(alpha(x) x) * beta(x)."""
+    """Closed-form derivative w'(alpha(x) x) * beta(x), the same float at a
+    point whether it comes alone or in an array: numpy's exp, which is one
+    at every shape, and libm pow, which numpy takes on the scalars of a
+    0-d call (its array pow differs on 5% of inputs)."""
     x = np.asarray(x, dtype=float)
-    out = w_prime(alpha(x, theta) * x) * beta(x, theta)
-    return float(out) if np.ndim(out) == 0 else out
+    e = np.exp(np.minimum(-theta * x, _EXP_CLIP))
+    u = (1.0 + e) * x
+    big = np.abs(u) > 1e100  # w' is 0.0 there; u * u may overflow
+    v = np.where(big, 0.0, u).ravel()
+    p = np.fromiter(map(pow, (v * v + 1.0).tolist(), repeat(1.25)), float, v.size)
+    out = np.where(big, 0.0, -u / (4.0 * p.reshape(x.shape))) * (-theta * x * e + 1.0 + e)
+    return float(out) if out.ndim == 0 else out
 
 
 def _g_scalar(y: float, theta: float) -> float:
@@ -160,7 +169,12 @@ def tail_bound(x: float, theta: float = DEFAULT_THETA) -> float:
 
 
 def tail_cutoff(theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Left endpoint L < 0 with tail_bound(L) < quad_tol / 2."""
+    """Left endpoint L < 0 with tail_bound(L) < quad_tol / 2. h, h_s and
+    h_grid check theta and quad_tol here, once: the doubling ends only
+    when both are finite and positive."""
+    for name, value in (("theta", theta), ("quad_tol", quad_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     t = 8.0 / theta
     while tail_bound(-t, theta) > 0.5 * quad_tol:
         t *= 2.0
@@ -288,24 +302,19 @@ def im_pair_check(theta: float = DEFAULT_THETA, sample_count: int = 100) -> Ineq
     This is the increasing-rearrangement criterion for g being the
     derivative of a matrix-compatible increasing approximant; the report
     carries the smallest derivative sum over all sampled levels, at
-    preimages bisected to a relative width of 1e-12. g' is evaluated one
-    root at a time: numpy's array results are not its 0-d ones to the bit.
+    preimages bisected to a relative width of 1e-12, and the first level
+    that attains it. g' is evaluated by one g_prime call per branch, on the
+    array of its roots.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     levels = np.linspace(0.01, 0.49, sample_count)
-    roots = zip(_bisect_levels(levels, theta, False, 1e-12).tolist(),
-                _bisect_levels(levels, theta, True, 1e-12).tolist())
-    worst = math.inf
-    worst_level = None
-    for c, (t1, t2) in zip(levels.tolist(), roots):
-        total = g_prime(t1, theta) + g_prime(t2, theta)
-        if total < worst:
-            worst = total
-            worst_level = c
+    sums = (g_prime(_bisect_levels(levels, theta, False, 1e-12), theta)
+            + g_prime(_bisect_levels(levels, theta, True, 1e-12), theta))
+    k = int(np.argmin(sums))
     return make_report(
-        "im_pair_derivative_sum", 0.0, worst,
-        theta=theta, samples=int(sample_count), worst_level=worst_level,
+        "im_pair_derivative_sum", 0.0, float(sums[k]),
+        theta=theta, samples=int(sample_count), worst_level=float(levels[k]),
     )
 
 

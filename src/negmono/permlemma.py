@@ -71,12 +71,16 @@ def ma_chains(image) -> list[tuple[int, ...]]:
 
 def _ma_chains(img: tuple[int, ...]) -> list[tuple[int, ...]]:
     """ma_chains of a valid 1-based image tuple, which it does not check."""
-    asc = {i: p for i, p in enumerate(img, 1) if p > i}
+    asc = {i: p for i, p in enumerate(img, 1) if p > i}  # keys ascending
+    ends = set(asc.values())
     chains = []
-    for start in sorted(asc.keys() - asc.values()):  # no ascending predecessor
-        chain = [start]
-        while chain[-1] in asc:
-            chain.append(asc[chain[-1]])
+    for i in asc:
+        if i in ends:  # not a start: it has an ascending predecessor
+            continue
+        chain = [i]
+        while i in asc:
+            i = asc[i]
+            chain.append(i)
         chains.append(tuple(chain))
     return chains
 
@@ -110,14 +114,14 @@ def _pair_index(perms: np.ndarray) -> np.ndarray:
 
 
 def _rearranged_sums(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """sum_i sqrt((v_i - v_{pi(i)})_+) for each row pi of perms, read from
-    the _pair_table of v by index = _pair_index(perms): every table of a
-    stack (..., d^2) meets every row of index (P, d), giving (..., P). For a
-    stack of N tables that meets one permutation each, pass table.ravel()
-    and offset row k of index by k * d^2. Each sum adds the same floats in
-    the same order as the elementwise sqrt(clip(v - v[pi], 0)).sum(), so it
-    is that sum to the last bit. The gather holds (..., P, d) floats;
-    callers with many tables and permutations bound it by chunks."""
+    """sum_i sqrt((v_i - v_{pi(i)})_+) for each row pi of an explicit list of
+    permutations perms, read from the _pair_table of v by index =
+    _pair_index(perms): every table of a stack (..., d^2) meets every row of
+    index (P, d), giving (..., P). For a stack of N tables that meets one
+    permutation each, pass table.ravel() and offset row k of index by
+    k * d^2. Each sum adds the same floats in the same order as the
+    elementwise sqrt(clip(v - v[pi], 0)).sum(), so it is that sum to the
+    last bit. All of S_d is _rearranged_sum_blocks's work."""
     return np.take(table, index, axis=-1).sum(axis=-1)
 
 
@@ -189,31 +193,73 @@ def _perm_array(d: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(d))), dtype=np.intp)
 
 
+# Most floats in one level array of _rearranged_sum_blocks, unless one
+# spectrum's d! exceeds it (d = 8).
+GATHER = 2**15
+
+
+@lru_cache(maxsize=None)
+def _prefix_levels(d: int) -> tuple[np.ndarray, ...]:
+    """Per depth k = 1..d, the _pair_table index (k - 1) * d + pi(k - 1) of
+    every length-k prefix of _perm_array(d), in lexicographic order: the
+    children of a node at depth k - 1 are d - k + 1 adjacent nodes."""
+    perms = _perm_array(d)
+    return tuple((k - 1) * d + perms[::math.factorial(d - k), k - 1] for k in range(1, d + 1))
+
+
+def _rearranged_sum_blocks(mu: np.ndarray):
+    """The rearranged sums of a stack of spectra mu (N, d), d <= D_MAX, over
+    all of S_d in lexicographic order: blocks (n, d!) of consecutive
+    spectra, which stacked are _rearranged_sums(_pair_table(mu),
+    _pair_index(_perm_array(d))) to the last bit, from a prefix tree.
+
+    Depth k gathers each node's term sqrt((mu_{k-1} - mu_{pi(k-1)})_+) and
+    merges it into its parent's partial sums, broadcast over its siblings,
+    in numpy's order of sum: left to right below 8 terms, and at 8 the tree
+    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), whose subtrees close
+    as a binary counter. A block holds as many spectra as keep every level
+    array, and the block itself, within GATHER floats, and one at least."""
+    d = mu.shape[1]
+    levels = _prefix_levels(d)
+    step = max(1, GATHER // math.factorial(d))
+    for start in range(0, len(mu), step):
+        # a node's partial sums of the block's spectra are one contiguous row
+        table = np.ascontiguousarray(_pair_table(mu[start:start + step]).T)
+        n = table.shape[1]
+        stack = []  # (partial sums at some depth, number of terms)
+        for index in levels:
+            value, terms = np.take(table, index, axis=0), 1
+            while stack and (d < 8 or stack[-1][1] == terms):
+                lower, lower_terms = stack.pop()
+                grouped = value.reshape(len(lower), -1, n)
+                np.add(lower[:, None, :], grouped, out=grouped)
+                terms += lower_terms
+            stack.append((value, terms))
+        yield np.ascontiguousarray(stack[0][0].T)
+
+
 def max_rearranged_sum(mu) -> tuple[float, tuple[int, ...]]:
     """max over permutations of sum_i sqrt((mu_i - mu_{pi(i)})_+) by brute
     force, returning the maximum and a 1-based argmax image. mu is a
-    finite non-negative vector, in any order; its one _pair_table meets
-    all d! permutations."""
+    finite non-negative vector, in any order."""
     v = _validate_spectrum(mu, sorted_required=False)
     if v.size > D_MAX:
         raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
-    perms = _perm_array(v.size)
-    vals = _rearranged_sums(_pair_table(v), _pair_index(perms))
+    vals = next(_rearranged_sum_blocks(v[None]))[0]
     best = int(np.argmax(vals))
-    return float(vals[best]), tuple(int(i) + 1 for i in perms[best])
+    return float(vals[best]), tuple(int(i) + 1 for i in _perm_array(v.size)[best])
 
 
 def _drury_sides(m: np.ndarray):
     """(lhs, rhs) of drury_numeric_check for a stack m of shape (N, d, d),
     unvalidated: lhs is tr sqrt(Delta_plus), the ineqid2_plus side, and
     rhs the maximum over all d! permutations of the rearranged sums of mu,
-    the clipped spectrum of B B*, sorted non-increasing. The gather holds
-    N d! d floats."""
+    the clipped spectrum of B B*, sorted non-increasing."""
     lhs = _SIDES["ineqid2_plus"](m)[0]
     # B B* is Hermitian by construction
     mu = _lapack(np.linalg.eigvalsh, _herm(m @ _adj(m)))[:, ::-1]
-    table = _pair_table(np.clip(mu, 0.0, None))
-    return lhs, _rearranged_sums(table, _pair_index(_perm_array(m.shape[-1]))).max(axis=-1)
+    blocks = _rearranged_sum_blocks(np.clip(mu, 0.0, None))
+    return lhs, np.concatenate([sums.max(axis=1) for sums in blocks])
 
 
 def drury_numeric_check(b, tol: float = TAU_CHECK) -> InequalityReport:

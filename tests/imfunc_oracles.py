@@ -1,7 +1,8 @@
-"""The former scalar forms of imfunc's quadrature and bisection, kept as
-oracles: the depth-first adaptive Simpson recursion, the h_grid loop that
-ran it once per segment, and the one-level bisection loop. Each evaluates
-g by imfunc._g_scalar one point at a time and counts its evaluations."""
+"""The former scalar forms of imfunc's quadrature, bisection and g', kept
+as oracles: the depth-first adaptive Simpson recursion, the h_grid loop
+that ran it once per segment, the one-level bisection loop, and g' composed
+of w', alpha and beta at one point. The first three evaluate g by
+imfunc._g_scalar one point at a time and count its evaluations."""
 
 import math
 
@@ -92,13 +93,20 @@ def scalar_bisect(c, theta, positive, tol):
     return 0.5 * (inner + outer)
 
 
+def scalar_g_prime(x, theta):
+    """The former g_prime at one point: w'(alpha(x) x) * beta(x), each step
+    on a 0-d array or a numpy scalar."""
+    x = np.asarray(x, dtype=float)
+    return float(imfunc.w_prime(imfunc.alpha(x, theta) * x) * imfunc.beta(x, theta))
+
+
 def reference_approximation_suite(seed):
     """Criterion 8's details from the oracles above."""
     h0 = reference_h_grid([0.0])[0][0]
     worst = math.inf
     for c in np.linspace(0.01, 0.49, 100).tolist():
         t1, t2 = (scalar_bisect(c, 1.0, positive, 1e-12) for positive in (False, True))
-        worst = min(worst, imfunc.g_prime(t1, 1.0) + imfunc.g_prime(t2, 1.0))
+        worst = min(worst, scalar_g_prime(t1, 1.0) + scalar_g_prime(t2, 1.0))
     errs = []
     for s in (1.0, 100.0):
         xs = imfunc.IMParams(s=s).grid()

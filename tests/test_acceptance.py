@@ -3,11 +3,12 @@ prints a single PASS/FAIL line with its runtime, and asserts the outcome.
 The tests after it check how the criterion runner numbers, names and
 budgets a criterion; how criteria 1-4, 6, 7 and 9 batch their inputs:
 the calls they make, the independence of criteria 1, 2, 4 and 6 of their
-chunk size, that criteria 1, 2, 6, 7 and 9 give the details of their
-per-item form and criterion 8 those of its former scalar quadrature and
-bisection, and which matrix a failure of criterion 4 or 7 reports;
-which state a failure of criterion 3 reports; and which chains criterion
-6 rejects."""
+chunk or block size, that criteria 3 and 9 slice one generator call into
+the streams of their former single draws, that criteria 1, 2, 6, 7 and 9
+give the details of their per-item form and criterion 8 those of its
+former scalar quadrature, bisection and g', and which matrix a failure of
+criterion 4 or 7 reports; which state a failure of criterion 3 reports;
+and which chains criterion 6 rejects."""
 
 import itertools
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from imfunc_oracles import reference_approximation_suite
 
-from negmono import acceptance, matcore, monogamy, permlemma
+from negmono import acceptance, matcore, monogamy, permlemma, qstate
 from negmono.errors import StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, negativity, schatten
 from negmono.monogamy import build_Z1, build_Z2, monotonicity_report
@@ -255,29 +256,34 @@ def test_stacked_criteria_counts_and_chunk_independence(monkeypatch, call_counts
 
 def test_commutative_lemma_exhaustive_counts_and_chunk_independence(monkeypatch, call_counts):
     # _ma_chains runs once on every permutation of S_d for d <= 7 and only
-    # the swap witness validates one; each chunk makes one gather, the
-    # direct sum; and the details do not depend on the gather bound
+    # the swap witness validates one; each size makes one prefix-tree call,
+    # and only the swap witness gathers an explicit permutation; the
+    # details do not depend on the bound on a level array
     counts, count = call_counts
-    for name in ("_ma_chains", "_validate_permutation", "_rearranged_sums"):
+    for name in ("_ma_chains", "_validate_permutation", "_rearranged_sum_blocks",
+                 "_rearranged_sums"):
         count(permlemma, name)
     default = acceptance.commutative_lemma_exhaustive(seed=0)
-    # 5913 is the sum of d! over d <= 7; at GATHER = 2**15 the chunks
-    # number 1 + 1 + 1 + 1 + 2 + 15 + 200 = 221, and the swap witness makes
-    # one more gather
-    assert counts == {"_ma_chains": 5913, "_validate_permutation": 1, "_rearranged_sums": 222}
-    monkeypatch.setattr(acceptance, "GATHER", 2**10)
+    # 5913 is the sum of d! over d <= 7
+    assert counts == {"_ma_chains": 5913, "_validate_permutation": 1,
+                      "_rearranged_sum_blocks": 7, "_rearranged_sums": 1}
+    monkeypatch.setattr(permlemma, "GATHER", 2**10)
     small = acceptance.commutative_lemma_exhaustive(seed=0)
     assert default.passed and small.passed
     assert default.details == small.details
 
 
 def test_commutative_lemma_exhaustive_builds_each_index_once(call_counts):
-    # one flat pair-table index per size, sliced for every chunk, and one
-    # for the swap witness
+    # one set of prefix-tree levels per size and one pair index, for the
+    # swap witness; a pair table per block of spectra: at GATHER = 2**15
+    # the blocks of the 100 spectra number 1 + 1 + 1 + 1 + 1 + 3 + 17 = 25
+    # (45 and 6 spectra to a block at d = 6 and 7), and the swap witness
+    # builds one more table
     counts, count = call_counts
-    count(permlemma, "_pair_index")
+    for name in ("_prefix_levels", "_pair_index", "_pair_table"):
+        count(permlemma, name)
     assert acceptance.commutative_lemma_exhaustive(seed=0).passed
-    assert counts == {"_pair_index": 8}
+    assert counts == {"_prefix_levels": 7, "_pair_index": 1, "_pair_table": 26}
 
 
 def _edge_to_the_wrong_index(chains):
@@ -339,6 +345,53 @@ def test_diagonal_quasinorm_monotonicity_makes_one_svd_per_size(call_counts):
     count(np.linalg, "svd")
     assert acceptance.diagonal_quasinorm_monotonicity(seed=0).passed
     assert counts == {"svd": 6}
+
+
+class _CountingRng:
+    """A generator that counts its standard_normal calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_criteria_3_and_9_slice_one_draw_into_the_per_draw_streams(monkeypatch, seed):
+    # one standard_normal call per criterion; the stack each size gets is
+    # the former one-at-a-time draws of that size, to the last bit
+    rngs, stacks = [], []
+    batch, pairs = acceptance.verify_batch, acceptance._complex_pairs
+
+    def rng_of(*entropy):
+        rngs.append(_CountingRng(matcore._rng(*entropy)))
+        return rngs[-1]
+
+    def batch_recording_input(c):
+        stacks.append(c)
+        return batch(c)
+
+    def pairs_recording_output(x):
+        stacks.append(pairs(x))
+        return stacks[-1]
+
+    monkeypatch.setattr(acceptance, "_rng", rng_of)
+    monkeypatch.setattr(acceptance, "verify_batch", batch_recording_input)
+    assert acceptance.partial_trace_monotonicity(seed=seed).passed
+    rng = matcore._rng(seed, 3)
+    dims = acceptance.STATE_DIMS
+    states = [qstate._random_coeffs(dims[i % 3], rng, 1)[0] for i in range(500)]
+    assert [s.tobytes() for s in stacks] == [np.stack(states[j::3]).tobytes() for j in range(3)]
+
+    stacks.clear()
+    monkeypatch.setattr(acceptance, "_complex_pairs", pairs_recording_output)
+    assert acceptance.diagonal_quasinorm_monotonicity(seed=seed).passed
+    rng = matcore._rng(seed, 9)
+    draws = [complex_gaussian(rng, (1 + i % 6,) * 2) for i in range(500)]
+    assert [s.tobytes() for s in stacks] == [np.stack(draws[d::6]).tobytes() for d in range(6)]
+    assert [r.calls for r in rngs] == [1, 1]
 
 
 def _failing_kernel(monkeypatch, column, first_row):

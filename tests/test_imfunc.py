@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from imfunc_oracles import recursive_simpson, reference_h_grid, scalar_bisect
+from imfunc_oracles import recursive_simpson, reference_h_grid, scalar_bisect, scalar_g_prime
 from scipy.integrate import quad
 
 from negmono import imfunc
@@ -123,6 +123,25 @@ def test_tail_bound_dominates_dropped_mass():
     for length in (-8.0, -16.0, -32.0):
         dropped = quad(g, length - 200.0, length, limit=500)[0]
         assert dropped <= tail_bound(length, 1.0)
+
+
+@pytest.mark.parametrize("theta,quad_tol", [
+    (1.0, -1.0), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
+    (0.0, DEFAULT_QUAD_TOL), (-1.0, DEFAULT_QUAD_TOL), (math.nan, DEFAULT_QUAD_TOL),
+])
+def test_tail_cutoff_rejects_what_would_not_end(monkeypatch, theta, quad_tol):
+    # a negative quad_tol would double the cutoff forever; every public
+    # entry raises before the doubling, which here fails instead of looping
+    def loop(*args):
+        raise AssertionError("the cutoff loop ran")
+
+    monkeypatch.setattr(imfunc, "tail_bound", loop)
+    calls = (lambda: tail_cutoff(theta, quad_tol), lambda: h(1.0, theta, quad_tol),
+             lambda: h_s(1.0, 2.0, theta, quad_tol),
+             lambda: h_grid([0.0, 3.0, 50.0], theta, quad_tol))
+    for call in calls:
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            call()
 
 
 def test_tail_cutoff_budget():
@@ -428,10 +447,17 @@ def test_lockstep_roots_are_the_scalar_bisection(theta):
         got = imfunc._bisect_levels(levels, theta, positive, 1e-12).tolist()
         assert got == [scalar_bisect(c, theta, positive, 1e-12) for c in levels.tolist()]
     rep = im_pair_check(theta, 100)
-    sums = [g_prime(scalar_bisect(c, theta, False, 1e-12), theta)
-            + g_prime(scalar_bisect(c, theta, True, 1e-12), theta) for c in levels.tolist()]
+    sums = [scalar_g_prime(scalar_bisect(c, theta, False, 1e-12), theta)
+            + scalar_g_prime(scalar_bisect(c, theta, True, 1e-12), theta) for c in levels.tolist()]
     assert rep.rhs == min(sums)
     assert rep.inputs_digest["worst_level"] == levels.tolist()[sums.index(min(sums))]
+
+
+def test_im_pair_check_reports_the_first_level_of_a_tie(monkeypatch):
+    # as the former loop, which replaced its worst sum only by a smaller one
+    monkeypatch.setattr(imfunc, "g_prime", lambda t, theta: np.zeros_like(t))
+    rep = im_pair_check(1.0, 5)
+    assert rep.rhs == 0.0 and rep.inputs_digest["worst_level"] == 0.01
 
 
 def test_bisect_levels_reject_what_the_scalar_loop_rejects():
@@ -466,6 +492,31 @@ def test_g_array_is_g_scalar_bit_for_bit(theta):
         got = imfunc._g_array(ys, theta)
     ref = np.array([imfunc._g_scalar(y, theta) for y in ys.tolist()])
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("theta", [1.0, 2.5])
+def test_g_prime_is_one_form_at_every_shape(theta):
+    # on an array g_prime gives each point's 0-d value, to the last bit:
+    # at criterion 8's roots, spread points, below -700/theta where the exp
+    # argument is clipped, at |u| > 1e100 where w' is 0.0, and at +-0, +-inf
+    levels = np.linspace(0.01, 0.49, 100)
+    rng = np.random.default_rng(11)
+    ys = np.concatenate([
+        imfunc._bisect_levels(levels, theta, False, 1e-12),
+        imfunc._bisect_levels(levels, theta, True, 1e-12),
+        rng.uniform(-80.0, 80.0, 3000), rng.standard_normal(3000),
+        -np.geomspace(700.0 / theta, 1e6, 200), np.geomspace(1e99, 1e308, 200),
+        -np.geomspace(1e99, 1e308, 200), [0.0, -0.0, np.inf, -np.inf],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 0-d oracle may warn at +-inf
+        ref = np.array([scalar_g_prime(y, theta) for y in ys.tolist()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = g_prime(ys, theta)
+        alone = np.array([g_prime(y, theta) for y in ys.tolist()])
+    assert got.tobytes() == ref.tobytes() == alone.tobytes()
+    assert g_prime(ys.reshape(-1, 4), theta).tobytes() == ref.tobytes()
 
 
 def test_no_runtime_warning_escapes(capsys):

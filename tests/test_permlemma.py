@@ -12,13 +12,14 @@ from negmono.errors import (
     NotSortedError,
     TooLargeError,
 )
-from negmono import matcore
+from negmono import matcore, permlemma
 from negmono.matcore import _complex_gaussians, complex_gaussian, hermitian_eigenvalues
 from negmono.permlemma import (
     D_MAX,
     _pair_index,
     _pair_table,
     _perm_array,
+    _rearranged_sum_blocks,
     _rearranged_sums,
     chain_bound,
     check_commutative,
@@ -58,10 +59,12 @@ def test_ma_chains_validation():
 
 def test_ma_chains_partition_ascending_edges():
     # non-terminal chain members are exactly the indices moved upward,
-    # and distinct chains never share an element
+    # distinct chains never share an element, and chains come in the order
+    # of their first elements
     for d in range(1, 7):
         for perm in itertools.permutations(range(1, d + 1)):
             chains = ma_chains(perm)
+            assert chains == sorted(chains)
             seen = set()
             nonterminal = set()
             for c in chains:
@@ -216,6 +219,28 @@ def test_rearranged_sums_match_the_elementwise_sum(d):
     got = _rearranged_sums(_pair_table(stack).ravel(), index)
     ref = [np.sqrt(np.clip(v - v[perm], 0, None)).sum() for v, perm in zip(stack, rows)]
     assert got.tolist() == [float(r) for r in ref]
+
+
+@pytest.mark.parametrize("d", range(1, D_MAX + 1))
+def test_rearranged_sum_blocks_are_the_gather_bit_for_bit(monkeypatch, d):
+    # the prefix tree adds in numpy's order of sum, left to right below 8
+    # terms and the pairwise tree at 8: the blocks stack to the gather over
+    # all of S_d, to the last bit, for stacks of 1, 7 (with ties and zeros)
+    # and 200 spectra, at the default bound and with one spectrum a block
+    rng = np.random.default_rng(300 + d)
+    ties = rng.random((7, d))
+    ties[rng.random((7, d)) < 0.3] = 0.0
+    if d > 2:
+        ties[:, 1] = ties[:, 2]
+    index = _pair_index(_perm_array(d))
+    default = permlemma.GATHER
+    for mu in (rng.random((1, d)), ties, rng.random((200, d))):
+        ref = np.stack([_rearranged_sums(_pair_table(v), index) for v in mu])
+        for gather in (default, 1):
+            monkeypatch.setattr(permlemma, "GATHER", gather)
+            blocks = list(_rearranged_sum_blocks(mu))
+            assert all(b.size <= max(gather, math.factorial(d)) for b in blocks)
+            assert np.concatenate(blocks).tobytes() == ref.tobytes()
 
 
 def test_drury_shift_equality():
