@@ -10,16 +10,19 @@ criterion 10 is reported as a finding, not as a failure of the scan.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .imfunc import IMParams, beta_sign_report, h, im_pair_check, sup_error
-from .matcore import _adj, _complex_gaussians, _complex_pairs, _herm, _lapack, _rng
+from .matcore import (_adj, _complex_gaussians, _complex_pairs, _herm, _lapack, _ordered_map,
+                      _rng)
 from .monogamy import _negativities, _overlaps, _z1, _z2, monotonicity_report, verify_batch
 from .permlemma import (
     _drury_sides,
@@ -79,8 +82,10 @@ def _criterion(budget_s: float | None = None):
 
 
 # States per kernel call in criteria 1 and 2 and matrices B per _chain_batch
-# call in criterion 4. Their intermediates grow with the stack: the peak RSS
-# of criteria 1-5 is 40.8 MB at 16, 63.6 MB at 200 and 143 MB at 1000.
+# call in criterion 4. Their intermediates grow with the stack: in one
+# process, the peak RSS of criteria 1-5 is 40.8 MB at 16, 63.6 MB at 200
+# and 143 MB at 1000. With more than one CPU criterion 4's stacks live in
+# its workers, so there CHUNK bounds each worker's peak.
 CHUNK = 16
 
 
@@ -169,6 +174,82 @@ def partial_trace_monotonicity(seed):
     return worst >= -1e-10, {"min_slack": worst}
 
 
+def _workers() -> int:
+    """The worker count of criteria 4 and 10: the CPUs in this process's
+    affinity mask, or os.cpu_count() where there is no such mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _part_stacks(rng: np.random.Generator, d: int, start: int, stop: int):
+    """The stacks of criterion 4's B start..stop - 1 of size d, CHUNK per
+    generator call from rng, which stands at B start."""
+    for k in range(start, stop, CHUNK):
+        yield _complex_gaussians(rng, min(CHUNK, stop - k), (d, d))
+
+
+def _chain_parts(seed: int, per_size: int) -> list[tuple]:
+    """Criterion 4's parts (d, state, start, stop), in draw order: each
+    size's 1000 B split into up to per_size contiguous parts whose bounds
+    fall on multiples of CHUNK, so that a part makes the serial chunks.
+    state is the bit generator state of _rng(seed, 4) at B start of size
+    d; between states the stream is advanced by drawing the part's chunks
+    and discarding them, so no stack is kept."""
+    rng = _rng(seed, 4)
+    chunks = math.ceil(1000 / CHUNK)
+    per_size = min(per_size, chunks)
+    parts = []
+    for d in range(2, 9):
+        for k in range(per_size):
+            start = CHUNK * (chunks * k // per_size)
+            stop = min(CHUNK * (chunks * (k + 1) // per_size), 1000)
+            parts.append((d, rng.bit_generator.state, start, stop))
+            for _ in _part_stacks(rng, d, start, stop):
+                pass
+    return parts
+
+
+def _part_generator(state: dict) -> np.random.Generator:
+    """A generator standing where a recorded bit generator state stood."""
+    bits = getattr(np.random, state["bit_generator"])()
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def _chain_part(part: tuple) -> tuple:
+    """(first failing row or None, least bound slack, largest unitary
+    residual) of one part (d, state, start, stop) of criterion 4: its B,
+    drawn from a generator set to state, certified one chunk per kernel
+    call. The row counts from the part's first B; the extremes cover the
+    chunks before a failing one."""
+    d, state, start, stop = part
+    worst_slack, worst_residual = math.inf, 0.0
+    residual_col = STEPS.index("unitary_residual")
+    for j, bs in enumerate(_part_stacks(_part_generator(state), d, start, stop)):
+        lhs, rhs, tols, _ = _chain_batch(bs, 1e-9)
+        slack = rhs - lhs
+        bad = np.flatnonzero(~np.all(slack >= -tols, axis=1))
+        if bad.size:
+            return j * CHUNK + int(bad[0]), worst_slack, worst_residual
+        worst_residual = max(worst_residual, float(lhs[:, residual_col].max()))
+        worst_slack = min(worst_slack, float(slack[:, len(STEPS):].min()))
+    return None, worst_slack, worst_residual
+
+
+def _part_failure(part: tuple, row: int):
+    """The first failing report of B row of a part of criterion 4, rebuilt
+    from the kernel call on its chunk; a failed chain step raises
+    StepFailedError with that B as its instance."""
+    d, state, start, stop = part
+    stacks = _part_stacks(_part_generator(state), d, start, stop)
+    bs = next(itertools.islice(stacks, row // CHUNK, None))
+    i = row % CHUNK
+    lhs, rhs, tols, _ = _chain_batch(bs, 1e-9)
+    return next(rep for rep in _chain_reports(bs[i], lhs[i], rhs[i], tols[i]) if not rep.holds)
+
+
 @_criterion(budget_s=60.0)
 def special_case_chain(seed):
     """Criterion 4: for 1000 random B per size d in 2..8, the commutator-gap
@@ -176,28 +257,28 @@ def special_case_chain(seed):
     chain passes all steps and the connecting-unitary residual stays
     within 1e-9.
 
-    The B are drawn CHUNK at a time, by one generator call per chunk, and
-    certified one chunk per kernel call; the results do not depend on
-    CHUNK. Only the first failing B, in draw order, gets reports: a failed
-    chain step raises StepFailedError with that B as its instance, a failed
-    bound is returned as the detail."""
-    rng = _rng(seed, 4)
+    Each size's B are split into one part per worker (_workers()), at
+    multiples of CHUNK, and the parts run through _ordered_map: in this
+    process at one worker, else in worker processes that draw their own B
+    from the generator state at the part's start, CHUNK at a time, and
+    certify one chunk per kernel call. The parent holds only those states
+    and the parts' (first failing row, least slack, largest residual),
+    which it merges in draw order; the results depend neither on CHUNK nor
+    on the parts. Only the first failing B, in draw order, gets reports,
+    rebuilt in the parent from its chunk: a failed chain step raises
+    StepFailedError with that B as its instance, a failed bound is
+    returned as the detail."""
+    workers = _workers()
+    parts = _chain_parts(seed, workers)
     worst_slack = math.inf
     worst_residual = 0.0
-    residual_col = STEPS.index("unitary_residual")
-    for d in range(2, 9):
-        for start in range(0, 1000, CHUNK):
-            bs = _complex_gaussians(rng, min(CHUNK, 1000 - start), (d, d))
-            lhs, rhs, tols, _ = _chain_batch(bs, 1e-9)
-            slack = rhs - lhs
-            bad = np.flatnonzero(~np.all(slack >= -tols, axis=1))
-            if bad.size:
-                i = bad[0]
-                reports = _chain_reports(bs[i], lhs[i], rhs[i], tols[i])
-                failed = next(rep for rep in reports if not rep.holds)
-                return False, {"failed": failed.to_dict()}
-            worst_residual = max(worst_residual, float(lhs[:, residual_col].max()))
-            worst_slack = min(worst_slack, float(slack[:, len(STEPS):].min()))
+    # closed on every exit, so no worker outlives the criterion
+    with contextlib.closing(_ordered_map(_chain_part, parts, workers)) as results:
+        for part, (row, slack, residual) in zip(parts, results):
+            if row is not None:
+                return False, {"failed": _part_failure(part, row).to_dict()}
+            worst_slack = min(worst_slack, slack)
+            worst_residual = max(worst_residual, residual)
     passed = worst_slack >= -1e-9 and worst_residual <= 1e-9
     return passed, {"min_slack": worst_slack, "max_unitary_residual": worst_residual}
 
@@ -333,18 +414,23 @@ def conjecture_scan(seed):
     vanishes on states with a single nonzero A_i, so a small minimum also
     measures closeness to that set, not only tightness.
 
+    Both scans run at the worker count of criterion 4 (_workers()); the
+    determinism check compares a 300-trial scan in this process with the
+    same scan at that worker count.
+
     A genuine violation would be surfaced as a finding in the details and
     would not by itself fail this criterion.
     """
     details = {}
     passed = True
     findings = []
+    workers = _workers()
     for dims in ((2, 2, 2), (2, 3, 3)):
         cfg = SearchConfig(target="ineq4", dims=dims, trials=10_000, seed=seed, tol=1e-8)
-        res = run_search(cfg)
+        res = run_search(cfg, jobs=workers)
         replayed = evaluate_slack("ineq4", deserialize_instance(res.argmin))
         check_cfg = SearchConfig(target="ineq4", dims=dims, trials=300, seed=seed, tol=1e-8)
-        if run_search(check_cfg) != run_search(check_cfg):
+        if run_search(check_cfg) != run_search(check_cfg, jobs=workers):
             passed = False
         if res.violations:
             findings.append({"dims": list(dims), "result": res.to_dict()})

@@ -77,5 +77,11 @@ class StepFailedError(RuntimeError):
 
     def __init__(self, step: str, message: str, instance: dict | None = None):
         self.step = step
+        self.message = message
         self.instance = instance
         super().__init__(f"step {step}: {message}")
+
+    def __reduce__(self):
+        # the default pickles args, the formatted message alone, which
+        # __init__ cannot take back
+        return type(self), (self.step, self.message, self.instance)

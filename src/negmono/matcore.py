@@ -44,6 +44,22 @@ def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
+def _ordered_map(fn, items: list, workers: int):
+    """fn(item) for each of items, yielded in item order: in this process
+    when min(workers, len(items)) <= 1, otherwise in that many worker
+    processes, never more than there are items, as a forking pool starts
+    all its workers at the first submit. The pool is shut down before this
+    generator returns or raises."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    # imported here, so that loading negmono loads no process pool
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
+
+
 def _complex_pairs(x: np.ndarray) -> np.ndarray:
     """The complex Gaussians (x[:, 0] + i x[:, 1]) / sqrt(2) of a stack of
     real standard normal pairs (k, 2, *shape)."""

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cache
-from itertools import repeat
+from functools import cache, partial
 
 import numpy as np
 
-from .matcore import TAU_CHECK, _complex_pairs, _square, matrix_from_dict, matrix_to_dict
+from .matcore import (TAU_CHECK, _complex_pairs, _ordered_map, _square, matrix_from_dict,
+                      matrix_to_dict)
 from .monogamy import ineq4_batch
 from .permlemma import _commutative_sides, _spectrum_and_images
 from .qstate import TripartiteState, _unit_states, state_from_dict, state_to_dict
@@ -404,18 +404,9 @@ def run_trial(cfg: SearchConfig, trial_index: int) -> tuple[int, float, dict]:
 
 def _chunks(cfg: SearchConfig, jobs: int):
     """The _run_trials result of every chunk of CHUNK trials, in trial
-    order, computed in this process or in up to `jobs` workers, never more
-    than there are chunks: a forking pool starts all its workers at the
-    first submit."""
+    order, through _ordered_map at `jobs` workers."""
     chunks = [range(k, min(k + CHUNK, cfg.trials)) for k in range(0, cfg.trials, CHUNK)]
-    workers = min(jobs, len(chunks))
-    if workers <= 1:
-        yield from map(_run_trials, repeat(cfg), chunks)
-        return
-    # imported here, so that loading negmono loads no process pool
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_run_trials, repeat(cfg), chunks)
+    return _ordered_map(partial(_run_trials, cfg), chunks, jobs)
 
 
 def run_search(cfg: SearchConfig, jobs: int = 1, on_trial=None) -> SearchResult:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 
 import numpy as np
@@ -28,3 +29,27 @@ def call_counts(monkeypatch):
             monkeypatch.setattr(np.linalg, name, wrapper)
 
     return counts, count
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A list of the max_workers of every process pool started, in order,
+    while a stand-in pool maps in this process: no worker is started
+    whatever the size asked for, and call_counts sees every call."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes

@@ -8,11 +8,16 @@ the streams of their former single draws, that criteria 1, 2, 6, 7 and 9
 give the details of their per-item form and criterion 8 those of its
 former scalar quadrature, bisection and g', and which matrix a failure of
 criterion 4 or 7 reports; which state a failure of criterion 3 reports;
-and which chains criterion 6 rejects."""
+and which chains criterion 6 rejects. Criterion 4's parts draw the serial
+stream, its worker processes give the in-process details and failures and
+end with it, and it and criterion 10 start one worker per CPU."""
 
+import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +30,8 @@ from negmono.monogamy import build_Z1, build_Z2, monotonicity_report
 from negmono.permlemma import check_commutative, drury_numeric_check, ma_chains
 from negmono.qstate import (amat, coeff_matrices, density, partial_trace_B, partial_trace_C,
                             partial_transpose_A, random_state)
-from negmono.specialcase import STEPS, interlacing_trace
+from negmono.search import run_search
+from negmono.specialcase import STEPS, check_ineqid1, interlacing_trace
 
 CASES = [(i + 1, fn) for i, fn in enumerate(acceptance.CRITERIA)]
 
@@ -104,9 +110,10 @@ def test_criterion_runner_owns_index_name_and_budget(monkeypatch, budget_s, pass
     assert list(result.details.items()) == list(details.items())
 
 
-def test_special_case_chain_counts_and_chunk_independence(monkeypatch, call_counts):
+def test_special_case_chain_counts_and_chunk_independence(monkeypatch, call_counts,
+                                                          in_process_pool):
     # per chunk of B: one eigh, five eigvalsh and one SVD over the stack,
-    # and no per-B validation or report
+    # and no per-B validation or report, whatever the parts
     counts, count = call_counts
     for name in ("eigh", "eigvalsh", "svd"):
         count(np.linalg, name)
@@ -116,11 +123,87 @@ def test_special_case_chain_counts_and_chunk_independence(monkeypatch, call_coun
     chunks = 7 * math.ceil(1000 / acceptance.CHUNK)
     assert counts == {"eigh": chunks, "eigvalsh": 5 * chunks, "svd": chunks,
                       "require_hermitian": 0, "make_report": 0}
+    assert chunks == 441
     # the results do not depend on the chunk size, to the last bit
     monkeypatch.setattr(acceptance, "CHUNK", 1)
     single = acceptance.special_case_chain(seed=0)
     assert default.passed and single.passed
     assert default.details == single.details
+
+
+def _cpus(monkeypatch, n):
+    """Make the affinity mask hold n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_special_case_chain_in_workers_is_the_in_process_run(monkeypatch, seed):
+    _cpus(monkeypatch, 2)
+    in_workers = acceptance.special_case_chain(seed)
+    assert multiprocessing.active_children() == []
+    _cpus(monkeypatch, 1)
+    in_process = acceptance.special_case_chain(seed)
+    assert in_workers.passed and in_process.passed
+    assert in_workers.details == in_process.details
+
+
+@pytest.mark.parametrize("per_size", [1, 2, 3, 7, 63, 64])
+def test_special_case_chain_parts_draw_the_serial_stream(per_size):
+    for seed in (0, 1):
+        parts = acceptance._chain_parts(seed, per_size)
+        assert len(parts) == 7 * min(per_size, 63)
+        rng = acceptance._rng(seed, 4)
+        for d in range(2, 9):
+            own = [p for p in parts if p[0] == d]
+            bounds = [(start, stop) for _, _, start, stop in own]
+            assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+            assert bounds[-1][1] == 1000
+            assert all(start % acceptance.CHUNK == 0 for start, _ in bounds)
+            drawn = np.concatenate([
+                np.concatenate(list(acceptance._part_stacks(
+                    acceptance._part_generator(state), d, start, stop)))
+                for _, state, start, stop in own])
+            np.testing.assert_array_equal(drawn, matcore._complex_gaussians(rng, 1000, (d, d)))
+
+
+def test_special_case_chain_starts_one_worker_per_cpu_up_to_the_parts(monkeypatch,
+                                                                     in_process_pool):
+    # the parts are stubbed out: only the pool sizes are of interest
+    monkeypatch.setattr(acceptance, "_chain_part", lambda part: (None, 1.0, 0.0))
+    _cpus(monkeypatch, 64)
+    assert acceptance.special_case_chain(seed=0).passed
+    monkeypatch.setattr(acceptance, "CHUNK", 1000)  # one chunk, so one part, per size
+    assert acceptance.special_case_chain(seed=0).passed
+    assert in_process_pool == [64, 7]
+    _cpus(monkeypatch, 1)
+    assert acceptance.special_case_chain(seed=0).passed
+    # without an affinity mask, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert acceptance.special_case_chain(seed=0).passed
+    assert in_process_pool == [64, 7, 3]
+
+
+def test_conjecture_scan_checks_one_worker_against_the_worker_count(monkeypatch):
+    # each search is replaced by a 3-trial one that records its jobs
+    calls = []
+
+    def search(cfg, jobs=1):
+        calls.append((cfg.dims, cfg.trials, jobs))
+        return run_search(dataclasses.replace(cfg, trials=3))
+
+    monkeypatch.setattr(acceptance, "run_search", search)
+    _cpus(monkeypatch, 3)
+    assert acceptance.conjecture_scan(seed=0).passed
+    assert calls == [(dims, trials, jobs) for dims in ((2, 2, 2), (2, 3, 3))
+                     for trials, jobs in ((10_000, 3), (300, 1), (300, 3))]
+
+    # a scan whose result moved with the worker count fails the check
+    def unsteady(cfg, jobs=1):
+        return run_search(dataclasses.replace(cfg, trials=3, seed=cfg.seed + jobs))
+
+    monkeypatch.setattr(acceptance, "run_search", unsteady)
+    assert not acceptance.conjecture_scan(seed=0).passed
 
 
 def _per_state_representation_equivalence(seed):
@@ -420,6 +503,61 @@ def test_special_case_chain_failed_step_carries_first_failing_b(monkeypatch):
     np.testing.assert_array_equal(b, draws[5])
     # replayed on its own, the chain passes (the failure was injected)
     assert all(rep.holds for rep in interlacing_trace(b, tol=1e-9).reports)
+
+
+def _failing_at(monkeypatch, column, draws):
+    """Make criterion 4 see report `column` fail for the B drawn at the
+    given (d, index) pairs, at every number of parts."""
+    rng = acceptance._rng(0, 4)
+    stacks = {d: matcore._complex_gaussians(rng, 1000, (d, d)) for d in range(2, 9)}
+    targets = {d: stacks[d][[i for e, i in draws if e == d]] for d in stacks}
+    orig = acceptance._chain_batch
+
+    def kernel(m, tol):
+        lhs, rhs, tols, mats = orig(m, tol)
+        tols = tols.copy()
+        hit = (m[:, None] == targets[m.shape[-1]][None]).all(axis=(2, 3)).any(axis=1)
+        tols[hit, column] = -np.inf
+        return lhs, rhs, tols, mats
+
+    monkeypatch.setattr(acceptance, "_chain_batch", kernel)
+    return stacks
+
+
+# failures only in the second of two parts of d = 2 (B 512..999) and in a
+# later size, so the first in draw order is B 600 of d = 2
+LATE_FAILURES = [(2, 700), (3, 5), (2, 600), (5, 999)]
+
+
+def test_special_case_chain_reports_a_late_step_failure_in_draw_order(monkeypatch):
+    stacks = _failing_at(monkeypatch, STEPS.index("step_c_weyl"), LATE_FAILURES)
+    failures = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(StepFailedError) as exc:
+            acceptance.special_case_chain(seed=0)
+        assert multiprocessing.active_children() == []
+        failures.append(exc.value)
+    for exc in failures:
+        assert exc.step == "step_c_weyl"
+        np.testing.assert_array_equal(matrix_from_dict(exc.instance), stacks[2][600])
+    assert failures[0].args == failures[1].args
+    assert failures[0].instance == failures[1].instance
+
+
+def test_special_case_chain_reports_a_late_bound_failure_in_draw_order(monkeypatch):
+    stacks = _failing_at(monkeypatch, len(STEPS) + 1, LATE_FAILURES)
+    results = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        results.append(acceptance.special_case_chain(seed=0))
+        assert multiprocessing.active_children() == []
+    in_workers, in_process = results
+    assert not in_workers.passed and not in_process.passed
+    assert in_workers.details == in_process.details
+    failed = in_workers.details["failed"]
+    assert (failed["name"], failed["holds"], failed["d"]) == ("ineqid1", False, 2)
+    assert failed["lhs"] == pytest.approx(check_ineqid1(stacks[2][600]).lhs, rel=1e-12)
 
 
 def test_special_case_chain_failed_bound_is_reported(monkeypatch):

@@ -1,4 +1,6 @@
 import json
+import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from negmono.errors import (
 )
 from negmono.matcore import (
     _complex_gaussians,
+    _ordered_map,
     as_complex_matrix,
     complex_gaussian,
     hermitian_eig,
@@ -203,3 +206,22 @@ def test_non_square_input_gives_one_message(check):
     # every public boundary that needs a square matrix shares one check
     with pytest.raises(NotSquareError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         check(np.ones((2, 3), dtype=complex))
+
+
+def test_ordered_map_yields_in_item_order_in_up_to_one_worker_per_item(in_process_pool):
+    items = [float(k * k) for k in range(9)]
+    expected = [float(k) for k in range(9)]
+    assert list(_ordered_map(math.sqrt, items, 4)) == expected
+    assert list(_ordered_map(math.sqrt, items, 1)) == expected
+    assert list(_ordered_map(math.sqrt, items[:1], 8)) == expected[:1]
+    assert list(_ordered_map(math.sqrt, items[:3], 8)) == expected[:3]
+    # one item or one worker maps in this process
+    assert in_process_pool == [4, 3]
+
+
+def test_ordered_map_in_workers_shuts_its_pool_down_on_return_and_raise():
+    assert list(_ordered_map(math.sqrt, [4.0, 9.0, 16.0], 2)) == [2.0, 3.0, 4.0]
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="math domain error"):
+        list(_ordered_map(math.sqrt, [4.0, -1.0, 16.0, 25.0], 2))
+    assert multiprocessing.active_children() == []

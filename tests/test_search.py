@@ -1,5 +1,3 @@
-import concurrent.futures
-
 import numpy as np
 import pytest
 
@@ -332,25 +330,8 @@ def test_parallel_merge_matches_serial_across_chunks(monkeypatch):
     assert run_search(cfg, jobs=1) == run_search(cfg, jobs=2)
 
 
-def test_search_starts_no_more_workers_than_chunks(monkeypatch):
-    # a stand-in pool records its size and maps in this process, so no
-    # worker is started whatever the size asked for
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+def test_search_starts_no_more_workers_than_chunks(in_process_pool):
+    sizes = in_process_pool
     cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=300, local_steps=3, seed=0)
     assert run_search(cfg, jobs=64) == run_search(cfg, jobs=1)
     assert sizes == [3]
