@@ -14,7 +14,6 @@ import contextlib
 import functools
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .imfunc import IMParams, beta_sign_report, h, im_pair_check, sup_error
 from .matcore import (_adj, _complex_gaussians, _complex_pairs, _herm, _lapack, _ordered_map,
-                      _rng)
+                      _rng, _workers)
 from .monogamy import _negativities, _overlaps, _z1, _z2, monotonicity_report, verify_batch
 from .permlemma import (
     _drury_sides,
@@ -174,15 +173,6 @@ def partial_trace_monotonicity(seed):
     return worst >= -1e-10, {"min_slack": worst}
 
 
-def _workers() -> int:
-    """The worker count of criteria 4 and 10: the CPUs in this process's
-    affinity mask, or os.cpu_count() where there is no such mask."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _part_stacks(rng: np.random.Generator, d: int, start: int, stop: int):
     """The stacks of criterion 4's B start..stop - 1 of size d, CHUNK per
     generator call from rng, which stands at B start."""
@@ -257,7 +247,7 @@ def special_case_chain(seed):
     chain passes all steps and the connecting-unitary residual stays
     within 1e-9.
 
-    Each size's B are split into one part per worker (_workers()), at
+    Each size's B are split into one part per worker (matcore._workers()), at
     multiples of CHUNK, and the parts run through _ordered_map: in this
     process at one worker, else in worker processes that draw their own B
     from the generator state at the part's start, CHUNK at a time, and
@@ -414,7 +404,7 @@ def conjecture_scan(seed):
     vanishes on states with a single nonzero A_i, so a small minimum also
     measures closeness to that set, not only tightness.
 
-    Both scans run at the worker count of criterion 4 (_workers()); the
+    Both scans run at the worker count of criterion 4 (matcore._workers()); the
     determinism check compares a 300-trial scan in this process with the
     same scan at that worker count.
 

@@ -9,7 +9,10 @@ except the global slack tolerance TAU_CHECK which is absolute.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,20 +47,58 @@ def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
-def _ordered_map(fn, items: list, workers: int):
-    """fn(item) for each of items, yielded in item order: in this process
-    when min(workers, len(items)) <= 1, otherwise in that many worker
-    processes, never more than there are items, as a forking pool starts
-    all its workers at the first submit. The pool is shut down before this
-    generator returns or raises."""
-    workers = min(workers, len(items))
+# The start method of every worker pool, named here so that the platform
+# default (fork on Linux up to Python 3.13, forkserver from 3.14) cannot
+# change what a worker inherits or what starting the pool costs.
+START_METHOD = "fork"
+# Items in flight per worker in _ordered_map: enough to keep each worker
+# busy while the parent consumes, few enough to bound the memory of an
+# unbounded item stream.
+WINDOW = 4
+
+
+def _workers() -> int:
+    """The CPUs in this process's affinity mask, or os.cpu_count() where
+    there is no such mask: the most workers a pool starts."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _ordered_map(fn, items, jobs: int):
+    """fn(item) for each of the iterable items, yielded in item order, in
+    min(jobs, items, _workers()) worker processes, or in this process when
+    that is at most 1. The items are read lazily: in this process one at a
+    time, in workers at most WINDOW per worker ahead of the consumer, so an
+    unbounded stream is never held at once. The count of items is capped by
+    reading up to `workers` of them before the pool starts, as a forking pool
+    starts all its workers at the first submit. The pool uses START_METHOD
+    and is shut down, its pending items cancelled, before this generator
+    returns or raises."""
+    items = iter(items)
+    workers = min(jobs, _workers())
+    head = list(itertools.islice(items, workers)) if workers > 1 else []
+    workers = min(workers, len(head))
     if workers <= 1:
-        yield from map(fn, items)
+        yield from map(fn, itertools.chain(head, items))
         return
     # imported here, so that loading negmono loads no process pool
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items)
+    context = multiprocessing.get_context(START_METHOD)
+    pending = collections.deque()
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        try:
+            for item in itertools.chain(head, items):
+                pending.append(pool.submit(fn, item))
+                if len(pending) == WINDOW * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _complex_pairs(x: np.ndarray) -> np.ndarray:

@@ -404,8 +404,9 @@ def run_trial(cfg: SearchConfig, trial_index: int) -> tuple[int, float, dict]:
 
 def _chunks(cfg: SearchConfig, jobs: int):
     """The _run_trials result of every chunk of CHUNK trials, in trial
-    order, through _ordered_map at `jobs` workers."""
-    chunks = [range(k, min(k + CHUNK, cfg.trials)) for k in range(0, cfg.trials, CHUNK)]
+    order, through _ordered_map at `jobs` workers; the chunk ranges are
+    made as the map reads them, so none is held ahead of its window."""
+    chunks = (range(k, min(k + CHUNK, cfg.trials)) for k in range(0, cfg.trials, CHUNK))
     return _ordered_map(partial(_run_trials, cfg), chunks, jobs)
 
 

@@ -1,8 +1,11 @@
 import concurrent.futures
+import os
 import sys
 
 import numpy as np
 import pytest
+
+from negmono import matcore
 
 
 @pytest.fixture
@@ -32,14 +35,25 @@ def call_counts(monkeypatch):
 
 
 @pytest.fixture
+def cpus(monkeypatch):
+    """A function cpus(n) that makes the affinity mask hold n CPUs."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_cpus
+
+
+@pytest.fixture
 def in_process_pool(monkeypatch):
     """A list of the max_workers of every process pool started, in order,
-    while a stand-in pool maps in this process: no worker is started
-    whatever the size asked for, and call_counts sees every call."""
+    while a stand-in pool runs each submitted call in this process at once:
+    no worker is started whatever the size asked for, and call_counts sees
+    every call. The stand-in checks that the pool names its start method."""
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == matcore.START_METHOD
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -48,8 +62,13 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes

@@ -110,8 +110,7 @@ def test_criterion_runner_owns_index_name_and_budget(monkeypatch, budget_s, pass
     assert list(result.details.items()) == list(details.items())
 
 
-def test_special_case_chain_counts_and_chunk_independence(monkeypatch, call_counts,
-                                                          in_process_pool):
+def test_special_case_chain_counts(call_counts, in_process_pool):
     # per chunk of B: one eigh, five eigvalsh and one SVD over the stack,
     # and no per-B validation or report, whatever the parts
     counts, count = call_counts
@@ -119,29 +118,31 @@ def test_special_case_chain_counts_and_chunk_independence(monkeypatch, call_coun
         count(np.linalg, name)
     for name in ("require_hermitian", "make_report"):
         count(matcore, name)
-    default = acceptance.special_case_chain(seed=0)
+    assert acceptance.special_case_chain(seed=0).passed
     chunks = 7 * math.ceil(1000 / acceptance.CHUNK)
     assert counts == {"eigh": chunks, "eigvalsh": 5 * chunks, "svd": chunks,
                       "require_hermitian": 0, "make_report": 0}
     assert chunks == 441
-    # the results do not depend on the chunk size, to the last bit
+
+
+def test_special_case_chain_in_workers_does_not_depend_on_chunk(monkeypatch, cpus):
+    # the results do not depend on the chunk size, to the last bit; both
+    # runs certify their B in two worker processes
+    cpus(2)
+    default = acceptance.special_case_chain(seed=0)
     monkeypatch.setattr(acceptance, "CHUNK", 1)
     single = acceptance.special_case_chain(seed=0)
+    assert multiprocessing.active_children() == []
     assert default.passed and single.passed
     assert default.details == single.details
 
 
-def _cpus(monkeypatch, n):
-    """Make the affinity mask hold n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 @pytest.mark.parametrize("seed", [0, 1, 3])
-def test_special_case_chain_in_workers_is_the_in_process_run(monkeypatch, seed):
-    _cpus(monkeypatch, 2)
+def test_special_case_chain_in_workers_is_the_in_process_run(seed, cpus):
+    cpus(2)
     in_workers = acceptance.special_case_chain(seed)
     assert multiprocessing.active_children() == []
-    _cpus(monkeypatch, 1)
+    cpus(1)
     in_process = acceptance.special_case_chain(seed)
     assert in_workers.passed and in_process.passed
     assert in_workers.details == in_process.details
@@ -166,16 +167,16 @@ def test_special_case_chain_parts_draw_the_serial_stream(per_size):
             np.testing.assert_array_equal(drawn, matcore._complex_gaussians(rng, 1000, (d, d)))
 
 
-def test_special_case_chain_starts_one_worker_per_cpu_up_to_the_parts(monkeypatch,
+def test_special_case_chain_starts_one_worker_per_cpu_up_to_the_parts(monkeypatch, cpus,
                                                                      in_process_pool):
     # the parts are stubbed out: only the pool sizes are of interest
     monkeypatch.setattr(acceptance, "_chain_part", lambda part: (None, 1.0, 0.0))
-    _cpus(monkeypatch, 64)
+    cpus(64)
     assert acceptance.special_case_chain(seed=0).passed
     monkeypatch.setattr(acceptance, "CHUNK", 1000)  # one chunk, so one part, per size
     assert acceptance.special_case_chain(seed=0).passed
     assert in_process_pool == [64, 7]
-    _cpus(monkeypatch, 1)
+    cpus(1)
     assert acceptance.special_case_chain(seed=0).passed
     # without an affinity mask, the CPU count
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -184,7 +185,7 @@ def test_special_case_chain_starts_one_worker_per_cpu_up_to_the_parts(monkeypatc
     assert in_process_pool == [64, 7, 3]
 
 
-def test_conjecture_scan_checks_one_worker_against_the_worker_count(monkeypatch):
+def test_conjecture_scan_checks_one_worker_against_the_worker_count(monkeypatch, cpus):
     # each search is replaced by a 3-trial one that records its jobs
     calls = []
 
@@ -193,7 +194,7 @@ def test_conjecture_scan_checks_one_worker_against_the_worker_count(monkeypatch)
         return run_search(dataclasses.replace(cfg, trials=3))
 
     monkeypatch.setattr(acceptance, "run_search", search)
-    _cpus(monkeypatch, 3)
+    cpus(3)
     assert acceptance.conjecture_scan(seed=0).passed
     assert calls == [(dims, trials, jobs) for dims in ((2, 2, 2), (2, 3, 3))
                      for trials, jobs in ((10_000, 3), (300, 1), (300, 3))]
@@ -529,11 +530,11 @@ def _failing_at(monkeypatch, column, draws):
 LATE_FAILURES = [(2, 700), (3, 5), (2, 600), (5, 999)]
 
 
-def test_special_case_chain_reports_a_late_step_failure_in_draw_order(monkeypatch):
+def test_special_case_chain_reports_a_late_step_failure_in_draw_order(monkeypatch, cpus):
     stacks = _failing_at(monkeypatch, STEPS.index("step_c_weyl"), LATE_FAILURES)
     failures = []
-    for cpus in (2, 1):
-        _cpus(monkeypatch, cpus)
+    for n in (2, 1):
+        cpus(n)
         with pytest.raises(StepFailedError) as exc:
             acceptance.special_case_chain(seed=0)
         assert multiprocessing.active_children() == []
@@ -545,11 +546,11 @@ def test_special_case_chain_reports_a_late_step_failure_in_draw_order(monkeypatc
     assert failures[0].instance == failures[1].instance
 
 
-def test_special_case_chain_reports_a_late_bound_failure_in_draw_order(monkeypatch):
+def test_special_case_chain_reports_a_late_bound_failure_in_draw_order(monkeypatch, cpus):
     stacks = _failing_at(monkeypatch, len(STEPS) + 1, LATE_FAILURES)
     results = []
-    for cpus in (2, 1):
-        _cpus(monkeypatch, cpus)
+    for n in (2, 1):
+        cpus(n)
         results.append(acceptance.special_case_chain(seed=0))
         assert multiprocessing.active_children() == []
     in_workers, in_process = results

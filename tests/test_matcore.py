@@ -12,6 +12,7 @@ from negmono.errors import (
     NotSquareError,
 )
 from negmono.matcore import (
+    WINDOW,
     _complex_gaussians,
     _ordered_map,
     as_complex_matrix,
@@ -208,15 +209,45 @@ def test_non_square_input_gives_one_message(check):
         check(np.ones((2, 3), dtype=complex))
 
 
-def test_ordered_map_yields_in_item_order_in_up_to_one_worker_per_item(in_process_pool):
+def test_ordered_map_yields_in_item_order_in_up_to_one_worker_per_item(cpus, in_process_pool):
     items = [float(k * k) for k in range(9)]
     expected = [float(k) for k in range(9)]
+    cpus(64)
     assert list(_ordered_map(math.sqrt, items, 4)) == expected
     assert list(_ordered_map(math.sqrt, items, 1)) == expected
     assert list(_ordered_map(math.sqrt, items[:1], 8)) == expected[:1]
-    assert list(_ordered_map(math.sqrt, items[:3], 8)) == expected[:3]
+    assert list(_ordered_map(math.sqrt, iter(items[:3]), 8)) == expected[:3]
     # one item or one worker maps in this process
     assert in_process_pool == [4, 3]
+    # never more workers than CPUs in the affinity mask: --jobs 5000 over
+    # 5000 items starts 2, and over one CPU none
+    cpus(2)
+    many = range(5000)
+    assert list(_ordered_map(abs, many, 5000)) == list(many)
+    cpus(1)
+    assert list(_ordered_map(math.sqrt, items, 4)) == expected
+    assert in_process_pool == [4, 3, 2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ordered_map_reads_at_most_the_window_ahead_of_its_consumer(cpus, jobs):
+    # in workers the map keeps WINDOW items per worker in flight, in this
+    # process it reads one item per result; a counting generator tells
+    cpus(2)
+    read = []
+
+    def items():
+        for k in range(40):
+            read.append(k)
+            yield float(k)
+
+    window = 1 if jobs == 1 else WINDOW * jobs
+    ahead = []
+    for k, root in enumerate(_ordered_map(math.sqrt, items(), jobs)):
+        assert root == math.sqrt(k)
+        ahead.append(len(read) - (k + 1))
+    assert max(ahead) == window - 1 and len(read) == 40
+    assert multiprocessing.active_children() == []
 
 
 def test_ordered_map_in_workers_shuts_its_pool_down_on_return_and_raise():

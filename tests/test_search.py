@@ -330,14 +330,19 @@ def test_parallel_merge_matches_serial_across_chunks(monkeypatch):
     assert run_search(cfg, jobs=1) == run_search(cfg, jobs=2)
 
 
-def test_search_starts_no_more_workers_than_chunks(in_process_pool):
+def test_search_starts_no_more_workers_than_chunks(cpus, in_process_pool):
     sizes = in_process_pool
     cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=300, local_steps=3, seed=0)
+    # capped by the CPUs of the affinity mask, then by the 3 chunks
+    cpus(2)
     assert run_search(cfg, jobs=64) == run_search(cfg, jobs=1)
-    assert sizes == [3]
+    assert sizes == [2]
+    cpus(64)
+    assert run_search(cfg, jobs=64) == run_search(cfg, jobs=1)
+    assert sizes == [2, 3]
     one_chunk = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=100, local_steps=3, seed=0)
     assert run_search(one_chunk, jobs=8) == run_search(one_chunk, jobs=1)
-    assert sizes == [3]
+    assert sizes == [2, 3]
 
 
 def test_lockstep_rejects_non_finite_candidates():
