@@ -12,18 +12,16 @@ LAPACK routine failed) and 141 when the reader closes stdout early.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import itertools
 import json
 import os
 import sys
-from functools import partial
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import acceptance
 from .imfunc import DEFAULT_QUAD_TOL, DEFAULT_THETA, IMParams, sup_error_table
-from .matcore import TAU_CHECK, _ordered_map, _rng, complex_gaussian, load_matrix
+from .matcore import TAU_CHECK, _rng, complex_gaussian, load_matrix
 from .monogamy import VERIFY_NAMES, verify_batch
 from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearranged_sum
 from .qstate import _random_coeffs
@@ -70,7 +68,7 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-@contextlib.contextmanager
+@contextmanager
 def _output(path):
     """stdout, or the file at path opened for writing and closed on exit."""
     if path is None or path == "-":
@@ -90,8 +88,7 @@ def _verdict(rows, out) -> int:
     This is the one verdict loop. A row's text is its report's record as
     _encode writes it: special-case, perm-lemma and drury-check pass
     _rows(reports); verify-conjecture renders its rows a chunk at a time
-    (_verify_rows), in this process or in workers, byte for byte the records
-    of monogamy.verify_reports, and passes them here in trial order."""
+    (_verify_rows), byte for byte the records of monogamy.verify_reports."""
     worst = None
     for name, slack, holds, text in rows:
         out.write(text + "\n")
@@ -120,77 +117,55 @@ def _rows(reports):
 CHUNK = 64
 
 
-def _verify_chunks(dims, trials: int, seed: int):
-    """(first trial, coefficient stack) of each chunk of verify-conjecture's
-    states, CHUNK at a time from the one generator _rng(seed)."""
+# The columns of a state's 15 distinct floats in _verify_rows that fill each
+# report of VERIFY_NAMES: lhs, rhs, slack and slack_rel (None for the
+# monotonicity links, which carry no slack_rel).
+COLS = ((0, 1, 7, 12), (0, 2, 8, 13), (0, 3, 9, 14), (4, 6, 10, None), (5, 6, 11, None))
+
+
+def _verify_rows(dims, trials: int, tol: float, seed: int):
+    """The _verdict rows of verify-conjecture, rendered a chunk at a time
+    from the arrays of verify_batch. slack, holds and slack_rel are the
+    IEEE operations of make_report and monogamy._digest, taken on arrays.
+    A state has 15 distinct floats (the ineq2-4 lhs, their three rhs,
+    N(A|B), N(A|C), N(A|BC), the five slacks and the three slack_rel), and
+    all floats of a chunk are written by one _encode call, each once, so NaN
+    and Infinity read as in any record. Each line fills a fixed template
+    per report name, from the columns COLS, with the key order of
+    InequalityReport.to_dict."""
     rng = _rng(seed)
-    for start in range(0, trials, CHUNK):
-        yield start, _random_coeffs(dims, rng, min(CHUNK, trials - start))
-
-
-def _verify_rows(templates, tol: float, chunk) -> list:
-    """The _verdict rows of one chunk (first trial, coefficient stack) of
-    verify-conjecture, rendered from the arrays of verify_batch. slack,
-    holds and slack_rel are the IEEE operations of make_report and
-    monogamy._digest, taken on arrays. A state has 15 distinct floats (the
-    ineq2-4 lhs, their three rhs, N(A|B), N(A|C), N(A|BC), the five slacks
-    and the three slack_rel), and all floats of a chunk are written by one
-    _encode call, each once, so NaN and Infinity read as in any record.
-    Each line fills the template of its report name (_verify_templates)
-    with the key order of InequalityReport.to_dict."""
-    start, c = chunk
-    lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = verify_batch(c)
-    rhs = np.column_stack((rhs2, rhs3, rhs4))
-    with np.errstate(all="ignore"):  # Python float arithmetic does not warn
-        # (N, 5): one column per report of VERIFY_NAMES
-        slack = np.column_stack((rhs - lhs[:, None], n_abc - n_ab, n_abc - n_ac))
-        rel = slack[:, :3] / rhs
-    holds = (slack >= -tol).tolist()
-    has_rel = (rhs > 0).tolist()  # the monotonicity links carry no slack_rel
-    values = np.column_stack((lhs, rhs, n_ab, n_ac, n_abc, slack, rel))
-    f = _encode(values.ravel().tolist())[1:-1].split(",")
-    slack = slack.tolist()
-    t2, t3, t4, t_ab, t_ac = templates
-    rows = []
-    for i in range(len(c)):
-        j, h, r, s = 15 * i, holds[i], has_rel[i], slack[i]
-        trial = start + i
-        rows += (
-            ("ineq2", s[0], h[0], t2 % (f[j], f[j + 1], f[j + 7], "true" if h[0] else "false",
-                                        ',"slack_rel":' + f[j + 12] if r[0] else "", trial)),
-            ("ineq3", s[1], h[1], t3 % (f[j], f[j + 2], f[j + 8], "true" if h[1] else "false",
-                                        ',"slack_rel":' + f[j + 13] if r[1] else "", trial)),
-            ("ineq4", s[2], h[2], t4 % (f[j], f[j + 3], f[j + 9], "true" if h[2] else "false",
-                                        ',"slack_rel":' + f[j + 14] if r[2] else "", trial)),
-            ("monotonicity_AB", s[3], h[3],
-             t_ab % (f[j + 4], f[j + 6], f[j + 10], "true" if h[3] else "false", trial)),
-            ("monotonicity_AC", s[4], h[4],
-             t_ac % (f[j + 5], f[j + 6], f[j + 11], "true" if h[4] else "false", trial)),
-        )
-    return rows
-
-
-def _verify_templates(dims, seed: int) -> tuple:
-    """The record templates of VERIFY_NAMES for verify-conjecture: lhs, rhs,
-    slack, holds, then slack_rel (ineq2-4 only, empty when absent) and trial."""
     dims_text = _encode([int(d) for d in dims])
-    return tuple(f'{{"name":"{name}","lhs":%s,"rhs":%s,"slack":%s,"holds":%s,'
-                 f'"dims":{dims_text}{"%s" if k < 3 else ""},"seed":{seed},"trial":%d}}'
-                 for k, name in enumerate(VERIFY_NAMES))
+    reports = [(name, f'{{"name":"{name}","lhs":%s,"rhs":%s,"slack":%s,"holds":%s,'
+                      f'"dims":{dims_text}%s,"seed":{seed},"trial":%d}}', cols)
+               for name, cols in zip(VERIFY_NAMES, COLS)]
+    for start in range(0, trials, CHUNK):
+        c = _random_coeffs(dims, rng, min(CHUNK, trials - start))
+        lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = verify_batch(c)
+        rhs = np.column_stack((rhs2, rhs3, rhs4))
+        with np.errstate(all="ignore"):  # Python float arithmetic does not warn
+            # (N, 5): one column per report of VERIFY_NAMES
+            slack = np.column_stack((rhs - lhs[:, None], n_abc - n_ab, n_abc - n_ac))
+            rel = slack[:, :3] / rhs
+        holds = slack >= -tol
+        has_rel = np.zeros_like(holds)
+        has_rel[:, :3] = rhs > 0
+        values = np.column_stack((lhs, rhs, n_ab, n_ac, n_abc, slack, rel))
+        floats = _encode(values.ravel().tolist())[1:-1].split(",")
+        slack, holds, has_rel = slack.tolist(), holds.tolist(), has_rel.tolist()
+        for i in range(len(c)):
+            f = floats[15 * i:15 * i + 15]
+            for k, (name, template, (lhs_k, rhs_k, slack_k, rel_k)) in enumerate(reports):
+                rel_t = ',"slack_rel":' + f[rel_k] if has_rel[i][k] else ""
+                text = template % (f[lhs_k], f[rhs_k], f[slack_k],
+                                   "true" if holds[i][k] else "false", rel_t, start + i)
+                yield name, slack[i][k], holds[i][k], text
 
 
 def _cmd_verify(args) -> int:
-    """The chunks are drawn in this process from the one generator, checked
-    and rendered through _ordered_map at --jobs workers, and their rows go
-    in trial order to the one _verdict loop, so the bytes on stdout and
-    stderr and the exit code do not depend on --jobs or CHUNK."""
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
-    render = partial(_verify_rows, _verify_templates(dims, seed), args.tol)
-    chunks = _ordered_map(render, _verify_chunks(dims, args.trials, seed), args.jobs)
-    # closed on every exit, so no worker outlives the command
-    with _output(args.out) as out, contextlib.closing(chunks):
-        return _verdict(itertools.chain.from_iterable(chunks), out)
+    with _output(args.out) as out:
+        return _verdict(_verify_rows(dims, args.trials, args.tol, seed), out)
 
 
 def _cmd_special(args) -> int:
@@ -319,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dims", default="2x2x2", help="local dimensions AxBxC")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("special-case",

@@ -13,6 +13,7 @@ import collections
 import itertools
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,8 +50,10 @@ def _rng(*entropy: int) -> np.random.Generator:
 
 # The start method of every worker pool, named here so that the platform
 # default (fork on Linux up to Python 3.13, forkserver from 3.14) cannot
-# change what a worker inherits or what starting the pool costs.
-START_METHOD = "fork"
+# change what a worker inherits or what starting the pool costs. Fork on
+# Linux only: Windows has no fork, and a fork is unsafe on macOS when numpy
+# runs on Accelerate, so elsewhere the pool spawns, their default.
+START_METHOD = "fork" if sys.platform.startswith("linux") else "spawn"
 # Items in flight per worker in _ordered_map: enough to keep each worker
 # busy while the parent consumes, few enough to bound the memory of an
 # unbounded item stream.

@@ -1,6 +1,5 @@
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -368,13 +367,6 @@ def test_search_rejects_csv(capsys):
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_verify_rejects_jobs_below_one(capsys, jobs):
-    code, out, err = run_cli(capsys, "verify-conjecture", "--trials", "2", "--jobs", jobs)
-    assert code == 2 and out == ""
-    assert err.strip().splitlines() == [f"error: --jobs must be at least 1, got {jobs}"]
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_search_rejects_jobs_below_one(capsys, jobs):
     code, out, err = run_cli(
         capsys, "search", "--target", "ineqid", "--d", "2", "--trials", "2",
@@ -458,19 +450,6 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     assert err == b""
 
 
-def test_closed_stdout_in_workers_exits_141_quietly():
-    # the pool is shut down on the way out, so no worker is left behind
-    proc = subprocess.Popen([sys.executable, "-m", "negmono", "verify-conjecture",
-                             "--trials", "100000", "--jobs", "2"],
-                            env=_module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
-
-
 def test_unwritable_out_path_is_still_a_usage_error(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "negmono", "verify-conjecture",
                            "--out", str(tmp_path / "missing" / "report.ndjson")],
@@ -509,9 +488,9 @@ def test_verify_records_match_single_state_reports(capsys, dims):
     assert out == _single_state_ndjson(dims, 40, 4)
 
 
-def test_verify_output_is_the_same_at_every_chunk_and_jobs(capsys, monkeypatch):
+def test_verify_output_does_not_depend_on_chunk(capsys, monkeypatch):
     # stdout, stderr and the exit code, with the --tol -10 path: findings,
-    # proven failures and exit 1; no worker outlives its run
+    # proven failures and exit 1
     trials = 131  # 2 full chunks and one partial at CHUNK 64
     for dims in ("2x2x2", "3x2x4", "1x1x1"):
         for tol in ("1e-9", "-10"):
@@ -520,21 +499,12 @@ def test_verify_output_is_the_same_at_every_chunk_and_jobs(capsys, monkeypatch):
             runs = set()
             for chunk in (1, 7, 64):
                 monkeypatch.setattr(cli, "CHUNK", chunk)
-                for jobs in ("1", "2"):
-                    runs.add(run_cli(capsys, *args, "--jobs", jobs))
+                runs.add(run_cli(capsys, *args))
             assert len(runs) == 1, (dims, tol)
             code, out, err = runs.pop()
             assert len(out.splitlines()) == (5 + 3 * (tol == "-10")) * trials
             assert code == (1 if tol == "-10" else 0)
             assert (err == "") == (tol == "1e-9")
-    assert multiprocessing.active_children() == []
-
-
-def test_verify_starts_no_more_workers_than_cpus(capsys, monkeypatch, cpus, in_process_pool):
-    monkeypatch.setattr(cli, "CHUNK", 1)
-    cpus(3)
-    assert run_cli(capsys, "verify-conjecture", "--trials", "10", "--jobs", "5000")[0] == 0
-    assert in_process_pool == [3]
 
 
 def test_verify_counts_per_chunk(monkeypatch, call_counts):
