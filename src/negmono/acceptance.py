@@ -180,64 +180,48 @@ def _part_stacks(rng: np.random.Generator, d: int, start: int, stop: int):
         yield _complex_gaussians(rng, min(CHUNK, stop - k), (d, d))
 
 
-def _chain_parts(seed: int, per_size: int) -> list[tuple]:
-    """Criterion 4's parts (d, state, start, stop), in draw order: each
-    size's 1000 B split into up to per_size contiguous parts whose bounds
-    fall on multiples of CHUNK, so that a part makes the serial chunks.
-    state is the bit generator state of _rng(seed, 4) at B start of size
-    d; between states the stream is advanced by drawing the part's chunks
-    and discarding them, so no stack is kept."""
+def _chain_parts(seed: int, per_size: int):
+    """Criterion 4's parts (d, state, start, stop), yielded in draw order:
+    each size's 1000 B split into up to per_size contiguous parts whose
+    bounds fall on multiples of CHUNK, so that a part makes the serial
+    chunks. state is the bit generator state of _rng(seed, 4) at B start of
+    size d; once the part is read, the stream is advanced past its chunks,
+    drawn and discarded, so no stack is kept."""
     rng = _rng(seed, 4)
     chunks = math.ceil(1000 / CHUNK)
     per_size = min(per_size, chunks)
-    parts = []
     for d in range(2, 9):
         for k in range(per_size):
             start = CHUNK * (chunks * k // per_size)
             stop = min(CHUNK * (chunks * (k + 1) // per_size), 1000)
-            parts.append((d, rng.bit_generator.state, start, stop))
+            yield d, rng.bit_generator.state, start, stop
             for _ in _part_stacks(rng, d, start, stop):
                 pass
-    return parts
-
-
-def _part_generator(state: dict) -> np.random.Generator:
-    """A generator standing where a recorded bit generator state stood."""
-    bits = getattr(np.random, state["bit_generator"])()
-    bits.state = state
-    return np.random.Generator(bits)
 
 
 def _chain_part(part: tuple) -> tuple:
-    """(first failing row or None, least bound slack, largest unitary
+    """(first failing report or None, least bound slack, largest unitary
     residual) of one part (d, state, start, stop) of criterion 4: its B,
     drawn from a generator set to state, certified one chunk per kernel
-    call. The row counts from the part's first B; the extremes cover the
+    call, whose rows give the report; a failed chain step raises
+    StepFailedError with its B as the instance. The extremes cover the
     chunks before a failing one."""
     d, state, start, stop = part
+    bits = getattr(np.random, state["bit_generator"])()
+    bits.state = state
     worst_slack, worst_residual = math.inf, 0.0
     residual_col = STEPS.index("unitary_residual")
-    for j, bs in enumerate(_part_stacks(_part_generator(state), d, start, stop)):
+    for bs in _part_stacks(np.random.Generator(bits), d, start, stop):
         lhs, rhs, tols, _ = _chain_batch(bs, 1e-9)
         slack = rhs - lhs
         bad = np.flatnonzero(~np.all(slack >= -tols, axis=1))
         if bad.size:
-            return j * CHUNK + int(bad[0]), worst_slack, worst_residual
+            i = bad[0]
+            reports = _chain_reports(bs[i], lhs[i], rhs[i], tols[i])
+            return next(rep for rep in reports if not rep.holds), worst_slack, worst_residual
         worst_residual = max(worst_residual, float(lhs[:, residual_col].max()))
         worst_slack = min(worst_slack, float(slack[:, len(STEPS):].min()))
     return None, worst_slack, worst_residual
-
-
-def _part_failure(part: tuple, row: int):
-    """The first failing report of B row of a part of criterion 4, rebuilt
-    from the kernel call on its chunk; a failed chain step raises
-    StepFailedError with that B as its instance."""
-    d, state, start, stop = part
-    stacks = _part_stacks(_part_generator(state), d, start, stop)
-    bs = next(itertools.islice(stacks, row // CHUNK, None))
-    i = row % CHUNK
-    lhs, rhs, tols, _ = _chain_batch(bs, 1e-9)
-    return next(rep for rep in _chain_reports(bs[i], lhs[i], rhs[i], tols[i]) if not rep.holds)
 
 
 @_criterion(budget_s=60.0)
@@ -251,22 +235,20 @@ def special_case_chain(seed):
     multiples of CHUNK, and the parts run through _ordered_map: in this
     process at one worker, else in worker processes that draw their own B
     from the generator state at the part's start, CHUNK at a time, and
-    certify one chunk per kernel call. The parent holds only those states
-    and the parts' (first failing row, least slack, largest residual),
-    which it merges in draw order; the results depend neither on CHUNK nor
-    on the parts. Only the first failing B, in draw order, gets reports,
-    rebuilt in the parent from its chunk: a failed chain step raises
-    StepFailedError with that B as its instance, a failed bound is
-    returned as the detail."""
+    certify one chunk per kernel call. The parent streams those states and
+    merges the parts' (first failing report, least slack, largest residual)
+    in draw order; the results depend neither on CHUNK nor on the parts.
+    Only the first failing B, in draw order, gets reports, built by its
+    part: a failed chain step raises StepFailedError with that B as its
+    instance, a failed bound is returned as the detail."""
     workers = _workers()
-    parts = _chain_parts(seed, workers)
-    worst_slack = math.inf
-    worst_residual = 0.0
+    worst_slack, worst_residual = math.inf, 0.0
+    results = _ordered_map(_chain_part, _chain_parts(seed, workers), workers)
     # closed on every exit, so no worker outlives the criterion
-    with contextlib.closing(_ordered_map(_chain_part, parts, workers)) as results:
-        for part, (row, slack, residual) in zip(parts, results):
-            if row is not None:
-                return False, {"failed": _part_failure(part, row).to_dict()}
+    with contextlib.closing(results):
+        for failed, slack, residual in results:
+            if failed is not None:
+                return False, {"failed": failed.to_dict()}
             worst_slack = min(worst_slack, slack)
             worst_residual = max(worst_residual, residual)
     passed = worst_slack >= -1e-9 and worst_residual <= 1e-9

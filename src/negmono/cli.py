@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -274,6 +275,8 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
+# built once per process: argparse makes a help formatter per option (~2 ms)
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negmono",

@@ -15,6 +15,7 @@ slacks; only its argmin is rebuilt as an instance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 
@@ -57,6 +58,13 @@ _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
 
+def _index(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Scan parameters; dims is used by the state target ineq4, d by the
@@ -77,6 +85,11 @@ class SearchConfig:
     tol: float = TAU_CHECK
 
     def __post_init__(self):
+        # stored as Python ints: a numpy seed has no bit_length for _seed_words
+        if self.dims is not None:
+            object.__setattr__(self, "dims", tuple(_index("dims", n) for n in self.dims))
+        for name in ("trials", "local_steps", "seed") + (() if self.d is None else ("d",)):
+            object.__setattr__(self, name, _index(name, getattr(self, name)))
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
         if self.trials < 1:

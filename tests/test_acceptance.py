@@ -31,7 +31,7 @@ from negmono.permlemma import check_commutative, drury_numeric_check, ma_chains
 from negmono.qstate import (amat, coeff_matrices, density, partial_trace_B, partial_trace_C,
                             partial_transpose_A, random_state)
 from negmono.search import run_search
-from negmono.specialcase import STEPS, check_ineqid1, interlacing_trace
+from negmono.specialcase import BOUNDS, STEPS, check_ineqid1, interlacing_trace
 
 CASES = [(i + 1, fn) for i, fn in enumerate(acceptance.CRITERIA)]
 
@@ -151,7 +151,7 @@ def test_special_case_chain_in_workers_is_the_in_process_run(seed, cpus):
 @pytest.mark.parametrize("per_size", [1, 2, 3, 7, 63, 64])
 def test_special_case_chain_parts_draw_the_serial_stream(per_size):
     for seed in (0, 1):
-        parts = acceptance._chain_parts(seed, per_size)
+        parts = list(acceptance._chain_parts(seed, per_size))
         assert len(parts) == 7 * min(per_size, 63)
         rng = acceptance._rng(seed, 4)
         for d in range(2, 9):
@@ -160,10 +160,12 @@ def test_special_case_chain_parts_draw_the_serial_stream(per_size):
             assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
             assert bounds[-1][1] == 1000
             assert all(start % acceptance.CHUNK == 0 for start, _ in bounds)
-            drawn = np.concatenate([
-                np.concatenate(list(acceptance._part_stacks(
-                    acceptance._part_generator(state), d, start, stop)))
-                for _, state, start, stop in own])
+            drawn = []
+            for _, state, start, stop in own:
+                bits = np.random.PCG64()
+                bits.state = state
+                drawn.extend(acceptance._part_stacks(np.random.Generator(bits), d, start, stop))
+            drawn = np.concatenate(drawn)
             np.testing.assert_array_equal(drawn, matcore._complex_gaussians(rng, 1000, (d, d)))
 
 
@@ -559,6 +561,23 @@ def test_special_case_chain_reports_a_late_bound_failure_in_draw_order(monkeypat
     failed = in_workers.details["failed"]
     assert (failed["name"], failed["holds"], failed["d"]) == ("ineqid1", False, 2)
     assert failed["lhs"] == pytest.approx(check_ineqid1(stacks[2][600]).lhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["step_c_weyl", "ineqid1"])
+def test_special_case_chain_reports_a_failure_from_its_own_kernel_call(monkeypatch, cpus,
+                                                                       call_counts, name):
+    # a failure in the first chunk ends the run at that chunk's kernel call:
+    # the failing report is built from that call's rows
+    cpus(1)
+    _failing_kernel(monkeypatch, (STEPS + BOUNDS).index(name), 3)
+    counts, count = call_counts
+    count(acceptance, "_chain_batch")
+    try:
+        failed = acceptance.special_case_chain(seed=0).details["failed"]["name"]
+    except StepFailedError as exc:
+        failed = exc.step
+    assert failed == name
+    assert counts == {"_chain_batch": 1}
 
 
 def test_special_case_chain_failed_bound_is_reported(monkeypatch):

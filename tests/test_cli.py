@@ -118,6 +118,21 @@ def test_unknown_command_is_usage_error(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 2
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; neither a run nor a usage error
+    # changes what the next call prints or returns
+    argvs = [
+        ("special-case", "--d", "2", "--seed", "1"),
+        ("search", "--target", "nope"),
+        ("verify-conjecture", "--dims", "2x2"),
+        ("search", "--target", "ineqid", "--d", "2", "--trials", "3", "--local-steps", "1"),
+    ]
+    first = [run_cli(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 2, 2, 0]
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_special_case_random(capsys):
     code, out, _ = run_cli(capsys, "special-case", "--d", "3", "--seed", "2")
     assert code == 0

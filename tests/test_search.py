@@ -60,6 +60,29 @@ def test_config_validation():
         SearchConfig(target="ineqid", d=2, trials=2**32 + 1)
 
 
+@pytest.mark.parametrize("field, config", [
+    ("dims", dict(target="ineq4", dims=(2.5, 2, 2))),
+    ("trials", dict(target="ineq4", dims=(2, 2, 2), trials=2.5)),
+    ("local_steps", dict(target="ineqid", d=2, local_steps=1.5)),
+    ("seed", dict(target="ineqid", d=2, seed=1.0)),
+    ("d", dict(target="ineqid", d=2.0)),
+])
+def test_config_rejects_float_integer_fields(field, config):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SearchConfig(**config)
+
+
+def test_config_stores_numpy_integers_as_python_ints():
+    # a numpy seed once reached the seed words and failed there
+    cfg = SearchConfig(target="ineq4", dims=(np.int64(2), 2, 2), trials=np.int32(20),
+                       local_steps=np.uint8(3), seed=np.uint32(5))
+    plain = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=20, local_steps=3, seed=5)
+    assert cfg == plain
+    assert all(type(v) is int for v in (*cfg.dims, cfg.trials, cfg.local_steps, cfg.seed))
+    assert run_search(cfg) == run_search(plain)
+    assert type(SearchConfig(target="ineqid", d=np.int16(3)).d) is int
+
+
 def test_random_instance_deterministic_per_trial():
     cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), seed=7)
     a = random_instance(cfg, 3)
