@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,8 +23,8 @@ from .matcore import (_adj, _complex_gaussians, _complex_pairs, _herm, _lapack, 
                       _rng, _workers)
 from .monogamy import _negativities, _overlaps, _z1, _z2, monotonicity_report, verify_batch
 from .permlemma import (
+    _chain_walk,
     _drury_sides,
-    _ma_chains,
     _perm_array,
     _rearranged_sum_blocks,
     check_commutative,
@@ -267,34 +266,42 @@ def tightness_witness(seed):
     return passed, {"ineqid2_slack": rep.slack, "tr_neg": tr_neg, "expected": golden}
 
 
+def _inexact_chains(perms):
+    """The rows, with repeats, of a stack perms (P, d) of 0-based images
+    whose _chain_walk chains are not exact. Its edges, consecutive members
+    of one chain, are counted by source and their targets checked in
+    place: each ascent i -> pi(i), pi(i) > i, must be a source exactly
+    once with target pi(i), and no other index a source. A function of
+    its own, so that its arrays are freed before criterion 6's rearranged
+    sums, which set the criterion's peak memory."""
+    d = perms.shape[1]
+    heads, nodes = _chain_walk(perms)
+    edge = heads[1:] == heads[:-1]
+    sources, targets = nodes[:-1][edge], nodes[1:][edge]
+    wrong = np.bincount(sources, minlength=perms.size) != (perms > np.arange(d)).ravel()
+    wrong[sources] |= targets != sources - sources % d + perms.ravel()[sources]
+    return np.flatnonzero(wrong) // d
+
+
 @_criterion(budget_s=120.0)
 def commutative_lemma_exhaustive(seed):
     """Criterion 6: exhaustive over all permutations for d <= 7 with 100
     random sorted spectra each; the lemma holds, the chains are exact, and
     the two-point swap witness has zero slack.
 
-    _ma_chains runs once on every permutation of S_d, in _perm_array's
-    order (itertools.permutations yields valid images), and writes each
-    chain edge (a, b) of the k-th into a byte buffer at k * d + a - 1. The
-    buffer must be exactly pi(i) at i - 1 for the ascents pi(i) > i and
-    zero elsewhere, each written once: the other terms of a sorted
-    spectrum's direct sum are zero. A failure names the first permutation
-    whose row differs. The direct sums of each d's 100 spectra, drawn by
-    one generator call, come from one _rearranged_sum_blocks call; the
-    least slack is that of the largest sum, as squaring and subtracting
-    keep the order of floats."""
+    One _chain_walk call per size gives the chains of every permutation
+    of S_d, in _perm_array's order, and _inexact_chains checks that their
+    edges are exactly the ascents (i, pi(i)), pi(i) > i, each once: the
+    other terms of a sorted spectrum's direct sum are zero. A failure
+    names the first permutation with a wrong entry. The direct sums of
+    each d's 100 spectra, drawn by one generator call, come from one
+    _rearranged_sum_blocks call; the least slack is that of the largest
+    sum, as squaring and subtracting keep the order of floats."""
     rng = _rng(seed, 6)
     worst_slack = math.inf
     for d in range(1, 8):
         perms = _perm_array(d)
-        edges = bytearray(perms.size)
-        for k, img in enumerate(itertools.permutations(range(1, d + 1))):
-            row = k * d - 1  # edges[row + a] is entry a - 1 of row k
-            for c in _ma_chains(img):
-                for a, b in zip(c, c[1:]):  # a source written twice cannot match
-                    edges[row + a] = 255 if edges[row + a] else b
-        ascents = np.where(perms > np.arange(d), perms + 1, 0).astype(np.uint8)
-        bad = np.flatnonzero((np.frombuffer(edges, np.uint8).reshape(-1, d) != ascents).any(axis=1))
+        bad = _inexact_chains(perms)
         if bad.size:
             return False, {"completeness_failed_for": (perms[bad[0]] + 1).tolist()}
         mu = np.sort(rng.random((100, d)), axis=1)[:, ::-1]

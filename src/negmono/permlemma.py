@@ -66,23 +66,46 @@ def ma_chains(image) -> list[tuple[int, ...]]:
     the terminal element included, ordered by their first element. Every i
     with pi(i) > i appears as a non-terminal element of exactly one chain.
     """
-    return _ma_chains(_validate_permutation(image))
+    img = _validate_permutation(image)
+    heads, nodes = _chain_walk(np.array(img, dtype=np.intp)[None] - 1)
+    chains = {}  # by head, in the kernel's order
+    for head, node in zip(heads.tolist(), nodes.tolist()):
+        chains.setdefault(head, []).append(node + 1)
+    return [tuple(c) for c in chains.values()]
 
 
-def _ma_chains(img: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """ma_chains of a valid 1-based image tuple, which it does not check."""
-    asc = {i: p for i, p in enumerate(img, 1) if p > i}  # keys ascending
-    ends = set(asc.values())
-    chains = []
-    for i in asc:
-        if i in ends:  # not a start: it has an ascending predecessor
-            continue
-        chain = [i]
-        while i in asc:
-            i = asc[i]
-            chain.append(i)
-        chains.append(tuple(chain))
-    return chains
+def _chain_walk(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal ascending chains of every row pi of a stack perms (P, d)
+    of 0-based images, unvalidated, as (heads, nodes): nodes are the
+    positions k * d + i in perms.ravel() of the chain members, ordered by
+    row, then chain head, then index, and heads the position of each
+    member's chain head. Consecutive entries with one head are an edge
+    (i, pi(i)) of its chain.
+
+    Each ascent target takes its source as predecessor and every other
+    index itself, and each member finds its head by pointer jumping, all
+    rows at once: a chain has at most d - 1 edges, so bit_length(d - 2)
+    squarings of the predecessor map reach every head. A chain ascends, so
+    its members in index order are in chain order, and one sort per row of
+    the keys head * d + i orders them. In-row arrays take the least
+    unsigned type that holds d * d (uint8 for d <= 15) and positions int32
+    (perms.size < 2**31): the arrays of S_7's pass peak at about 0.55 MB,
+    against 2.4 MB for a form on flat intp positions."""
+    p, d = perms.shape
+    small = np.min_scalar_type(d * d)
+    idx = np.arange(d, dtype=small)
+    offset = d * np.arange(p, dtype=np.int32)[:, None]
+    up = perms > idx
+    pred = np.empty((p, d), small)
+    pred.ravel()[perms + offset] = np.where(up, idx, perms.astype(small))
+    head = pred
+    for _ in range(max(d - 2, 0).bit_length()):
+        head = head.ravel()[head + offset]
+    key = np.where(up | (pred != idx), head * d + idx, d * d)
+    key.sort(axis=1)
+    member = key < d * d
+    heads = (key // d + offset)[member]
+    return heads, (key % d + offset)[member]
 
 
 def _spectrum_and_images(mu, image, sorted_required: bool = True):
@@ -135,15 +158,6 @@ def _commutative_sides(mu: np.ndarray, perms: np.ndarray):
     return np.array([float(s) ** 2 for s in sums]), (d / 2.0) * mu.sum(axis=1)
 
 
-def chain_component_sum(mu, chain) -> float:
-    """sum over consecutive chain pairs of sqrt(mu_a - mu_b)."""
-    v = np.asarray(mu, dtype=float)
-    total = 0.0
-    for a, b in zip(chain[:-1], chain[1:]):
-        total += math.sqrt(max(v[a - 1] - v[b - 1], 0.0))
-    return total
-
-
 def check_commutative(mu, image, tol: float = TAU_CHECK) -> InequalityReport:
     """(sum_i sqrt((mu_i - mu_{pi(i)})_+))^2 <= (d/2) sum_i mu_i for sorted
     non-negative mu."""
@@ -153,7 +167,8 @@ def check_commutative(mu, image, tol: float = TAU_CHECK) -> InequalityReport:
 
 
 def chain_bound(mu, chain, tol: float = TAU_CHECK) -> InequalityReport:
-    """Per-chain bound: the component sum of a length-r chain is at most
+    """Per-chain bound: the component sum of a length-r chain, the sum of
+    sqrt(mu_a - mu_b) over its consecutive pairs (a, b), is at most
     sqrt((r/2) * sum of the chain's mu values)."""
     v = _validate_spectrum(mu)
     idx = tuple(int(i) for i in chain)
@@ -164,7 +179,8 @@ def chain_bound(mu, chain, tol: float = TAU_CHECK) -> InequalityReport:
         or any(a >= b for a, b in zip(idx[:-1], idx[1:]))
     ):
         raise InvalidChainError(f"not a strictly ascending index chain: {chain}")
-    lhs = chain_component_sum(v, idx)
+    # mu is sorted and the chain ascends, so every difference is >= 0
+    lhs = sum((math.sqrt(v[a - 1] - v[b - 1]) for a, b in zip(idx, idx[1:])), 0.0)
     rhs = math.sqrt((len(idx) / 2.0) * float(np.sum(v[np.array(idx) - 1])))
     return make_report("chain_bound", lhs, rhs, tol, r=len(idx))
 

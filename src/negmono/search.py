@@ -73,7 +73,8 @@ class SearchConfig:
     The support of B in a state on A x B x C has dimension at most dA * dC
     (and that of C at most dA * dB), so ineq4 dims beyond those add nothing:
     2x2x5 searches nothing that 2x2x4 does not. trials is at most
-    MAX_TRIALS; the seed may be any non-negative integer."""
+    MAX_TRIALS, the seed may be any non-negative integer, and tol is
+    finite."""
 
     target: str
     dims: tuple[int, int, int] | None = None
@@ -100,6 +101,8 @@ class SearchConfig:
             raise ValueError("local_steps must be non-negative")
         if not (self.step_scale > 0 and math.isfinite(self.step_scale)):
             raise ValueError(f"step_scale must be finite and positive, got {self.step_scale}")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.target == "ineq4":

@@ -22,12 +22,13 @@ import os
 import numpy as np
 import pytest
 from imfunc_oracles import reference_approximation_suite
+from permlemma_oracles import ma_chains
 
 from negmono import acceptance, matcore, monogamy, permlemma, qstate
 from negmono.errors import StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, negativity, schatten
 from negmono.monogamy import build_Z1, build_Z2, monotonicity_report
-from negmono.permlemma import check_commutative, drury_numeric_check, ma_chains
+from negmono.permlemma import check_commutative, drury_numeric_check
 from negmono.qstate import (amat, coeff_matrices, density, partial_trace_B, partial_trace_C,
                             partial_transpose_A, random_state)
 from negmono.search import run_search
@@ -247,9 +248,10 @@ def _per_state_negativity_identity(seed):
 
 
 def _per_spectrum_commutative_lemma_exhaustive(seed):
-    # criterion 6 one spectrum at a time, by elementwise sums; it computes
-    # the chain-split sums, whose largest difference from the direct sums
-    # the criterion reports as exactly 0.0 from its chain check
+    # criterion 6 one spectrum at a time, by elementwise sums and the
+    # dict-based chain builder; it computes the chain-split sums, whose
+    # largest difference from the direct sums the criterion reports as
+    # exactly 0.0 from its chain check
     rng = acceptance._rng(seed, 6)
     worst_slack = math.inf
     worst_split = 0.0
@@ -341,17 +343,16 @@ def test_stacked_criteria_counts_and_chunk_independence(monkeypatch, call_counts
 
 
 def test_commutative_lemma_exhaustive_counts_and_chunk_independence(monkeypatch, call_counts):
-    # _ma_chains runs once on every permutation of S_d for d <= 7 and only
-    # the swap witness validates one; each size makes one prefix-tree call,
-    # and only the swap witness gathers an explicit permutation; the
-    # details do not depend on the bound on a level array
+    # each size d <= 7 makes one chain-kernel call on all of S_d and one
+    # prefix-tree call; only the swap witness validates a permutation and
+    # gathers an explicit one; the details do not depend on the bound on a
+    # level array
     counts, count = call_counts
-    for name in ("_ma_chains", "_validate_permutation", "_rearranged_sum_blocks",
+    for name in ("_chain_walk", "_validate_permutation", "_rearranged_sum_blocks",
                  "_rearranged_sums"):
         count(permlemma, name)
     default = acceptance.commutative_lemma_exhaustive(seed=0)
-    # 5913 is the sum of d! over d <= 7
-    assert counts == {"_ma_chains": 5913, "_validate_permutation": 1,
+    assert counts == {"_chain_walk": 7, "_validate_permutation": 1,
                       "_rearranged_sum_blocks": 7, "_rearranged_sums": 1}
     monkeypatch.setattr(permlemma, "GATHER", 2**10)
     small = acceptance.commutative_lemma_exhaustive(seed=0)
@@ -372,24 +373,33 @@ def test_commutative_lemma_exhaustive_builds_each_index_once(call_counts):
     assert counts == {"_prefix_levels": 7, "_pair_index": 1, "_pair_table": 26}
 
 
-def _edge_to_the_wrong_index(chains):
-    return [(*c[:-1], c[-1] + 1) for c in chains]
+def _edge_to_the_wrong_index(d, heads, nodes):
+    # the last member of each chain moved up by one
+    return heads, nodes + (np.diff(heads, append=-1) != 0)
 
 
-def _a_chain_twice(chains):
-    return chains + chains[:1]
+def _first_chains(d, heads):
+    # the members of each permutation's first chain
+    return np.isin(heads, heads[np.flatnonzero(np.diff(heads // d, prepend=-1))])
 
 
-def _a_chain_dropped(chains):
-    return chains[1:]
+def _a_chain_twice(d, heads, nodes):
+    first = _first_chains(d, heads)
+    return np.concatenate([heads, heads[first]]), np.concatenate([nodes, nodes[first]])
+
+
+def _a_chain_dropped(d, heads, nodes):
+    rest = ~_first_chains(d, heads)
+    return heads[rest], nodes[rest]
 
 
 @pytest.mark.parametrize("mutate", [_edge_to_the_wrong_index, _a_chain_twice, _a_chain_dropped])
 def test_commutative_lemma_exhaustive_rejects_inexact_chains(monkeypatch, mutate):
     # the chain edges must be exactly the ascents (i, pi(i)), each once;
     # (2, 1) is the first permutation in S_1, S_2, ... with a chain
-    chains = permlemma._ma_chains
-    monkeypatch.setattr(acceptance, "_ma_chains", lambda img: mutate(chains(img)))
+    walk = permlemma._chain_walk
+    monkeypatch.setattr(acceptance, "_chain_walk",
+                        lambda perms: mutate(perms.shape[1], *walk(perms)))
     result = acceptance.commutative_lemma_exhaustive(seed=0)
     assert not result.passed
     assert result.details["completeness_failed_for"] == [2, 1]

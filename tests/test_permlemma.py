@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import permlemma_oracles
 import pytest
 
 from negmono.errors import (
@@ -16,6 +17,7 @@ from negmono import matcore, permlemma
 from negmono.matcore import _complex_gaussians, complex_gaussian, hermitian_eigenvalues
 from negmono.permlemma import (
     D_MAX,
+    _chain_walk,
     _pair_index,
     _pair_table,
     _perm_array,
@@ -35,6 +37,7 @@ from negmono.specialcase import _tr_sqrt_clipped, commutator_gap
 @pytest.mark.parametrize(
     "image,expected",
     [
+        ((), []),
         ((1,), []),
         ((1, 2, 3), []),
         ((2, 1), [(1, 2)]),
@@ -46,6 +49,26 @@ from negmono.specialcase import _tr_sqrt_clipped, commutator_gap
 )
 def test_ma_chains_examples(image, expected):
     assert ma_chains(image) == expected
+
+
+@pytest.mark.parametrize("d", range(1, D_MAX + 1))
+def test_chain_walk_is_the_per_permutation_builder(d):
+    # the kernel on all of S_d, and ma_chains, its stack of one, on each
+    # permutation, give the dict-based builder's chains
+    heads, nodes = _chain_walk(_perm_array(d))
+    expected_heads, expected_nodes = permlemma_oracles.chain_walk(d)
+    assert np.array_equal(heads, expected_heads) and np.array_equal(nodes, expected_nodes)
+    for image in itertools.permutations(range(1, d + 1)):
+        assert ma_chains(image) == permlemma_oracles.ma_chains(image)
+
+
+@pytest.mark.parametrize("d", [15, 16, 40])
+def test_ma_chains_beyond_d_max(d):
+    # the kernel's in-row type widens past uint8 at d = 16
+    rng = np.random.default_rng(d)
+    for _ in range(50):
+        image = tuple(int(i) + 1 for i in rng.permutation(d))
+        assert ma_chains(image) == permlemma_oracles.ma_chains(image)
 
 
 def test_ma_chains_validation():
@@ -130,6 +153,8 @@ def test_chain_bound_validation():
         chain_bound(mu, (1, 1))
     with pytest.raises(InvalidChainError):
         chain_bound(mu, (1, 4))
+    with pytest.raises(InvalidChainError):
+        chain_bound(mu, (0, 2))
 
 
 def test_holder_half_bound_and_equality():

@@ -383,6 +383,14 @@ def test_config_rejects_bad_step_scale(scale):
         SearchConfig(target="ineqid", d=2, step_scale=scale)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_tol(tol):
+    # a NaN tol counted no violation whatever the slacks, and -inf counted
+    # every trial of a proven target
+    with pytest.raises(ValueError, match=f"^tol must be finite, got {tol}$"):
+        SearchConfig(target="ineqid", d=2, tol=tol)
+
+
 @pytest.mark.parametrize("target", list(ALL_TARGETS))
 def test_overflowing_step_scale_names_the_option(target):
     cfg = SearchConfig(target=target, trials=2, step_scale=1e308, seed=0, **ALL_TARGETS[target])
