@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imfunc import IMParams, beta_sign_report, h, im_pair_check, sup_error
-from .matcore import (_adj, _complex_gaussians, _complex_pairs, _herm, _lapack, _ordered_map,
-                      _rng, _workers)
-from .monogamy import _negativities, _overlaps, _z1, _z2, monotonicity_report, verify_batch
+from .matcore import (_adj, _complex_gaussians, _complex_pairs, _herm, _lapack, _negativities,
+                      _ordered_map, _rng, _workers)
+from .monogamy import _overlaps, _z1, _z2, monotonicity_report, verify_batch
 from .permlemma import (
     _chain_walk,
     _drury_sides,

@@ -14,7 +14,7 @@ class NoConvergenceError(RuntimeError):
 
 
 class NonPositiveQError(ValueError):
-    """Schatten exponent must be strictly positive."""
+    """Schatten exponent must be finite and strictly positive."""
 
 
 class NotPSDError(ValueError):

@@ -160,6 +160,11 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     return float(_simpson_panels(fs, np.array([a], float), np.array([b], float), tol)[0])
 
 
+def _finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def tail_bound(x: float, theta: float = DEFAULT_THETA) -> float:
     """Closed-form bound on the integral of g over (-inf, x] for x < 0,
     from g(y) <= exp(theta y / 2) / (2 sqrt(-y))."""
@@ -172,9 +177,8 @@ def tail_cutoff(theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL
     """Left endpoint L < 0 with tail_bound(L) < quad_tol / 2. h, h_s and
     h_grid check theta and quad_tol here, once: the doubling ends only
     when both are finite and positive."""
-    for name, value in (("theta", theta), ("quad_tol", quad_tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _finite_positive("theta", theta)
+    _finite_positive("quad_tol", quad_tol)
     t = 8.0 / theta
     while tail_bound(-t, theta) > 0.5 * quad_tol:
         t *= 2.0
@@ -188,7 +192,8 @@ def h(x: float, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL
 
 def h_grid(xs, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """h evaluated on an ascending grid by one _simpson_panels call over the
-    segments between its points above L, summed left to right.
+    segments between its points above L, summed left to right. A nan or
+    +inf point is rejected; a point at or below L, -inf included, gives 0.
 
     The total budget quad_tol is split into half for the tail cutoff and
     half shared by the n segments, so errors cannot accumulate past it.
@@ -196,6 +201,8 @@ def h_grid(xs, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL)
     v = np.asarray(xs, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a non-empty 1-d grid, got shape {v.shape}")
+    if not np.all(v < np.inf):  # false at a nan and at +inf
+        raise ValueError(f"grid points must be finite or -inf, got {v[~(v < np.inf)][0]}")
     if np.any(np.diff(v) < 0):
         raise ValueError("grid must be ascending")
     lo = tail_cutoff(theta, quad_tol)
@@ -306,6 +313,7 @@ def im_pair_check(theta: float = DEFAULT_THETA, sample_count: int = 100) -> Ineq
     that attains it. g' is evaluated by one g_prime call per branch, on the
     array of its roots.
     """
+    _finite_positive("theta", theta)
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     levels = np.linspace(0.01, 0.49, sample_count)
@@ -321,6 +329,7 @@ def im_pair_check(theta: float = DEFAULT_THETA, sample_count: int = 100) -> Ineq
 def beta_sign_report(theta: float = DEFAULT_THETA, n: int = 1000) -> InequalityReport:
     """Worst margin of the sign pattern beta > 2 for x < 0 and beta < 2 for
     x > 0 over an n-point grid on [-10, 10], skipping x = 0 (beta = 2)."""
+    _finite_positive("theta", theta)
     xs = np.linspace(-10.0, 10.0, n)
     bs = beta(xs, theta)
     margins = np.where(xs < 0, bs - 2.0, 2.0 - bs)[xs != 0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -191,8 +192,8 @@ def hermitian_eigenvalues(h) -> np.ndarray:
 def schatten(x, q: float) -> float:
     """Schatten q-(quasi-)norm (sum of sigma^q)^(1/q), computed from
     singular values; q in (0, 1) gives the quasi-norm used for q = 1/2."""
-    if not q > 0:
-        raise NonPositiveQError(f"Schatten exponent must be positive, got {q}")
+    if not (q > 0 and math.isfinite(q)):
+        raise NonPositiveQError(f"Schatten exponent must be finite and positive, got {q}")
     s = _lapack(np.linalg.svd, as_complex_matrix(x), compute_uv=False)
     return float(np.sum(s**q) ** (1.0 / q))
 
@@ -206,9 +207,14 @@ def jordan_parts(h) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
+def _negativities(h: np.ndarray) -> np.ndarray:
+    """negativity of each matrix of a Hermitian stack (..., n, n), unvalidated."""
+    return 2.0 * _tr_neg(_lapack(np.linalg.eigvalsh, h))
+
+
 def negativity(h) -> float:
     """Trace norm minus trace; equals twice the trace of the negative part."""
-    return float(2.0 * _tr_neg(hermitian_eigenvalues(h)))
+    return float(_negativities(require_hermitian(h)))
 
 
 def psd_sqrt(p) -> np.ndarray:

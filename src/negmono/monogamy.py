@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotNormalizedError
-from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _tr_neg, make_report
+from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _negativities, make_report
 from .qstate import TAU_NORM, TripartiteState, _stacked, coeff_matrices
 
 # The reports of verify-conjecture for each state, in output order.
@@ -54,10 +54,6 @@ def build_Z2(mats) -> np.ndarray:
 
 def _norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
-
-
-def _negativities(z: np.ndarray) -> np.ndarray:
-    return 2.0 * _tr_neg(_lapack(np.linalg.eigvalsh, z))
 
 
 def ineq4_batch(c: np.ndarray):

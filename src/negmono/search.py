@@ -218,38 +218,43 @@ def random_instance(cfg: SearchConfig, trial_index: int):
     """Deterministic random instance for one trial: a normalised Gaussian
     state for ineq4, a complex Gaussian matrix for the ineqid targets, or a
     sorted exponentially spaced spectrum plus uniform permutation."""
-    [start] = _sample(cfg, _generators(cfg.seed, [trial_index])[0])
-    return TripartiteState(start) if cfg.target == "ineq4" else start
+    x, perms = _sample(cfg, _generators(cfg.seed, [trial_index])[0])
+    return _instance(cfg.target, x, perms, 0)
 
 
 def _sample(cfg: SearchConfig, rngs: list):
     """The descent starts drawn from the given generators, one each, every
-    start as a single draw from its generator would give it: a stack of
-    state coefficient tensors for ineq4 or of matrices for the ineqid
-    targets, a list of (spectrum, permutation) for commutative."""
+    start as a single draw from its generator would give it: a stack x of
+    state tensors (ineq4), matrices (ineqid*) or spectra (commutative), and
+    perms, the 0-based commutative permutations, None for the other targets."""
     n = len(rngs)
     if cfg.target == "commutative":
         u = np.empty((n, cfg.d))
-        perms = []
-        for rng, out in zip(rngs, u):
+        perms = np.empty((n, cfg.d), dtype=int)
+        for rng, out, perm in zip(rngs, u, perms):
             rng.random(out=out)
-            perms.append(tuple(int(i) + 1 for i in rng.permutation(cfg.d)))
+            perm[:] = rng.permutation(cfg.d)
         mu = np.exp(-MU_GAMMA * u)
         mu[:, ::-1].sort(axis=1)
         mu /= mu.sum(axis=1, keepdims=True)
-        return list(zip(mu, perms))
+        return mu, perms
     shape = cfg.dims if cfg.target == "ineq4" else (cfg.d, cfg.d)
     x = np.empty((n, 2, *shape))
     for rng, out in zip(rngs, x):
         rng.standard_normal(out=out)
     c = _complex_pairs(x)
-    return _unit_states(c) if cfg.target == "ineq4" else c
+    return (_unit_states(c) if cfg.target == "ineq4" else c), None
 
 
 def _normalised(c: np.ndarray):
     weight = np.sum(np.abs(c) ** 2, axis=(1, 2, 3))
     c /= np.sqrt(np.where(weight > 0.0, weight, 1.0))[:, None, None, None]
     return c, weight
+
+
+def _weighed(m: np.ndarray):
+    # matrices are not normalised; only a zero matrix is rejected
+    return m, np.sum(np.abs(m) ** 2, axis=(1, 2))
 
 
 def _simplex(mu: np.ndarray):
@@ -261,82 +266,72 @@ def _simplex(mu: np.ndarray):
     return mu, total
 
 
-def _slack(sides):
-    """rhs - lhs of a batched function whose last two outputs are (lhs, rhs)."""
-    def slack(x):
-        lhs, rhs = sides(x)[-2:]
-        return rhs - lhs
-    return slack
-
-
-def _bound(name: str) -> tuple:
-    return (lambda m: m, lambda m: (m, np.sum(np.abs(m) ** 2, axis=(1, 2))),
-            lambda starts: _slack(_SIDES[name]), lambda m, start: m)
-
-
-def _commutative_slack(starts):
-    perms = np.array([pi for _, pi in starts]) - 1
-    return _slack(lambda mu: _commutative_sides(mu, perms))
-
-
-# The descent of each target: (array, settle, slack, instance). array(start)
-# is the part of a start (as _sample draws it) that descends; settle(raw)
-# turns raw candidates, in place, into (candidates, weight), the norm or total
-# that normalises them (zero rejects a candidate); slack(starts) is the
-# batched slack of stacks descended from those starts; instance(row, start)
-# rebuilds a descended instance.
+# The descent of each target: (settle, sides). settle(raw) turns raw
+# candidates, in place, into (candidates, weight), the norm or total that
+# normalises them (zero rejects a candidate); sides(x, perms) is the batched
+# (lhs, rhs) of a stack x, looking its kernel up when called, so that a
+# test can count the calls.
 _DESCENTS = {
-    "ineq4": (lambda c: c, _normalised,
-              lambda starts: _slack(ineq4_batch), lambda c, start: TripartiteState(c)),
-    "ineqid": _bound("ineqid"),
-    "ineqid1": _bound("ineqid1"),
-    "ineqid2": _bound("ineqid2_minus"),
-    "commutative": (lambda inst: np.asarray(inst[0], dtype=float), _simplex,
-                    _commutative_slack, lambda mu, start: (mu, start[1])),
+    "ineq4": (_normalised, lambda c, perms: ineq4_batch(c)[2:]),
+    "ineqid": (_weighed, lambda m, perms: _SIDES["ineqid"](m)),
+    "ineqid1": (_weighed, lambda m, perms: _SIDES["ineqid1"](m)),
+    "ineqid2": (_weighed, lambda m, perms: _SIDES["ineqid2_minus"](m)),
+    "commutative": (_simplex, lambda mu, perms: _commutative_sides(mu, perms)),
 }
 
 
-def _descent(target: str) -> tuple:
-    if target not in _DESCENTS:
-        raise ValueError(f"unknown target {target!r}")
-    return _DESCENTS[target]
+def _slacks(target: str, x: np.ndarray, perms) -> np.ndarray:
+    """rhs - lhs of the targeted inequality on every row of a stack x."""
+    _, sides = _DESCENTS[target]
+    lhs, rhs = sides(x, perms)
+    return rhs - lhs
 
 
 def _start(target: str, instance):
-    """The descent start of a public instance, as _sample draws it; a
+    """The (x, perms) stack of one public instance, as _sample draws it; a
     commutative (mu, pi) or a matrix is validated here, once."""
+    if target not in _DESCENTS:
+        raise ValueError(f"unknown target {target!r}")
     if target == "commutative":
         mu, pi = instance
-        v, perm = _spectrum_and_images(mu, pi)
-        return v, tuple(int(i) + 1 for i in perm[0])
-    return instance.coeffs if target == "ineq4" else _square(instance)
+        v, perms = _spectrum_and_images(mu, pi)
+        return v[None], perms
+    return (instance.coeffs if target == "ineq4" else _square(instance))[None], None
+
+
+def _instance(target: str, x: np.ndarray, perms, k: int):
+    """The public instance of row k of a stack: a TripartiteState, a matrix,
+    or a spectrum and its 1-based permutation."""
+    if target == "ineq4":
+        return TripartiteState(x[k])
+    if target == "commutative":
+        return x[k], tuple(int(i) + 1 for i in perms[k])
+    return x[k]
 
 
 def evaluate_slack(target: str, instance) -> float:
     """Slack of the targeted inequality on one instance; negative means a
     violation candidate."""
-    array, _, slack, _ = _descent(target)
-    start = _start(target, instance)
-    return float(slack([start])(array(start)[None])[0])
+    return float(_slacks(target, *_start(target, instance))[0])
 
 
-def _descend(target: str, starts: list | np.ndarray, rngs: list, steps: int, scale: float):
-    """Greedy descent on the slack of several starts in lockstep, with one
-    batched slack evaluation per step. Returns (best rows, their slacks) as
-    stacks; the instance of row k is instance(rows[k], starts[k]).
+def _descend(target: str, x: np.ndarray, perms, rngs: list, steps: int, scale: float):
+    """Greedy descent on the slack of the rows of a stack x in lockstep,
+    with one batched slack evaluation per step; x itself is not changed.
+    Returns (best rows, their slacks) as stacks; the instance of row k is
+    _instance(target, rows, perms, k).
 
-    Each start has its own descent stream, drawn NOISE_BLOCK steps at a
+    Each row has its own descent stream, drawn NOISE_BLOCK steps at a
     time: per step a real Gaussian vector for commutative, the real and then
     the imaginary part of a complex Gaussian for the other targets. A
     candidate is accepted only when its weight is nonzero and it strictly
     decreases the slack; the scale halves after STALL_LIMIT consecutive
-    rejections. So the result of a start does not depend on which other
-    starts share its lockstep."""
-    array, settle, slack_of, _ = _descent(target)
-    n = len(starts)
-    best = np.stack([array(s) for s in starts])
-    slack = slack_of(starts)
-    best_slack = slack(best)
+    rejections. So the result of a row does not depend on which other rows
+    share its lockstep."""
+    settle, _ = _DESCENTS[target]
+    n = len(x)
+    best = x.copy()
+    best_slack = _slacks(target, best, perms)
     scales = np.full(n, float(scale))
     stalled = np.zeros(n, dtype=int)
     per_start = (slice(None),) + (None,) * (best.ndim - 1)
@@ -358,7 +353,7 @@ def _descend(target: str, starts: list | np.ndarray, rngs: list, steps: int, sca
         if not (finite and np.all(np.isfinite(weight))):
             raise ValueError(f"step_scale {scale:g} overflows: a descent candidate "
                              "or its weight is not finite")
-        cand_slack = slack(cand)
+        cand_slack = _slacks(target, cand, perms)
         accept = (weight > 0.0) & (cand_slack < best_slack)
         best[accept] = cand[accept]
         best_slack = np.where(accept, cand_slack, best_slack)
@@ -374,10 +369,9 @@ def local_descend(instance, target: str, steps: int, scale: float, seed):
     best_slack).
 
     seed may be an int or a numpy SeedSequence."""
-    instance_of = _descent(target)[3]
-    start = _start(target, instance)
-    [best], [slack] = _descend(target, [start], [np.random.default_rng(seed)], steps, scale)
-    return instance_of(best, start), float(slack)
+    x, perms = _start(target, instance)
+    best, [slack] = _descend(target, x, perms, [np.random.default_rng(seed)], steps, scale)
+    return _instance(target, best, perms, 0), float(slack)
 
 
 def serialize_instance(target: str, instance) -> dict:
@@ -405,11 +399,10 @@ def _run_trials(cfg: SearchConfig, trials: range) -> tuple[list, tuple]:
     argmin (slack, trial_index, best_instance): the lowest slack, first
     trial on ties."""
     start_rngs, descent_rngs = _generators(cfg.seed, trials)
-    starts = _sample(cfg, start_rngs)
-    rows, slacks = _descend(cfg.target, starts, descent_rngs, cfg.local_steps, cfg.step_scale)
+    x, perms = _sample(cfg, start_rngs)
+    rows, slacks = _descend(cfg.target, x, perms, descent_rngs, cfg.local_steps, cfg.step_scale)
     k = int(np.argmin(slacks))
-    best = _descent(cfg.target)[3](rows[k], starts[k])
-    return slacks.tolist(), (float(slacks[k]), trials[k], best)
+    return slacks.tolist(), (float(slacks[k]), trials[k], _instance(cfg.target, rows, perms, k))
 
 
 def run_trial(cfg: SearchConfig, trial_index: int) -> tuple[int, float, dict]:
@@ -418,23 +411,17 @@ def run_trial(cfg: SearchConfig, trial_index: int) -> tuple[int, float, dict]:
     return t, slack, serialize_instance(cfg.target, best)
 
 
-def _chunks(cfg: SearchConfig, jobs: int):
-    """The _run_trials result of every chunk of CHUNK trials, in trial
-    order, through _ordered_map at `jobs` workers; the chunk ranges are
-    made as the map reads them, so none is held ahead of its window."""
-    chunks = (range(k, min(k + CHUNK, cfg.trials)) for k in range(0, cfg.trials, CHUNK))
-    return _ordered_map(partial(_run_trials, cfg), chunks, jobs)
-
-
 def run_search(cfg: SearchConfig, jobs: int = 1, on_trial=None) -> SearchResult:
-    """Scan all trials and merge the chunk argmins by (slack, trial_index),
-    so the result is independent of worker count and scheduling.
-    on_trial(trial_index, slack), when given, is called for every trial in
-    trial order."""
+    """Scan all trials in chunks of CHUNK through _ordered_map at `jobs`
+    workers, which makes each chunk range as it reads it, and merge the chunk
+    argmins by (slack, trial_index), so the result is independent of worker
+    count and scheduling. on_trial(trial_index, slack), when given, is called
+    for every trial in trial order."""
     best = None
     violations = 0
     t = 0
-    for slacks, argmin in _chunks(cfg, jobs):
+    chunks = (range(k, min(k + CHUNK, cfg.trials)) for k in range(0, cfg.trials, CHUNK))
+    for slacks, argmin in _ordered_map(partial(_run_trials, cfg), chunks, jobs):
         for slack in slacks:
             if on_trial is not None:
                 on_trial(t, slack)

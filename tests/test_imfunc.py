@@ -144,6 +144,33 @@ def test_tail_cutoff_rejects_what_would_not_end(monkeypatch, theta, quad_tol):
             call()
 
 
+def test_h_grid_rejects_nan_and_inf_points(monkeypatch):
+    # a nan passed the ascending check and then failed in the quadrature, as
+    # did +inf; both are now rejected before any panel is integrated
+    def no_quadrature(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(imfunc, "_simpson_panels", no_quadrature)
+    calls = (lambda: h_grid([1.0, math.nan, 0.0]), lambda: h_grid([0.0, math.inf]),
+             lambda: h(math.inf), lambda: h(math.nan),
+             lambda: h_s(math.inf, 2.0), lambda: h_s(math.nan, 2.0))
+    for call in calls:
+        with pytest.raises(ValueError, match="grid points must be finite or -inf, got (nan|inf)"):
+            call()
+    monkeypatch.undo()
+    assert h(-math.inf) == 0.0
+    assert h_grid([-math.inf, 0.0])[0] == 0.0
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_theta_is_checked_by_every_report(theta):
+    # theta=-1 gave a failing pair report (slack -0.235) and beta margin
+    # (slack -242290) that read like failed lemmas, and nan a nan slack
+    for call in (lambda: im_pair_check(theta), lambda: beta_sign_report(theta)):
+        with pytest.raises(ValueError, match="^theta must be finite and positive, got "):
+            call()
+
+
 def test_tail_cutoff_budget():
     cut = tail_cutoff(1.0, DEFAULT_QUAD_TOL)
     assert tail_bound(cut, 1.0) < DEFAULT_QUAD_TOL / 2.0
@@ -413,11 +440,17 @@ def test_h_grid_fails_where_the_recursion_fails_first():
 
 @pytest.mark.parametrize("xs", [[float("nan")], [0.0, float("nan"), 1.0], [float("inf")]])
 def test_h_grid_non_finite_points_fail_as_the_recursion(xs):
-    # a nan point fails at the depth limit along one path, not on 2**60 panels
+    # h_grid rejects such a point before any quadrature; on the segments it
+    # would make, the panel engine still fails as the recursion does, a nan
+    # point at the depth limit along one path, not on 2**60 panels
+    with pytest.raises(ValueError, match="grid points must be finite or -inf"):
+        h_grid(xs)
     with pytest.raises(QuadratureFailureError) as ref:
         reference_h_grid(xs)
+    starts, ends = np.array([tail_cutoff(), *xs[:-1]]), np.array(xs)
+    gs = lambda y: imfunc._g_array(y, imfunc.DEFAULT_THETA)
     with pytest.raises(QuadratureFailureError) as got:
-        h_grid(xs)
+        imfunc._simpson_panels(gs, starts, ends, 0.5 * DEFAULT_QUAD_TOL / len(xs))
     assert str(got.value) == str(ref.value)
 
 
@@ -527,8 +560,10 @@ def test_no_runtime_warning_escapes(capsys):
         for theta, quad_tol in ((1.0, DEFAULT_QUAD_TOL), (2.5, 1e-8)):
             for xs in _criterion_grids() + _random_grids(theta, quad_tol, 3):
                 h_grid(xs, theta, quad_tol)
-        for xs in ([0.0, 1e200], [float("inf")], [float("nan")]):
-            with pytest.raises(QuadratureFailureError):
+        with pytest.raises(QuadratureFailureError):
+            h_grid([0.0, 1e200])
+        for xs in ([float("inf")], [float("nan")]):
+            with pytest.raises(ValueError, match="grid points must be finite or -inf"):
                 h_grid(xs)
         for theta in (0.5, 1.0, 3.0):
             im_pair_check(theta, 100)

@@ -14,6 +14,8 @@ from negmono.errors import (
 from negmono.matcore import (
     WINDOW,
     _complex_gaussians,
+    _herm,
+    _negativities,
     _ordered_map,
     as_complex_matrix,
     complex_gaussian,
@@ -101,6 +103,14 @@ def test_schatten_rejects_nonpositive_q():
         schatten(np.eye(2), 0.0)
 
 
+@pytest.mark.parametrize("m", [np.zeros((2, 2)), np.eye(3), np.diag([4.0, 1.0])],
+                         ids=["zero", "identity", "diagonal"])
+def test_schatten_rejects_infinite_q(m):
+    # sum(s**inf) ** (1 / inf) read 1.0 for every matrix, the zero one included
+    with pytest.raises(NonPositiveQError, match="finite and positive, got inf"):
+        schatten(m, math.inf)
+
+
 def test_schatten_triangle_inequality_q1():
     rng = np.random.default_rng(4)
     a = complex_gaussian(rng, (4, 4))
@@ -126,6 +136,16 @@ def test_negativity_identities():
     assert negativity(h) == pytest.approx(2.0 * tr_n, abs=1e-12)
     assert negativity(h) == pytest.approx(schatten(h, 1) - np.trace(h).real, abs=1e-11)
     assert negativity(p) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_negativity_is_the_stacked_kernel(n):
+    # the public negativity is one row of the kernel monogamy and acceptance
+    # run on stacks, to the last bit
+    h = _herm(_complex_gaussians(np.random.default_rng(n), 7, (n, n)))
+    stacked = _negativities(h)
+    assert stacked.shape == (7,)
+    assert [negativity(row) for row in h] == stacked.tolist()
 
 
 def test_negativity_known_value():

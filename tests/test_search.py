@@ -117,16 +117,17 @@ def test_sampled_starts_are_single_draws(target):
     # a chunk's stack of starts is, row by row, the start each stream draws alone
     cfg = SearchConfig(target=target, seed=5, **ALL_TARGETS[target])
     trials = range(3, 12)
-    starts = search._sample(cfg, search._generators(cfg.seed, trials)[0])
-    for t, start in zip(trials, starts):
+    x, perms = search._sample(cfg, search._generators(cfg.seed, trials)[0])
+    assert (perms is None) == (target != "commutative")
+    for k, t in enumerate(trials):
         want = _reference_start(cfg, np.random.SeedSequence((cfg.seed, t)).spawn(2)[0])
         got = random_instance(cfg, t)
         if target == "ineq4":
             want, got = want.coeffs, got.coeffs
         elif target == "commutative":
-            assert start[1] == got[1] == want[1]
-            start, got, want = start[0], got[0], want[0]
-        np.testing.assert_array_equal(start, want)
+            assert tuple(int(i) + 1 for i in perms[k]) == got[1] == want[1]
+            got, want = got[0], want[0]
+        np.testing.assert_array_equal(x[k], want)
         np.testing.assert_array_equal(got, want)
 
 
@@ -188,6 +189,17 @@ def test_local_descend_never_increases_slack():
     best_inst, best = local_descend(inst, "ineqid2", steps=30, scale=0.3, seed=11)
     assert best <= start + 1e-15
     assert evaluate_slack("ineqid2", best_inst) == pytest.approx(best, abs=1e-14)
+
+
+@pytest.mark.parametrize("target", list(ALL_TARGETS))
+def test_local_descend_leaves_its_instance_unchanged(target):
+    # the descent works on a copy of the start's stack, not on the instance
+    cfg = SearchConfig(target=target, seed=4, **ALL_TARGETS[target])
+    inst = random_instance(cfg, 0)
+    before = serialize_instance(target, inst)
+    best, _ = local_descend(inst, target, steps=30, scale=0.3, seed=1)
+    assert serialize_instance(target, inst) == before
+    assert serialize_instance(target, best) != before
 
 
 def test_run_trial_deterministic():
@@ -339,11 +351,11 @@ def test_lockstep_long_descent_matches_scalar_descent():
 def test_lockstep_keeps_the_start_state_on_ties():
     # every 1x1x1 state has slack exactly 0, so no proposal is strictly better
     cfg = SearchConfig(target="ineq4", dims=(1, 1, 1), trials=3, seed=0)
-    starts = [random_instance(cfg, t).coeffs for t in range(cfg.trials)]
+    starts = np.stack([random_instance(cfg, t).coeffs for t in range(cfg.trials)])
     rngs = [np.random.default_rng(t) for t in range(cfg.trials)]
-    rows, slacks = _descend("ineq4", starts, rngs, cfg.local_steps, cfg.step_scale)
+    rows, slacks = _descend("ineq4", starts, None, rngs, cfg.local_steps, cfg.step_scale)
     assert slacks.tolist() == [0.0] * cfg.trials
-    np.testing.assert_array_equal(rows, np.stack(starts))
+    np.testing.assert_array_equal(rows, starts)
 
 
 def test_parallel_merge_matches_serial_across_chunks(monkeypatch):
@@ -436,10 +448,11 @@ def test_lockstep_rows_do_not_depend_on_their_stack(target):
     # the descended instance of a start is the same alone and in a stack
     cfg = SearchConfig(target=target, trials=9, seed=6, **ALL_TARGETS[target])
     seeds = [np.random.SeedSequence(entropy=(cfg.seed, t)).spawn(2) for t in range(cfg.trials)]
-    starts = search._sample(cfg, [np.random.default_rng(s) for s, _ in seeds])
+    x, perms = search._sample(cfg, [np.random.default_rng(s) for s, _ in seeds])
 
     def descend(ks):
-        return _descend(target, [starts[k] for k in ks],
+        ks = list(ks)
+        return _descend(target, x[ks], None if perms is None else perms[ks],
                         [np.random.default_rng(seeds[k][1]) for k in ks], 30, cfg.step_scale)
 
     rows, slacks = descend(range(cfg.trials))
