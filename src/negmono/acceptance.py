@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imfunc import IMParams, beta_sign_report, h, im_pair_check, sup_error
+from .imfunc import IMParams, _h_grids, _sup_error, beta_sign_report, im_pair_check
 from .matcore import (_adj, _complex_gaussians, _complex_pairs, _herm, _lapack, _negativities,
                       _ordered_map, _rng, _workers)
 from .monogamy import _overlaps, _z1, _z2, monotonicity_report, verify_batch
@@ -344,12 +344,14 @@ def approximation_suite(seed):
     """Criterion 8: h(0) < sqrt(pi/2) at theta=1; the paired-derivative
     check passes at 100 levels; the beta sign pattern holds on a 1000-point
     grid; and the sup error at s=100 is at most 1/8 of the s=1 value on the
-    standard grid."""
-    h0 = h(0.0)
+    standard grid. h(0) and both sup errors come from one _h_grids call."""
+    params = IMParams()
+    xs = params.grid()
+    h0, h1, h100 = _h_grids([[0.0], xs, 100.0 * xs], params.theta, params.quad_tol)
+    h0 = float(h0[0])
     pair = im_pair_check(theta=1.0, sample_count=100)
     signs = beta_sign_report(theta=1.0, n=1000)
-    err1 = sup_error(IMParams(s=1.0))
-    err100 = sup_error(IMParams(s=100.0))
+    err1, err100 = _sup_error(1.0, xs, h1), _sup_error(100.0, xs, h100)
     passed = (
         h0 < math.sqrt(math.pi / 2.0)
         and pair.slack > 0

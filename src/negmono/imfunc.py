@@ -4,22 +4,22 @@ alpha(x) = 1 + exp(-theta x): the antiderivative h, its scaled family
 h_s(x) = h(s x)/sqrt(s), and the paired-derivative check that certifies g
 as the derivative of an increasing matrix-compatible approximant.
 
-h is computed by adaptive Simpson quadrature on [L, x], every panel of a
-grid in lockstep, where the left cutoff L makes the analytic tail bound on
-the dropped integral smaller than half the requested tolerance; quad_tol
-is therefore a total error budget, not a per-panel one.
+h is computed by adaptive Simpson quadrature on [L, x], every panel of
+every grid in lockstep, where the left cutoff L makes the analytic tail
+bound on the dropped integral smaller than half the requested tolerance;
+quad_tol is therefore a total error budget per grid, not a per-panel one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .errors import QuadratureFailureError, RootNotBracketedError
-from .matcore import InequalityReport, make_report
+from .matcore import InequalityReport, _index, make_report
 
 DEFAULT_THETA = 1.0
 DEFAULT_QUAD_TOL = 1e-10
@@ -27,7 +27,12 @@ DEFAULT_QUAD_TOL = 1e-10
 # exp() overflow guard; g underflows to zero long before this matters.
 _EXP_CLIP = 700.0
 _EPS = float(np.finfo(float).eps)
-_SLICE = 512  # most points in one _g_array call of h_grid
+# exp(t) < 2**-53 for t <= -37, so 1.0 + exp(t) rounds to exactly 1.0 there
+_EXP_FLOOR = -37.0
+_SLICE = 4096  # most points in one _g_array call of _h_grids
+# The rows of a level's table that _simpson_panels pairs, left half and
+# right half, into the next level's a, m, b, fa, fm, fb, whole and tol
+_HALVES = np.array([[0, 1], [6, 7], [1, 2], [3, 4], [8, 9], [4, 5], [10, 11], [12, 12]])
 
 
 def w(x):
@@ -99,8 +104,14 @@ def _g_scalar(y: float, theta: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan as from Python floats
 def _g_array(y: np.ndarray, theta: float) -> np.ndarray:
     """_g_scalar at every point of y, bit for bit: numpy takes the IEEE-exact
-    steps, libm exp and pow (numpy's SIMD forms differ on 5% of inputs)."""
-    u = (1.0 + np.fromiter(map(math.exp, np.minimum(-theta * y, _EXP_CLIP).tolist()), float)) * y
+    steps, libm exp and pow (numpy's SIMD forms differ on 5% of inputs).
+    exp is skipped where its argument is at most _EXP_FLOOR, as adding it
+    to 1.0 would change nothing."""
+    t = np.minimum(-theta * y, _EXP_CLIP)
+    near = ~(t <= _EXP_FLOOR)  # a nan takes exp, as in _g_scalar
+    e = np.zeros(y.size)
+    e[near] = np.fromiter(map(math.exp, t[near].tolist()), float)
+    u = (1.0 + e) * y
     big = np.abs(u) > 1e150
     v = np.where(big, 0.0, u)
     out = 0.5 * np.fromiter(map(pow, (v * v + 1.0).tolist(), repeat(-0.25)), float, y.size)
@@ -109,41 +120,49 @@ def _g_array(y: np.ndarray, theta: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _simpson_panels(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+def _simpson_panels(f, a: np.ndarray, b: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
     """Adaptive Simpson with Richardson correction on the panels [a_k, b_k]
-    in lockstep, 60 halvings deep at most, f called once per level on the
-    left and once on the right midpoints. A tol under a panel's roundoff
-    fails, as err could meet it only by chance. The values, and the error of
-    the first failing panel from the left, are the recursion's bit for bit."""
+    in lockstep, 60 halvings deep at most, f called once per level on all
+    midpoints. tol is per panel (an array, or a scalar for all), halved at
+    each split. A tol under a panel's roundoff fails, as err could meet it
+    only by chance. Contiguous panels share their end point, where f is
+    taken once. The values, and the error of the first failing panel from
+    the left, are the recursion's bit for bit."""
+    new = np.ones(a.size, bool)  # a panel that does not start where the one before ended
+    new[1:] = a[1:] != b[:-1]
     m = 0.5 * (a + b)
-    fa, fb, fm = f(a), f(b), f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    k, n = np.count_nonzero(new), a.size
+    fn = f(np.concatenate((a[new], b, m)))
+    fa, fb, fm = np.roll(fn[k:k + n], 1), fn[k:k + n], fn[k + n:]  # fa: f at the end before
+    fa[new] = fn[:k]
+    level = np.stack((a, m, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb),
+                      np.broadcast_to(tol, a.shape)))
     levels, failure = [], None
     for depth in range(60, -1, -1):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left, right = (m - a) / 6.0 * (fa + 4.0 * flm + fm), (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
+        a, b, whole, tol = level[0], level[2], level[6], level[7]
+        mids = 0.5 * (level[0:2] + level[1:3])  # the left and right midpoints
+        fmids = f(mids.ravel()).reshape(mids.shape)
+        halves = (level[1:3] - level[0:2]) / 6.0 * (level[3:5] + 4.0 * fmids + level[4:6])
+        both = halves[0] + halves[1]
+        err = both - whole
         split = ~(np.abs(err) <= 15.0 * tol)
         bad = split & (depth <= 0 or 15.0 * tol < _EPS * np.abs(whole))
         # a nan or inf at its points, or a nan tol, makes a panel fail at some depth
-        sick = ~(np.isfinite(fa) & np.isfinite(fm) & np.isfinite(fb)) | math.isnan(tol)
+        sick = ~np.isfinite(level[3:6]).all(axis=0) | np.isnan(tol)
         doomed = bad | split & sick
         if doomed.any():  # advance only what lies left of the first
             k = int(np.argmax(doomed))
             if bad[k]:
                 span = f"on [{float(a[k])!r}, {float(b[k])!r}]"
                 failure = (f"max subdivision depth reached {span}" if depth <= 0 else
-                           f"panel tolerance {tol:.3g} {span} is below the rounding "
+                           f"panel tolerance {float(tol[k]):.3g} {span} is below the rounding "
                            f"error {_EPS * abs(float(whole[k])):.3g} of its Simpson estimate")
             split[k if bad[k] else k + 1:] = False
-        levels.append((left + right + err / 15.0, split))
+        levels.append((both + err / 15.0, split))
         if not split.any():
             break
-        tol = 0.5 * tol
-        a, m, b, fa, fm, fb, whole = (
-            np.column_stack((x[split], y[split])).ravel()
-            for x, y in ((a, m), (lm, rm), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right)))
+        table = np.concatenate((level[:6], mids, fmids, halves, 0.5 * level[7:]))
+        level = table[_HALVES[:, None, :], np.flatnonzero(split)[:, None]].reshape(8, -1)
     if failure is not None:
         raise QuadratureFailureError(failure)
     value = levels.pop()[0]
@@ -163,6 +182,13 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
 def _finite_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _at_least(name: str, value, least: int) -> int:
+    n = _index(name, value)
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
 
 
 def tail_bound(x: float, theta: float = DEFAULT_THETA) -> float:
@@ -191,13 +217,16 @@ def h(x: float, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL
 
 
 def h_grid(xs, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """h evaluated on an ascending grid by one _simpson_panels call over the
-    segments between its points above L, summed left to right. A nan or
+    """h evaluated on an ascending grid: _h_grids on the one grid. A nan or
     +inf point is rejected; a point at or below L, -inf included, gives 0.
 
     The total budget quad_tol is split into half for the tail cutoff and
     half shared by the n segments, so errors cannot accumulate past it.
     """
+    return _h_grids([xs], theta, quad_tol)[0]
+
+
+def _grid(xs) -> np.ndarray:
     v = np.asarray(xs, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a non-empty 1-d grid, got shape {v.shape}")
@@ -205,25 +234,56 @@ def h_grid(xs, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL)
         raise ValueError(f"grid points must be finite or -inf, got {v[~(v < np.inf)][0]}")
     if np.any(np.diff(v) < 0):
         raise ValueError("grid must be ascending")
+    return v
+
+
+def _h_grids(grids, theta: float, quad_tol: float) -> list[np.ndarray]:
+    """h on each grid by one _simpson_panels call over the segments between
+    the points above L of every grid, each grid's summed left to right with
+    its own budget, as h_grid gives it; a failure is the first grid's in
+    order. Every grid is checked before any quadrature."""
+    vs = [_grid(xs) for xs in grids]
     lo = tail_cutoff(theta, quad_tol)
-    up = ~(v <= lo)  # a point at or below L gives 0
-    starts, ends = np.concatenate(([lo], v[up]))[:-1], v[up]
-    run = ~(ends <= starts)  # a zero-length segment gives 0.0
-    seg = np.zeros(ends.size)
+    if not vs:
+        return []
+    panels = []
+    for v in vs:
+        up = ~(v <= lo)  # a point at or below L gives 0
+        starts, ends = np.concatenate(([lo], v[up]))[:-1], v[up]
+        run = ~(ends <= starts)  # a zero-length segment gives 0.0
+        panels.append((up, run, starts[run], ends[run],
+                       np.full(np.count_nonzero(run), 0.5 * quad_tol / v.size)))
+    ups, runs, a, b, tol = zip(*panels)
     gs = lambda y: np.concatenate(  # _SLICE points at a time bound the Python floats held
         [_g_array(t, theta) for t in np.split(y, range(_SLICE, y.size, _SLICE))])
-    seg[run] = _simpson_panels(gs, starts[run], ends[run], 0.5 * quad_tol / v.size)
-    out = np.zeros(v.size)
-    out[up] = np.cumsum(seg)
+    values = _simpson_panels(gs, np.concatenate(a), np.concatenate(b), np.concatenate(tol))
+    parts = np.split(values, np.cumsum([x.size for x in a])[:-1])
+    out = []
+    for v, up, run, part in zip(vs, ups, runs, parts):
+        seg, hv = np.zeros(run.size), np.zeros(v.size)
+        seg[run] = part
+        hv[up] = np.cumsum(seg)
+        out.append(hv)
     return out
+
+
+def _scaled(s: float, xs) -> np.ndarray:
+    """s * xs, for a scale s that is finite and positive and keeps every
+    finite point finite."""
+    _finite_positive("scale", s)
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore"):
+        ys = s * xs
+    over = np.isinf(ys) & np.isfinite(xs)
+    if over.any():
+        raise ValueError(f"scale {s} overflows the grid: s * {xs[over][0]} is not finite")
+    return ys
 
 
 def h_s(x: float, s: float, theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Scaled approximant h_s(x) = h(s x) / sqrt(s); converges uniformly to
     sqrt(x_+) at rate 1/sqrt(s)."""
-    if not s > 0:
-        raise ValueError(f"scale must be positive, got {s}")
-    return h(s * x, theta, quad_tol) / math.sqrt(s)
+    return h(_scaled(s, x), theta, quad_tol) / math.sqrt(s)
 
 
 def sqrt_plus(x):
@@ -252,52 +312,62 @@ class IMParams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not (self.theta > 0 and self.s > 0 and self.quad_tol > 0):
             raise ValueError("theta, s and quad_tol must be positive")
-        if not (self.grid_hi > self.grid_lo and self.grid_n >= 2):
-            raise ValueError("grid must have grid_hi > grid_lo and at least 2 points")
+        if not self.grid_hi > self.grid_lo:
+            raise ValueError("grid must have grid_hi > grid_lo")
+        object.__setattr__(self, "grid_n", _at_least("grid_n", self.grid_n, 2))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.grid_lo, self.grid_hi, self.grid_n)
 
 
+def _sup_error(s: float, xs: np.ndarray, hx: np.ndarray) -> float:
+    """max over the grid xs of |h_s(x) - sqrt(x_+)|, from hx = h on s * xs."""
+    return float(np.max(np.abs(hx / math.sqrt(s) - sqrt_plus(xs))))
+
+
 def sup_error(params: IMParams) -> float:
-    """max over the grid of |h_s(x) - sqrt(x_+)|."""
-    xs = params.grid()
-    hs = h_grid(params.s * xs, params.theta, params.quad_tol) / math.sqrt(params.s)
-    return float(np.max(np.abs(hs - sqrt_plus(xs))))
+    """max over the grid of |h_s(x) - sqrt(x_+)|: the one-row table."""
+    return sup_error_table([params.s], params)[0][1]
 
 
 def sup_error_table(s_values, params: IMParams) -> list[tuple[float, float]]:
-    """Rows (s, sup |h_s - sqrt(x_+)|) over the parameter grid."""
-    rows = []
-    for s in s_values:
-        if not s > 0:
-            raise ValueError(f"scale must be positive, got {s}")
-        rows.append((float(s), sup_error(replace(params, s=float(s)))))
-    return rows
+    """Rows (s, sup |h_s - sqrt(x_+)|) over the parameter grid, by one
+    _h_grids call over the scaled grids; every s is checked first, and the
+    first bad one in order is the error."""
+    scales = [float(s) for s in s_values]
+    xs = params.grid()
+    grids = [_scaled(s, xs) for s in scales]
+    hs = _h_grids(grids, params.theta, params.quad_tol)
+    return [(s, _sup_error(s, xs, hx)) for s, hx in zip(scales, hs)]
 
 
-def _bisect_levels(c: np.ndarray, theta: float, positive: bool, tol: float) -> np.ndarray:
-    """Solve g(t) = c for every level of the array c on the requested
-    monotone branch by bisection, in lockstep, evaluating g by _g_array.
+def _bisect_levels(c: np.ndarray, theta: float, positive, tol: float) -> np.ndarray:
+    """Solve g(t) = c for every level of the array c on the monotone branch
+    that positive names per level (a bool array, or one bool for all) by
+    bisection, in lockstep, evaluating g by _g_array.
 
     The bracket runs from inner = 0, where g = 1/2 > c, to an outer end
-    doubled until g(outer) <= c. A midpoint with g > c replaces the inner
-    end. A tie g = c replaces the end at the larger t: the outer one on the
-    positive branch, the inner one on the negative branch.
+    doubled until g(outer) <= c; the 80 outer ends +-2**k, k < 40, are
+    evaluated once. A midpoint with g > c replaces the inner end. A tie
+    g = c replaces the end at the larger t: the outer one on the positive
+    branch, the inner one on the negative branch.
     """
     bad = ~((0.0 < c) & (c < 0.5))
     if bad.any():
         raise RootNotBracketedError(f"level must lie in (0, 1/2), got {float(c[bad][0])}")
-    ends = np.ldexp(1.0 if positive else -1.0, np.arange(40))  # the outer ends up to 1e12
-    stop = ~(_g_array(ends, theta) > c[:, None])
-    if not stop.any(axis=1).all():
-        side = "positive" if positive else "negative"
-        raise RootNotBracketedError(f"no {side} root for level {float(c[~stop.any(axis=1)][0])}")
-    inner, outer = np.zeros(c.shape), ends[stop.argmax(axis=1)]
+    positive = np.broadcast_to(positive, c.shape)
+    side = positive.astype(np.intp)
+    ends = np.ldexp([[-1.0], [1.0]], np.arange(40))  # the outer ends up to 1e12
+    stop = ~(_g_array(ends.ravel(), theta).reshape(ends.shape)[side] > c[:, None])
+    if not (found := stop.any(axis=1)).all():
+        k = int(np.argmin(found))
+        raise RootNotBracketedError(
+            f"no {'positive' if positive[k] else 'negative'} root for level {float(c[k])}")
+    inner, outer = np.zeros(c.shape), ends[side, stop.argmax(axis=1)]
     while (live := np.abs(outer - inner) > tol * np.maximum(1.0, np.abs(outer))).any():
         mid = 0.5 * (inner + outer)
         gm = _g_array(mid, theta)
-        up = live & (gm > c if positive else gm >= c)
+        up = live & ((gm > c) | (gm == c) & ~positive)
         inner, outer = np.where(up, mid, inner), np.where(live & ~up, mid, outer)
     return 0.5 * (inner + outer)
 
@@ -310,19 +380,20 @@ def im_pair_check(theta: float = DEFAULT_THETA, sample_count: int = 100) -> Ineq
     derivative of a matrix-compatible increasing approximant; the report
     carries the smallest derivative sum over all sampled levels, at
     preimages bisected to a relative width of 1e-12, and the first level
-    that attains it. g' is evaluated by one g_prime call per branch, on the
-    array of its roots.
+    that attains it. The roots come from one _bisect_levels call on the
+    levels of both branches, and g' from one g_prime call on all of them.
     """
     _finite_positive("theta", theta)
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    sample_count = _at_least("sample_count", sample_count, 1)
     levels = np.linspace(0.01, 0.49, sample_count)
-    sums = (g_prime(_bisect_levels(levels, theta, False, 1e-12), theta)
-            + g_prime(_bisect_levels(levels, theta, True, 1e-12), theta))
+    roots = _bisect_levels(np.concatenate((levels, levels)), theta,
+                           np.repeat([False, True], sample_count), 1e-12)
+    slopes = g_prime(roots, theta)
+    sums = slopes[:sample_count] + slopes[sample_count:]
     k = int(np.argmin(sums))
     return make_report(
         "im_pair_derivative_sum", 0.0, float(sums[k]),
-        theta=theta, samples=int(sample_count), worst_level=float(levels[k]),
+        theta=theta, samples=sample_count, worst_level=float(levels[k]),
     )
 
 
@@ -330,9 +401,10 @@ def beta_sign_report(theta: float = DEFAULT_THETA, n: int = 1000) -> InequalityR
     """Worst margin of the sign pattern beta > 2 for x < 0 and beta < 2 for
     x > 0 over an n-point grid on [-10, 10], skipping x = 0 (beta = 2)."""
     _finite_positive("theta", theta)
+    n = _at_least("n", n, 1)
     xs = np.linspace(-10.0, 10.0, n)
     bs = beta(xs, theta)
     margins = np.where(xs < 0, bs - 2.0, 2.0 - bs)[xs != 0]
     return make_report(
-        "beta_sign_pattern", 0.0, float(np.min(margins)), theta=theta, n=int(n)
+        "beta_sign_pattern", 0.0, float(np.min(margins)), theta=theta, n=n
     )

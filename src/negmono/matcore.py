@@ -13,6 +13,7 @@ import collections
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -47,6 +48,13 @@ def as_complex_matrix(x) -> np.ndarray:
 
 def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+
+
+def _index(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 # The start method of every worker pool, named here so that the platform

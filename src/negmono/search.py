@@ -15,13 +15,12 @@ slacks; only its argmin is rebuilt as an instance.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 
 import numpy as np
 
-from .matcore import (TAU_CHECK, _complex_pairs, _ordered_map, _square, matrix_from_dict,
+from .matcore import (TAU_CHECK, _complex_pairs, _index, _ordered_map, _square, matrix_from_dict,
                       matrix_to_dict)
 from .monogamy import ineq4_batch
 from .permlemma import _commutative_sides, _spectrum_and_images
@@ -56,13 +55,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-
-
-def _index(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ chunk or block size, that criteria 3 and 9 slice one generator call into
 the streams of their former single draws, that criteria 1, 2, 6, 7 and 9
 give the details of their per-item form and criterion 8 those of its
 former scalar quadrature, bisection and g', and which matrix a failure of
-criterion 4 or 7 reports; which state a failure of criterion 3 reports;
+criterion 4 or 7 reports, and the one quadrature and one bisection of
+criterion 8; which state a failure of criterion 3 reports;
 and which chains criterion 6 rejects. Criterion 4's parts draw the serial
 stream, its worker processes give the in-process details and failures and
 end with it, and it and criterion 10 start one worker per CPU."""
@@ -24,7 +25,7 @@ import pytest
 from imfunc_oracles import reference_approximation_suite
 from permlemma_oracles import ma_chains
 
-from negmono import acceptance, matcore, monogamy, permlemma, qstate
+from negmono import acceptance, imfunc, matcore, monogamy, permlemma, qstate
 from negmono.errors import StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, negativity, schatten
 from negmono.monogamy import build_Z1, build_Z2, monotonicity_report
@@ -414,6 +415,16 @@ def test_drury_reduction_counts(call_counts):
         count(matcore, name)
     assert acceptance.drury_reduction(seed=0).passed
     assert counts == {"_drury_sides": 4, "as_complex_matrix": 0, "make_report": 0}
+
+
+def test_approximation_suite_counts(call_counts):
+    # one quadrature for h(0) and both sup errors, one bisection for both
+    # branches of the pair check
+    counts, count = call_counts
+    for name in ("_simpson_panels", "_bisect_levels"):
+        count(imfunc, name)
+    assert acceptance.approximation_suite(seed=0).passed
+    assert counts == {"_simpson_panels": 1, "_bisect_levels": 1}
 
 
 def test_drury_reduction_reports_first_failing_b_in_draw_order(monkeypatch):

@@ -291,7 +291,7 @@ def test_im_approx_unattainable_tolerance_is_usage_error(capsys):
 @pytest.mark.parametrize("argv,message", [
     (("--grid", "0:inf:5"), "grid_hi must be finite, got inf"),
     (("--grid=-inf:0:5",), "grid_lo must be finite, got -inf"),
-    (("--s-list", "inf"), "s must be finite, got inf"),
+    (("--s-list", "inf"), "scale must be finite and positive, got inf"),
     (("--theta", "inf"), "theta must be finite, got inf"),
     (("--quad-tol", "nan"), "quad_tol must be finite, got nan"),
 ], ids=["grid_hi", "grid_lo", "s", "theta", "quad_tol"])

@@ -245,6 +245,43 @@ def test_h_s_scaling_identity():
         h_s(1.0, 0.0)
 
 
+def _no_quadrature(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(imfunc, "_simpson_panels", fail)
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan, -math.inf])
+def test_h_s_rejects_a_scale_that_is_not_finite(monkeypatch, s):
+    # h_s(-1, inf) gave 0.0, and h_s(1, inf) and h_s(0, inf) blamed the grid
+    _no_quadrature(monkeypatch)
+    for x in (-1.0, 0.0, 1.0):
+        with pytest.raises(ValueError, match=f"^scale must be finite and positive, got {s}$"):
+            h_s(x, s)
+
+
+def test_a_scale_that_overflows_the_grid_is_named(monkeypatch):
+    # s * x overflowed to inf, warned, and was blamed on the grid
+    _no_quadrature(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^scale 1e\+308 overflows the grid: s \* 10.0 "):
+            h_s(10.0, 1e308)
+        with pytest.raises(ValueError, match=r"^scale 1e\+308 overflows the grid: s \* -10.0 "):
+            sup_error_table([1e308], IMParams())
+
+
+def test_sup_error_table_names_the_first_bad_scale_before_any_quadrature(monkeypatch):
+    _no_quadrature(monkeypatch)
+    for scales, bad in (([1.0, -1.0, math.inf], "-1.0"), ([4.0, math.nan, 0.0], "nan"),
+                        ([1.0, 0.0, 1e308], "0.0")):
+        with pytest.raises(ValueError, match=f"^scale must be finite and positive, got {bad}$"):
+            sup_error_table(scales, IMParams())
+    with pytest.raises(ValueError, match="^scale 1e\\+308 overflows"):
+        sup_error_table([2.0, 1e308, -1.0], IMParams())
+
+
 def test_h_s_converges_to_sqrt_plus():
     for x in (-1.0, 0.5, 2.0, 9.0):
         err_small = abs(h_s(x, 10.0) - sqrt_plus(x))
@@ -273,6 +310,12 @@ def test_sup_error_table():
     assert table[1][1] == pytest.approx(table[0][1] / 2.0, rel=1e-6)
 
 
+def test_sup_error_is_the_one_row_table():
+    params = IMParams(s=4.0, grid_n=101)
+    assert sup_error(params) == sup_error_table([4.0], params)[0][1]
+    assert sup_error_table([], params) == []
+
+
 def test_im_params_validation():
     with pytest.raises(ValueError):
         IMParams(theta=0.0)
@@ -280,6 +323,28 @@ def test_im_params_validation():
         IMParams(grid_lo=3.0, grid_hi=-3.0)
     with pytest.raises(ValueError):
         IMParams(grid_n=1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: IMParams(grid_n=2.5), "grid_n must be an integer, got 2.5"),
+    (lambda: IMParams(grid_n=1), "grid_n must be at least 2, got 1"),
+    (lambda: im_pair_check(1.0, 1.5), "sample_count must be an integer, got 1.5"),
+    (lambda: im_pair_check(1.0, 0), "sample_count must be at least 1, got 0"),
+    (lambda: beta_sign_report(1.0, 2.5), "n must be an integer, got 2.5"),
+    (lambda: beta_sign_report(1.0, 0), "n must be at least 1, got 0"),
+], ids=["grid_n-float", "grid_n-1", "sample_count-float", "sample_count-0", "n-float", "n-0"])
+def test_integer_arguments_are_checked_by_name(call, message):
+    # 2.5 built an IMParams that failed only in grid(), and 0 and 2.5 met
+    # numpy errors in linspace or in a reduction over no margins
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_integer_arguments_are_stored_as_ints():
+    assert type(IMParams(grid_n=np.int64(5)).grid_n) is int
+    assert im_pair_check(1.0, np.int64(3)).inputs_digest["samples"] == 3
+    assert beta_sign_report(1.0, np.int32(1)).inputs_digest["n"] == 1
 
 
 def test_im_pair_check_positive_sums():
@@ -405,14 +470,67 @@ def _criterion_grids():
     (2.5, 1e-8, _random_grids(2.5, 1e-8)),
 ], ids=["criterion-8", "theta-0.5", "theta-2.5"])
 def test_h_grid_is_the_recursion_bit_for_bit(monkeypatch, theta, quad_tol, grids):
-    # the same values to the last bit from the same integrand evaluations
+    # the same values to the last bit from the recursion's integrand
+    # evaluations, less one at each node two running segments share
     evals = _counting_g_array(monkeypatch)
+    lo = tail_cutoff(theta, quad_tol)
     for xs in grids:
         evals[0] = 0
         got = h_grid(xs, theta, quad_tol)
         ref, ref_evals = reference_h_grid(xs, theta, quad_tol)
         assert got.tobytes() == ref.tobytes()
-        assert evals[0] == ref_evals
+        runs = np.count_nonzero(np.diff(np.concatenate(([lo], xs[xs > lo]))) > 0)
+        assert evals[0] == ref_evals - max(runs - 1, 0)
+
+
+@pytest.mark.parametrize("theta,quad_tol", [(1.0, DEFAULT_QUAD_TOL), (0.5, 1e-8), (2.5, 1e-8)])
+def test_h_grids_is_h_grid_on_each_grid(monkeypatch, theta, quad_tol):
+    # one quadrature over mixed grids: [0.0], grids at or below L, duplicate
+    # points, 1-point grids and both criterion grids, each to the last bit;
+    # grids at or below L cost no evaluation
+    lo = tail_cutoff(theta, quad_tol)
+    grids = [[0.0], *_criterion_grids(), [lo - 5.0, lo], [-np.inf], [3.0, 3.0, 3.0],
+             *_random_grids(theta, quad_tol, 4)]
+    got = imfunc._h_grids(grids, theta, quad_tol)
+    assert len(got) == len(grids)
+    for xs, hx in zip(grids, got):
+        assert hx.tobytes() == h_grid(xs, theta, quad_tol).tobytes()
+    evals = _counting_g_array(monkeypatch)
+    assert [hx.tolist() for hx in imfunc._h_grids([[lo], [-1e9, lo]], theta, quad_tol)] == [
+        [0.0], [0.0, 0.0]]
+    assert evals[0] == 0
+
+
+def _first_grid_failure(grids, quad_tol):
+    # the error of the former loop of h_grid calls, one per grid
+    for xs in grids:
+        try:
+            h_grid(xs, 1.0, quad_tol)
+        except QuadratureFailureError as exc:
+            return str(exc)
+    return None
+
+
+def test_h_grids_fails_where_the_per_grid_loop_fails_first():
+    # the first grid's failure is the error, even when a later grid, with
+    # its own smaller budget, fails fewer halvings down (at 1e-15, [0.0]
+    # fails six halvings down, deep three and wide two)
+    deep = [-50.0, -20.0, 0.0, 0.0, 3.0, 40.0, 400.0, 4000.0]
+    wide = np.linspace(-60.0, 4000.0, 4000)
+    seen = set()
+    for quad_tol in (1e-13, 1e-14, 3e-15, 1e-15, 1e-16, 1e-30):
+        for grids in ([[0.0], deep, wide], [wide, deep], [deep, [0.0, 1e200]], [[1.0], deep]):
+            ref = _first_grid_failure(grids, quad_tol)
+            if ref is None:
+                got = imfunc._h_grids(grids, 1.0, quad_tol)
+                assert [hx.tobytes() for hx in got] == [
+                    h_grid(xs, 1.0, quad_tol).tobytes() for xs in grids]
+                continue
+            with pytest.raises(QuadratureFailureError) as info:
+                imfunc._h_grids(grids, 1.0, quad_tol)
+            assert str(info.value) == ref
+            seen.add(ref)
+    assert len(seen) > 2
 
 
 def test_h_grid_fails_where_the_recursion_fails_first():
@@ -525,6 +643,23 @@ def test_g_array_is_g_scalar_bit_for_bit(theta):
         got = imfunc._g_array(ys, theta)
     ref = np.array([imfunc._g_scalar(y, theta) for y in ys.tolist()])
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
+def test_g_array_skips_exp_only_where_it_changes_nothing(theta):
+    # around t = -theta y = -37, where exp is skipped, to the last bit, and
+    # at +-inf and nan
+    at = 37.0 / theta
+    ys = np.concatenate([
+        np.linspace(36.0, 38.0, 4001) / theta, at + np.spacing(at) * np.arange(-25, 26),
+        [np.inf, -np.inf, np.nan, -np.nan],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = imfunc._g_array(ys, theta)
+    ref = np.array([imfunc._g_scalar(y, theta) for y in ys.tolist()])
+    assert got.tobytes() == ref.tobytes()
+    assert np.isnan(got[-2:]).all() and got[-4] == 0.0
 
 
 @pytest.mark.parametrize("theta", [1.0, 2.5])
