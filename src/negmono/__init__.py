@@ -1,24 +1,10 @@
 """Numerical tools for block-matrix negativity bounds on tripartite states."""
 
 from .errors import (
-    DimensionMismatchError,
-    InvalidChainError,
-    InvalidPermutationError,
-    NegativeEntryError,
     NoConvergenceError,
-    NonPositiveQError,
-    NotHermitianError,
-    NotNormalizedError,
-    NotPSDError,
-    NotProbabilityError,
-    NotSortedError,
-    NotSquareError,
     QuadratureFailureError,
     RootNotBracketedError,
-    ShapeMismatchError,
-    SizeMismatchError,
     StepFailedError,
-    TooLargeError,
 )
 from .matcore import (
     HERM_TOL_FACTOR,

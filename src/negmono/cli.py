@@ -22,7 +22,7 @@ import numpy as np
 
 from . import acceptance
 from .imfunc import DEFAULT_QUAD_TOL, DEFAULT_THETA, IMParams, sup_error_table
-from .matcore import TAU_CHECK, _rng, complex_gaussian, load_matrix
+from .matcore import TAU_CHECK, _at_least, _rng, complex_gaussian, load_matrix
 from .monogamy import VERIFY_NAMES, verify_batch
 from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearranged_sum
 from .qstate import _random_coeffs
@@ -45,12 +45,12 @@ def _emit(obj: dict, out) -> None:
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise ValueError(f"expected AxBxC, got {text!r}")
-    dims = tuple(int(p) for p in parts)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"dimensions must be positive, got {text!r}")
+    try:
+        dims = tuple(int(p) for p in text.lower().split("x"))
+    except ValueError:
+        dims = ()
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError(f"--dims must be AxBxC with positive integer sizes, got {text!r}")
     return dims
 
 
@@ -213,15 +213,19 @@ def _cmd_drury(args) -> int:
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected lo:hi:n, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = text.split(":")
+        return float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValueError(f"--grid must be lo:hi:n with an integer n, got {text!r}") from None
 
 
 def _cmd_im(args) -> int:
     lo, hi, n = _parse_grid(args.grid)
-    s_values = [float(s) for s in args.s_list.split(",")]
+    try:
+        s_values = [float(s) for s in args.s_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--s-list must be comma-separated numbers, got {args.s_list!r}") from None
     params = IMParams(theta=args.theta, quad_tol=args.quad_tol,
                       grid_lo=lo, grid_hi=hi, grid_n=n)
     table = sup_error_table(s_values, params)
@@ -357,9 +361,7 @@ def _check_usage(args) -> None:
     if not np.isfinite(tol):
         raise ValueError(f"--tol must be finite, got {tol}")
     for name in ("trials", "samples", "jobs"):
-        count = getattr(args, name, 1)
-        if count < 1:
-            raise ValueError(f"--{name} must be at least 1, got {count}")
+        _at_least(f"--{name}", getattr(args, name, 1), 1)
 
 
 def main(argv=None) -> int:

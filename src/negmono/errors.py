@@ -1,68 +1,14 @@
-"""Exception types shared across the toolkit."""
-
-
-class NotSquareError(ValueError):
-    """Operation requires a square matrix."""
-
-
-class NotHermitianError(ValueError):
-    """Input deviates from Hermitian symmetry beyond the accepted roundoff."""
+"""Exception types whose type the program acts on. Bad input is a plain
+ValueError with a message naming the bad value; cli.main maps the types
+below to exit 1 (StepFailedError), 2 (QuadratureFailureError) and 3."""
 
 
 class NoConvergenceError(RuntimeError):
     """An eigenvalue or singular-value routine failed to converge."""
 
 
-class NonPositiveQError(ValueError):
-    """Schatten exponent must be finite and strictly positive."""
-
-
-class NotPSDError(ValueError):
-    """Matrix has an eigenvalue below the positive-semidefinite clamp."""
-
-
-class DimensionMismatchError(ValueError):
-    """Tensor or operator dimensions are inconsistent."""
-
-
-class ShapeMismatchError(ValueError):
-    """Coefficient matrices must share one common shape."""
-
-
-class NotNormalizedError(ValueError):
-    """State or coefficient family does not carry unit total weight."""
-
-
-class InvalidPermutationError(ValueError):
-    """Image list is not a bijection on 1..d."""
-
-
-class SizeMismatchError(ValueError):
-    """Vector and permutation sizes differ."""
-
-
-class NotSortedError(ValueError):
-    """Spectrum vector must be sorted non-increasing."""
-
-
-class NegativeEntryError(ValueError):
-    """Entries must be non-negative."""
-
-
-class InvalidChainError(ValueError):
-    """Chain indices must be valid, distinct and strictly ascending."""
-
-
-class NotProbabilityError(ValueError):
-    """Weights must be positive and sum to one."""
-
-
 class RootNotBracketedError(RuntimeError):
     """Bisection could not bracket the requested level."""
-
-
-class TooLargeError(ValueError):
-    """Problem size exceeds the exhaustive-enumeration limit."""
 
 
 class QuadratureFailureError(RuntimeError):

@@ -19,7 +19,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import QuadratureFailureError, RootNotBracketedError
-from .matcore import InequalityReport, _index, make_report
+from .matcore import InequalityReport, _at_least, _finite_positive, make_report
 
 DEFAULT_THETA = 1.0
 DEFAULT_QUAD_TOL = 1e-10
@@ -179,18 +179,6 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     return float(_simpson_panels(fs, np.array([a], float), np.array([b], float), tol)[0])
 
 
-def _finite_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _at_least(name: str, value, least: int) -> int:
-    n = _index(name, value)
-    if n < least:
-        raise ValueError(f"{name} must be at least {least}, got {n}")
-    return n
-
-
 def tail_bound(x: float, theta: float = DEFAULT_THETA) -> float:
     """Closed-form bound on the integral of g over (-inf, x] for x < 0,
     from g(y) <= exp(theta y / 2) / (2 sqrt(-y))."""
@@ -306,12 +294,11 @@ class IMParams:
     grid_n: int = 2001
 
     def __post_init__(self):
-        for name in ("theta", "s", "quad_tol", "grid_lo", "grid_hi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
+        for name in ("theta", "s", "quad_tol"):
+            _finite_positive(name, getattr(self, name))
+        for name in ("grid_lo", "grid_hi"):
+            if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not (self.theta > 0 and self.s > 0 and self.quad_tol > 0):
-            raise ValueError("theta, s and quad_tol must be positive")
         if not self.grid_hi > self.grid_lo:
             raise ValueError("grid must have grid_hi > grid_lo")
         object.__setattr__(self, "grid_n", _at_least("grid_n", self.grid_n, 2))

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    NoConvergenceError,
-    NonPositiveQError,
-    NotHermitianError,
-    NotPSDError,
-    NotSquareError,
-)
+from .errors import NoConvergenceError
 
 # Absolute slack tolerance used everywhere a report decides holds/violated.
 TAU_CHECK = 1e-9
@@ -55,6 +49,18 @@ def _index(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _at_least(name: str, value, least: int) -> int:
+    n = _index(name, value)
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
+def _finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 # The start method of every worker pool, named here so that the platform
@@ -134,7 +140,7 @@ def _square(x) -> np.ndarray:
     """as_complex_matrix, rejecting a non-square matrix."""
     m = as_complex_matrix(x)
     if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -163,7 +169,7 @@ def require_hermitian(x) -> np.ndarray:
     scale = float(np.abs(m).max())
     asym = float(np.abs(m - _adj(m)).max())
     if asym > HERM_TOL_FACTOR * scale:
-        raise NotHermitianError(
+        raise ValueError(
             f"asymmetry {asym:.3e} exceeds {HERM_TOL_FACTOR:g} * max|entry| = "
             f"{HERM_TOL_FACTOR * scale:.3e}"
         )
@@ -200,8 +206,7 @@ def hermitian_eigenvalues(h) -> np.ndarray:
 def schatten(x, q: float) -> float:
     """Schatten q-(quasi-)norm (sum of sigma^q)^(1/q), computed from
     singular values; q in (0, 1) gives the quasi-norm used for q = 1/2."""
-    if not (q > 0 and math.isfinite(q)):
-        raise NonPositiveQError(f"Schatten exponent must be finite and positive, got {q}")
+    _finite_positive("Schatten exponent", q)
     s = _lapack(np.linalg.svd, as_complex_matrix(x), compute_uv=False)
     return float(np.sum(s**q) ** (1.0 / q))
 
@@ -229,15 +234,13 @@ def psd_sqrt(p) -> np.ndarray:
     """Hermitian square root of a psd matrix.
 
     Eigenvalues in [-PSD_TOL_FACTOR * max|entry|, 0) are clamped to zero;
-    anything lower raises NotPSDError.
+    anything lower raises ValueError.
     """
     m = as_complex_matrix(p)
     e = hermitian_eig(m)
     tol = PSD_TOL_FACTOR * float(np.abs(m).max())
     if e.eigenvalues[0] < -tol:
-        raise NotPSDError(
-            f"smallest eigenvalue {e.eigenvalues[0]:.3e} below clamp -{tol:.3e}"
-        )
+        raise ValueError(f"smallest eigenvalue {e.eigenvalues[0]:.3e} below clamp -{tol:.3e}")
     v = e.eigenvectors
     return (v * np.sqrt(np.clip(e.eigenvalues, 0.0, None))) @ _adj(v)
 

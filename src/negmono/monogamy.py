@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotNormalizedError
 from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _negativities, make_report
 from .qstate import TAU_NORM, TripartiteState, _stacked, coeff_matrices
 
@@ -138,7 +137,7 @@ def _single_state_reports(m: np.ndarray, tol: float) -> list[InequalityReport]:
 def _require_unit_weight(m: np.ndarray) -> None:
     weight = float(np.sum(np.abs(m) ** 2))
     if abs(weight - 1.0) > TAU_NORM:
-        raise NotNormalizedError(
+        raise ValueError(
             f"total squared weight {weight!r} differs from 1 by more than {TAU_NORM:g}"
         )
 

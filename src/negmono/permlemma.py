@@ -14,24 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    InvalidChainError,
-    InvalidPermutationError,
-    NegativeEntryError,
-    NotProbabilityError,
-    NotSortedError,
-    SizeMismatchError,
-    TooLargeError,
-)
-from .matcore import (
-    InequalityReport,
-    TAU_CHECK,
-    _adj,
-    _herm,
-    _lapack,
-    _square,
-    make_report,
-)
+from .matcore import InequalityReport, TAU_CHECK, _adj, _herm, _index, _lapack, _square, make_report
 from .specialcase import _SIDES
 
 # Largest size for which all d! permutations are enumerated.
@@ -39,9 +22,9 @@ D_MAX = 8
 
 
 def _validate_permutation(image) -> tuple[int, ...]:
-    img = tuple(int(i) for i in image)
+    img = tuple(_index("permutation entry", i) for i in image)
     if sorted(img) != list(range(1, len(img) + 1)):
-        raise InvalidPermutationError(f"not a bijection on 1..{len(img)}: {img}")
+        raise ValueError(f"not a bijection on 1..{len(img)}: {img}")
     return img
 
 
@@ -52,9 +35,9 @@ def _validate_spectrum(mu, sorted_required: bool = True) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("spectrum entries must be finite")
     if np.any(v < 0):
-        raise NegativeEntryError("spectrum entries must be non-negative")
+        raise ValueError("spectrum entries must be non-negative")
     if sorted_required and np.any(np.diff(v) > 0):
-        raise NotSortedError("spectrum must be sorted non-increasing")
+        raise ValueError("spectrum must be sorted non-increasing")
     return v
 
 
@@ -113,7 +96,7 @@ def _spectrum_and_images(mu, image, sorted_required: bool = True):
     img = _validate_permutation(image)
     v = _validate_spectrum(mu, sorted_required)
     if v.size != len(img):
-        raise SizeMismatchError(f"len(mu)={v.size} but len(pi)={len(img)}")
+        raise ValueError(f"len(mu)={v.size} but len(pi)={len(img)}")
     return v, np.array(img)[None, :] - 1
 
 
@@ -171,14 +154,14 @@ def chain_bound(mu, chain, tol: float = TAU_CHECK) -> InequalityReport:
     sqrt(mu_a - mu_b) over its consecutive pairs (a, b), is at most
     sqrt((r/2) * sum of the chain's mu values)."""
     v = _validate_spectrum(mu)
-    idx = tuple(int(i) for i in chain)
+    idx = tuple(_index("chain entry", i) for i in chain)
     if (
         len(idx) < 1
         or len(set(idx)) != len(idx)
         or any(not 1 <= i <= v.size for i in idx)
         or any(a >= b for a, b in zip(idx[:-1], idx[1:]))
     ):
-        raise InvalidChainError(f"not a strictly ascending index chain: {chain}")
+        raise ValueError(f"not a strictly ascending index chain: {chain}")
     # mu is sorted and the chain ascends, so every difference is >= 0
     lhs = sum((math.sqrt(v[a - 1] - v[b - 1]) for a, b in zip(idx, idx[1:])), 0.0)
     rhs = math.sqrt((len(idx) / 2.0) * float(np.sum(v[np.array(idx) - 1])))
@@ -191,13 +174,13 @@ def holder_half(x, p, tol: float = TAU_CHECK) -> InequalityReport:
     xv = np.asarray(x, dtype=float)
     pv = np.asarray(p, dtype=float)
     if xv.shape != pv.shape or xv.ndim != 1 or xv.size < 1:
-        raise SizeMismatchError(f"shapes {xv.shape} and {pv.shape} must match")
+        raise ValueError(f"shapes {xv.shape} and {pv.shape} must match")
     if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(pv))):
         raise ValueError("x and p entries must be finite")
     if np.any(xv < 0):
-        raise NegativeEntryError("x entries must be non-negative")
+        raise ValueError("x entries must be non-negative")
     if np.any(pv <= 0) or abs(float(np.sum(pv)) - 1.0) > 1e-12:
-        raise NotProbabilityError("weights must be positive and sum to one")
+        raise ValueError("weights must be positive and sum to one")
     lhs = float(np.sum(np.sqrt(xv)) ** 2)
     rhs = float(np.sum(xv / pv))
     return make_report("holder_half", lhs, rhs, tol, n=int(xv.size))
@@ -260,7 +243,7 @@ def max_rearranged_sum(mu) -> tuple[float, tuple[int, ...]]:
     finite non-negative vector, in any order."""
     v = _validate_spectrum(mu, sorted_required=False)
     if v.size > D_MAX:
-        raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
+        raise ValueError(f"exhaustive enumeration limited to d <= {D_MAX}")
     vals = next(_rearranged_sum_blocks(v[None]))[0]
     best = int(np.argmax(vals))
     return float(vals[best]), tuple(int(i) + 1 for i in _perm_array(v.size)[best])
@@ -285,6 +268,6 @@ def drury_numeric_check(b, tol: float = TAU_CHECK) -> InequalityReport:
     here, once; _drury_sides evaluates it as a stack of one."""
     m = _square(b)
     if m.shape[0] > D_MAX:
-        raise TooLargeError(f"exhaustive enumeration limited to d <= {D_MAX}")
+        raise ValueError(f"exhaustive enumeration limited to d <= {D_MAX}")
     lhs, rhs = _drury_sides(m[None])
     return make_report("drury", lhs[0], rhs[0], tol, d=int(m.shape[0]))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotNormalizedError, ShapeMismatchError
 from .matcore import _complex_gaussians, _lapack, as_complex_matrix, json_entries
 
 # Accepted deviation of the total squared weight from one.
@@ -28,20 +27,16 @@ class TripartiteState:
     def __init__(self, coeffs, normalize: bool = False):
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 3 or min(c.shape) < 1:
-            raise DimensionMismatchError(
-                f"expected a non-empty rank-3 tensor, got shape {c.shape}"
-            )
+            raise ValueError(f"expected a non-empty rank-3 tensor, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         weight = float(np.sum(np.abs(c) ** 2))
         if normalize:
             if weight == 0.0:
-                raise NotNormalizedError("cannot normalise the zero tensor")
+                raise ValueError("cannot normalise the zero tensor")
             c = c / np.sqrt(weight)
         elif abs(weight - 1.0) > TAU_NORM:
-            raise NotNormalizedError(
-                f"squared weight {weight!r} differs from 1 by more than {TAU_NORM:g}"
-            )
+            raise ValueError(f"squared weight {weight!r} differs from 1 by more than {TAU_NORM:g}")
         self.coeffs = c
 
     @property
@@ -90,10 +85,10 @@ def coeff_matrices(state: TripartiteState) -> list[np.ndarray]:
 def _stacked(mats) -> np.ndarray:
     mats = [as_complex_matrix(m) for m in mats]
     if not mats:
-        raise ShapeMismatchError("need at least one coefficient matrix")
+        raise ValueError("need at least one coefficient matrix")
     shape = mats[0].shape
     if any(m.shape != shape for m in mats):
-        raise ShapeMismatchError(
+        raise ValueError(
             f"coefficient matrices must share one shape, got {[m.shape for m in mats]}"
         )
     return np.stack(mats)
@@ -131,9 +126,7 @@ def _check_op_dims(x: np.ndarray, dims) -> tuple[int, int, int]:
     dA, dB, dC = (int(d) for d in dims)
     n = dA * dB * dC
     if x.shape != (n, n):
-        raise DimensionMismatchError(
-            f"operator shape {x.shape} does not match dims {dims} (need {n} x {n})"
-        )
+        raise ValueError(f"operator shape {x.shape} does not match dims {dims} (need {n} x {n})")
     return dA, dB, dC
 
 
@@ -210,7 +203,5 @@ def state_to_dict(state: TripartiteState) -> dict:
 def state_from_dict(obj: dict) -> TripartiteState:
     (dA, dB, dC), flat = json_entries(obj, "state", ("dA", "dB", "dC"), "coeffs")
     if flat.size != dA * dB * dC:
-        raise DimensionMismatchError(
-            f"expected {dA * dB * dC} coefficients, got {flat.size}"
-        )
+        raise ValueError(f"expected {dA * dB * dC} coefficients, got {flat.size}")
     return TripartiteState(flat.reshape(dA, dB, dC))

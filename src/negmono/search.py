@@ -20,8 +20,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .matcore import (TAU_CHECK, _complex_pairs, _index, _ordered_map, _square, matrix_from_dict,
-                      matrix_to_dict)
+from .matcore import (TAU_CHECK, _at_least, _complex_pairs, _finite_positive, _index, _ordered_map,
+                      _square, matrix_from_dict, matrix_to_dict)
 from .monogamy import ineq4_batch
 from .permlemma import _commutative_sides, _spectrum_and_images
 from .qstate import TripartiteState, _unit_states, state_from_dict, state_to_dict
@@ -81,28 +81,22 @@ class SearchConfig:
         # stored as Python ints: a numpy seed has no bit_length for _seed_words
         if self.dims is not None:
             object.__setattr__(self, "dims", tuple(_index("dims", n) for n in self.dims))
-        for name in ("trials", "local_steps", "seed") + (() if self.d is None else ("d",)):
-            object.__setattr__(self, name, _index(name, getattr(self, name)))
+        least = {"trials": 1, "local_steps": 0, "seed": 0, **({} if self.d is None else {"d": 1})}
+        for name, low in least.items():
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), low))
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be at most 2**32, got {self.trials}")
-        if self.local_steps < 0:
-            raise ValueError("local_steps must be non-negative")
-        if not (self.step_scale > 0 and math.isfinite(self.step_scale)):
-            raise ValueError(f"step_scale must be finite and positive, got {self.step_scale}")
+        _finite_positive("step_scale", self.step_scale)
         if not math.isfinite(self.tol):
             raise ValueError(f"tol must be finite, got {self.tol}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
         if self.target == "ineq4":
             if self.dims is None or len(self.dims) != 3 or min(self.dims) < 1:
                 raise ValueError("target ineq4 needs dims = (dA, dB, dC)")
             if self.d is not None:
                 raise ValueError("target ineq4 takes dims, not d")
-        elif self.d is None or self.d < 1:
+        elif self.d is None:
             raise ValueError(f"target {self.target} needs a matrix size d >= 1")
         elif self.dims is not None:
             raise ValueError(f"target {self.target} takes d, not dims")

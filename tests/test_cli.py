@@ -83,6 +83,25 @@ def test_bad_seed_environment_is_a_usage_error(capsys, monkeypatch, command, val
     ]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify-conjecture", "--dims", "axbxc"),
+     "--dims must be AxBxC with positive integer sizes, got 'axbxc'"),
+    (("search", "--target", "ineq4", "--dims", "2x2"),
+     "--dims must be AxBxC with positive integer sizes, got '2x2'"),
+    (("verify-conjecture", "--dims", "2x0x2"),
+     "--dims must be AxBxC with positive integer sizes, got '2x0x2'"),
+    (("im-approx", "--grid", "0:1:2.5"), "--grid must be lo:hi:n with an integer n, got '0:1:2.5'"),
+    (("im-approx", "--grid", "0:1"), "--grid must be lo:hi:n with an integer n, got '0:1'"),
+    (("im-approx", "--grid", "a:1:5"), "--grid must be lo:hi:n with an integer n, got 'a:1:5'"),
+    (("im-approx", "--s-list", "1,a"), "--s-list must be comma-separated numbers, got '1,a'"),
+], ids=["dims-letters", "dims-two", "dims-zero", "grid-float-n", "grid-two", "grid-letter",
+        "s-list"])
+def test_unparsable_option_names_the_option(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
 def _module_env():
     # python -m negmono from a checkout, with src on the path
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -292,14 +311,25 @@ def test_im_approx_unattainable_tolerance_is_usage_error(capsys):
     (("--grid", "0:inf:5"), "grid_hi must be finite, got inf"),
     (("--grid=-inf:0:5",), "grid_lo must be finite, got -inf"),
     (("--s-list", "inf"), "scale must be finite and positive, got inf"),
-    (("--theta", "inf"), "theta must be finite, got inf"),
-    (("--quad-tol", "nan"), "quad_tol must be finite, got nan"),
+    (("--theta", "inf"), "theta must be finite and positive, got inf"),
+    (("--quad-tol", "nan"), "quad_tol must be finite and positive, got nan"),
 ], ids=["grid_hi", "grid_lo", "s", "theta", "quad_tol"])
 def test_im_approx_non_finite_parameter_is_usage_error(capsys, argv, message):
     # refused up front with the field's name, before any quadrature warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "im-approx", *argv)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--theta=-1",), "theta must be finite and positive, got -1.0"),
+    (("--theta", "0"), "theta must be finite and positive, got 0.0"),
+    (("--quad-tol=-1",), "quad_tol must be finite and positive, got -1.0"),
+], ids=["theta-negative", "theta-zero", "quad_tol-negative"])
+def test_im_approx_non_positive_parameter_names_the_field(capsys, argv, message):
+    code, out, err = run_cli(capsys, "im-approx", *argv)
     assert code == 2 and out == ""
     assert err.strip().splitlines() == [f"error: {message}"]
 

@@ -341,6 +341,14 @@ def test_integer_arguments_are_checked_by_name(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("field", ["theta", "s", "quad_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_positive_parameters_are_checked_by_name(field, value):
+    with pytest.raises(ValueError) as info:
+        IMParams(**{field: value})
+    assert str(info.value) == f"{field} must be finite and positive, got {value}"
+
+
 def test_integer_arguments_are_stored_as_ints():
     assert type(IMParams(grid_n=np.int64(5)).grid_n) is int
     assert im_pair_check(1.0, np.int64(3)).inputs_digest["samples"] == 3

@@ -5,12 +5,6 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from negmono.errors import (
-    NonPositiveQError,
-    NotHermitianError,
-    NotPSDError,
-    NotSquareError,
-)
 from negmono.matcore import (
     WINDOW,
     _complex_gaussians,
@@ -60,9 +54,9 @@ def test_require_hermitian():
     h = random_hermitian(rng, 4)
     out = require_hermitian(h)
     assert np.array_equal(out, out.conj().T)
-    with pytest.raises(NotSquareError):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         require_hermitian(np.zeros((2, 3)))
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(ValueError, match=r"^asymmetry 1\.000e\+00 exceeds "):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -99,7 +93,7 @@ def test_schatten_invariant_under_unitaries():
 
 
 def test_schatten_rejects_nonpositive_q():
-    with pytest.raises(NonPositiveQError):
+    with pytest.raises(ValueError, match=r"^Schatten exponent must be finite and positive, got 0\.0$"):
         schatten(np.eye(2), 0.0)
 
 
@@ -107,7 +101,7 @@ def test_schatten_rejects_nonpositive_q():
                          ids=["zero", "identity", "diagonal"])
 def test_schatten_rejects_infinite_q(m):
     # sum(s**inf) ** (1 / inf) read 1.0 for every matrix, the zero one included
-    with pytest.raises(NonPositiveQError, match="finite and positive, got inf"):
+    with pytest.raises(ValueError, match="finite and positive, got inf"):
         schatten(m, math.inf)
 
 
@@ -159,7 +153,7 @@ def test_psd_sqrt_squares_back():
     p = m @ m.conj().T
     r = psd_sqrt(p)
     np.testing.assert_allclose(r @ r, p, atol=1e-11)
-    with pytest.raises(NotPSDError):
+    with pytest.raises(ValueError, match=r"^smallest eigenvalue -5\.000e-01 below clamp "):
         psd_sqrt(np.diag([1.0, -0.5]))
 
 
@@ -225,7 +219,7 @@ def test_complex_gaussian_accepts_an_integer_shape():
                          ids=lambda f: f.__name__)
 def test_non_square_input_gives_one_message(check):
     # every public boundary that needs a square matrix shares one check
-    with pytest.raises(NotSquareError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         check(np.ones((2, 3), dtype=complex))
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from negmono.errors import NotNormalizedError
 from negmono.matcore import complex_gaussian, negativity, schatten
 from negmono.monogamy import (
     _z1,
@@ -154,7 +153,7 @@ def test_verify_batch_matches_single_state_formulas(dims):
 def test_ineq2_requires_normalized_state():
     s = random_state((2, 2, 2), np.random.default_rng(5))
     s.coeffs *= 2.0  # break the invariant behind the constructor's back
-    with pytest.raises(NotNormalizedError):
+    with pytest.raises(ValueError, match=r"^total squared weight [\d.]+ differs from 1 by more than 1e-10$"):
         ineq2_report(s)
 
 

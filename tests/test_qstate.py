@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from negmono.errors import NoConvergenceError, NotNormalizedError
+from negmono.errors import NoConvergenceError
 from negmono.matcore import complex_gaussian, negativity, schatten
 from negmono.qstate import (
     TripartiteState,
@@ -24,11 +24,11 @@ DIMS = [(2, 2, 2), (2, 3, 4), (3, 2, 2), (1, 3, 2)]
 
 def test_state_requires_normalization():
     c = np.ones((2, 2, 2), dtype=complex)
-    with pytest.raises(NotNormalizedError):
+    with pytest.raises(ValueError, match=r"^squared weight 8\.0 differs from 1 by more than 1e-10$"):
         TripartiteState(c)
     s = TripartiteState(c, normalize=True)
     assert np.sum(np.abs(s.coeffs) ** 2) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(NotNormalizedError):
+    with pytest.raises(ValueError, match="^cannot normalise the zero tensor$"):
         TripartiteState(np.zeros((2, 2, 2)), normalize=True)
 
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from negmono.errors import NotSquareError
 from negmono.matcore import complex_gaussian, jordan_parts
 from negmono.specialcase import (
     BOUNDS,
@@ -33,7 +32,7 @@ def test_build_special_Z_layout():
     np.testing.assert_array_equal(z[:3, 3:], b)
     np.testing.assert_array_equal(z[3:, :3], b.conj().T)
     np.testing.assert_allclose(z[3:, 3:], b @ b.conj().T, atol=1e-14)
-    with pytest.raises(NotSquareError):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         build_special_Z(np.zeros((2, 3)))
 
 
