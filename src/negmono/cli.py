@@ -127,7 +127,7 @@ COLS = ((0, 1, 7, 12), (0, 2, 8, 13), (0, 3, 9, 14), (4, 6, 10, None), (5, 6, 11
 def _verify_rows(dims, trials: int, tol: float, seed: int):
     """The _verdict rows of verify-conjecture, rendered a chunk at a time
     from the arrays of verify_batch. slack, holds and slack_rel are the
-    IEEE operations of make_report and monogamy._digest, taken on arrays.
+    IEEE operations of make_report and monogamy.verify_reports, taken on arrays.
     A state has 15 distinct floats (the ineq2-4 lhs, their three rhs,
     N(A|B), N(A|C), N(A|BC), the five slacks and the three slack_rel), and
     all floats of a chunk are written by one _encode call, each once, so NaN

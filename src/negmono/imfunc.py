@@ -8,25 +8,25 @@ h is computed by adaptive Simpson quadrature on [L, x], every panel of
 every grid in lockstep, where the left cutoff L makes the analytic tail
 bound on the dropped integral smaller than half the requested tolerance;
 quad_tol is therefore a total error budget per grid, not a per-panel one.
+Each pointwise function gives a point one float alone or in an array: its
+exp is numpy's, one at every shape, or libm's, and its power matcore._pow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import QuadratureFailureError, RootNotBracketedError
-from .matcore import InequalityReport, _at_least, _finite_positive, make_report
+from .matcore import _EPS, InequalityReport, _at_least, _finite_positive, _pow, make_report
 
 DEFAULT_THETA = 1.0
 DEFAULT_QUAD_TOL = 1e-10
 
 # exp() overflow guard; g underflows to zero long before this matters.
 _EXP_CLIP = 700.0
-_EPS = float(np.finfo(float).eps)
 # exp(t) < 2**-53 for t <= -37, so 1.0 + exp(t) rounds to exactly 1.0 there
 _EXP_FLOOR = -37.0
 _SLICE = 4096  # most points in one _g_array call of _h_grids
@@ -39,14 +39,15 @@ def w(x):
     """w(x) = (1/2) (x^2 + 1)^(-1/4); even, decreasing in |x|, maximum 1/2."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # x*x may overflow to inf; w then underflows to 0
-        out = 0.5 * (x * x + 1.0) ** -0.25
+        out = 0.5 * _pow(x * x + 1.0, -0.25)
     return float(out) if out.ndim == 0 else out
 
 
 def w_prime(x):
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(np.abs(x) > 1e100, 0.0, -x / (4.0 * (x * x + 1.0) ** 1.25))
+    big = np.abs(x) > 1e100  # w' is 0.0 there; x * x may overflow
+    v = np.where(big, 0.0, x)
+    out = np.where(big, 0.0, -x / (4.0 * _pow(v * v + 1.0, 1.25)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -57,6 +58,7 @@ def alpha(x, theta: float = DEFAULT_THETA):
     return float(out) if out.ndim == 0 else out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan at |x| = inf or x << 0, silently
 def beta(x, theta: float = DEFAULT_THETA):
     """d/dx of alpha(x) x: beta = -theta x exp(-theta x) + 1 + exp(-theta x).
 
@@ -70,25 +72,17 @@ def beta(x, theta: float = DEFAULT_THETA):
 
 
 def g(x, theta: float = DEFAULT_THETA):
-    """g(x) = w(alpha(x) x); positive, unimodal with g(0) = 1/2."""
+    """g(x) = w(alpha(x) x), the integrand _g_array of h: positive, unimodal, g(0) = 1/2."""
     x = np.asarray(x, dtype=float)
-    return w(alpha(x, theta) * x)
+    out = _g_array(x.ravel(), theta).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan as at 0-d, silently
 def g_prime(x, theta: float = DEFAULT_THETA):
-    """Closed-form derivative w'(alpha(x) x) * beta(x), the same float at a
-    point whether it comes alone or in an array: numpy's exp, which is one
-    at every shape, and libm pow, which numpy takes on the scalars of a
-    0-d call (its array pow differs on 5% of inputs)."""
+    """Closed-form derivative g'(x) = w'(alpha(x) x) * beta(x)."""
     x = np.asarray(x, dtype=float)
-    e = np.exp(np.minimum(-theta * x, _EXP_CLIP))
-    u = (1.0 + e) * x
-    big = np.abs(u) > 1e100  # w' is 0.0 there; u * u may overflow
-    v = np.where(big, 0.0, u).ravel()
-    p = np.fromiter(map(pow, (v * v + 1.0).tolist(), repeat(1.25)), float, v.size)
-    out = np.where(big, 0.0, -u / (4.0 * p.reshape(x.shape))) * (-theta * x * e + 1.0 + e)
-    return float(out) if out.ndim == 0 else out
+    return w_prime(alpha(x, theta) * x) * beta(x, theta)
 
 
 def _g_scalar(y: float, theta: float) -> float:
@@ -103,10 +97,10 @@ def _g_scalar(y: float, theta: float) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan as from Python floats
 def _g_array(y: np.ndarray, theta: float) -> np.ndarray:
-    """_g_scalar at every point of y, bit for bit: numpy takes the IEEE-exact
-    steps, libm exp and pow (numpy's SIMD forms differ on 5% of inputs).
-    exp is skipped where its argument is at most _EXP_FLOOR, as adding it
-    to 1.0 would change nothing."""
+    """_g_scalar at every point of the 1-d y, bit for bit: numpy takes the
+    IEEE-exact steps, libm the exp (numpy's SIMD exp differs on some inputs)
+    and _pow the power. exp is skipped where its argument is at most
+    _EXP_FLOOR, as adding it to 1.0 would change nothing."""
     t = np.minimum(-theta * y, _EXP_CLIP)
     near = ~(t <= _EXP_FLOOR)  # a nan takes exp, as in _g_scalar
     e = np.zeros(y.size)
@@ -114,7 +108,7 @@ def _g_array(y: np.ndarray, theta: float) -> np.ndarray:
     u = (1.0 + e) * y
     big = np.abs(u) > 1e150
     v = np.where(big, 0.0, u)
-    out = 0.5 * np.fromiter(map(pow, (v * v + 1.0).tolist(), repeat(-0.25)), float, y.size)
+    out = 0.5 * _pow(v * v + 1.0, -0.25)
     out[big] = 0.5 / np.sqrt(np.abs(u[big]))
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _negativities, make_report
+from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _negativities, _pow, make_report
 from .qstate import TAU_NORM, TripartiteState, _stacked, coeff_matrices
 
 # The reports of verify-conjecture for each state, in output order.
@@ -78,13 +78,12 @@ def _overlaps(c: np.ndarray):
     singular values are the Schmidt coefficients of the A|BC cut. Summing
     them before squaring keeps q exact to roundoff when g is rank-deficient
     (dA > dB dC), where the square roots of g's roundoff-level singular
-    values would add about 1e-8. The sums are squared on Python floats, by
-    C pow as in schatten(a, 1.0) ** 2; a stacked ** 2 is x * x, which
-    differs from pow in the last bit for about one value in 1000."""
+    values would add about 1e-8. The sums are squared by _pow, as
+    schatten(a, 1.0) ** 2 squares its float."""
     n, dA = c.shape[:2]
     a = c.reshape(n, dA, -1).swapaxes(1, 2).copy()
     sv = _lapack(np.linalg.svd, a, compute_uv=False)
-    return a, [t ** 2.0 for t in np.sum(sv, axis=-1).tolist()]
+    return a, _pow(np.sum(sv, axis=-1), 2.0)
 
 
 def verify_batch(c: np.ndarray):
@@ -101,17 +100,9 @@ def verify_batch(c: np.ndarray):
     eigvalsh each of Z1 and Z2 and one stacked SVD of the A|BC coefficient
     matrices, and builds no density matrix."""
     n_ab, n_ac, lhs, rhs4 = ineq4_batch(c)
-    q = _overlaps(c)[1]
-    rhs2 = np.array([(t - 1.0) ** 2 for t in q])
-    rhs3 = np.array([(t ** 2 - 1.0) ** 2 for t in np.sum(_norms(c), axis=1).tolist()])
-    return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, np.array(q) - 1.0
-
-
-def _digest(dims, rhs: float, lhs: float) -> dict:
-    d = {"dims": [int(s) for s in dims]}
-    if rhs > 0:
-        d["slack_rel"] = float((rhs - lhs) / rhs)
-    return d
+    n_abc = _overlaps(c)[1] - 1.0
+    rhs3 = _pow(_pow(np.sum(_norms(c), axis=1), 2.0) - 1.0, 2.0)
+    return lhs, _pow(n_abc, 2.0), rhs3, rhs4, n_ab, n_ac, n_abc
 
 
 def verify_reports(dims, values, tol: float = TAU_CHECK, **meta) -> list[InequalityReport]:
@@ -120,7 +111,8 @@ def verify_reports(dims, values, tol: float = TAU_CHECK, **meta) -> list[Inequal
     meta (such as seed and trial) ends each report's digest."""
     lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = (float(v) for v in values)
     bounds = [
-        make_report(name, lhs, rhs, tol, **_digest(dims, rhs, lhs), **meta)
+        make_report(name, lhs, rhs, tol, dims=[int(d) for d in dims],
+                    **({"slack_rel": (rhs - lhs) / rhs} if rhs > 0 else {}), **meta)
         for name, rhs in zip(VERIFY_NAMES[:3], (rhs2, rhs3, rhs4))
     ]
     links = [
@@ -134,39 +126,33 @@ def _single_state_reports(m: np.ndarray, tol: float) -> list[InequalityReport]:
     return verify_reports(m.shape, [v[0] for v in verify_batch(m[None])], tol)
 
 
-def _require_unit_weight(m: np.ndarray) -> None:
+def _unit_weight(m: np.ndarray) -> np.ndarray:
+    """m, whose total squared weight must be 1 within TAU_NORM."""
     weight = float(np.sum(np.abs(m) ** 2))
     if abs(weight - 1.0) > TAU_NORM:
-        raise ValueError(
-            f"total squared weight {weight!r} differs from 1 by more than {TAU_NORM:g}"
-        )
+        raise ValueError(f"total squared weight {weight!r} differs from 1 "
+                         f"by more than {TAU_NORM:g}")
+    return m
 
 
 def ineq2_report(state: TripartiteState, tol: float = TAU_CHECK) -> InequalityReport:
     """Monogamy for a normalised state with the tight right-hand side:
     (||Z1||_1 - 1)^2 + (||Z2||_1 - 1)^2 <= (||G||_{1/2} - 1)^2 where G is
     the overlap matrix of the coefficient matrices."""
-    m = _stacked(coeff_matrices(state))
-    _require_unit_weight(m)
-    return _single_state_reports(m, tol)[0]
+    return _single_state_reports(_unit_weight(_stacked(coeff_matrices(state))), tol)[0]
 
 
 def ineq3_report(mats, tol: float = TAU_CHECK) -> InequalityReport:
     """Monogamy for normalised coefficient matrices with the weaker
     right-hand side ((sum_i ||A_i||_2)^2 - 1)^2."""
-    m = _stacked(mats)
-    _require_unit_weight(m)
-    return _single_state_reports(m, tol)[1]
+    return _single_state_reports(_unit_weight(_stacked(mats)), tol)[1]
 
 
 def ineq4_report(mats, tol: float = TAU_CHECK) -> InequalityReport:
     """Scale-free monogamy for arbitrary coefficient matrices:
     (||Z1||_1 - tr Z1)^2 + (||Z2||_1 - tr Z2)^2
         <= (sum_{i != j} ||A_i||_2 ||A_j||_2)^2."""
-    m = _stacked(mats)
-    _, _, lhs, rhs = ineq4_batch(m[None])
-    lhs, rhs = float(lhs[0]), float(rhs[0])
-    return make_report("ineq4", lhs, rhs, tol, **_digest(m.shape, rhs, lhs))
+    return _single_state_reports(_stacked(mats), tol)[2]
 
 
 def monotonicity_report(

@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matcore import InequalityReport, TAU_CHECK, _adj, _herm, _index, _lapack, _square, make_report
+from .matcore import (InequalityReport, TAU_CHECK, _adj, _herm, _index, _lapack, _pow, _square,
+                      make_report)
 from .specialcase import _SIDES
 
 # Largest size for which all d! permutations are enumerated.
@@ -49,12 +50,15 @@ def ma_chains(image) -> list[tuple[int, ...]]:
     the terminal element included, ordered by their first element. Every i
     with pi(i) > i appears as a non-terminal element of exactly one chain.
     """
-    img = _validate_permutation(image)
-    heads, nodes = _chain_walk(np.array(img, dtype=np.intp)[None] - 1)
-    chains = {}  # by head, in the kernel's order
-    for head, node in zip(heads.tolist(), nodes.tolist()):
-        chains.setdefault(head, []).append(node + 1)
-    return [tuple(c) for c in chains.values()]
+    asc = {i: p for i, p in enumerate(_validate_permutation(image), 1) if p > i}
+    chains = []
+    for i in sorted(asc.keys() - asc.values()):  # the heads: no ascending predecessor
+        chain = [i]
+        while i in asc:
+            i = asc[i]
+            chain.append(i)
+        chains.append(tuple(chain))
+    return chains
 
 
 def _chain_walk(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,12 +137,11 @@ def _rearranged_sums(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _commutative_sides(mu: np.ndarray, perms: np.ndarray):
     """(lhs, rhs) of check_commutative for spectra mu and 0-based images
-    perms, both (N, d), unvalidated. The sum is squared by C pow on Python
-    floats; numpy's s * s differs in the last bit about once in 1000."""
+    perms, both (N, d), unvalidated. The sum is squared by _pow."""
     n, d = mu.shape
     index = _pair_index(perms) + d * d * np.arange(n)[:, None]
     sums = _rearranged_sums(_pair_table(mu).ravel(), index)
-    return np.array([float(s) ** 2 for s in sums]), (d / 2.0) * mu.sum(axis=1)
+    return _pow(sums, 2.0), (d / 2.0) * mu.sum(axis=1)
 
 
 def check_commutative(mu, image, tol: float = TAU_CHECK) -> InequalityReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import _complex_gaussians, _lapack, as_complex_matrix, json_entries
+from .matcore import _complex_gaussians, _index, _lapack, as_complex_matrix, json_entries
 
 # Accepted deviation of the total squared weight from one.
 TAU_NORM = 1e-10
@@ -123,7 +123,7 @@ def density(state: TripartiteState) -> np.ndarray:
 
 
 def _check_op_dims(x: np.ndarray, dims) -> tuple[int, int, int]:
-    dA, dB, dC = (int(d) for d in dims)
+    dA, dB, dC = (_index("dims", d) for d in dims)
     n = dA * dB * dC
     if x.shape != (n, n):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims} (need {n} x {n})")

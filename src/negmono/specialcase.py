@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import StepFailedError
 from .matcore import (
+    _EPS,
     InequalityReport,
     TAU_CHECK,
     _adj,
@@ -35,9 +36,6 @@ def pad_square(b) -> np.ndarray:
     out = np.zeros((n, n), dtype=complex)
     out[: m.shape[0], : m.shape[1]] = m
     return out
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 # The private helpers below take a single matrix or a stack (..., d, d) and

@@ -23,7 +23,6 @@ import os
 import numpy as np
 import pytest
 from imfunc_oracles import reference_approximation_suite
-from permlemma_oracles import ma_chains
 
 from negmono import acceptance, imfunc, matcore, monogamy, permlemma, qstate
 from negmono.errors import StepFailedError
@@ -261,7 +260,7 @@ def _per_spectrum_commutative_lemma_exhaustive(seed):
         succ = np.tile(np.arange(d), (len(perms), 1))
         for row, nxt in zip(perms, succ):
             pi = tuple(int(i) + 1 for i in row)
-            edges = [(a, b) for c in ma_chains(pi) for a, b in zip(c[:-1], c[1:])]
+            edges = [(a, b) for c in permlemma.ma_chains(pi) for a, b in zip(c[:-1], c[1:])]
             assert {a for a, _ in edges} == {i for i in range(1, d + 1) if pi[i - 1] > i}
             for a, b in edges:
                 nxt[a - 1] = b - 1

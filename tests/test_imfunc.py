@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -693,6 +695,58 @@ def test_g_prime_is_one_form_at_every_shape(theta):
         alone = np.array([g_prime(y, theta) for y in ys.tolist()])
     assert got.tobytes() == ref.tobytes() == alone.tobytes()
     assert g_prime(ys.reshape(-1, 4), theta).tobytes() == ref.tobytes()
+
+
+POINTWISE = [w, w_prime, alpha, beta, g, g_prime, sqrt_plus]
+
+
+def _spread_points():
+    # seeded points, the w' and g cutoffs |x| = 1e100 and 1e150 passed,
+    # +-inf and +-0
+    rng = np.random.default_rng(1)
+    edges = [1e151, -1e151, 1e200, -1e200, np.inf, -np.inf, 0.0, -0.0]
+    return np.concatenate([rng.normal(scale=5.0, size=3000), rng.uniform(-80.0, 80.0, 992), edges])
+
+
+@pytest.mark.parametrize("f", POINTWISE, ids=lambda f: f.__name__)
+def test_pointwise_functions_give_one_float_at_every_shape(f):
+    # a point gives its 0-d float alone, in a 1-d array and in a 2-d one,
+    # to the last bit, and none of them warns
+    xs = _spread_points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [f(np.array(x)) for x in xs.tolist()]
+        assert {type(y) for y in alone} == {float}
+        assert f(xs).tobytes() == np.array(alone).tobytes()
+        assert f(xs.reshape(-1, 8)).tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("theta", [1.0, 2.5])
+def test_g_is_the_integrand_of_h(theta):
+    xs = _spread_points()
+    ref = np.array([imfunc._g_scalar(x, theta) for x in xs.tolist()])
+    assert g(xs, theta).tobytes() == ref.tobytes()
+    assert g(1e200, theta) == imfunc._g_scalar(1e200, theta) > 0.0
+
+
+def test_libm_pow_is_matcore_pow_alone():
+    # map(pow is written in matcore._pow only, and no comprehension of
+    # src/negmono raises to a power
+    src = Path(imfunc.__file__).parent
+    matcore = ast.parse((src / "matcore.py").read_text())
+    pow_fn = next(fn for fn in matcore.body if getattr(fn, "name", None) == "_pow")
+    sites, comprehension_pows = [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        sites += [(path.name, k) for k, line in enumerate(text.splitlines(), 1) if "map(pow" in line]
+        comprehension_pows += [
+            (path.name, node.lineno) for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.ListComp, ast.GeneratorExp))
+            and any(isinstance(op, ast.BinOp) and isinstance(op.op, ast.Pow)
+                    for op in ast.walk(node.elt))]
+    assert sites and all(name == "matcore.py" and pow_fn.lineno <= k <= pow_fn.end_lineno
+                         for name, k in sites)
+    assert comprehension_pows == []
 
 
 def test_no_runtime_warning_escapes(capsys):

@@ -11,6 +11,7 @@ from negmono.matcore import (
     _herm,
     _negativities,
     _ordered_map,
+    _pow,
     as_complex_matrix,
     complex_gaussian,
     hermitian_eig,
@@ -176,6 +177,32 @@ def test_matrix_json_roundtrip(tmp_path):
     path.write_text(json.dumps(raw))
     np.testing.assert_array_equal(load_matrix(path), m)
     np.testing.assert_array_equal(matrix_from_dict(raw), m)
+
+
+def test_pow_is_the_python_float_power_at_every_shape():
+    # libm pow by way of Python floats, entry by entry, at any shape; a
+    # power past the float range is inf, where a Python float would raise
+    xs = np.random.default_rng(3).normal(scale=1e3, size=(4, 250))
+    for p in (2.0, 1.25, -0.25):
+        v = np.abs(xs) if p % 1 else xs
+        want = np.array([t ** p for t in v.ravel().tolist()]).reshape(v.shape)
+        assert _pow(v, p).tobytes() == want.tobytes()
+        assert _pow(v[0, 0], p).shape == ()
+    np.testing.assert_array_equal(_pow(np.array([[1e200], [3.0]]), 2.0), [[np.inf], [9.0]])
+
+
+@pytest.mark.parametrize("size", [1.9, 1.0, "1", None])
+def test_matrix_json_sizes_must_be_integers(size):
+    # a fractional, float, string or null size is refused, not truncated
+    for obj in ({"rows": size, "cols": 1, "data": [[1, 0]]},
+                {"rows": 1, "cols": size, "data": [[1, 0]]}):
+        with pytest.raises(ValueError, match=r"^matrix JSON sizes rows, cols must be integers$"):
+            matrix_from_dict(obj)
+
+
+def test_matrix_json_integer_sizes_load():
+    m = matrix_from_dict({"rows": 2, "cols": np.int64(1), "data": [[1, 0], [0, 2]]})
+    np.testing.assert_array_equal(m, [[1.0], [2j]])
 
 
 def test_complex_gaussian_unit_variance():

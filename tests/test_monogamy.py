@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from negmono.matcore import complex_gaussian, negativity, schatten
+from negmono.matcore import TAU_CHECK, complex_gaussian, negativity, schatten
 from negmono.monogamy import (
     _z1,
     _z2,
@@ -16,6 +16,7 @@ from negmono.monogamy import (
 )
 from negmono.qstate import (
     _random_coeffs,
+    _stacked,
     amat,
     coeff_matrices,
     density,
@@ -167,6 +168,32 @@ def test_ineq4_scale_free():
         assert scaled.lhs == pytest.approx(t**4 * base.lhs, rel=1e-9)
         assert scaled.rhs == pytest.approx(t**4 * base.rhs, rel=1e-12)
         assert scaled.slack == pytest.approx(t**4 * base.slack, rel=1e-8)
+
+
+def _ineq4_batch_record(mats):
+    # ineq4_report's former record, made from ineq4_batch alone
+    m = _stacked(mats)
+    with np.errstate(over="ignore"):
+        _, _, lhs, rhs = (float(v[0]) for v in ineq4_batch(m[None]))
+    rec = {"name": "ineq4", "lhs": lhs, "rhs": rhs, "slack": rhs - lhs,
+           "holds": rhs - lhs >= -TAU_CHECK, "dims": list(m.shape)}
+    return {**rec, "slack_rel": (rhs - lhs) / rhs} if rhs > 0 else rec
+
+
+def test_ineq4_report_is_the_ineq4_batch_record():
+    # the verify_reports row is the record ineq4_report built from
+    # ineq4_batch, key order included: on unit states, scaled and
+    # non-normalised matrices, one matrix, where rhs = 0, and matrices so
+    # large that the ineq2/ineq3 right-hand sides of the row overflow
+    rng = np.random.default_rng(12)
+    cases = [coeff_matrices(random_state(dims, rng)) for dims in DIMS]
+    cases += [random_mats(rng, 3, 2, 2), [7.0 * m for m in random_mats(rng, 2, 3, 1)],
+              [complex_gaussian(rng, (3, 3))], [np.eye(2)], [1e80 * np.eye(2), 1e80 * np.ones((2, 2))]]
+    for mats in cases:
+        with np.errstate(over="ignore"):
+            got = ineq4_report(mats).to_dict()
+        assert repr(list(got.items())) == repr(list(_ineq4_batch_record(mats).items()))
+    assert got["rhs"] == np.inf
 
 
 def test_ineq4_single_matrix_degenerates():

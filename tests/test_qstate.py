@@ -166,6 +166,23 @@ def test_state_from_dict_rejects_malformed_json(obj):
         state_from_dict(obj)
 
 
+@pytest.mark.parametrize("key", ["dA", "dB", "dC"])
+def test_state_json_sizes_must_be_integers(key):
+    obj = {"dA": 1, "dB": 1, "dC": 1, "coeffs": [[1, 0]]}
+    assert state_from_dict(obj).dims == (1, 1, 1)
+    with pytest.raises(ValueError, match=r"^state JSON sizes dA, dB, dC must be integers$"):
+        state_from_dict({**obj, key: 1.5})
+
+
+@pytest.mark.parametrize("op", [partial_transpose_A, partial_trace_B, partial_trace_C])
+@pytest.mark.parametrize("dims", [(2.9, 1, 1), (2, 1.7, 1), (2, 1, 1.0)])
+def test_operator_dims_must_be_integers(op, dims):
+    # a fractional or float size is refused, not truncated to a size that fits
+    with pytest.raises(ValueError, match=r"^dims must be an integer, got [\d.]+$"):
+        op(np.eye(2), dims)
+    np.testing.assert_array_equal(op(np.eye(2), (np.int64(2), 1, 1)), np.eye(2))
+
+
 def test_random_state_deterministic_per_seed():
     a = random_state((2, 2, 2), np.random.default_rng(42))
     b = random_state((2, 2, 2), np.random.default_rng(42))
