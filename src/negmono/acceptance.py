@@ -25,8 +25,8 @@ from .monogamy import _overlaps, _z1, _z2, monotonicity_report, verify_batch
 from .permlemma import (
     _chain_walk,
     _drury_sides,
+    _max_rearranged,
     _perm_array,
-    _rearranged_sum_blocks,
     check_commutative,
     drury_numeric_check,
 )
@@ -272,8 +272,8 @@ def _inexact_chains(perms):
     of one chain, are counted by source and their targets checked in
     place: each ascent i -> pi(i), pi(i) > i, must be a source exactly
     once with target pi(i), and no other index a source. A function of
-    its own, so that its arrays are freed before criterion 6's rearranged
-    sums, which set the criterion's peak memory."""
+    its own, so that its arrays, the largest of criterion 6, are freed as
+    it returns."""
     d = perms.shape[1]
     heads, nodes = _chain_walk(perms)
     edge = heads[1:] == heads[:-1]
@@ -293,9 +293,9 @@ def commutative_lemma_exhaustive(seed):
     of S_d, in _perm_array's order, and _inexact_chains checks that their
     edges are exactly the ascents (i, pi(i)), pi(i) > i, each once: the
     other terms of a sorted spectrum's direct sum are zero. A failure
-    names the first permutation with a wrong entry. The direct sums of
-    each d's 100 spectra, drawn by one generator call, come from one
-    _rearranged_sum_blocks call; the least slack is that of the largest
+    names the first permutation with a wrong entry. The largest direct
+    sum of each of a d's 100 spectra, drawn by one generator call, comes
+    from one _max_rearranged call; the least slack is that of the largest
     sum, as squaring and subtracting keep the order of floats."""
     rng = _rng(seed, 6)
     worst_slack = math.inf
@@ -305,7 +305,7 @@ def commutative_lemma_exhaustive(seed):
         if bad.size:
             return False, {"completeness_failed_for": (perms[bad[0]] + 1).tolist()}
         mu = np.sort(rng.random((100, d)), axis=1)[:, ::-1]
-        direct = np.concatenate([sums.max(axis=1) for sums in _rearranged_sum_blocks(mu)])
+        direct = _max_rearranged(mu)
         worst_slack = min(worst_slack, float(np.min((d / 2.0) * mu.sum(axis=1) - direct**2)))
     swap = check_commutative(np.array([1.0, 0.0]), (2, 1))
     passed = worst_slack >= -1e-9 and abs(swap.slack) <= 1e-12
@@ -318,13 +318,13 @@ def commutative_lemma_exhaustive(seed):
 @_criterion()
 def drury_reduction(seed):
     """Criterion 7: for 200 random B per size d in 2..5, the commutator-gap
-    half-power trace is bounded by the brute-force rearrangement maximum
+    half-power trace is bounded by the exact rearrangement maximum
     (slack >= -1e-9).
 
     The 200 B of each d are drawn by one generator call and compared with
     the maximum over all d! permutations by one _drury_sides call,
-    unvalidated (about 1 MB at d = 5). Only the first failing B, in draw
-    order, gets a report, from drury_numeric_check."""
+    unvalidated. Only the first failing B, in draw order, gets a report,
+    from drury_numeric_check."""
     rng = _rng(seed, 7)
     worst = math.inf
     for d in range(2, 6):

@@ -46,8 +46,9 @@ def _rng(*entropy: int) -> np.random.Generator:
 
 
 def _index(name: str, value) -> int:
+    # a bool is an int to operator.index, but never a size or an entry
     try:
-        return operator.index(value)
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 

@@ -1,6 +1,6 @@
 """Commutative reduction of the special-case bound: ascending chains of a
 permutation, the chain-wise square-root sum bounds, the weighted l_{1/2}
-inequality used to assemble them, and a brute-force check of the
+inequality used to assemble them, and an exact check of the
 trace-function rearrangement bound that justifies the reduction.
 
 Permutations are 1-based image lists: pi maps i to image[i - 1].
@@ -131,7 +131,7 @@ def _rearranged_sums(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     permutation each, pass table.ravel() and offset row k of index by
     k * d^2. Each sum adds the same floats in the same order as the
     elementwise sqrt(clip(v - v[pi], 0)).sum(), so it is that sum to the
-    last bit. All of S_d is _rearranged_sum_blocks's work."""
+    last bit. Their maximum over all of S_d is _max_rearranged's work."""
     return np.take(table, index, axis=-1).sum(axis=-1)
 
 
@@ -195,49 +195,43 @@ def _perm_array(d: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(d))), dtype=np.intp)
 
 
-# Most floats in one level array of _rearranged_sum_blocks, unless one
-# spectrum's d! exceeds it (d = 8).
-GATHER = 2**15
-
-
 @lru_cache(maxsize=None)
-def _prefix_levels(d: int) -> tuple[np.ndarray, ...]:
-    """Per depth k = 1..d, the _pair_table index (k - 1) * d + pi(k - 1) of
-    every length-k prefix of _perm_array(d), in lexicographic order: the
-    children of a node at depth k - 1 are d - k + 1 adjacent nodes."""
-    perms = _perm_array(d)
-    return tuple((k - 1) * d + perms[::math.factorial(d - k), k - 1] for k in range(1, d + 1))
+def _subset_levels(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per size k = 1..d, the bitmasks S of the k-subsets of columns, the
+    masks S - {j} of each S and member j, and the _pair_table index
+    (k - 1) * d + j of row k - 1 against column j: the tables of
+    _max_rearranged, built once per d."""
+    masks = np.arange(2**d)
+    bits = (masks[:, None] >> np.arange(d)) & 1
+    levels = []
+    for k in range(1, d + 1):
+        level = masks[bits.sum(axis=1) == k]
+        cols = np.nonzero(bits[level])[1].reshape(-1, k)
+        levels.append((level, level[:, None] - (1 << cols), (k - 1) * d + cols))
+    return tuple(levels)
 
 
-def _rearranged_sum_blocks(mu: np.ndarray):
-    """The rearranged sums of a stack of spectra mu (N, d), d <= D_MAX, over
-    all of S_d in lexicographic order: blocks (n, d!) of consecutive
-    spectra, which stacked are _rearranged_sums(_pair_table(mu),
-    _pair_index(_perm_array(d))) to the last bit, from a prefix tree.
+def _max_rearranged(mu: np.ndarray) -> np.ndarray:
+    """The maximum over all of S_d of the rearranged sums of each row of a
+    stack of spectra mu (N, d), d <= D_MAX, unvalidated: to the last bit
+    _rearranged_sums(_pair_table(mu), _pair_index(_perm_array(d))).max(-1).
 
-    Depth k gathers each node's term sqrt((mu_{k-1} - mu_{pi(k-1)})_+) and
-    merges it into its parent's partial sums, broadcast over its siblings,
-    in numpy's order of sum: left to right below 8 terms, and at 8 the tree
-    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), whose subtrees close
-    as a binary counter. A block holds as many spectra as keep every level
-    array, and the block itself, within GATHER floats, and one at least."""
-    d = mu.shape[1]
-    levels = _prefix_levels(d)
-    step = max(1, GATHER // math.factorial(d))
-    for start in range(0, len(mu), step):
-        # a node's partial sums of the block's spectra are one contiguous row
-        table = np.ascontiguousarray(_pair_table(mu[start:start + step]).T)
-        n = table.shape[1]
-        stack = []  # (partial sums at some depth, number of terms)
-        for index in levels:
-            value, terms = np.take(table, index, axis=0), 1
-            while stack and (d < 8 or stack[-1][1] == terms):
-                lower, lower_terms = stack.pop()
-                grouped = value.reshape(len(lower), -1, n)
-                np.add(lower[:, None, :], grouped, out=grouped)
-                terms += lower_terms
-            stack.append((value, terms))
-        yield np.ascontiguousarray(stack[0][0].T)
+    Below 8 terms numpy sums left to right, so the sum of pi is built row
+    by row, and best(S), the largest partial sum that gives rows 0..|S|-1
+    the columns S, is the maximum over j in S of fl(best(S - {j}) +
+    sqrt((mu_{|S|-1} - mu_j)_+)), with best({}) = 0: fl(x + c) is
+    non-decreasing in x, so a prefix that is not the best for its columns
+    never ends a larger sum. That is d 2^(d-1) additions for d! sums. At 8
+    terms numpy sums by the tree ((a0 + a1) + (a2 + a3)) + ((a4 + a5) +
+    (a6 + a7)), and the maximum is taken over the enumerated sums."""
+    n, d = mu.shape
+    table = _pair_table(mu)
+    if d == 8:
+        return _rearranged_sums(table, _pair_index(_perm_array(d))).max(axis=-1)
+    best = np.zeros((n, 2**d))
+    for masks, prev, index in _subset_levels(d):
+        best[:, masks] = (best[:, prev] + table[:, index]).max(axis=-1)
+    return best[:, -1]
 
 
 def max_rearranged_sum(mu) -> tuple[float, tuple[int, ...]]:
@@ -247,7 +241,7 @@ def max_rearranged_sum(mu) -> tuple[float, tuple[int, ...]]:
     v = _validate_spectrum(mu, sorted_required=False)
     if v.size > D_MAX:
         raise ValueError(f"exhaustive enumeration limited to d <= {D_MAX}")
-    vals = next(_rearranged_sum_blocks(v[None]))[0]
+    vals = _rearranged_sums(_pair_table(v), _pair_index(_perm_array(v.size)))
     best = int(np.argmax(vals))
     return float(vals[best]), tuple(int(i) + 1 for i in _perm_array(v.size)[best])
 
@@ -260,13 +254,12 @@ def _drury_sides(m: np.ndarray):
     lhs = _SIDES["ineqid2_plus"](m)[0]
     # B B* is Hermitian by construction
     mu = _lapack(np.linalg.eigvalsh, _herm(m @ _adj(m)))[:, ::-1]
-    blocks = _rearranged_sum_blocks(np.clip(mu, 0.0, None))
-    return lhs, np.concatenate([sums.max(axis=1) for sums in blocks])
+    return lhs, _max_rearranged(np.clip(mu, 0.0, None))
 
 
 def drury_numeric_check(b, tol: float = TAU_CHECK) -> InequalityReport:
     """Rearrangement bound for the commutator gap: with mu the spectrum of
-    B B*, tr sqrt((B B* - B* B)_+) is at most the brute-force maximum of
+    B B*, tr sqrt((B B* - B* B)_+) is at most the exact maximum of
     sum_i sqrt((mu_i - mu_{pi(i)})_+) over all permutations. B is checked
     here, once; _drury_sides evaluates it as a stack of one."""
     m = _square(b)

@@ -123,6 +123,8 @@ def density(state: TripartiteState) -> np.ndarray:
 
 
 def _check_op_dims(x: np.ndarray, dims) -> tuple[int, int, int]:
+    if len(dims) != 3:
+        raise ValueError(f"dims must be three sizes (dA, dB, dC), got {dims!r}")
     dA, dB, dC = (_index("dims", d) for d in dims)
     n = dA * dB * dC
     if x.shape != (n, n):

@@ -344,33 +344,37 @@ def test_stacked_criteria_counts_and_chunk_independence(monkeypatch, call_counts
 
 def test_commutative_lemma_exhaustive_counts_and_chunk_independence(monkeypatch, call_counts):
     # each size d <= 7 makes one chain-kernel call on all of S_d and one
-    # prefix-tree call; only the swap witness validates a permutation and
-    # gathers an explicit one; the details do not depend on the bound on a
-    # level array
+    # subset-DP call on its 100 spectra; only the swap witness validates a
+    # permutation and gathers an explicit one; the details do not depend
+    # on stacking the spectra: the DP of one spectrum at a time gives them
     counts, count = call_counts
-    for name in ("_chain_walk", "_validate_permutation", "_rearranged_sum_blocks",
+    for name in ("_chain_walk", "_validate_permutation", "_max_rearranged",
                  "_rearranged_sums"):
         count(permlemma, name)
     default = acceptance.commutative_lemma_exhaustive(seed=0)
     assert counts == {"_chain_walk": 7, "_validate_permutation": 1,
-                      "_rearranged_sum_blocks": 7, "_rearranged_sums": 1}
-    monkeypatch.setattr(permlemma, "GATHER", 2**10)
-    small = acceptance.commutative_lemma_exhaustive(seed=0)
-    assert default.passed and small.passed
-    assert default.details == small.details
+                      "_max_rearranged": 7, "_rearranged_sums": 1}
+    kernel = permlemma._max_rearranged
+    monkeypatch.setattr(acceptance, "_max_rearranged",
+                        lambda mu: np.concatenate([kernel(v[None]) for v in mu]))
+    single = acceptance.commutative_lemma_exhaustive(seed=0)
+    assert default.passed and single.passed
+    assert default.details == single.details
 
 
 def test_commutative_lemma_exhaustive_builds_each_index_once(call_counts):
-    # one set of prefix-tree levels per size and one pair index, for the
-    # swap witness; a pair table per block of spectra: at GATHER = 2**15
-    # the blocks of the 100 spectra number 1 + 1 + 1 + 1 + 1 + 3 + 17 = 25
-    # (45 and 6 spectra to a block at d = 6 and 7), and the swap witness
-    # builds one more table
+    # the subset tables of each size are built on first use and then
+    # cached; a pair table per size's 100 spectra, and a pair index and
+    # table for the swap witness
+    levels = permlemma._subset_levels
+    levels.cache_clear()
     counts, count = call_counts
-    for name in ("_prefix_levels", "_pair_index", "_pair_table"):
+    for name in ("_subset_levels", "_pair_index", "_pair_table"):
         count(permlemma, name)
-    assert acceptance.commutative_lemma_exhaustive(seed=0).passed
-    assert counts == {"_prefix_levels": 7, "_pair_index": 1, "_pair_table": 26}
+    for _ in range(2):
+        assert acceptance.commutative_lemma_exhaustive(seed=0).passed
+    assert counts == {"_subset_levels": 14, "_pair_index": 2, "_pair_table": 16}
+    assert levels.cache_info().misses == 7
 
 
 def _edge_to_the_wrong_index(d, heads, nodes):
@@ -406,14 +410,16 @@ def test_commutative_lemma_exhaustive_rejects_inexact_chains(monkeypatch, mutate
 
 
 def test_drury_reduction_counts(call_counts):
-    # a passing run makes one _drury_sides call per size d in 2..5,
-    # validates no B and builds no report
+    # a passing run makes one _drury_sides call, and so one subset-DP call,
+    # per size d in 2..5, validates no B and builds no report
     counts, count = call_counts
-    count(permlemma, "_drury_sides")
+    for name in ("_drury_sides", "_max_rearranged"):
+        count(permlemma, name)
     for name in ("as_complex_matrix", "make_report"):
         count(matcore, name)
     assert acceptance.drury_reduction(seed=0).passed
-    assert counts == {"_drury_sides": 4, "as_complex_matrix": 0, "make_report": 0}
+    assert counts == {"_drury_sides": 4, "_max_rearranged": 4, "as_complex_matrix": 0,
+                      "make_report": 0}
 
 
 def test_approximation_suite_counts(call_counts):

@@ -191,9 +191,10 @@ def test_pow_is_the_python_float_power_at_every_shape():
     np.testing.assert_array_equal(_pow(np.array([[1e200], [3.0]]), 2.0), [[np.inf], [9.0]])
 
 
-@pytest.mark.parametrize("size", [1.9, 1.0, "1", None])
+@pytest.mark.parametrize("size", [1.9, 1.0, "1", None, True])
 def test_matrix_json_sizes_must_be_integers(size):
-    # a fractional, float, string or null size is refused, not truncated
+    # a fractional, float, string, null or boolean size is refused, not
+    # truncated or read as 1
     for obj in ({"rows": size, "cols": 1, "data": [[1, 0]]},
                 {"rows": 1, "cols": size, "data": [[1, 0]]}):
         with pytest.raises(ValueError, match=r"^matrix JSON sizes rows, cols must be integers$"):

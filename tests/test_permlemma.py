@@ -6,15 +6,15 @@ import numpy as np
 import permlemma_oracles
 import pytest
 
-from negmono import matcore, permlemma
+from negmono import matcore
 from negmono.matcore import _complex_gaussians, complex_gaussian, hermitian_eigenvalues
 from negmono.permlemma import (
     D_MAX,
     _chain_walk,
+    _max_rearranged,
     _pair_index,
     _pair_table,
     _perm_array,
-    _rearranged_sum_blocks,
     _rearranged_sums,
     chain_bound,
     check_commutative,
@@ -148,6 +148,9 @@ def test_fractional_permutation_and_chain_entries_are_rejected():
         ma_chains(np.array([2.0, 1.0]))
     with pytest.raises(ValueError, match=r"^chain entry must be an integer, got 1\.5$"):
         chain_bound(mu, (1.5, 2))
+    # operator.index reads True as 1: (True, 2, 3) passed as the identity
+    with pytest.raises(ValueError, match=r"^permutation entry must be an integer, got True$"):
+        check_commutative(mu, (True, 2, 3))
 
 
 def test_integer_permutation_and_chain_entries_are_accepted():
@@ -256,25 +259,25 @@ def test_rearranged_sums_match_the_elementwise_sum(d):
 
 
 @pytest.mark.parametrize("d", range(1, D_MAX + 1))
-def test_rearranged_sum_blocks_are_the_gather_bit_for_bit(monkeypatch, d):
-    # the prefix tree adds in numpy's order of sum, left to right below 8
-    # terms and the pairwise tree at 8: the blocks stack to the gather over
-    # all of S_d, to the last bit, for stacks of 1, 7 (with ties and zeros)
-    # and 200 spectra, at the default bound and with one spectrum a block
+def test_max_rearranged_is_the_enumerated_maximum(d):
+    # the subset DP, and the enumeration at d = 8, give the largest of the
+    # d! gathered sums to the last bit: for random spectra, spectra with
+    # ties and zeros, all-equal spectra, and the clipped spectra of B B*
+    # that _drury_sides builds (d = 8 gathers 40320 sums a spectrum, so it
+    # gets fewer)
     rng = np.random.default_rng(300 + d)
+    count = 200 if d < D_MAX else 8
     ties = rng.random((7, d))
     ties[rng.random((7, d)) < 0.3] = 0.0
     if d > 2:
         ties[:, 1] = ties[:, 2]
+    equal = np.array([[0.0] * d, [0.7] * d, [1.0] * d])
+    bs = _complex_gaussians(rng, count // 4, (d, d))
+    gram = np.linalg.eigvalsh(bs @ bs.conj().transpose(0, 2, 1))[:, ::-1]
     index = _pair_index(_perm_array(d))
-    default = permlemma.GATHER
-    for mu in (rng.random((1, d)), ties, rng.random((200, d))):
-        ref = np.stack([_rearranged_sums(_pair_table(v), index) for v in mu])
-        for gather in (default, 1):
-            monkeypatch.setattr(permlemma, "GATHER", gather)
-            blocks = list(_rearranged_sum_blocks(mu))
-            assert all(b.size <= max(gather, math.factorial(d)) for b in blocks)
-            assert np.concatenate(blocks).tobytes() == ref.tobytes()
+    for mu in (rng.random((count, d)), ties, equal, np.clip(gram, 0.0, None)):
+        ref = np.array([_rearranged_sums(_pair_table(v), index).max() for v in mu])
+        assert np.array_equal(_max_rearranged(mu), ref)
 
 
 def test_drury_shift_equality():

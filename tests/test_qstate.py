@@ -170,8 +170,9 @@ def test_state_from_dict_rejects_malformed_json(obj):
 def test_state_json_sizes_must_be_integers(key):
     obj = {"dA": 1, "dB": 1, "dC": 1, "coeffs": [[1, 0]]}
     assert state_from_dict(obj).dims == (1, 1, 1)
-    with pytest.raises(ValueError, match=r"^state JSON sizes dA, dB, dC must be integers$"):
-        state_from_dict({**obj, key: 1.5})
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match=r"^state JSON sizes dA, dB, dC must be integers$"):
+            state_from_dict({**obj, key: bad})
 
 
 @pytest.mark.parametrize("op", [partial_transpose_A, partial_trace_B, partial_trace_C])
@@ -181,6 +182,14 @@ def test_operator_dims_must_be_integers(op, dims):
     with pytest.raises(ValueError, match=r"^dims must be an integer, got [\d.]+$"):
         op(np.eye(2), dims)
     np.testing.assert_array_equal(op(np.eye(2), (np.int64(2), 1, 1)), np.eye(2))
+
+
+@pytest.mark.parametrize("op", [partial_transpose_A, partial_trace_B, partial_trace_C])
+@pytest.mark.parametrize("dims", [(2, 1), (2, 1, 1, 1)])
+def test_operator_dims_must_be_three_sizes(op, dims):
+    # too few or too many sizes are refused by name, not by a failed unpack
+    with pytest.raises(ValueError, match=r"^dims must be three sizes \(dA, dB, dC\), got \("):
+        op(np.eye(2), dims)
 
 
 def test_random_state_deterministic_per_seed():
