@@ -85,7 +85,6 @@ from .imfunc import (
     h_s,
     im_pair_check,
     sqrt_plus,
-    sup_error,
     sup_error_table,
     tail_bound,
     tail_cutoff,

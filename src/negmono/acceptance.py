@@ -154,7 +154,7 @@ def partial_trace_monotonicity(seed):
     its states. Only the first failing report, in draw order, is built and
     returned as the detail."""
     k = len(STATE_DIMS)
-    stacks = [_unit_states(_complex_pairs(x))
+    stacks = [_unit_states(_complex_pairs(x))[0]
               for x in _draws(_rng(seed, 3), [STATE_DIMS[i % k] for i in range(500)], k)]
     # slack[i] holds the A|B and A|C slacks of state i
     slack = np.empty((500, 2))

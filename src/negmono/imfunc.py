@@ -8,12 +8,13 @@ h is computed by adaptive Simpson quadrature on [L, x], every panel of
 every grid in lockstep, where the left cutoff L makes the analytic tail
 bound on the dropped integral smaller than half the requested tolerance;
 quad_tol is therefore a total error budget per grid, not a per-panel one.
-Each pointwise function gives a point one float alone or in an array: its
-exp is numpy's, one at every shape, or libm's, and its power matcore._pow.
+Each pointwise function gives a point one float alone or in an array, its power
+by matcore._pow and its exp numpy's, but g is w(alpha(x) x) with libm's exp.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,29 +36,41 @@ _SLICE = 4096  # most points in one _g_array call of _h_grids
 _HALVES = np.array([[0, 1], [6, 7], [1, 2], [3, 4], [8, 9], [4, 5], [10, 11], [12, 12]])
 
 
+def _pointwise(f):
+    """f, which maps a 1-d float array pointwise, at x of any shape: a float at 0-d."""
+    @functools.wraps(f)
+    def at_every_shape(x, *args, **kwargs):
+        x = np.asarray(x, dtype=float)
+        out = f(x.ravel(), *args, **kwargs).reshape(x.shape)
+        return float(out) if out.ndim == 0 else out
+    return at_every_shape
+
+
+@_pointwise
 def w(x):
     """w(x) = (1/2) (x^2 + 1)^(-1/4); even, decreasing in |x|, maximum 1/2."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # x*x may overflow to inf; w then underflows to 0
-        out = 0.5 * _pow(x * x + 1.0, -0.25)
-    return float(out) if out.ndim == 0 else out
+    v = np.where(big := np.abs(x) > 1e150, 0.0, x)  # x * x may overflow; (x^2 + 1)^(1/4) ~ sqrt|x|
+    out = 0.5 * _pow(v * v + 1.0, -0.25)
+    out[big] = 0.5 / np.sqrt(np.abs(x[big]))
+    return out
 
 
+@_pointwise
 def w_prime(x):
-    x = np.asarray(x, dtype=float)
-    big = np.abs(x) > 1e100  # w' is 0.0 there; x * x may overflow
-    v = np.where(big, 0.0, x)
-    out = np.where(big, 0.0, -x / (4.0 * _pow(v * v + 1.0, 1.25)))
-    return float(out) if out.ndim == 0 else out
+    """w'(x) = -(x/4) (x^2 + 1)^(-5/4); its tail -sign(x) |x|^(-3/2) / 4 past 1e100."""
+    v = np.where(big := np.abs(x) > 1e100, 0.0, x)  # x * x may overflow
+    out = -v / (4.0 * _pow(v * v + 1.0, 1.25))
+    out[big] = -np.sign(x[big]) * _pow(np.abs(x[big]), -1.5) / 4.0
+    return out
 
 
+@_pointwise
 def alpha(x, theta: float = DEFAULT_THETA):
     """alpha(x) = 1 + exp(-theta x)."""
-    x = np.asarray(x, dtype=float)
-    out = 1.0 + np.exp(np.minimum(-theta * x, _EXP_CLIP))
-    return float(out) if out.ndim == 0 else out
+    return 1.0 + np.exp(np.minimum(-theta * x, _EXP_CLIP))
 
 
+@_pointwise
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan at |x| = inf or x << 0, silently
 def beta(x, theta: float = DEFAULT_THETA):
     """d/dx of alpha(x) x: beta = -theta x exp(-theta x) + 1 + exp(-theta x).
@@ -65,23 +78,20 @@ def beta(x, theta: float = DEFAULT_THETA):
     Strictly above 2 for x < 0, exactly 2 at 0, strictly below 2 for x > 0;
     this sign pattern is what makes the paired-derivative sums positive.
     """
-    x = np.asarray(x, dtype=float)
     e = np.exp(np.minimum(-theta * x, _EXP_CLIP))
-    out = -theta * x * e + 1.0 + e
-    return float(out) if out.ndim == 0 else out
+    return -theta * x * e + 1.0 + e
 
 
+@_pointwise
 def g(x, theta: float = DEFAULT_THETA):
     """g(x) = w(alpha(x) x), the integrand _g_array of h: positive, unimodal, g(0) = 1/2."""
-    x = np.asarray(x, dtype=float)
-    out = _g_array(x.ravel(), theta).reshape(x.shape)
-    return float(out) if out.ndim == 0 else out
+    return _g_array(x, theta)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and nan as at 0-d, silently
+@_pointwise
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan at |x| = inf or x << 0, silently
 def g_prime(x, theta: float = DEFAULT_THETA):
     """Closed-form derivative g'(x) = w'(alpha(x) x) * beta(x)."""
-    x = np.asarray(x, dtype=float)
     return w_prime(alpha(x, theta) * x) * beta(x, theta)
 
 
@@ -97,20 +107,15 @@ def _g_scalar(y: float, theta: float) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan as from Python floats
 def _g_array(y: np.ndarray, theta: float) -> np.ndarray:
-    """_g_scalar at every point of the 1-d y, bit for bit: numpy takes the
-    IEEE-exact steps, libm the exp (numpy's SIMD exp differs on some inputs)
-    and _pow the power. exp is skipped where its argument is at most
-    _EXP_FLOOR, as adding it to 1.0 would change nothing."""
+    """_g_scalar at every point of the 1-d y, bit for bit: w at alpha(y) y
+    with the exp of alpha by libm (numpy's SIMD exp differs on some inputs).
+    exp is skipped where its argument is at most _EXP_FLOOR, as adding it
+    to 1.0 would change nothing."""
     t = np.minimum(-theta * y, _EXP_CLIP)
     near = ~(t <= _EXP_FLOOR)  # a nan takes exp, as in _g_scalar
     e = np.zeros(y.size)
     e[near] = np.fromiter(map(math.exp, t[near].tolist()), float)
-    u = (1.0 + e) * y
-    big = np.abs(u) > 1e150
-    v = np.where(big, 0.0, u)
-    out = 0.5 * _pow(v * v + 1.0, -0.25)
-    out[big] = 0.5 / np.sqrt(np.abs(u[big]))
-    return out
+    return w((1.0 + e) * y)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -268,27 +273,25 @@ def h_s(x: float, s: float, theta: float = DEFAULT_THETA, quad_tol: float = DEFA
     return h(_scaled(s, x), theta, quad_tol) / math.sqrt(s)
 
 
+@_pointwise
 def sqrt_plus(x):
     """Target function sqrt(x_+)."""
-    x = np.asarray(x, dtype=float)
-    out = np.sqrt(np.clip(x, 0.0, None))
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(np.clip(x, 0.0, None))
 
 
 @dataclass(frozen=True)
 class IMParams:
-    """Evaluation parameters: bump steepness, scale, quadrature budget and
-    the grid on which approximation error is reported."""
+    """Evaluation parameters: bump steepness, quadrature budget and the grid
+    on which approximation error is reported."""
 
     theta: float = DEFAULT_THETA
-    s: float = 1.0
     quad_tol: float = DEFAULT_QUAD_TOL
     grid_lo: float = -10.0
     grid_hi: float = 10.0
     grid_n: int = 2001
 
     def __post_init__(self):
-        for name in ("theta", "s", "quad_tol"):
+        for name in ("theta", "quad_tol"):
             _finite_positive(name, getattr(self, name))
         for name in ("grid_lo", "grid_hi"):
             if not math.isfinite(value := getattr(self, name)):
@@ -304,11 +307,6 @@ class IMParams:
 def _sup_error(s: float, xs: np.ndarray, hx: np.ndarray) -> float:
     """max over the grid xs of |h_s(x) - sqrt(x_+)|, from hx = h on s * xs."""
     return float(np.max(np.abs(hx / math.sqrt(s) - sqrt_plus(xs))))
-
-
-def sup_error(params: IMParams) -> float:
-    """max over the grid of |h_s(x) - sqrt(x_+)|: the one-row table."""
-    return sup_error_table([params.s], params)[0][1]
 
 
 def sup_error_table(s_values, params: IMParams) -> list[tuple[float, float]]:

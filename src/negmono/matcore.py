@@ -301,27 +301,32 @@ def matrix_to_dict(x) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def json_values(obj, what: str, keys: tuple[str, ...]) -> list:
+    """The values at keys of a decoded JSON object, named when missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} JSON lacks the key(s) {', '.join(missing)}")
+    return [obj[k] for k in keys]
+
+
 def json_entries(obj, what: str, size_keys: tuple[str, ...], list_key: str):
     """Integer sizes and flat complex entries of a decoded JSON record such
     as {"rows": 2, "cols": 2, "data": [[re, im], ...]}. Raises ValueError
     with a one-line message when obj is not an object, lacks a key, or has
     a size that is not an integer or an entry that is not a [re, im] pair."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} JSON must be an object, got {type(obj).__name__}")
-    missing = [k for k in (*size_keys, list_key) if k not in obj]
-    if missing:
-        raise ValueError(f"{what} JSON lacks the key(s) {', '.join(missing)}")
+    *sizes, entries = json_values(obj, what, (*size_keys, list_key))
     try:
-        sizes = [_index(k, obj[k]) for k in size_keys]
+        sizes = [_index(k, n) for k, n in zip(size_keys, sizes)]
     except ValueError:
         raise ValueError(f"{what} JSON sizes {', '.join(size_keys)} must be integers") from None
-    entries = obj[list_key]
     bad_entries = ValueError(f"{what} JSON {list_key} must be a list of [re, im] pairs of numbers")
     if not isinstance(entries, list):
         raise bad_entries
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
         raise bad_entries from None
     return sizes, flat
 

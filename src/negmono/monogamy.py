@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _negativities, _pow, make_report
-from .qstate import TAU_NORM, TripartiteState, _stacked, coeff_matrices
+from .qstate import TripartiteState, _stacked, _unit_weight, coeff_matrices
 
 # The reports of verify-conjecture for each state, in output order.
 VERIFY_NAMES = ("ineq2", "ineq3", "ineq4", "monotonicity_AB", "monotonicity_AC")
@@ -124,15 +124,6 @@ def verify_reports(dims, values, tol: float = TAU_CHECK, **meta) -> list[Inequal
 
 def _single_state_reports(m: np.ndarray, tol: float) -> list[InequalityReport]:
     return verify_reports(m.shape, [v[0] for v in verify_batch(m[None])], tol)
-
-
-def _unit_weight(m: np.ndarray) -> np.ndarray:
-    """m, whose total squared weight must be 1 within TAU_NORM."""
-    weight = float(np.sum(np.abs(m) ** 2))
-    if abs(weight - 1.0) > TAU_NORM:
-        raise ValueError(f"total squared weight {weight!r} differs from 1 "
-                         f"by more than {TAU_NORM:g}")
-    return m
 
 
 def ineq2_report(state: TripartiteState, tol: float = TAU_CHECK) -> InequalityReport:

@@ -30,14 +30,7 @@ class TripartiteState:
             raise ValueError(f"expected a non-empty rank-3 tensor, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        weight = float(np.sum(np.abs(c) ** 2))
-        if normalize:
-            if weight == 0.0:
-                raise ValueError("cannot normalise the zero tensor")
-            c = c / np.sqrt(weight)
-        elif abs(weight - 1.0) > TAU_NORM:
-            raise ValueError(f"squared weight {weight!r} differs from 1 by more than {TAU_NORM:g}")
-        self.coeffs = c
+        self.coeffs = _unit_weight(c, normalize)
 
     @property
     def dA(self) -> int:
@@ -59,17 +52,30 @@ class TripartiteState:
         return f"TripartiteState(dims={self.dims})"
 
 
+def _unit_weight(c: np.ndarray, normalize: bool = False) -> np.ndarray:
+    """c, of squared weight 1 within TAU_NORM; with normalize, c over its nonzero norm."""
+    weight = float(np.sum(np.abs(c) ** 2))
+    if normalize:
+        if weight == 0.0:
+            raise ValueError("cannot normalise the zero tensor")
+        return c / np.sqrt(weight)
+    if abs(weight - 1.0) > TAU_NORM:
+        raise ValueError(f"squared weight {weight!r} differs from 1 by more than {TAU_NORM:g}")
+    return c
+
+
 def _random_coeffs(dims, rng: np.random.Generator, k: int) -> np.ndarray:
     """k random_state coefficient tensors (k, dA, dB, dC) from one generator
     call, unchecked; row i is the i-th of k single draws, bit for bit."""
-    return _unit_states(_complex_gaussians(rng, k, dims))
+    return _unit_states(_complex_gaussians(rng, k, dims))[0]
 
 
-def _unit_states(c: np.ndarray) -> np.ndarray:
-    """Divide each tensor of a stack (k, dA, dB, dC) by its norm, in place."""
-    flat = c.reshape(len(c), -1)
-    flat /= np.sqrt((np.abs(flat) ** 2).sum(axis=1, keepdims=True))
-    return c
+def _unit_states(c: np.ndarray):
+    """Divide each tensor of a stack (k, dA, dB, dC) by its norm, in place,
+    a tensor of zero weight by 1. Returns (c, the squared weights)."""
+    weight = (np.abs(c.reshape(len(c), -1)) ** 2).sum(axis=1)
+    c /= np.sqrt(np.where(weight > 0.0, weight, 1.0))[:, None, None, None]
+    return c, weight
 
 
 def random_state(dims, rng: np.random.Generator) -> TripartiteState:

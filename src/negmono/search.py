@@ -15,13 +15,14 @@ slacks; only its argmin is rebuilt as an instance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 
 import numpy as np
 
 from .matcore import (TAU_CHECK, _at_least, _complex_pairs, _finite_positive, _index, _ordered_map,
-                      _square, matrix_from_dict, matrix_to_dict)
+                      _square, json_values, matrix_from_dict, matrix_to_dict)
 from .monogamy import ineq4_batch
 from .permlemma import _commutative_sides, _spectrum_and_images
 from .qstate import TripartiteState, _unit_states, state_from_dict, state_to_dict
@@ -229,13 +230,7 @@ def _sample(cfg: SearchConfig, rngs: list):
     for rng, out in zip(rngs, x):
         rng.standard_normal(out=out)
     c = _complex_pairs(x)
-    return (_unit_states(c) if cfg.target == "ineq4" else c), None
-
-
-def _normalised(c: np.ndarray):
-    weight = np.sum(np.abs(c) ** 2, axis=(1, 2, 3))
-    c /= np.sqrt(np.where(weight > 0.0, weight, 1.0))[:, None, None, None]
-    return c, weight
+    return (_unit_states(c)[0] if cfg.target == "ineq4" else c), None
 
 
 def _weighed(m: np.ndarray):
@@ -255,10 +250,10 @@ def _simplex(mu: np.ndarray):
 # The descent of each target: (settle, sides). settle(raw) turns raw
 # candidates, in place, into (candidates, weight), the norm or total that
 # normalises them (zero rejects a candidate); sides(x, perms) is the batched
-# (lhs, rhs) of a stack x, looking its kernel up when called, so that a
-# test can count the calls.
+# (lhs, rhs) of a stack x. A kernel shared with another module is looked up
+# when called, so that a test can count the calls.
 _DESCENTS = {
-    "ineq4": (_normalised, lambda c, perms: ineq4_batch(c)[2:]),
+    "ineq4": (lambda c: _unit_states(c), lambda c, perms: ineq4_batch(c)[2:]),
     "ineqid": (_weighed, lambda m, perms: _SIDES["ineqid"](m)),
     "ineqid1": (_weighed, lambda m, perms: _SIDES["ineqid1"](m)),
     "ineqid2": (_weighed, lambda m, perms: _SIDES["ineqid2_minus"](m)),
@@ -370,11 +365,15 @@ def serialize_instance(target: str, instance) -> dict:
 
 
 def deserialize_instance(obj: dict):
-    kind = obj.get("kind")
+    [kind] = json_values(obj, "instance", ("kind",))
     if kind == "state":
         return state_from_dict(obj)
     if kind == "mu_pi":
-        return np.asarray(obj["mu"], dtype=float), tuple(obj["pi"])
+        mu, pi = json_values(obj, "mu_pi", ("mu", "pi"))
+        if not (isinstance(mu, list) and isinstance(pi, list)
+                and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in mu)):
+            raise ValueError("mu_pi JSON mu must be a list of finite numbers, and pi a list")
+        return np.array(mu, dtype=float), tuple(_index("permutation entry", i) for i in pi)
     if kind == "matrix":
         return matrix_from_dict(obj)
     raise ValueError(f"unknown instance kind {kind!r}")

@@ -109,7 +109,7 @@ def reference_approximation_suite(seed):
         worst = min(worst, scalar_g_prime(t1, 1.0) + scalar_g_prime(t2, 1.0))
     errs = []
     for s in (1.0, 100.0):
-        xs = imfunc.IMParams(s=s).grid()
+        xs = imfunc.IMParams().grid()
         hs = reference_h_grid(s * xs)[0] / math.sqrt(s)
         errs.append(float(np.max(np.abs(hs - imfunc.sqrt_plus(xs)))))
     return {"h0": h0, "h0_bound": math.sqrt(math.pi / 2.0), "min_pair_sum": worst,

@@ -25,7 +25,6 @@ from negmono.imfunc import (
     h_s,
     im_pair_check,
     sqrt_plus,
-    sup_error,
     sup_error_table,
     tail_bound,
     tail_cutoff,
@@ -50,9 +49,19 @@ def test_w_prime_is_derivative():
 
 
 def test_w_handles_huge_arguments():
-    assert w(1e200) == 0.0
-    assert w_prime(1e200) == 0.0
-    assert np.isfinite(w(np.array([1e160, -1e160]))).all()
+    # past |x| = 1e150 w is 0.5 / sqrt|x| and past 1e100 w' is
+    # -sign(x) |x|^(-3/2) / 4, where x * x overflowed to 0.0 before
+    xs = np.array([2e150, -2e150, 2e154, 1e200, -1e200, 1e300, np.inf, -np.inf])
+    np.testing.assert_array_equal(w(xs), 0.5 / np.sqrt(np.abs(xs)))
+    assert w(1e200) == 5e-101 and w(2e154) > 0.0
+    ys = np.array([1.1e100, -1.1e100, 1e150, -1e200, 1e300])
+    want = [-math.copysign(1.0, y) * abs(y) ** -1.5 / 4.0 for y in ys.tolist()]
+    np.testing.assert_array_equal(w_prime(ys), want)
+    assert w_prime(1.1e100) == pytest.approx(-2.17e-151, rel=1e-3)
+    # the two forms meet at the cutoffs to within a few ulps
+    for cut, f, tail in ((1e150, w, lambda x: 0.5 / math.sqrt(x)),
+                         (1e100, w_prime, lambda x: -(x ** -1.5) / 4.0)):
+        assert f(cut) == pytest.approx(tail(cut), rel=1e-15)
 
 
 def test_alpha_beta_at_zero():
@@ -298,8 +307,7 @@ def test_sqrt_plus():
 
 
 def test_sup_error_scales_inversely_with_s():
-    e1 = sup_error(IMParams(s=1.0))
-    e100 = sup_error(IMParams(s=100.0))
+    (_, e1), (_, e100) = sup_error_table([1.0, 100.0], IMParams())
     # exact ratio 1/10: the sup sits at the origin where h_s = h(0)/sqrt(s)
     assert e100 == pytest.approx(e1 / 10.0, rel=1e-6)
     assert e100 <= e1 / 8.0
@@ -310,12 +318,7 @@ def test_sup_error_table():
     table = sup_error_table([1.0, 4.0], IMParams())
     assert [s for s, _ in table] == [1.0, 4.0]
     assert table[1][1] == pytest.approx(table[0][1] / 2.0, rel=1e-6)
-
-
-def test_sup_error_is_the_one_row_table():
-    params = IMParams(s=4.0, grid_n=101)
-    assert sup_error(params) == sup_error_table([4.0], params)[0][1]
-    assert sup_error_table([], params) == []
+    assert sup_error_table([], IMParams()) == []
 
 
 def test_im_params_validation():
@@ -343,7 +346,7 @@ def test_integer_arguments_are_checked_by_name(call, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("field", ["theta", "s", "quad_tol"])
+@pytest.mark.parametrize("field", ["theta", "quad_tol"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_positive_parameters_are_checked_by_name(field, value):
     with pytest.raises(ValueError) as info:
@@ -672,6 +675,20 @@ def test_g_array_skips_exp_only_where_it_changes_nothing(theta):
     assert np.isnan(got[-2:]).all() and got[-4] == 0.0
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
+def test_g_array_is_w_at_alpha_y_y(theta):
+    # the integrand takes no power of its own: it is w at (1 + e) y, with e
+    # the libm exp of the clipped -theta y, bit for bit
+    rng = np.random.default_rng(29)
+    ys = np.concatenate([rng.normal(scale=20.0, size=4000), rng.uniform(-800.0, 800.0, 4000),
+                         np.geomspace(1e140, 1e160, 100), -np.geomspace(1e2, 1e200, 100)])
+    e = np.array([math.exp(min(-theta * y, imfunc._EXP_CLIP)) for y in ys.tolist()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # (1 + e) y overflows to -inf far left
+        want = w((1.0 + e) * ys)
+    assert imfunc._g_array(ys, theta).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("theta", [1.0, 2.5])
 def test_g_prime_is_one_form_at_every_shape(theta):
     # on an array g_prime gives each point's 0-d value, to the last bit:
@@ -701,11 +718,12 @@ POINTWISE = [w, w_prime, alpha, beta, g, g_prime, sqrt_plus]
 
 
 def _spread_points():
-    # seeded points, the w' and g cutoffs |x| = 1e100 and 1e150 passed,
-    # +-inf and +-0
+    # seeded points, the w' and g cutoffs |x| = 1e100 and 1e150 met and
+    # passed, +-inf and +-0
     rng = np.random.default_rng(1)
-    edges = [1e151, -1e151, 1e200, -1e200, np.inf, -np.inf, 0.0, -0.0]
-    return np.concatenate([rng.normal(scale=5.0, size=3000), rng.uniform(-80.0, 80.0, 992), edges])
+    edges = [1.1e100, -1.1e100, 1e150, -1e150,
+             1e151, -1e151, 1e200, -1e200, np.inf, -np.inf, 0.0, -0.0]
+    return np.concatenate([rng.normal(scale=5.0, size=3000), rng.uniform(-80.0, 80.0, 988), edges])
 
 
 @pytest.mark.parametrize("f", POINTWISE, ids=lambda f: f.__name__)
@@ -719,6 +737,12 @@ def test_pointwise_functions_give_one_float_at_every_shape(f):
         assert {type(y) for y in alone} == {float}
         assert f(xs).tobytes() == np.array(alone).tobytes()
         assert f(xs.reshape(-1, 8)).tobytes() == np.array(alone).tobytes()
+    if f in (w, w_prime):  # a finite point past a cutoff keeps its nonzero tail
+        tails = np.array(alone)[np.isfinite(xs) & (np.abs(xs) > 1e100)]
+        assert tails.size == 8 and np.all(tails != 0.0)
+        assert w_prime(1.1e100) == -(1.1e100 ** -1.5) / 4.0 == -w_prime(-1.1e100)
+        x = 1e150  # the last point that takes the power
+        assert w(1e200) == 0.5 / math.sqrt(1e200) and w(x) == 0.5 * (x * x + 1.0) ** -0.25
 
 
 @pytest.mark.parametrize("theta", [1.0, 2.5])

@@ -201,6 +201,13 @@ def test_matrix_json_sizes_must_be_integers(size):
             matrix_from_dict(obj)
 
 
+@pytest.mark.parametrize("entry", [[10**400, 0], [0, -10**400]])
+def test_matrix_json_entries_past_the_float_range_are_refused(entry):
+    # complex() of such an int raised OverflowError, which no caller maps to bad input
+    with pytest.raises(ValueError, match=r"^matrix JSON data must be a list of \[re, im\] pairs"):
+        matrix_from_dict({"rows": 1, "cols": 1, "data": [entry]})
+
+
 def test_matrix_json_integer_sizes_load():
     m = matrix_from_dict({"rows": 2, "cols": np.int64(1), "data": [[1, 0], [0, 2]]})
     np.testing.assert_array_equal(m, [[1.0], [2j]])

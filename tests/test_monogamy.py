@@ -15,6 +15,7 @@ from negmono.monogamy import (
     verify_batch,
 )
 from negmono.qstate import (
+    TripartiteState,
     _random_coeffs,
     _stacked,
     amat,
@@ -154,8 +155,23 @@ def test_verify_batch_matches_single_state_formulas(dims):
 def test_ineq2_requires_normalized_state():
     s = random_state((2, 2, 2), np.random.default_rng(5))
     s.coeffs *= 2.0  # break the invariant behind the constructor's back
-    with pytest.raises(ValueError, match=r"^total squared weight [\d.]+ differs from 1 by more than 1e-10$"):
+    with pytest.raises(ValueError, match=r"^squared weight [\d.]+ differs from 1 by more than 1e-10$"):
         ineq2_report(s)
+
+
+def test_unit_weight_is_checked_once_with_one_message():
+    # the state constructor and the normalised reports share one check
+    s = random_state((2, 3, 2), np.random.default_rng(5))
+    c = 2.0 * s.coeffs
+    s.coeffs = c
+    messages = set()
+    for call in (lambda: TripartiteState(c), lambda: ineq2_report(s),
+                 lambda: ineq3_report(coeff_matrices(s))):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {f"squared weight {float(np.sum(np.abs(c) ** 2))!r} differs from 1 "
+                        "by more than 1e-10"}
 
 
 def test_ineq4_scale_free():

@@ -6,6 +6,7 @@ from negmono.matcore import complex_gaussian, negativity, schatten
 from negmono.qstate import (
     TripartiteState,
     _random_coeffs,
+    _unit_states,
     amat,
     coeff_matrices,
     density,
@@ -232,6 +233,22 @@ def test_random_coeffs_stack_is_k_single_draws(dims, k):
     singles = np.stack([single() for _ in range(k)])
     np.testing.assert_array_equal(c.view(float), singles.view(float))
     np.testing.assert_array_equal(_random_coeffs(dims, rngs[0], 1)[0], single())
+
+
+def test_unit_states_normalises_any_stack_in_place():
+    # rows of any memory layout are divided by their own norms, a zero row
+    # by 1, and the squared weights come back; a transposed stack was once
+    # left as it was, as its flat reshape is a copy
+    rng = np.random.default_rng(23)
+    base = complex_gaussian(rng, (4, 3, 2, 5))
+    base[2] = 0.0
+    for c in (base.copy(), base.copy().transpose(0, 3, 2, 1), base.copy()[::2]):
+        want = np.sum(np.abs(c) ** 2, axis=(1, 2, 3))
+        out, weight = _unit_states(c)
+        assert out is c
+        np.testing.assert_allclose(weight, want, rtol=1e-15)
+        norms = np.sum(np.abs(c) ** 2, axis=(1, 2, 3))
+        np.testing.assert_allclose(norms, np.where(want > 0.0, 1.0, 0.0), atol=1e-15)
 
 
 def test_diagonalize_gram_lapack_failure_is_no_convergence(monkeypatch):

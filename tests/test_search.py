@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,10 +86,57 @@ def test_config_range_errors_name_the_field(config, message):
 
 
 def test_fractional_pi_of_a_replayed_instance_is_rejected():
-    # int() truncated the entries: this replayed as (2, 1, 3) with slack 1.3
-    instance = deserialize_instance({"kind": "mu_pi", "mu": [0.5, 0.3, 0.2], "pi": [2.9, 1.1, 3.0]})
-    with pytest.raises(ValueError, match=r"^permutation entry must be an integer, got 2\.9$"):
-        evaluate_slack("commutative", instance)
+    # int() truncated the entries: this replayed as (2, 1, 3) with slack 1.3;
+    # the record is now rejected as it is read, as a hand-built pair is
+    bad = r"^permutation entry must be an integer, got 2\.9$"
+    with pytest.raises(ValueError, match=bad):
+        deserialize_instance({"kind": "mu_pi", "mu": [0.5, 0.3, 0.2], "pi": [2.9, 1.1, 3.0]})
+    with pytest.raises(ValueError, match=bad):
+        evaluate_slack("commutative", (np.array([0.5, 0.3, 0.2]), (2.9, 1.1, 3.0)))
+
+
+NOT_MU_PI = "mu_pi JSON mu must be a list of finite numbers, and pi a list"
+
+
+@pytest.mark.parametrize("record, message", [
+    ({}, "mu_pi JSON lacks the key(s) mu, pi"),
+    ({"mu": [1.0]}, "mu_pi JSON lacks the key(s) pi"),
+    ({"mu": [1.5, 0.5], "pi": [1.5, 2]}, "permutation entry must be an integer, got 1.5"),
+    ({"mu": [0.5], "pi": [True]}, "permutation entry must be an integer, got True"),
+    ({"mu": [0.5], "pi": 1}, NOT_MU_PI),
+    ({"mu": 0.5, "pi": [1]}, NOT_MU_PI),
+    ({"mu": ["0.5"], "pi": [1]}, NOT_MU_PI),
+    ({"mu": [True], "pi": [1]}, NOT_MU_PI),
+    ({"mu": [math.nan], "pi": [1]}, NOT_MU_PI),
+    ({"mu": [-math.inf], "pi": [1]}, NOT_MU_PI),
+    ({"mu": [10**400], "pi": [1]}, NOT_MU_PI),
+], ids=["no-keys", "no-pi", "fractional-pi", "bool-pi", "pi-not-list", "mu-not-list", "mu-string",
+        "mu-bool", "mu-nan", "mu-inf", "mu-huge-int"])
+def test_mu_pi_records_are_checked_as_they_are_read(record, message):
+    # {"kind": "mu_pi"} raised KeyError: 'mu', and "pi": [1.5, 2] came back
+    # as (1.5, 2)
+    with pytest.raises(ValueError) as info:
+        deserialize_instance({"kind": "mu_pi", **record})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("record, message", [
+    ([1], "instance JSON must be an object, got list"),
+    (None, "instance JSON must be an object, got NoneType"),
+    ({"mu": [1.0], "pi": [1]}, "instance JSON lacks the key(s) kind"),
+    ({"kind": "spectrum"}, "unknown instance kind 'spectrum'"),
+])
+def test_instance_records_must_name_a_known_kind(record, message):
+    # a record that is not an object raised AttributeError from obj.get
+    with pytest.raises(ValueError) as info:
+        deserialize_instance(record)
+    assert str(info.value) == message
+
+
+def test_mu_pi_records_read_back_as_numbers():
+    mu, pi = deserialize_instance({"kind": "mu_pi", "mu": [1, 0.5, 0], "pi": [np.int64(2), 3, 1]})
+    assert mu.dtype == float and mu.tolist() == [1.0, 0.5, 0.0]
+    assert pi == (2, 3, 1) and all(type(i) is int for i in pi)
 
 
 def test_config_stores_numpy_integers_as_python_ints():
@@ -526,6 +575,18 @@ def test_lockstep_counts_one_slack_evaluation_per_step(call_counts, target):
     chunks = -(-cfg.trials // search.CHUNK)
     assert counts == {KERNEL_CALLS[target][0]: per_eval * chunks * (cfg.local_steps + 1),
                       "require_hermitian": 0, "make_report": 0, "hermitian_eigenvalues": 0}
+
+
+def test_ineq4_descent_settles_through_unit_states(call_counts):
+    # the chunk's starts, then every step's candidates, are normalised by
+    # the one qstate kernel
+    counts, count = call_counts
+    count(qstate, "_unit_states")
+    cfg = SearchConfig(target="ineq4", dims=(2, 3, 3), trials=150, local_steps=10, seed=0)
+    run_search(cfg)
+    chunks = -(-cfg.trials // search.CHUNK)
+    assert counts == {"_unit_states": chunks * (1 + cfg.local_steps)}
+    assert not hasattr(search, "_normalised")
 
 
 def test_commutative_search_validates_no_drawn_start(call_counts):
