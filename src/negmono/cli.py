@@ -22,7 +22,8 @@ import numpy as np
 
 from . import acceptance
 from .imfunc import DEFAULT_QUAD_TOL, DEFAULT_THETA, IMParams, sup_error_table
-from .matcore import TAU_CHECK, _at_least, _rng, complex_gaussian, load_matrix
+from .matcore import (TAU_CHECK, _at_least, _finite_number, _rng, _three_sizes, complex_gaussian,
+                      load_matrix)
 from .monogamy import VERIFY_NAMES, verify_batch
 from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearranged_sum
 from .qstate import _random_coeffs
@@ -46,12 +47,10 @@ def _emit(obj: dict, out) -> None:
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
     try:
-        dims = tuple(int(p) for p in text.lower().split("x"))
+        return _three_sizes([int(p) for p in text.lower().split("x")])
     except ValueError:
-        dims = ()
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"--dims must be AxBxC with positive integer sizes, got {text!r}")
-    return dims
+        raise ValueError(f"--dims must be AxBxC with positive integer sizes, "
+                         f"got {text!r}") from None
 
 
 def _resolve_seed(args) -> int:
@@ -357,9 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_usage(args) -> None:
     """Reject option values that make a run vacuous or meaningless: a
     non-finite --tol, and fewer than one trial, sample or job."""
-    tol = getattr(args, "tol", 0.0)
-    if not np.isfinite(tol):
-        raise ValueError(f"--tol must be finite, got {tol}")
+    _finite_number("--tol", getattr(args, "tol", 0.0))
     for name in ("trials", "samples", "jobs"):
         _at_least(f"--{name}", getattr(args, name, 1), 1)
 

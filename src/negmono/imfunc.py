@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureFailureError, RootNotBracketedError
-from .matcore import _EPS, InequalityReport, _at_least, _finite_positive, _pow, make_report
+from .matcore import _EPS, InequalityReport, _at_least, _finite_number, _pow, make_report
 
 DEFAULT_THETA = 1.0
 DEFAULT_QUAD_TOL = 1e-10
@@ -190,8 +190,8 @@ def tail_cutoff(theta: float = DEFAULT_THETA, quad_tol: float = DEFAULT_QUAD_TOL
     """Left endpoint L < 0 with tail_bound(L) < quad_tol / 2. h, h_s and
     h_grid check theta and quad_tol here, once: the doubling ends only
     when both are finite and positive."""
-    _finite_positive("theta", theta)
-    _finite_positive("quad_tol", quad_tol)
+    _finite_number("theta", theta, positive=True)
+    _finite_number("quad_tol", quad_tol, positive=True)
     t = 8.0 / theta
     while tail_bound(-t, theta) > 0.5 * quad_tol:
         t *= 2.0
@@ -257,7 +257,7 @@ def _h_grids(grids, theta: float, quad_tol: float) -> list[np.ndarray]:
 def _scaled(s: float, xs) -> np.ndarray:
     """s * xs, for a scale s that is finite and positive and keeps every
     finite point finite."""
-    _finite_positive("scale", s)
+    _finite_number("scale", s, positive=True)
     xs = np.asarray(xs, dtype=float)
     with np.errstate(over="ignore"):
         ys = s * xs
@@ -292,10 +292,9 @@ class IMParams:
 
     def __post_init__(self):
         for name in ("theta", "quad_tol"):
-            _finite_positive(name, getattr(self, name))
+            _finite_number(name, getattr(self, name), positive=True)
         for name in ("grid_lo", "grid_hi"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _finite_number(name, getattr(self, name))
         if not self.grid_hi > self.grid_lo:
             raise ValueError("grid must have grid_hi > grid_lo")
         object.__setattr__(self, "grid_n", _at_least("grid_n", self.grid_n, 2))
@@ -362,7 +361,7 @@ def im_pair_check(theta: float = DEFAULT_THETA, sample_count: int = 100) -> Ineq
     that attains it. The roots come from one _bisect_levels call on the
     levels of both branches, and g' from one g_prime call on all of them.
     """
-    _finite_positive("theta", theta)
+    _finite_number("theta", theta, positive=True)
     sample_count = _at_least("sample_count", sample_count, 1)
     levels = np.linspace(0.01, 0.49, sample_count)
     roots = _bisect_levels(np.concatenate((levels, levels)), theta,
@@ -379,7 +378,7 @@ def im_pair_check(theta: float = DEFAULT_THETA, sample_count: int = 100) -> Ineq
 def beta_sign_report(theta: float = DEFAULT_THETA, n: int = 1000) -> InequalityReport:
     """Worst margin of the sign pattern beta > 2 for x < 0 and beta < 2 for
     x > 0 over an n-point grid on [-10, 10], skipping x = 0 (beta = 2)."""
-    _finite_positive("theta", theta)
+    _finite_number("theta", theta, positive=True)
     n = _at_least("n", n, 1)
     xs = np.linspace(-10.0, 10.0, n)
     bs = beta(xs, theta)

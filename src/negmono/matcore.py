@@ -31,16 +31,6 @@ PSD_TOL_FACTOR = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
-def as_complex_matrix(x) -> np.ndarray:
-    """Validate and return a finite, non-empty 2-d complex array."""
-    m = np.asarray(x, dtype=complex)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
@@ -60,9 +50,32 @@ def _at_least(name: str, value, least: int) -> int:
     return n
 
 
-def _finite_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+def _finite_number(name: str, value: float, positive: bool = False) -> None:
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        sign = " and positive" if positive else ""
+        raise ValueError(f"{name} must be finite{sign}, got {value}")
+
+
+def _three_sizes(dims) -> tuple[int, int, int]:
+    if len(dims) != 3:
+        raise ValueError(f"dims must be three sizes (dA, dB, dC), got {dims!r}")
+    return tuple(_at_least("dims", n, 1) for n in dims)
+
+
+def _finite(what: str, x, ndim: int, dtype=float) -> np.ndarray:
+    """x as a non-empty array of rank ndim (1 to 3) and dtype whose entries, what, are finite."""
+    a = np.asarray(x, dtype=dtype)
+    if a.ndim != ndim or a.size < 1:
+        noun = ("vector", "2-d matrix", "rank-3 tensor")[ndim - 1]
+        raise ValueError(f"expected a non-empty {noun}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def as_complex_matrix(x) -> np.ndarray:
+    """Validate and return a finite, non-empty 2-d complex array."""
+    return _finite("matrix entries", x, 2, complex)
 
 
 def _pow(v, p: float) -> np.ndarray:
@@ -222,7 +235,7 @@ def hermitian_eigenvalues(h) -> np.ndarray:
 def schatten(x, q: float) -> float:
     """Schatten q-(quasi-)norm (sum of sigma^q)^(1/q), computed from
     singular values; q in (0, 1) gives the quasi-norm used for q = 1/2."""
-    _finite_positive("Schatten exponent", q)
+    _finite_number("Schatten exponent", q, positive=True)
     s = _lapack(np.linalg.svd, as_complex_matrix(x), compute_uv=False)
     return float(np.sum(s**q) ** (1.0 / q))
 
@@ -294,11 +307,16 @@ def make_report(name: str, lhs: float, rhs: float, tol: float = TAU_CHECK, **dig
     return InequalityReport(name, lhs, rhs, slack, bool(slack >= -tol), digest)
 
 
+def json_pairs(z) -> list:
+    """The [re, im] pairs of the entries of a complex array, row-major."""
+    z = np.asarray(z).reshape(-1)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
+
+
 def matrix_to_dict(x) -> dict:
     """Row-major JSON form {"rows", "cols", "data": [[re, im], ...]}."""
     m = as_complex_matrix(x)
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": json_pairs(m)}
 
 
 def json_values(obj, what: str, keys: tuple[str, ...]) -> list:
@@ -311,33 +329,39 @@ def json_values(obj, what: str, keys: tuple[str, ...]) -> list:
     return [obj[k] for k in keys]
 
 
-def json_entries(obj, what: str, size_keys: tuple[str, ...], list_key: str):
-    """Integer sizes and flat complex entries of a decoded JSON record such
-    as {"rows": 2, "cols": 2, "data": [[re, im], ...]}. Raises ValueError
-    with a one-line message when obj is not an object, lacks a key, or has
-    a size that is not an integer or an entry that is not a [re, im] pair."""
+def json_floats(values, message: str) -> np.ndarray:
+    """The floats of a decoded JSON list of ints and floats of finite float value; anything
+    else (a bool, a string, null, NaN, an infinity, an int past the float range) raises."""
+    if not (isinstance(values, list)
+            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in values)):
+        raise ValueError(message)
+    return np.array(values, dtype=float)
+
+
+def json_entries(obj, what: str, size_keys: tuple[str, ...], list_key: str) -> np.ndarray:
+    """The complex array of a decoded JSON record such as {"rows": 2, "cols": 2, "data":
+    [[re, im], ...]}, shaped by its sizes in key order. A ValueError names an object, key,
+    size (an integer of at least 1), entry (a [re, im] pair of json_floats numbers) or
+    count of entries that is bad."""
     *sizes, entries = json_values(obj, what, (*size_keys, list_key))
+    named = f"{what} JSON sizes {', '.join(size_keys)}"
     try:
         sizes = [_index(k, n) for k, n in zip(size_keys, sizes)]
     except ValueError:
-        raise ValueError(f"{what} JSON sizes {', '.join(size_keys)} must be integers") from None
-    bad_entries = ValueError(f"{what} JSON {list_key} must be a list of [re, im] pairs of numbers")
-    if not isinstance(entries, list):
-        raise bad_entries
-    try:
-        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
-        raise bad_entries from None
-    return sizes, flat
+        raise ValueError(f"{named} must be integers") from None
+    if min(sizes) < 1:
+        raise ValueError(f"{named} must be at least 1, got {sizes}")
+    bad = f"{what} JSON {list_key} must be a list of [re, im] pairs of finite numbers"
+    if not (isinstance(entries, list) and all(type(e) is list and len(e) == 2 for e in entries)):
+        raise ValueError(bad)
+    flat = json_floats([x for pair in entries for x in pair], bad).view(complex)
+    if flat.size != (n := math.prod(sizes)):
+        raise ValueError(f"{what} JSON {list_key} must hold {n} entries, got {flat.size}")
+    return flat.reshape(sizes)
 
 
 def matrix_from_dict(obj: dict) -> np.ndarray:
-    (rows, cols), flat = json_entries(obj, "matrix", ("rows", "cols"), "data")
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be at least 1")
-    if flat.size != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {flat.size}")
-    return as_complex_matrix(flat.reshape(rows, cols))
+    return json_entries(obj, "matrix", ("rows", "cols"), "data")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matcore import (InequalityReport, TAU_CHECK, _adj, _herm, _index, _lapack, _pow, _square,
-                      make_report)
+from .matcore import (InequalityReport, TAU_CHECK, _adj, _finite, _herm, _index, _lapack, _pow,
+                      _square, make_report)
 from .specialcase import _SIDES
 
 # Largest size for which all d! permutations are enumerated.
@@ -30,11 +30,7 @@ def _validate_permutation(image) -> tuple[int, ...]:
 
 
 def _validate_spectrum(mu, sorted_required: bool = True) -> np.ndarray:
-    v = np.asarray(mu, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a non-empty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("spectrum entries must be finite")
+    v = _finite("spectrum entries", mu, 1)
     if np.any(v < 0):
         raise ValueError("spectrum entries must be non-negative")
     if sorted_required and np.any(np.diff(v) > 0):
@@ -158,12 +154,7 @@ def chain_bound(mu, chain, tol: float = TAU_CHECK) -> InequalityReport:
     sqrt((r/2) * sum of the chain's mu values)."""
     v = _validate_spectrum(mu)
     idx = tuple(_index("chain entry", i) for i in chain)
-    if (
-        len(idx) < 1
-        or len(set(idx)) != len(idx)
-        or any(not 1 <= i <= v.size for i in idx)
-        or any(a >= b for a, b in zip(idx[:-1], idx[1:]))
-    ):
+    if not idx or idx[0] < 1 or idx[-1] > v.size or any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"not a strictly ascending index chain: {chain}")
     # mu is sorted and the chain ascends, so every difference is >= 0
     lhs = sum((math.sqrt(v[a - 1] - v[b - 1]) for a, b in zip(idx, idx[1:])), 0.0)
@@ -174,12 +165,9 @@ def chain_bound(mu, chain, tol: float = TAU_CHECK) -> InequalityReport:
 def holder_half(x, p, tol: float = TAU_CHECK) -> InequalityReport:
     """Weighted l_{1/2} bound: (sum sqrt(x_j))^2 <= sum x_j / p_j for
     positive weights p summing to one."""
-    xv = np.asarray(x, dtype=float)
-    pv = np.asarray(p, dtype=float)
-    if xv.shape != pv.shape or xv.ndim != 1 or xv.size < 1:
+    xv, pv = _finite("x entries", x, 1), _finite("p entries", p, 1)
+    if xv.shape != pv.shape:
         raise ValueError(f"shapes {xv.shape} and {pv.shape} must match")
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(pv))):
-        raise ValueError("x and p entries must be finite")
     if np.any(xv < 0):
         raise ValueError("x entries must be non-negative")
     if np.any(pv <= 0) or abs(float(np.sum(pv)) - 1.0) > 1e-12:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import _complex_gaussians, _index, _lapack, as_complex_matrix, json_entries
+from .matcore import (_complex_gaussians, _finite, _lapack, _three_sizes, as_complex_matrix,
+                      json_entries, json_pairs)
 
 # Accepted deviation of the total squared weight from one.
 TAU_NORM = 1e-10
@@ -25,12 +26,7 @@ class TripartiteState:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, normalize: bool = False):
-        c = np.asarray(coeffs, dtype=complex)
-        if c.ndim != 3 or min(c.shape) < 1:
-            raise ValueError(f"expected a non-empty rank-3 tensor, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        self.coeffs = _unit_weight(c, normalize)
+        self.coeffs = _unit_weight(_finite("coefficients", coeffs, 3, complex), normalize)
 
     @property
     def dA(self) -> int:
@@ -53,11 +49,17 @@ class TripartiteState:
 
 
 def _unit_weight(c: np.ndarray, normalize: bool = False) -> np.ndarray:
-    """c, of squared weight 1 within TAU_NORM; with normalize, c over its nonzero norm."""
-    weight = float(np.sum(np.abs(c) ** 2))
+    """c, of squared weight 1 within TAU_NORM; with normalize, c over its nonzero norm. A c
+    whose squares under- or overflow (weight outside (2**-900, inf)) is first divided by its
+    largest real or imaginary part; any other c is normalised as it is, to the last bit."""
+    with np.errstate(over="ignore"):
+        weight = float(np.sum(np.abs(c) ** 2))
     if normalize:
-        if weight == 0.0:
-            raise ValueError("cannot normalise the zero tensor")
+        if not 2.0**-900 < weight < np.inf:
+            peak = float(np.abs([c.real, c.imag]).max())
+            if peak == 0.0:
+                raise ValueError("cannot normalise the zero tensor")
+            return _unit_weight(c / peak, normalize)  # of weight in [1, 2 * c.size]
         return c / np.sqrt(weight)
     if abs(weight - 1.0) > TAU_NORM:
         raise ValueError(f"squared weight {weight!r} differs from 1 by more than {TAU_NORM:g}")
@@ -129,13 +131,11 @@ def density(state: TripartiteState) -> np.ndarray:
 
 
 def _check_op_dims(x: np.ndarray, dims) -> tuple[int, int, int]:
-    if len(dims) != 3:
-        raise ValueError(f"dims must be three sizes (dA, dB, dC), got {dims!r}")
-    dA, dB, dC = (_index("dims", d) for d in dims)
+    dA, dB, dC = dims = _three_sizes(dims)
     n = dA * dB * dC
     if x.shape != (n, n):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims} (need {n} x {n})")
-    return dA, dB, dC
+    return dims
 
 
 # The stacked forms below act on operators of shape (..., n, n) with
@@ -199,17 +199,8 @@ def diagonalize_gram(state: TripartiteState) -> TripartiteState:
 def state_to_dict(state: TripartiteState) -> dict:
     """JSON form {"dA", "dB", "dC", "coeffs": [[re, im], ...]} in the fixed
     composite index order."""
-    flat = state.coeffs.reshape(-1)
-    return {
-        "dA": state.dA,
-        "dB": state.dB,
-        "dC": state.dC,
-        "coeffs": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"dA": state.dA, "dB": state.dB, "dC": state.dC, "coeffs": json_pairs(state.coeffs)}
 
 
 def state_from_dict(obj: dict) -> TripartiteState:
-    (dA, dB, dC), flat = json_entries(obj, "state", ("dA", "dB", "dC"), "coeffs")
-    if flat.size != dA * dB * dC:
-        raise ValueError(f"expected {dA * dB * dC} coefficients, got {flat.size}")
-    return TripartiteState(flat.reshape(dA, dB, dC))
+    return TripartiteState(json_entries(obj, "state", ("dA", "dB", "dC"), "coeffs"))

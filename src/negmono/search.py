@@ -14,15 +14,14 @@ slacks; only its argmin is rebuilt as an instance.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 
 import numpy as np
 
-from .matcore import (TAU_CHECK, _at_least, _complex_pairs, _finite_positive, _index, _ordered_map,
-                      _square, json_values, matrix_from_dict, matrix_to_dict)
+from .matcore import (TAU_CHECK, _at_least, _complex_pairs, _finite_number, _index, _ordered_map,
+                      _square, _three_sizes, json_floats, json_values, matrix_from_dict,
+                      matrix_to_dict)
 from .monogamy import ineq4_batch
 from .permlemma import _commutative_sides, _spectrum_and_images
 from .qstate import TripartiteState, _unit_states, state_from_dict, state_to_dict
@@ -81,7 +80,7 @@ class SearchConfig:
     def __post_init__(self):
         # stored as Python ints: a numpy seed has no bit_length for _seed_words
         if self.dims is not None:
-            object.__setattr__(self, "dims", tuple(_index("dims", n) for n in self.dims))
+            object.__setattr__(self, "dims", _three_sizes(self.dims))
         least = {"trials": 1, "local_steps": 0, "seed": 0, **({} if self.d is None else {"d": 1})}
         for name, low in least.items():
             object.__setattr__(self, name, _at_least(name, getattr(self, name), low))
@@ -89,11 +88,10 @@ class SearchConfig:
             raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be at most 2**32, got {self.trials}")
-        _finite_positive("step_scale", self.step_scale)
-        if not math.isfinite(self.tol):
-            raise ValueError(f"tol must be finite, got {self.tol}")
+        _finite_number("step_scale", self.step_scale, positive=True)
+        _finite_number("tol", self.tol)
         if self.target == "ineq4":
-            if self.dims is None or len(self.dims) != 3 or min(self.dims) < 1:
+            if self.dims is None:
                 raise ValueError("target ineq4 needs dims = (dA, dB, dC)")
             if self.d is not None:
                 raise ValueError("target ineq4 takes dims, not d")
@@ -370,10 +368,10 @@ def deserialize_instance(obj: dict):
         return state_from_dict(obj)
     if kind == "mu_pi":
         mu, pi = json_values(obj, "mu_pi", ("mu", "pi"))
-        if not (isinstance(mu, list) and isinstance(pi, list)
-                and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in mu)):
-            raise ValueError("mu_pi JSON mu must be a list of finite numbers, and pi a list")
-        return np.array(mu, dtype=float), tuple(_index("permutation entry", i) for i in pi)
+        bad = "mu_pi JSON mu must be a list of finite numbers, and pi a list"
+        if not isinstance(pi, list):
+            raise ValueError(bad)
+        return json_floats(mu, bad), tuple(_index("permutation entry", i) for i in pi)
     if kind == "matrix":
         return matrix_from_dict(obj)
     raise ValueError(f"unknown instance kind {kind!r}")

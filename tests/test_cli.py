@@ -14,7 +14,8 @@ from negmono.cli import main
 from negmono.errors import RootNotBracketedError, StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, matrix_to_dict
 from negmono.monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
-from negmono.qstate import _random_coeffs, coeff_matrices, random_state
+from negmono.qstate import _random_coeffs, coeff_matrices, random_state, state_from_dict
+from negmono.search import deserialize_instance
 from negmono.specialcase import BOUNDS, STEPS, interlacing_trace
 
 
@@ -90,12 +91,14 @@ def test_bad_seed_environment_is_a_usage_error(capsys, monkeypatch, command, val
      "--dims must be AxBxC with positive integer sizes, got '2x2'"),
     (("verify-conjecture", "--dims", "2x0x2"),
      "--dims must be AxBxC with positive integer sizes, got '2x0x2'"),
+    (("verify-conjecture", "--dims", "2x-1x2"),
+     "--dims must be AxBxC with positive integer sizes, got '2x-1x2'"),
     (("im-approx", "--grid", "0:1:2.5"), "--grid must be lo:hi:n with an integer n, got '0:1:2.5'"),
     (("im-approx", "--grid", "0:1"), "--grid must be lo:hi:n with an integer n, got '0:1'"),
     (("im-approx", "--grid", "a:1:5"), "--grid must be lo:hi:n with an integer n, got 'a:1:5'"),
     (("im-approx", "--s-list", "1,a"), "--s-list must be comma-separated numbers, got '1,a'"),
-], ids=["dims-letters", "dims-two", "dims-zero", "grid-float-n", "grid-two", "grid-letter",
-        "s-list"])
+], ids=["dims-letters", "dims-two", "dims-zero", "dims-negative", "grid-float-n", "grid-two",
+        "grid-letter", "s-list"])
 def test_unparsable_option_names_the_option(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -185,6 +188,47 @@ def test_special_case_malformed_file_is_usage_error(capsys, tmp_path, blob):
     code, out, err = run_cli(capsys, "special-case", "--file", str(path))
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "matrix JSON" in err
+
+
+# The three readers of numbers in records, each as a template for one JSON
+# value, and the message each gives for a value that breaks the number rule
+NUMBER_READERS = {
+    "matrix-re": (matrix_from_dict, '{"rows": 1, "cols": 1, "data": [[%s, 0]]}',
+                  "matrix JSON data must be a list of [re, im] pairs of finite numbers"),
+    "matrix-im": (matrix_from_dict, '{"rows": 1, "cols": 1, "data": [[1, %s]]}',
+                  "matrix JSON data must be a list of [re, im] pairs of finite numbers"),
+    "state-re": (state_from_dict, '{"dA": 1, "dB": 1, "dC": 1, "coeffs": [[%s, 0]]}',
+                 "state JSON coeffs must be a list of [re, im] pairs of finite numbers"),
+    "state-im": (state_from_dict, '{"dA": 1, "dB": 1, "dC": 1, "coeffs": [[1, %s]]}',
+                 "state JSON coeffs must be a list of [re, im] pairs of finite numbers"),
+    "mu": (deserialize_instance, '{"kind": "mu_pi", "mu": [%s], "pi": [1]}',
+           "mu_pi JSON mu must be a list of finite numbers, and pi a list"),
+}
+NOT_NUMBERS = {"true": "true", "string": '"1"', "null": "null", "nan": "NaN", "inf": "Infinity",
+               "-inf": "-Infinity", "huge-int": "1" + "0" * 400}
+
+
+@pytest.mark.parametrize("reader,value", [
+    *[pytest.param(reader, value, id=f"{reader}-{name}")
+      for reader in NUMBER_READERS for name, value in NOT_NUMBERS.items()],
+    # "1, 0" in a pair slot makes a pair of three numbers
+    *[pytest.param(reader, "1, 0", id=f"{reader}-triple") for reader in NUMBER_READERS
+      if reader != "mu"],
+])
+def test_json_readers_share_one_number_rule(capsys, tmp_path, reader, value):
+    # a JSON true was read as the coefficient 1 by the pair readers, while
+    # mu refused it; NaN and Infinity met a different check in each
+    read, template, message = NUMBER_READERS[reader]
+    text = template % value
+    with pytest.raises(ValueError) as info:
+        read(json.loads(text))
+    assert str(info.value) == message
+    if read is matrix_from_dict:
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "special-case", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == [f"error: {message}"]
 
 
 def test_special_case_failed_step_is_replayable(capsys, monkeypatch):
@@ -345,10 +389,12 @@ def test_im_approx_unattainable_tolerance_is_usage_error(capsys):
 @pytest.mark.parametrize("argv,message", [
     (("--grid", "0:inf:5"), "grid_hi must be finite, got inf"),
     (("--grid=-inf:0:5",), "grid_lo must be finite, got -inf"),
+    (("--grid", "nan:0:5"), "grid_lo must be finite, got nan"),
+    (("--grid", "0:nan:5"), "grid_hi must be finite, got nan"),
     (("--s-list", "inf"), "scale must be finite and positive, got inf"),
     (("--theta", "inf"), "theta must be finite and positive, got inf"),
     (("--quad-tol", "nan"), "quad_tol must be finite and positive, got nan"),
-], ids=["grid_hi", "grid_lo", "s", "theta", "quad_tol"])
+], ids=["grid_hi", "grid_lo", "grid_lo-nan", "grid_hi-nan", "s", "theta", "quad_tol"])
 def test_im_approx_non_finite_parameter_is_usage_error(capsys, argv, message):
     # refused up front with the field's name, before any quadrature warns
     with warnings.catch_warnings():

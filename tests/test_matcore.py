@@ -42,12 +42,12 @@ def test_as_complex_matrix_accepts_lists():
 
 
 def test_as_complex_matrix_rejects_bad_input():
-    with pytest.raises(ValueError):
-        as_complex_matrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        as_complex_matrix([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        as_complex_matrix(np.zeros((0, 3)))
+    for bad in ([1.0, 2.0], np.ones((1, 1, 1)), np.zeros((0, 3))):
+        with pytest.raises(ValueError, match=r"^expected a non-empty 2-d matrix, got shape \("):
+            as_complex_matrix(bad)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_complex_matrix([[bad, 0.0], [0.0, 1.0]])
 
 
 def test_require_hermitian():
@@ -177,6 +177,15 @@ def test_matrix_json_roundtrip(tmp_path):
     path.write_text(json.dumps(raw))
     np.testing.assert_array_equal(load_matrix(path), m)
     np.testing.assert_array_equal(matrix_from_dict(raw), m)
+
+
+def test_matrix_json_roundtrip_keeps_signed_zeros_and_subnormals():
+    # every float is written and read as its own bits, so -0.0 and the
+    # subnormals keep their sign and their last bit in both parts
+    m = np.array([[complex(-0.0, 5e-324), complex(5e-324, -0.0)],
+                  [complex(-1e-310, 2.2250738585072014e-308), complex(1.0, -0.0)]])
+    back = matrix_from_dict(json.loads(json.dumps(matrix_to_dict(m))))
+    assert back.dtype == complex and back.tobytes() == m.tobytes()
 
 
 def test_pow_is_the_python_float_power_at_every_shape():

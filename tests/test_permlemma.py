@@ -185,13 +185,22 @@ def test_holder_half_bound_and_equality():
         holder_half(-x, p)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_holder_half_rejects_non_finite_entries(bad):
     p = np.full(3, 1.0 / 3.0)
     with pytest.raises(ValueError, match="finite"):
         holder_half([1.0, bad, 0.5], p)
     with pytest.raises(ValueError, match="finite"):
         holder_half([1.0, 2.0, 0.5], [0.5, 0.5, bad])
+
+
+@pytest.mark.parametrize("bad", [[], [[0.5, 0.5]]], ids=["empty", "2-d"])
+def test_holder_half_rejects_malformed_vectors(bad):
+    # an empty or 2-d x or p was reported as a shape mismatch, or not at all
+    # when both were alike
+    for x, p in ((bad, [0.5, 0.5]), ([1.0, 1.0], bad), (bad, bad)):
+        with pytest.raises(ValueError, match=r"^expected a non-empty vector, got shape \("):
+            holder_half(x, p)
 
 
 def test_max_rearranged_sum_two_point():
@@ -218,8 +227,9 @@ def test_max_rearranged_sum_size_limit():
         max_rearranged_sum(np.ones(D_MAX + 1))
 
 
-@pytest.mark.parametrize("mu", [[np.nan, 1.0], [np.inf, 0.0], [], [[1.0, 0.0]], [1.0, -0.5]],
-                         ids=["nan", "inf", "empty", "2-d", "negative"])
+@pytest.mark.parametrize("mu", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf], [], [[1.0, 0.0]],
+                                [1.0, -0.5]],
+                         ids=["nan", "inf", "-inf", "empty", "2-d", "negative"])
 def test_max_rearranged_sum_rejects_malformed_spectra(mu):
     # a non-finite entry used to give (nan, (1, 2)) and an empty vector
     # (0.0, ()); a 2-d input failed inside numpy's broadcasting
@@ -227,7 +237,7 @@ def test_max_rearranged_sum_rejects_malformed_spectra(mu):
         max_rearranged_sum(mu)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_check_commutative_rejects_non_finite_spectra(bad):
     # a non-finite entry is bad input, not a failure of the proven lemma
     with pytest.raises(ValueError, match="finite"):

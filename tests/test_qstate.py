@@ -1,9 +1,13 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from negmono.errors import NoConvergenceError
 from negmono.matcore import complex_gaussian, negativity, schatten
 from negmono.qstate import (
+    TAU_NORM,
     TripartiteState,
     _random_coeffs,
     _unit_states,
@@ -31,6 +35,33 @@ def test_state_requires_normalization():
     assert np.sum(np.abs(s.coeffs) ** 2) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError, match="^cannot normalise the zero tensor$"):
         TripartiteState(np.zeros((2, 2, 2)), normalize=True)
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    (np.full((1, 1, 1), np.nan), "^coefficients must be finite$"),
+    (np.full((1, 1, 1), np.inf), "^coefficients must be finite$"),
+    (np.full((1, 1, 1), -np.inf), "^coefficients must be finite$"),
+    (np.zeros((0, 2, 2)), r"^expected a non-empty rank-3 tensor, got shape \(0, 2, 2\)$"),
+    (np.ones((1, 1)), r"^expected a non-empty rank-3 tensor, got shape \(1, 1\)$"),
+], ids=["nan", "inf", "-inf", "empty", "rank-2"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_state_rejects_malformed_coefficients(coeffs, message, normalize):
+    with pytest.raises(ValueError, match=message):
+        TripartiteState(coeffs, normalize=normalize)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-165, 3e-160, 1e200, 1e300])
+def test_normalize_survives_squares_that_under_or_overflow(scale):
+    # the squared weight of these tensors underflowed (to zero, or to a
+    # subnormal sum 1.1e-5 off) or overflowed to inf, which gave "cannot
+    # normalise the zero tensor", a weight of 1.0000111 or an all-zero state
+    c = np.full((2, 2, 2), scale, dtype=complex)
+    c[1, 0, 1] = complex(0.0, -scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = TripartiteState(c, normalize=True)
+    assert abs(np.sum(np.abs(s.coeffs) ** 2) - 1.0) <= TAU_NORM
+    np.testing.assert_allclose(s.coeffs, c / scale / np.sqrt(8.0), rtol=1e-15)
 
 
 def test_state_dims():
@@ -161,6 +192,16 @@ def test_state_json_roundtrip():
     np.testing.assert_array_equal(state_from_dict(d).coeffs, s.coeffs)
 
 
+def test_state_json_roundtrip_keeps_signed_zeros_and_subnormals():
+    # every float is written and read as its own bits, so -0.0 and the
+    # subnormals keep their sign and their last bit in both parts
+    c = np.array([[[complex(1.0, -0.0), complex(-0.0, 5e-324)],
+                   [complex(5e-324, -0.0), complex(-1e-310, 2.2250738585072014e-308)]]])
+    s = TripartiteState(c)
+    back = state_from_dict(json.loads(json.dumps(state_to_dict(s))))
+    assert back.coeffs.tobytes() == c.tobytes()
+
+
 @pytest.mark.parametrize("obj", [[1, 2], {"dA": 1}, {"dA": 1, "dB": 1, "dC": 1, "coeffs": [[1.0]]}])
 def test_state_from_dict_rejects_malformed_json(obj):
     with pytest.raises(ValueError, match="state JSON"):
@@ -191,6 +232,15 @@ def test_operator_dims_must_be_three_sizes(op, dims):
     # too few or too many sizes are refused by name, not by a failed unpack
     with pytest.raises(ValueError, match=r"^dims must be three sizes \(dA, dB, dC\), got \("):
         op(np.eye(2), dims)
+
+
+@pytest.mark.parametrize("op", [partial_transpose_A, partial_trace_B, partial_trace_C])
+@pytest.mark.parametrize("dims", [(-2, -2, 1), (4, 1, 0)])
+def test_operator_dims_must_be_positive(op, dims):
+    # sizes whose product fits the operator failed inside numpy's reshape
+    # ("can only specify one unknown dimension")
+    with pytest.raises(ValueError, match=r"^dims must be at least 1, got (-2|0)$"):
+        op(np.eye(4), dims)
 
 
 def test_random_state_deterministic_per_seed():

@@ -78,7 +78,9 @@ def test_config_rejects_float_integer_fields(field, config):
     (dict(target="ineqid", d=2, seed=-1), "seed must be at least 0, got -1"),
     (dict(target="ineqid", d=0), "d must be at least 1, got 0"),
     (dict(target="ineqid", d=2, step_scale=0.0), "step_scale must be finite and positive, got 0.0"),
-], ids=["trials", "local_steps", "seed", "d", "step_scale"])
+    (dict(target="ineq4", dims=(-2, -2, 1)), "dims must be at least 1, got -2"),
+    (dict(target="ineq4", dims=(2, 2)), "dims must be three sizes (dA, dB, dC), got (2, 2)"),
+], ids=["trials", "local_steps", "seed", "d", "step_scale", "dims-negative", "dims-two"])
 def test_config_range_errors_name_the_field(config, message):
     with pytest.raises(ValueError) as info:
         SearchConfig(**config)
