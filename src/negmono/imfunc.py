@@ -8,8 +8,9 @@ h is computed by adaptive Simpson quadrature on [L, x], every panel of
 every grid in lockstep, where the left cutoff L makes the analytic tail
 bound on the dropped integral smaller than half the requested tolerance;
 quad_tol is therefore a total error budget per grid, not a per-panel one.
-Each pointwise function gives a point one float alone or in an array, its power
-by matcore._pow and its exp numpy's, but g is w(alpha(x) x) with libm's exp.
+Every pointwise function is a numpy ufunc expression, its exp and power
+numpy's, and gives a point one float at every shape: alone, in an array, in
+a strided or transposed view.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureFailureError, RootNotBracketedError
-from .matcore import _EPS, InequalityReport, _at_least, _finite_number, _pow, make_report
+from .matcore import _EPS, InequalityReport, _at_least, _finite_number, make_report
 
 DEFAULT_THETA = 1.0
 DEFAULT_QUAD_TOL = 1e-10
 
 # exp() overflow guard; g underflows to zero long before this matters.
 _EXP_CLIP = 700.0
-# exp(t) < 2**-53 for t <= -37, so 1.0 + exp(t) rounds to exactly 1.0 there
-_EXP_FLOOR = -37.0
-_SLICE = 4096  # most points in one _g_array call of _h_grids
 # The rows of a level's table that _simpson_panels pairs, left half and
 # right half, into the next level's a, m, b, fa, fm, fb, whole and tol
 _HALVES = np.array([[0, 1], [6, 7], [1, 2], [3, 4], [8, 9], [4, 5], [10, 11], [12, 12]])
@@ -50,7 +48,7 @@ def _pointwise(f):
 def w(x):
     """w(x) = (1/2) (x^2 + 1)^(-1/4); even, decreasing in |x|, maximum 1/2."""
     v = np.where(big := np.abs(x) > 1e150, 0.0, x)  # x * x may overflow; (x^2 + 1)^(1/4) ~ sqrt|x|
-    out = 0.5 * _pow(v * v + 1.0, -0.25)
+    out = 0.5 * np.power(v * v + 1.0, -0.25)
     out[big] = 0.5 / np.sqrt(np.abs(x[big]))
     return out
 
@@ -59,8 +57,8 @@ def w(x):
 def w_prime(x):
     """w'(x) = -(x/4) (x^2 + 1)^(-5/4); its tail -sign(x) |x|^(-3/2) / 4 past 1e100."""
     v = np.where(big := np.abs(x) > 1e100, 0.0, x)  # x * x may overflow
-    out = -v / (4.0 * _pow(v * v + 1.0, 1.25))
-    out[big] = -np.sign(x[big]) * _pow(np.abs(x[big]), -1.5) / 4.0
+    out = -v / (4.0 * np.power(v * v + 1.0, 1.25))
+    out[big] = -np.sign(x[big]) * np.power(np.abs(x[big]), -1.5) / 4.0
     return out
 
 
@@ -96,26 +94,14 @@ def g_prime(x, theta: float = DEFAULT_THETA):
 
 
 def _g_scalar(y: float, theta: float) -> float:
-    # one-point form of _g_array, which equals it bit for bit
-    e = math.exp(min(-theta * y, _EXP_CLIP))
-    u = (1.0 + e) * y
-    a = abs(u)
-    if a > 1e150:  # (u^2 + 1)^(1/4) ~ sqrt(a); avoids overflow in u*u
-        return 0.5 / math.sqrt(a)
-    return 0.5 * (u * u + 1.0) ** -0.25
+    return g(y, theta)  # g at one point, which perfbench/tracer.py wraps
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and nan as from Python floats
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan at |y| = inf or y << 0, silently
 def _g_array(y: np.ndarray, theta: float) -> np.ndarray:
-    """_g_scalar at every point of the 1-d y, bit for bit: w at alpha(y) y
-    with the exp of alpha by libm (numpy's SIMD exp differs on some inputs).
-    exp is skipped where its argument is at most _EXP_FLOOR, as adding it
-    to 1.0 would change nothing."""
-    t = np.minimum(-theta * y, _EXP_CLIP)
-    near = ~(t <= _EXP_FLOOR)  # a nan takes exp, as in _g_scalar
-    e = np.zeros(y.size)
-    e[near] = np.fromiter(map(math.exp, t[near].tolist()), float)
-    return w((1.0 + e) * y)
+    """g at every point of y: w at alpha(y) y by numpy's exp and power, one
+    float per point at every shape."""
+    return w((1.0 + np.exp(np.minimum(-theta * y, _EXP_CLIP))) * y)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -241,9 +227,8 @@ def _h_grids(grids, theta: float, quad_tol: float) -> list[np.ndarray]:
         panels.append((up, run, starts[run], ends[run],
                        np.full(np.count_nonzero(run), 0.5 * quad_tol / v.size)))
     ups, runs, a, b, tol = zip(*panels)
-    gs = lambda y: np.concatenate(  # _SLICE points at a time bound the Python floats held
-        [_g_array(t, theta) for t in np.split(y, range(_SLICE, y.size, _SLICE))])
-    values = _simpson_panels(gs, np.concatenate(a), np.concatenate(b), np.concatenate(tol))
+    values = _simpson_panels(lambda y: _g_array(y, theta), np.concatenate(a), np.concatenate(b),
+                             np.concatenate(tol))
     parts = np.split(values, np.cumsum([x.size for x in a])[:-1])
     out = []
     for v, up, run, part in zip(vs, ups, runs, parts):

@@ -80,9 +80,12 @@ def as_complex_matrix(x) -> np.ndarray:
 
 def _pow(v, p: float) -> np.ndarray:
     """v ** p at every entry of the float array v, of any shape, by libm pow
-    on Python floats, so that each float is its scalar form's to the last
-    bit: numpy's array power differs from libm in the last bit on about 5%
-    of inputs, and its x * x (its ** 2) on about one in 1000."""
+    on Python floats. It serves the squares of monogamy._overlaps and
+    verify_batch, of criterion 9 and of permlemma._commutative_sides, which
+    keep libm so that each float is its Python-float form's to the last bit,
+    as the verify-conjecture records pin: numpy's array power differs from
+    libm in the last bit on about 5% of inputs, and its x * x on about one
+    in 1000."""
     v = np.asarray(v, dtype=float)
     try:
         out = np.fromiter(map(pow, v.ravel().tolist(), itertools.repeat(p)), float, v.size)

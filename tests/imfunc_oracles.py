@@ -1,15 +1,26 @@
 """The former scalar forms of imfunc's quadrature, bisection and g', kept
 as oracles: the depth-first adaptive Simpson recursion, the h_grid loop
 that ran it once per segment, the one-level bisection loop, and g' composed
-of w', alpha and beta at one point. The first three evaluate g by
-imfunc._g_scalar one point at a time and count its evaluations."""
+of w', alpha and beta at one point. The first three evaluate g one point
+at a time by _g_point and count its evaluations."""
 
+import functools
 import math
 
 import numpy as np
 
 from negmono import imfunc
 from negmono.errors import QuadratureFailureError, RootNotBracketedError
+
+# imfunc's kernel as imported, so that a test that patches imfunc._g_array
+# to count the engine's evaluations does not count the oracles' as well
+_G_ARRAY = imfunc._g_array
+
+
+@functools.lru_cache(maxsize=1 << 17)  # the recursions at several tolerances share most points
+def _g_point(y, theta):
+    """g at the one point y, a float."""
+    return float(_G_ARRAY(np.array([y]), theta)[0])
 
 
 def _simpson(fa, fm, fb, a, b):
@@ -59,7 +70,7 @@ def reference_h_grid(xs, theta=imfunc.DEFAULT_THETA, quad_tol=imfunc.DEFAULT_QUA
 
     def fn(y):
         evals[0] += 1
-        return imfunc._g_scalar(y, theta)
+        return _g_point(y, theta)
 
     out = np.zeros(v.size)
     acc = 0.0
@@ -74,18 +85,18 @@ def reference_h_grid(xs, theta=imfunc.DEFAULT_THETA, quad_tol=imfunc.DEFAULT_QUA
 
 
 def scalar_bisect(c, theta, positive, tol):
-    """The former one-level bisection, g by _g_scalar."""
+    """The former one-level bisection, g by _g_point."""
     if not 0.0 < c < 0.5:
         raise RootNotBracketedError(f"level must lie in (0, 1/2), got {c}")
     inner, outer = 0.0, (1.0 if positive else -1.0)
-    while imfunc._g_scalar(outer, theta) > c:
+    while _g_point(outer, theta) > c:
         outer *= 2.0
         if abs(outer) > 1e12:
             side = "positive" if positive else "negative"
             raise RootNotBracketedError(f"no {side} root for level {c}")
     while abs(outer - inner) > tol * max(1.0, abs(outer)):
         mid = 0.5 * (inner + outer)
-        gm = imfunc._g_scalar(mid, theta)
+        gm = _g_point(mid, theta)
         if gm > c or (gm == c and not positive):
             inner = mid
         else:

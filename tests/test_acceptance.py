@@ -57,6 +57,13 @@ PINNED = {
         "argmin_trial_2x3x3": 1927,
         "violations_2x3x3": 0,
     },
+    "approximation_suite": {
+        "h0": 0.7581306629020619,
+        "min_pair_sum": 0.005815738868830496,
+        "min_beta_margin": 0.019870386153420405,
+        "sup_err_s1": 0.7581306629012655,
+        "sup_err_s100": 0.07581306629012659,
+    },
 }
 
 # The criteria with a time budget, which each reports as its last detail.

@@ -659,34 +659,38 @@ def test_g_array_is_g_scalar_bit_for_bit(theta):
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
+def test_g_array_is_w_at_alpha_y_y(theta):
+    # the integrand takes no power of its own: it is w at (1 + e) y, with e
+    # numpy's exp of the clipped -theta y, bit for bit
+    rng = np.random.default_rng(29)
+    ys = np.concatenate([rng.normal(scale=20.0, size=4000), rng.uniform(-800.0, 800.0, 4000),
+                         np.geomspace(1e140, 1e160, 100), -np.geomspace(1e2, 1e200, 100)])
+    e = np.exp(np.minimum(-theta * ys, imfunc._EXP_CLIP))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # (1 + e) y overflows to -inf far left
+        want = w((1.0 + e) * ys)
+    assert imfunc._g_array(ys, theta).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
 def test_g_array_skips_exp_only_where_it_changes_nothing(theta):
-    # around t = -theta y = -37, where exp is skipped, to the last bit, and
-    # at +-inf and nan
+    # _g_array takes exp at every point; around t = -theta y = -37, to the
+    # last bit, it is w((1 + exp(t)) y), and where t <= -37, where 1 + exp(t)
+    # rounds to 1.0, it is w(y): leaving exp out there would change nothing;
+    # at +-inf and nan it gives 0 and nan without a warning
     at = 37.0 / theta
     ys = np.concatenate([
         np.linspace(36.0, 38.0, 4001) / theta, at + np.spacing(at) * np.arange(-25, 26),
         [np.inf, -np.inf, np.nan, -np.nan],
     ])
+    t = np.minimum(-theta * ys, imfunc._EXP_CLIP)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = imfunc._g_array(ys, theta)
-    ref = np.array([imfunc._g_scalar(y, theta) for y in ys.tolist()])
-    assert got.tobytes() == ref.tobytes()
+        far = t <= -37.0
+        assert far.sum() > 2000 and got[far].tobytes() == w(ys[far]).tobytes()
+        assert got.tobytes() == w((1.0 + np.exp(t)) * ys).tobytes()
     assert np.isnan(got[-2:]).all() and got[-4] == 0.0
-
-
-@pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
-def test_g_array_is_w_at_alpha_y_y(theta):
-    # the integrand takes no power of its own: it is w at (1 + e) y, with e
-    # the libm exp of the clipped -theta y, bit for bit
-    rng = np.random.default_rng(29)
-    ys = np.concatenate([rng.normal(scale=20.0, size=4000), rng.uniform(-800.0, 800.0, 4000),
-                         np.geomspace(1e140, 1e160, 100), -np.geomspace(1e2, 1e200, 100)])
-    e = np.array([math.exp(min(-theta * y, imfunc._EXP_CLIP)) for y in ys.tolist()])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # (1 + e) y overflows to -inf far left
-        want = w((1.0 + e) * ys)
-    assert imfunc._g_array(ys, theta).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("theta", [1.0, 2.5])
@@ -728,21 +732,26 @@ def _spread_points():
 
 @pytest.mark.parametrize("f", POINTWISE, ids=lambda f: f.__name__)
 def test_pointwise_functions_give_one_float_at_every_shape(f):
-    # a point gives its 0-d float alone, in a 1-d array and in a 2-d one,
-    # to the last bit, and none of them warns
+    # a point gives its 0-d float alone, in a 1-d array, a 2-d one, a
+    # strided view, a transposed view and a size-1 array, to the last bit,
+    # and none of them warns
     xs = _spread_points()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alone = [f(np.array(x)) for x in xs.tolist()]
-        assert {type(y) for y in alone} == {float}
-        assert f(xs).tobytes() == np.array(alone).tobytes()
-        assert f(xs.reshape(-1, 8)).tobytes() == np.array(alone).tobytes()
+        floats = [f(np.array(x)) for x in xs.tolist()]
+        assert {type(y) for y in floats} == {float}
+        alone = np.array(floats)
+        assert f(xs).tobytes() == alone.tobytes()
+        assert f(xs.reshape(-1, 8)).tobytes() == alone.tobytes()
+        assert f(xs[::3]).tobytes() == alone[::3].tobytes()
+        assert f(xs.reshape(8, -1).T).tobytes() == alone.reshape(8, -1).T.tobytes()
+        assert np.concatenate([f(xs[k:k + 1]) for k in range(xs.size)]).tobytes() == alone.tobytes()
     if f in (w, w_prime):  # a finite point past a cutoff keeps its nonzero tail
-        tails = np.array(alone)[np.isfinite(xs) & (np.abs(xs) > 1e100)]
+        tails = alone[np.isfinite(xs) & (np.abs(xs) > 1e100)]
         assert tails.size == 8 and np.all(tails != 0.0)
-        assert w_prime(1.1e100) == -(1.1e100 ** -1.5) / 4.0 == -w_prime(-1.1e100)
+        assert w_prime(1.1e100) == -np.power(1.1e100, -1.5) / 4.0 == -w_prime(-1.1e100)
         x = 1e150  # the last point that takes the power
-        assert w(1e200) == 0.5 / math.sqrt(1e200) and w(x) == 0.5 * (x * x + 1.0) ** -0.25
+        assert w(1e200) == 0.5 / math.sqrt(1e200) and w(x) == 0.5 * np.power(x * x + 1.0, -0.25)
 
 
 @pytest.mark.parametrize("theta", [1.0, 2.5])
