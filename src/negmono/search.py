@@ -5,11 +5,14 @@ Every trial is a pure function of (seed, trial_index): its start and its
 descent draw from the two children of numpy's SeedSequence((seed,
 trial_index)), so results are reproducible and independent of worker
 scheduling; the final minimum is merged by (slack, trial_index). Trials run
-in fixed chunks of CHUNK consecutive indices. A chunk seeds all its streams
-from one vectorised pass of the SeedSequence hash, and its trials descend
-in lockstep through one batched slack evaluation per step, for every
-target. A chunk stays a stack of arrays from its start draws to its
-slacks; only its argmin is rebuilt as an instance.
+in chunks of consecutive indices, sized to the work by _chunks: at most
+CHUNK trials each, balanced over the processes that run them. A chunk seeds
+all its streams from one vectorised pass of the SeedSequence hash, and its
+trials descend in lockstep through one batched slack evaluation per step,
+for every target. A chunk stays a stack of arrays from its start draws to
+its slacks; only its argmin is rebuilt as an instance. The rows of a
+lockstep are independent, so results never depend on where the chunk
+boundaries fall.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from functools import cache, partial
 import numpy as np
 
 from .matcore import (TAU_CHECK, _at_least, _complex_pairs, _finite_number, _index, _ordered_map,
-                      _square, _three_sizes, json_floats, json_values, matrix_from_dict,
-                      matrix_to_dict)
+                      _square, _three_sizes, _workers, json_floats, json_values,
+                      matrix_from_dict, matrix_to_dict)
 from .monogamy import ineq4_batch
 from .permlemma import _commutative_sides, _spectrum_and_images
 from .qstate import TripartiteState, _unit_states, state_from_dict, state_to_dict
@@ -36,11 +39,13 @@ MU_GAMMA = 5.0
 # Consecutive rejected proposals before the step scale is halved.
 STALL_LIMIT = 20
 
-# Trials per chunk. Chunk k holds trials [k * CHUNK, (k + 1) * CHUNK), so
-# the boundaries depend only on the trial index, never on --jobs.
-CHUNK = 128
+# Most trials per chunk; _chunks cuts none below CHUNK // 2 unless the scan
+# is shorter. At 256 rows no target is slower per trial than at 128, and at
+# 512 the larger matrices get slower again.
+CHUNK = 256
 # Descent steps whose noise a lockstep chunk draws at once; bounds the noise
-# buffer (590 kB at 2x3x3) whatever --local-steps is.
+# buffer (1.18 MB at 2x3x3, 4.2 MB at 4x4x4, for 256 rows) whatever
+# --local-steps is.
 NOISE_BLOCK = 16
 
 # Most trials a search may run: every trial index is then one 32-bit word of
@@ -203,7 +208,7 @@ def random_instance(cfg: SearchConfig, trial_index: int):
     """Deterministic random instance for one trial: a normalised Gaussian
     state for ineq4, a complex Gaussian matrix for the ineqid targets, or a
     sorted exponentially spaced spectrum plus uniform permutation."""
-    x, perms = _sample(cfg, _generators(cfg.seed, [trial_index])[0])
+    x, perms = _sample(cfg, _generators(cfg.seed, [_index("trial_index", trial_index)])[0])
     return _instance(cfg.target, x, perms, 0)
 
 
@@ -390,20 +395,35 @@ def _run_trials(cfg: SearchConfig, trials: range) -> tuple[list, tuple]:
 
 def run_trial(cfg: SearchConfig, trial_index: int) -> tuple[int, float, dict]:
     """One full trial: sample, descend, serialize the survivor."""
-    _, (slack, t, best) = _run_trials(cfg, range(trial_index, trial_index + 1))
+    t = _index("trial_index", trial_index)
+    _, (slack, _, best) = _run_trials(cfg, range(t, t + 1))
     return t, slack, serialize_instance(cfg.target, best)
 
 
+def _chunks(trials: int, parts: int):
+    """The chunk ranges of trials [0, trials) for `parts` processes, made
+    lazily. A chunk holds at most width = min(CHUNK, max(CHUNK // 2,
+    ceil(trials / parts))) trials, so each part gets a chunk of its own
+    unless that would cut chunks below CHUNK // 2; the ceil(trials / width)
+    chunks are balanced, their lengths differing by at most one."""
+    width = min(CHUNK, max(CHUNK // 2, -(-trials // parts)))
+    count = -(-trials // width)
+    return (range(trials * k // count, trials * (k + 1) // count) for k in range(count))
+
+
 def run_search(cfg: SearchConfig, jobs: int = 1, on_trial=None) -> SearchResult:
-    """Scan all trials in chunks of CHUNK through _ordered_map at `jobs`
-    workers, which makes each chunk range as it reads it, and merge the chunk
-    argmins by (slack, trial_index), so the result is independent of worker
-    count and scheduling. on_trial(trial_index, slack), when given, is called
-    for every trial in trial order."""
+    """Scan all trials in the chunks of _chunks, balanced over the
+    min(jobs, _workers()) processes that _ordered_map would start, which
+    makes each chunk range as it reads it, and merge the chunk argmins by
+    (slack, trial_index). The chunks depend on the trial and worker counts,
+    but the result does not: every trial draws from its own streams and
+    descends independently of its chunk. on_trial(trial_index, slack), when
+    given, is called for every trial in trial order."""
+    jobs = _at_least("jobs", jobs, 1)
     best = None
     violations = 0
     t = 0
-    chunks = (range(k, min(k + CHUNK, cfg.trials)) for k in range(0, cfg.trials, CHUNK))
+    chunks = _chunks(cfg.trials, min(jobs, _workers()))
     for slacks, argmin in _ordered_map(partial(_run_trials, cfg), chunks, jobs):
         for slack in slacks:
             if on_trial is not None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_search_builds_no_seed_sequence(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=300, local_steps=3, seed=0)
-    assert -(-cfg.trials // search.CHUNK) == 3
+    assert _chunk_count(cfg.trials) == 2
     run_search(cfg)
     assert built == []
     np.random.SeedSequence((0, 1))  # the counter sees a construction
@@ -392,6 +393,11 @@ def _scalar_descent_slacks(cfg):
     return [slack for slack, _ in _scalar_descent(cfg)]
 
 
+def _chunk_count(trials, parts=1):
+    """The number of chunks run_search cuts a scan into for `parts` processes."""
+    return sum(1 for _ in search._chunks(trials, parts))
+
+
 def _trial_slacks(cfg, jobs=1):
     """The per-trial slacks of a search, in trial order."""
     slacks = []
@@ -403,7 +409,7 @@ def _trial_slacks(cfg, jobs=1):
 def test_lockstep_matches_scalar_descent(monkeypatch, dims):
     monkeypatch.setattr(search, "CHUNK", 64)
     cfg = SearchConfig(target="ineq4", dims=dims, trials=150, seed=0)
-    assert 2 * search.CHUNK < cfg.trials < 3 * search.CHUNK  # two full chunks and a partial one
+    assert 2 * search.CHUNK < cfg.trials < 3 * search.CHUNK  # three chunks of 50
     lockstep = _trial_slacks(cfg)
     scalar = _scalar_descent_slacks(cfg)
     assert lockstep == scalar
@@ -431,6 +437,7 @@ def test_parallel_merge_matches_serial_across_chunks(monkeypatch):
     monkeypatch.setattr(search, "CHUNK", 64)
     cfg = SearchConfig(target="ineq4", dims=(2, 3, 3), trials=150, seed=4)
     assert cfg.trials > 2 * search.CHUNK
+    assert _chunk_count(cfg.trials, 2) == 3
     assert run_search(cfg, jobs=1) == run_search(cfg, jobs=2)
 
 
@@ -447,6 +454,100 @@ def test_search_starts_no_more_workers_than_chunks(cpus, in_process_pool):
     one_chunk = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=100, local_steps=3, seed=0)
     assert run_search(one_chunk, jobs=8) == run_search(one_chunk, jobs=1)
     assert sizes == [2, 3]
+
+
+@pytest.mark.parametrize("parts", [*range(1, 9), 15, 16, 17, 31, 32, 33, 63, 64])
+def test_chunks_cover_the_trials_in_balanced_ranges(parts):
+    for trials in [*range(1, 600), *range(1000, 10_001, 997), 2047, 2048, 2049, 10_000]:
+        chunks = list(search._chunks(trials, parts))
+        assert chunks[0].start == 0 and chunks[-1].stop == trials
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        lengths = [len(c) for c in chunks]
+        assert max(lengths) <= search.CHUNK
+        assert max(lengths) - min(lengths) <= 1
+        assert len(chunks) >= min(parts, -(-trials // (search.CHUNK // 2)))
+        if parts == 1:
+            assert len(chunks) == -(-trials // search.CHUNK)
+
+
+def test_chunks_are_made_lazily():
+    # 2**24 chunks at the trial cap; the first arrives without the rest
+    tracemalloc.start()
+    try:
+        chunks = search._chunks(search.MAX_TRIALS, 1)
+        first = next(chunks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == range(search.CHUNK)
+    assert peak < 10_000
+
+
+def _recorded_chunks(monkeypatch):
+    """A list of the trial ranges that every later _run_trials call is given."""
+    ranges = []
+    run = search._run_trials
+
+    def recording(cfg, trials):
+        ranges.append(trials)
+        return run(cfg, trials)
+
+    monkeypatch.setattr(search, "_run_trials", recording)
+    return ranges
+
+
+def test_search_chunks_follow_the_workers_not_jobs(monkeypatch, cpus, in_process_pool):
+    # --jobs 64 on 2 CPUs cuts the scan as --jobs 2 does, not into 64 slivers
+    ranges = _recorded_chunks(monkeypatch)
+    cpus(2)
+    cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=1000, local_steps=3, seed=0)
+    res = run_search(cfg, jobs=64)
+    at_64 = list(ranges)
+    ranges.clear()
+    assert run_search(cfg, jobs=2) == res
+    assert ranges == at_64 == [range(0, 250), range(250, 500), range(500, 750), range(750, 1000)]
+    assert in_process_pool == [2, 2]
+
+
+def test_search_of_250_trials_is_one_chunk_per_job(monkeypatch, cpus, in_process_pool):
+    ranges = _recorded_chunks(monkeypatch)
+    cpus(2)
+    cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=250, local_steps=3, seed=0)
+    res = run_search(cfg, jobs=1)
+    assert ranges == [range(0, 250)] and in_process_pool == []
+    ranges.clear()
+    assert run_search(cfg, jobs=2) == res
+    assert ranges == [range(0, 125), range(125, 250)] and in_process_pool == [2]
+
+
+@pytest.mark.parametrize("trial_index,message", [
+    (2.7, "must be an integer"), (True, "must be an integer"), (np.float64(3.0), "must be an integer"),
+    (-1, "trial indices"), (2**32, "trial indices"),
+])
+def test_trial_index_is_checked(trial_index, message):
+    # a float or bool index was truncated or read as trial 1
+    cfg = SearchConfig(target="ineqid", d=2, trials=3, local_steps=2, seed=0)
+    with pytest.raises(ValueError, match=message):
+        random_instance(cfg, trial_index)
+    with pytest.raises(ValueError, match=message):
+        run_trial(cfg, trial_index)
+
+
+def test_numpy_trial_index_is_the_int():
+    cfg = SearchConfig(target="ineqid", d=2, trials=3, local_steps=2, seed=0)
+    np.testing.assert_array_equal(random_instance(cfg, np.int64(2)), random_instance(cfg, 2))
+    assert run_trial(cfg, np.uint32(2)) == run_trial(cfg, 2)
+
+
+@pytest.mark.parametrize("jobs,message", [
+    (0, "must be at least 1, got 0"), (-3, "must be at least 1, got -3"),
+    (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+])
+def test_run_search_checks_jobs(jobs, message):
+    # these all ran serially without a word
+    cfg = SearchConfig(target="ineqid", d=2, trials=3, local_steps=2, seed=0)
+    with pytest.raises(ValueError, match=f"^jobs {message}$"):
+        run_search(cfg, jobs=jobs)
 
 
 def test_lockstep_rejects_non_finite_candidates():
@@ -483,7 +584,7 @@ def test_overflowing_step_scale_names_the_option(target):
 def test_proven_lockstep_matches_scalar_descent(monkeypatch, target):
     monkeypatch.setattr(search, "CHUNK", 64)
     cfg = SearchConfig(target=target, trials=150, seed=0, **PROVEN[target])
-    assert 2 * search.CHUNK < cfg.trials < 3 * search.CHUNK  # two full chunks and a partial one
+    assert 2 * search.CHUNK < cfg.trials < 3 * search.CHUNK  # three chunks of 50
     lockstep = _trial_slacks(cfg)
     scalar = _scalar_descent_slacks(cfg)
     assert lockstep == scalar
@@ -506,10 +607,11 @@ def test_lockstep_long_descent_halves_the_scale_as_scalar_descent(target):
 def test_lockstep_output_does_not_depend_on_chunk(monkeypatch, target):
     cfg = SearchConfig(target=target, trials=20, seed=1, **ALL_TARGETS[target])
     outputs = []
-    for chunk in (1, 7, 64, 128):
+    for chunk in (1, 7, 64, 128, 256):
         monkeypatch.setattr(search, "CHUNK", chunk)
         outputs.append((_trial_slacks(cfg), run_search(cfg)))
-    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+        outputs.append((outputs[0][0], run_search(cfg, jobs=2)))
+    assert all(output == outputs[0] for output in outputs)
 
 
 @pytest.mark.parametrize("target", list(ALL_TARGETS))
@@ -574,7 +676,7 @@ def test_lockstep_counts_one_slack_evaluation_per_step(call_counts, target):
         count(matcore, name)
     cfg = SearchConfig(target=target, trials=150, local_steps=10, seed=0, **ALL_TARGETS[target])
     run_search(cfg)
-    chunks = -(-cfg.trials // search.CHUNK)
+    chunks = _chunk_count(cfg.trials)
     assert counts == {KERNEL_CALLS[target][0]: per_eval * chunks * (cfg.local_steps + 1),
                       "require_hermitian": 0, "make_report": 0, "hermitian_eigenvalues": 0}
 
@@ -586,7 +688,7 @@ def test_ineq4_descent_settles_through_unit_states(call_counts):
     count(qstate, "_unit_states")
     cfg = SearchConfig(target="ineq4", dims=(2, 3, 3), trials=150, local_steps=10, seed=0)
     run_search(cfg)
-    chunks = -(-cfg.trials // search.CHUNK)
+    chunks = _chunk_count(cfg.trials)
     assert counts == {"_unit_states": chunks * (1 + cfg.local_steps)}
     assert not hasattr(search, "_normalised")
 
@@ -651,7 +753,7 @@ def test_search_rebuilds_states_only_for_chunk_argmins(monkeypatch, call_counts)
     monkeypatch.setattr(TripartiteState, "__init__", counting_init)
     cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), trials=300, local_steps=3, seed=0)
     res = run_search(cfg)
-    assert len(built) == -(-cfg.trials // search.CHUNK) == 3
+    assert len(built) == _chunk_count(cfg.trials) == 2
     assert counts == {"random_state": 0}
     assert evaluate_slack("ineq4", deserialize_instance(res.argmin)) == pytest.approx(
         res.min_slack, abs=1e-12)
