@@ -78,28 +78,32 @@ def _output(path):
         yield fh
 
 
-def _verdict(rows, out) -> int:
-    """Write the record text of every row (name, slack, holds, text), in
-    order, and return the exit status: 1 when a proven report failed, else
-    0. A failed conjectured report is a finding: it adds a finding record
-    and a stderr note. The failed proven report with the lowest slack (the
-    first on ties) is named in one stderr line at the end.
+def _verdict(blocks, out) -> int:
+    """Write each block (text, failed), in order, and return the exit
+    status: 1 when a proven report failed, else 0. text holds a record per
+    line, and failed the (name, slack, record) of its failed reports in
+    order. A failed conjectured report is a finding: a finding record
+    follows its line, and a stderr note names it. The failed proven report
+    with the lowest slack (the first on ties) is named in one stderr line
+    at the end. A block without a finding is one write.
 
-    This is the one verdict loop. A row's text is its report's record as
-    _encode writes it: special-case, perm-lemma and drury-check pass
-    _rows(reports); verify-conjecture renders its rows a chunk at a time
-    (_verify_rows), byte for byte the records of monogamy.verify_reports."""
+    This is the one verdict loop. A record is its report's record as _encode
+    writes it: special-case, perm-lemma and drury-check pass _rows(reports);
+    verify-conjecture passes a block per chunk (_verify_rows), byte for byte
+    the records of monogamy.verify_reports."""
     worst = None
-    for name, slack, holds, text in rows:
-        out.write(text + "\n")
-        if holds:
-            continue
-        if name in CONJECTURED:
-            out.write('{"finding":"conjecture-violation",' + text[1:] + "\n")
-            print(f"finding: {name} violated at trial {json.loads(text)['trial']} "
-                  f"(slack {slack:.3e})", file=sys.stderr)
-        elif worst is None or slack < worst[1]:
-            worst = (name, slack)
+    for text, failed in blocks:
+        pos = 0
+        for name, slack, record in failed:
+            if name in CONJECTURED:
+                end = text.index(record + "\n", pos) + len(record) + 1
+                out.write(text[pos:end] + '{"finding":"conjecture-violation",' + record[1:] + "\n")
+                pos = end
+                print(f"finding: {name} violated at trial {json.loads(record)['trial']} "
+                      f"(slack {slack:.3e})", file=sys.stderr)
+            elif worst is None or slack < worst[1]:
+                worst = (name, slack)
+        out.write(text[pos:])
     if worst is None:
         return 0
     print(f"proven statement violated: {worst[0]} slack {worst[1]:.3e}", file=sys.stderr)
@@ -107,39 +111,57 @@ def _verdict(rows, out) -> int:
 
 
 def _rows(reports):
-    """The _verdict rows of InequalityReport objects."""
+    """The _verdict blocks of InequalityReport objects, one report each."""
     for rep in reports:
-        yield rep.name, rep.slack, rep.holds, _encode(rep.to_dict())
+        record = _encode(rep.to_dict())
+        yield record + "\n", [] if rep.holds else [(rep.name, rep.slack, record)]
 
 
-# States per verify_batch call in verify-conjecture, which streams its
-# reports over an unbounded --trials; the output does not depend on CHUNK.
-CHUNK = 64
+# verify-conjecture streams its reports over an unbounded --trials, drawing
+# at most CHUNK states and CHUNK_ENTRIES entries of Z1 and Z2 per
+# verify_batch call; the output depends on neither bound.
+CHUNK = 512
+CHUNK_ENTRIES = 2 ** 17
+
+
+def _chunk_states(dims) -> int:
+    """States per verify_batch call at dims: per-state time falls up to 512
+    states, and the entries bound keeps large stacks (64 states at 8x4x4,
+    16 at 8x8x8) at or below the memory of 64 states."""
+    dA, dB, dC = dims
+    return max(1, min(CHUNK, CHUNK_ENTRIES // ((dA * dB) ** 2 + (dA * dC) ** 2)))
 
 
 # The columns of a state's 15 distinct floats in _verify_rows that fill each
 # report of VERIFY_NAMES: lhs, rhs, slack and slack_rel (None for the
 # monotonicity links, which carry no slack_rel).
 COLS = ((0, 1, 7, 12), (0, 2, 8, 13), (0, 3, 9, 14), (4, 6, 10, None), (5, 6, 11, None))
+REL_COLS = [rel for *_, rel in COLS if rel is not None]
 
 
 def _verify_rows(dims, trials: int, tol: float, seed: int):
-    """The _verdict rows of verify-conjecture, rendered a chunk at a time
-    from the arrays of verify_batch. slack, holds and slack_rel are the
-    IEEE operations of make_report and monogamy.verify_reports, taken on arrays.
-    A state has 15 distinct floats (the ineq2-4 lhs, their three rhs,
-    N(A|B), N(A|C), N(A|BC), the five slacks and the three slack_rel), and
-    all floats of a chunk are written by one _encode call, each once, so NaN
-    and Infinity read as in any record. Each line fills a fixed template
-    per report name, from the columns COLS, with the key order of
-    InequalityReport.to_dict."""
+    """The _verdict blocks of verify-conjecture, one per chunk of
+    _chunk_states(dims) states, rendered from the arrays of verify_batch.
+    slack, holds and slack_rel are the IEEE operations of make_report and
+    monogamy.verify_reports, taken on arrays. A state has 15 distinct floats
+    (the ineq2-4 lhs, their three rhs, N(A|B), N(A|C), N(A|BC), the five
+    slacks and the three slack_rel), and all floats of a chunk are written
+    by one _encode call, each once, so NaN and Infinity read as in any
+    record. A chunk's text is one % of a fixed per-state template (a record
+    per report name, with the key order of InequalityReport.to_dict) over
+    the chunk's argument columns, gathered from COLS; only failed records
+    are rendered one by one."""
     rng = _rng(seed)
     dims_text = _encode([int(d) for d in dims])
-    reports = [(name, f'{{"name":"{name}","lhs":%s,"rhs":%s,"slack":%s,"holds":%s,'
-                      f'"dims":{dims_text}%s,"seed":{seed},"trial":%d}}', cols)
-               for name, cols in zip(VERIFY_NAMES, COLS)]
-    for start in range(0, trials, CHUNK):
-        c = _random_coeffs(dims, rng, min(CHUNK, trials - start))
+    templates = [f'{{"name":"{name}","lhs":%s,"rhs":%s,"slack":%s,"holds":%s,'
+                 f'"dims":{dims_text}{"" if rel is None else "%s"},"seed":{seed},"trial":%d}}'
+                 for name, (_, _, _, rel) in zip(VERIFY_NAMES, COLS)]
+    state_template = "\n".join(templates) + "\n"
+    # the argument columns of report k are args[:, ends[k]:ends[k + 1]]
+    ends = np.cumsum([0] + [t.count("%") for t in templates])
+    width = _chunk_states(dims)
+    for start in range(0, trials, width):
+        c = _random_coeffs(dims, rng, min(width, trials - start))
         lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = verify_batch(c)
         rhs = np.column_stack((rhs2, rhs3, rhs4))
         with np.errstate(all="ignore"):  # Python float arithmetic does not warn
@@ -147,18 +169,20 @@ def _verify_rows(dims, trials: int, tol: float, seed: int):
             slack = np.column_stack((rhs - lhs[:, None], n_abc - n_ab, n_abc - n_ac))
             rel = slack[:, :3] / rhs
         holds = slack >= -tol
-        has_rel = np.zeros_like(holds)
-        has_rel[:, :3] = rhs > 0
         values = np.column_stack((lhs, rhs, n_ab, n_ac, n_abc, slack, rel))
-        floats = _encode(values.ravel().tolist())[1:-1].split(",")
-        slack, holds, has_rel = slack.tolist(), holds.tolist(), has_rel.tolist()
-        for i in range(len(c)):
-            f = floats[15 * i:15 * i + 15]
-            for k, (name, template, (lhs_k, rhs_k, slack_k, rel_k)) in enumerate(reports):
-                rel_t = ',"slack_rel":' + f[rel_k] if has_rel[i][k] else ""
-                text = template % (f[lhs_k], f[rhs_k], f[slack_k],
-                                   "true" if holds[i][k] else "false", rel_t, start + i)
-                yield name, slack[i][k], holds[i][k], text
+        f = np.array(_encode(values.ravel().tolist())[1:-1].split(","), dtype=object)
+        f = f.reshape(values.shape)
+        holds_text = np.where(holds, "true", "false")
+        rel_text = np.where(rhs > 0, ',"slack_rel":' + f[:, REL_COLS], "")
+        trial = np.arange(start, start + len(c))
+        args = np.stack([col for k, (lhs_k, rhs_k, slack_k, rel_k) in enumerate(COLS)
+                         for col in (f[:, lhs_k], f[:, rhs_k], f[:, slack_k], holds_text[:, k],
+                                     *(() if rel_k is None else (rel_text[:, k],)),
+                                     trial)], axis=1)
+        failed = [(VERIFY_NAMES[k], float(slack[i, k]),
+                   templates[k] % tuple(args[i, ends[k]:ends[k + 1]].tolist()))
+                  for i, k in zip(*np.nonzero(~holds))]
+        yield (state_template * len(c)) % tuple(args.ravel().tolist()), failed
 
 
 def _cmd_verify(args) -> int:
@@ -355,10 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_usage(args) -> None:
     """Reject option values that make a run vacuous or meaningless: a
-    non-finite --tol, and fewer than one trial, sample or job."""
+    non-finite --tol, and fewer than one trial, sample, job or matrix row
+    (--d, which search may leave out)."""
     _finite_number("--tol", getattr(args, "tol", 0.0))
-    for name in ("trials", "samples", "jobs"):
-        _at_least(f"--{name}", getattr(args, name, 1), 1)
+    for name in ("trials", "samples", "jobs", "d"):
+        if getattr(args, name, None) is not None:
+            _at_least(f"--{name}", getattr(args, name), 1)
 
 
 def main(argv=None) -> int:

@@ -616,15 +616,18 @@ def test_verify_records_match_single_state_reports(capsys, dims):
 
 def test_verify_output_does_not_depend_on_chunk(capsys, monkeypatch):
     # stdout, stderr and the exit code, with the --tol -10 path: findings,
-    # proven failures and exit 1
-    trials = 131  # 2 full chunks and one partial at CHUNK 64
+    # proven failures and exit 1; chunks of 1, 7, 64 and 512 states by the
+    # state bound, then of 32, 5 and 512 states (2x2x2, 3x2x4, 1x1x1) by the
+    # entries bound
+    trials = 520  # one full chunk and one partial at CHUNK 512
     for dims in ("2x2x2", "3x2x4", "1x1x1"):
         for tol in ("1e-9", "-10"):
             args = ("verify-conjecture", "--dims", dims, "--trials", str(trials),
                     "--seed", "8", f"--tol={tol}")
             runs = set()
-            for chunk in (1, 7, 64):
+            for chunk, entries in ((1, 2**17), (7, 2**17), (64, 2**17), (512, 2**17), (512, 2**10)):
                 monkeypatch.setattr(cli, "CHUNK", chunk)
+                monkeypatch.setattr(cli, "CHUNK_ENTRIES", entries)
                 runs.add(run_cli(capsys, *args))
             assert len(runs) == 1, (dims, tol)
             code, out, err = runs.pop()
@@ -633,11 +636,27 @@ def test_verify_output_does_not_depend_on_chunk(capsys, monkeypatch):
             assert (err == "") == (tol == "1e-9")
 
 
+@pytest.mark.parametrize("dims, states", [
+    ((1, 1, 1), 512), ((2, 2, 2), 512), ((3, 2, 4), 512), ((4, 4, 4), 256),
+    ((8, 4, 4), 64), ((8, 8, 8), 16),
+])
+def test_verify_chunk_states(dims, states):
+    # at most 512 states and 2**17 entries of Z1 and Z2 per chunk
+    assert cli._chunk_states(dims) == states
+    assert states * ((dims[0] * dims[1]) ** 2 + (dims[0] * dims[2]) ** 2) <= 2**17
+
+
+def test_verify_chunks_are_made_lazily():
+    # a huge --trials holds no list of chunks, states or records
+    text, failed = next(cli._verify_rows((2, 2, 2), 2**62, 1e-9, 0))
+    assert text.count("\n") == 5 * cli.CHUNK and failed == []
+
+
 def test_verify_counts_per_chunk(monkeypatch, call_counts):
     # per chunk: two stacked eigvalsh (Z1, Z2) and one SVD (the A|BC
     # coefficient matrices); no per-state validation or eigensolver call,
     # and no report object: the records are rendered from the chunk's
-    # arrays; one ineq4_batch row per state
+    # arrays; one ineq4_batch row per state, and one write of an all-hold chunk
     counts, count = call_counts
     for name in ("eigvalsh", "svd"):
         count(np.linalg, name)
@@ -652,14 +671,17 @@ def test_verify_counts_per_chunk(monkeypatch, call_counts):
         return orig(c)
 
     monkeypatch.setattr(monogamy, "ineq4_batch", ineq4_batch)
-    trials = 2 * cli.CHUNK + 3
-    assert main(["verify-conjecture", "--dims", "3x2x4", "--trials", str(trials),
-                 "--out", os.devnull]) == 0
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": writes.append})())
+    width = cli._chunk_states((3, 2, 4))
+    trials = 2 * width + 3
+    assert main(["verify-conjecture", "--dims", "3x2x4", "--trials", str(trials)]) == 0
     chunks = 3
     assert counts == {"eigvalsh": 2 * chunks, "svd": chunks,
                       "require_hermitian": 0, "hermitian_eigenvalues": 0,
                       "make_report": 0, "verify_reports": 0}
-    assert rows == [cli.CHUNK, cli.CHUNK, 3]
+    assert rows == [width, width, 3]
+    assert [text.count("\n") for text in writes] == [5 * width, 5 * width, 15]
 
 
 def _verdict_of_reports(capsys, dims, columns, tol, seed):
@@ -673,22 +695,48 @@ def _verdict_of_reports(capsys, dims, columns, tol, seed):
     return code, out.getvalue(), capsys.readouterr().err
 
 
+def _failing(kernel, trials):
+    """kernel with ineq2-4 (findings) and monotonicity_AB (a proven
+    failure) failed at the given trials, counted across its calls."""
+    seen = [0]
+
+    def failing(c):
+        lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = (v.copy() for v in kernel(c))
+        for t in trials:
+            i = t - seen[0]
+            if 0 <= i < len(c):
+                lhs[i] += 10.0
+                n_ab[i] = n_abc[i] + 1.0
+        seen[0] += len(c)
+        return lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc
+
+    return failing
+
+
 @pytest.mark.parametrize("tol", [1e-9, 0.0, -10.0])
 @pytest.mark.parametrize("chunk", [1, 7, 16, 64])
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 3), (3, 2, 4)])
 def test_verify_rows_match_the_report_oracle(capsys, monkeypatch, dims, chunk, tol):
     # --tol -10 fails every report: three findings and two proven failures
-    # per state, exit 1
+    # per state, exit 1. Then the kernel fails trial 10 (mid-chunk, or a
+    # chunk of its own) and the last state of the first chunk.
     monkeypatch.setattr(cli, "CHUNK", chunk)
     trials, seed = 20, 6
-    got = run_cli(capsys, "verify-conjecture", "--dims", "x".join(map(str, dims)),
-                  "--trials", str(trials), "--seed", str(seed), f"--tol={tol!r}")
+    argv = ("verify-conjecture", "--dims", "x".join(map(str, dims)),
+            "--trials", str(trials), "--seed", str(seed), f"--tol={tol!r}")
+    got = run_cli(capsys, *argv)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
     columns = [[v[0] for v in monogamy.verify_batch(random_state(dims, rng).coeffs[None])]
                for _ in range(trials)]
     assert got == _verdict_of_reports(capsys, dims, columns, tol, seed)
     if tol == -10.0:
         assert got[0] == 1 and got[1].count('"finding"') == 3 * trials
+    failed = (10, min(chunk, trials) - 1)
+    monkeypatch.setattr(cli, "verify_batch", _failing(monogamy.verify_batch, failed))
+    got = run_cli(capsys, *argv)
+    oracle = _failing(lambda rows: [np.array(col) for col in zip(*rows)], failed)
+    assert got == _verdict_of_reports(capsys, dims, list(zip(*oracle(columns))), tol, seed)
+    assert got[0] == 1 and got[1].count('"finding"') == (3 * trials if tol == -10.0 else 6)
 
 
 def test_verify_non_finite_entries_render_as_the_encoder_writes_them(capsys, monkeypatch):
@@ -785,11 +833,17 @@ def test_non_finite_tol_is_usage_error(capsys, argv):
     ("perm-lemma", "--samples", "0"),
     ("drury-check", "--trials", "-2"),
     ("search", "--target", "ineqid", "--d", "2", "--trials", "0"),
+    ("special-case", "--d", "-1"),
+    ("special-case", "--d", "0"),
+    ("perm-lemma", "--d", "0"),
+    ("drury-check", "--d", "0"),
+    ("search", "--target", "ineqid", "--d", "0"),
 ])
 def test_no_trials_is_usage_error(capsys, argv):
+    # the offending option is the last of argv, and the message names it
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert len(err.strip().splitlines()) == 1 and "must be at least 1" in err
+    assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
 
 
 SEARCH_TARGETS = [
