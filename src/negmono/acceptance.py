@@ -21,7 +21,7 @@ import numpy as np
 from .imfunc import IMParams, _h_grids, _sup_error, beta_sign_report, im_pair_check
 from .matcore import (_adj, _complex_gaussians, _complex_pairs, _herm, _lapack, _negativities,
                       _ordered_map, _pow, _rng, _workers)
-from .monogamy import _overlaps, _z1, _z2, monotonicity_report, verify_batch
+from .monogamy import CONJECTURED, VERIFY, _overlaps, _z1, _z2, monotonicity_report, verify_batch
 from .permlemma import (
     _chain_walk,
     _drury_sides,
@@ -151,16 +151,18 @@ def partial_trace_monotonicity(seed):
     The states cycle through STATE_DIMS in draw order, all drawn by one
     standard_normal call: each slice is the stream of one random_state.
     They are evaluated by one verify_batch call per dims, on the stack of
-    its states. Only the first failing report, in draw order, is built and
-    returned as the detail."""
+    its states, whose A|B and A|C slacks are rhs - lhs of the two proven
+    links of monogamy.VERIFY. Only the first failing report, in draw order,
+    is built and returned as the detail."""
     k = len(STATE_DIMS)
     stacks = [_unit_states(_complex_pairs(x))[0]
               for x in _draws(_rng(seed, 3), [STATE_DIMS[i % k] for i in range(500)], k)]
+    lhs, rhs = np.array([cols for name, *cols in VERIFY if name not in CONJECTURED]).T
     # slack[i] holds the A|B and A|C slacks of state i
     slack = np.empty((500, 2))
     for j, c in enumerate(stacks):
-        *_, n_ab, n_ac, n_abc = verify_batch(c)
-        slack[j::k] = np.column_stack((n_abc - n_ab, n_abc - n_ac))
+        v = np.column_stack(verify_batch(c))
+        slack[j::k] = v[:, rhs] - v[:, lhs]
     slack = slack.ravel()  # in report order
     bad = np.flatnonzero(~(slack >= -1e-10))
     if bad.size:

@@ -24,17 +24,12 @@ from . import acceptance
 from .imfunc import DEFAULT_QUAD_TOL, DEFAULT_THETA, IMParams, sup_error_table
 from .matcore import (TAU_CHECK, _at_least, _finite_number, _rng, _three_sizes, complex_gaussian,
                       load_matrix)
-from .monogamy import VERIFY_NAMES, verify_batch
+from .monogamy import CONJECTURED, VERIFY, verify_batch
 from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearranged_sum
 from .qstate import _random_coeffs
 from .search import TARGETS, SearchConfig, run_search
 from .specialcase import interlacing_trace, pad_square
 from .errors import QuadratureFailureError, StepFailedError
-
-# ineq2 is He and Vidal's conjectured monogamy of the squared negativity;
-# ineq3 follows from it and ineq4 is equivalent to it, so all three are
-# findings when violated, never proven failures.
-CONJECTURED = ("ineq2", "ineq3", "ineq4")
 
 # One compact encoder for every record, rather than one per json.dumps call;
 # numpy scalars (np.int64, np.bool_, ...) are written as their Python value.
@@ -82,10 +77,10 @@ def _verdict(blocks, out) -> int:
     """Write each block (text, failed), in order, and return the exit
     status: 1 when a proven report failed, else 0. text holds a record per
     line, and failed the (name, slack, record) of its failed reports in
-    order. A failed conjectured report is a finding: a finding record
-    follows its line, and a stderr note names it. The failed proven report
-    with the lowest slack (the first on ties) is named in one stderr line
-    at the end. A block without a finding is one write.
+    order. A failed report named in monogamy.CONJECTURED is a finding: a
+    finding record follows its line, and a stderr note names it. The failed
+    proven report with the lowest slack (the first on ties) is named in one
+    stderr line at the end. A block without a finding is one write.
 
     This is the one verdict loop. A record is its report's record as _encode
     writes it: special-case, perm-lemma and drury-check pass _rows(reports);
@@ -132,57 +127,51 @@ def _chunk_states(dims) -> int:
     return max(1, min(CHUNK, CHUNK_ENTRIES // ((dA * dB) ** 2 + (dA * dC) ** 2)))
 
 
-# The columns of a state's 15 distinct floats in _verify_rows that fill each
-# report of VERIFY_NAMES: lhs, rhs, slack and slack_rel (None for the
-# monotonicity links, which carry no slack_rel).
-COLS = ((0, 1, 7, 12), (0, 2, 8, 13), (0, 3, 9, 14), (4, 6, 10, None), (5, 6, 11, None))
-REL_COLS = [rel for *_, rel in COLS if rel is not None]
-
-
 def _verify_rows(dims, trials: int, tol: float, seed: int):
     """The _verdict blocks of verify-conjecture, one per chunk of
-    _chunk_states(dims) states, rendered from the arrays of verify_batch.
-    slack, holds and slack_rel are the IEEE operations of make_report and
-    monogamy.verify_reports, taken on arrays. A state has 15 distinct floats
-    (the ineq2-4 lhs, their three rhs, N(A|B), N(A|C), N(A|BC), the five
-    slacks and the three slack_rel), and all floats of a chunk are written
-    by one _encode call, each once, so NaN and Infinity read as in any
-    record. A chunk's text is one % of a fixed per-state template (a record
-    per report name, with the key order of InequalityReport.to_dict) over
-    the chunk's argument columns, gathered from COLS; only failed records
-    are rendered one by one."""
+    _chunk_states(dims) states, rendered from the arrays of verify_batch
+    as monogamy.VERIFY lays them out. slack, holds and slack_rel are the
+    IEEE operations of make_report and monogamy.verify_reports, taken on
+    arrays. A state has 15 distinct floats (the seven verify_batch columns,
+    the five slacks and the three slack_rel of the CONJECTURED reports), and
+    all floats of a chunk are written by one _encode call, each once, so NaN
+    and Infinity read as in any record. A chunk's text is one % of a fixed
+    per-state template (a record per report, with the key order of
+    InequalityReport.to_dict) over the chunk's argument columns; a failed
+    record is its line of that text."""
     rng = _rng(seed)
     dims_text = _encode([int(d) for d in dims])
-    templates = [f'{{"name":"{name}","lhs":%s,"rhs":%s,"slack":%s,"holds":%s,'
-                 f'"dims":{dims_text}{"" if rel is None else "%s"},"seed":{seed},"trial":%d}}'
-                 for name, (_, _, _, rel) in zip(VERIFY_NAMES, COLS)]
-    state_template = "\n".join(templates) + "\n"
-    # the argument columns of report k are args[:, ends[k]:ends[k + 1]]
-    ends = np.cumsum([0] + [t.count("%") for t in templates])
+    lhs, rhs = np.array([cols for _, *cols in VERIFY]).T
+    conj = np.array([name in CONJECTURED for name, *_ in VERIFY])
+    state_template = "".join(
+        f'{{"name":"{name}","lhs":%s,"rhs":%s,"slack":%s,"holds":%s,'
+        f'"dims":{dims_text}{"%s" if rel else ""},"seed":{seed},"trial":%d}}\n'
+        for (name, *_), rel in zip(VERIFY, conj))
     width = _chunk_states(dims)
     for start in range(0, trials, width):
         c = _random_coeffs(dims, rng, min(width, trials - start))
-        lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = verify_batch(c)
-        rhs = np.column_stack((rhs2, rhs3, rhs4))
+        v = np.column_stack(verify_batch(c))
         with np.errstate(all="ignore"):  # Python float arithmetic does not warn
-            # (N, 5): one column per report of VERIFY_NAMES
-            slack = np.column_stack((rhs - lhs[:, None], n_abc - n_ab, n_abc - n_ac))
-            rel = slack[:, :3] / rhs
+            # (N, 5): one column per report of VERIFY
+            slack = v[:, rhs] - v[:, lhs]
+            rel = slack[:, conj] / v[:, rhs[conj]]
         holds = slack >= -tol
-        values = np.column_stack((lhs, rhs, n_ab, n_ac, n_abc, slack, rel))
+        values = np.column_stack((v, slack, rel))
         f = np.array(_encode(values.ravel().tolist())[1:-1].split(","), dtype=object)
         f = f.reshape(values.shape)
+        n = v.shape[1]
         holds_text = np.where(holds, "true", "false")
-        rel_text = np.where(rhs > 0, ',"slack_rel":' + f[:, REL_COLS], "")
+        # the slack_rel columns, taken in turn by the CONJECTURED reports
+        rel_text = iter(np.where(v[:, rhs[conj]] > 0,
+                                 ',"slack_rel":' + f[:, n + len(VERIFY):], "").T)
         trial = np.arange(start, start + len(c))
-        args = np.stack([col for k, (lhs_k, rhs_k, slack_k, rel_k) in enumerate(COLS)
-                         for col in (f[:, lhs_k], f[:, rhs_k], f[:, slack_k], holds_text[:, k],
-                                     *(() if rel_k is None else (rel_text[:, k],)),
-                                     trial)], axis=1)
-        failed = [(VERIFY_NAMES[k], float(slack[i, k]),
-                   templates[k] % tuple(args[i, ends[k]:ends[k + 1]].tolist()))
-                  for i, k in zip(*np.nonzero(~holds))]
-        yield (state_template * len(c)) % tuple(args.ravel().tolist()), failed
+        args = np.stack([col for k in range(len(VERIFY))
+                         for col in (f[:, lhs[k]], f[:, rhs[k]], f[:, n + k], holds_text[:, k],
+                                     *((next(rel_text),) if conj[k] else ()), trial)], axis=1)
+        text = (state_template * len(c)) % tuple(args.ravel().tolist())
+        bad = np.argwhere(~holds)  # (state, report) of each failed record, in output order
+        lines = text.split("\n") if len(bad) else ()
+        yield text, [(VERIFY[k][0], float(slack[i, k]), lines[i * len(VERIFY) + k]) for i, k in bad]
 
 
 def _cmd_verify(args) -> int:

@@ -15,9 +15,6 @@ import numpy as np
 from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _negativities, _pow, make_report
 from .qstate import TripartiteState, _stacked, _unit_weight, coeff_matrices
 
-# The reports of verify-conjecture for each state, in output order.
-VERIFY_NAMES = ("ineq2", "ineq3", "ineq4", "monotonicity_AB", "monotonicity_AC")
-
 
 def _block_gram(f: np.ndarray, dA: int) -> np.ndarray:
     # g = f f* holds block (j, i) at rows of block j; swapping the two block
@@ -86,6 +83,16 @@ def _overlaps(c: np.ndarray):
     return a, _pow(np.sum(sv, axis=-1), 2.0)
 
 
+# The reports of verify-conjecture for each state, in output order, as
+# (name, lhs column, rhs column) of verify_batch; a report's slack is rhs - lhs.
+VERIFY = (("ineq2", 0, 1), ("ineq3", 0, 2), ("ineq4", 0, 3),
+          ("monotonicity_AB", 4, 6), ("monotonicity_AC", 5, 6))
+# ineq2 is He and Vidal's conjectured monogamy of the squared negativity;
+# ineq3 follows from it and ineq4 is equivalent to it, so all three are
+# findings when violated, never proven failures. Only they carry slack_rel.
+CONJECTURED = ("ineq2", "ineq3", "ineq4")
+
+
 def verify_batch(c: np.ndarray):
     """The per-state quantities of verify-conjecture for N states at once,
     from their coefficient tensors c of shape (N, dA, dB, dC), each an
@@ -106,20 +113,15 @@ def verify_batch(c: np.ndarray):
 
 
 def verify_reports(dims, values, tol: float = TAU_CHECK, **meta) -> list[InequalityReport]:
-    """The five reports of one state, named as in VERIFY_NAMES, from its
-    entries (lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc) of verify_batch.
-    meta (such as seed and trial) ends each report's digest."""
-    lhs, rhs2, rhs3, rhs4, n_ab, n_ac, n_abc = (float(v) for v in values)
-    bounds = [
-        make_report(name, lhs, rhs, tol, dims=[int(d) for d in dims],
-                    **({"slack_rel": (rhs - lhs) / rhs} if rhs > 0 else {}), **meta)
-        for name, rhs in zip(VERIFY_NAMES[:3], (rhs2, rhs3, rhs4))
-    ]
-    links = [
-        make_report(name, n, n_abc, tol, dims=[int(d) for d in dims], **meta)
-        for name, n in zip(VERIFY_NAMES[3:], (n_ab, n_ac))
-    ]
-    return bounds + links
+    """The five reports of one state, laid out by VERIFY, from its seven
+    entries of verify_batch. A CONJECTURED report with a positive rhs
+    carries slack_rel. meta (such as seed and trial) ends each report's
+    digest."""
+    v = [float(x) for x in values]
+    return [make_report(name, v[lhs], v[rhs], tol, dims=[int(d) for d in dims],
+                        **({"slack_rel": (v[rhs] - v[lhs]) / v[rhs]}
+                           if name in CONJECTURED and v[rhs] > 0 else {}), **meta)
+            for name, lhs, rhs in VERIFY]
 
 
 def _single_state_reports(m: np.ndarray, tol: float) -> list[InequalityReport]:

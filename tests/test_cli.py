@@ -535,6 +535,19 @@ def test_failed_run_names_the_lowest_slack_once(capsys, argv):
     ]
 
 
+@pytest.mark.parametrize("target, code, kind", [
+    (("--target", "ineq4", "--dims", "2x2x2"), 0, "finding"),
+    (("--target", "ineqid", "--d", "3"), 1, "proven statement violated"),
+])
+def test_search_violations_exit_by_kind(capsys, target, code, kind):
+    # --tol -10 fails every trial: a conjectured target's violations are a
+    # finding (exit 0), a proven target's a failure (exit 1)
+    got, out, err = run_cli(capsys, "search", *target, "--trials", "5", "--tol=-10")
+    assert got == code
+    assert err.strip().splitlines() == [f"{kind}: 5 violation(s) for target {target[1]}"]
+    assert parse_ndjson(out)[-1]["result"]["violations"] == 5
+
+
 def test_search_missing_dims(capsys):
     assert run_cli(capsys, "search", "--target", "ineq4", "--trials", "2")[0] == 2
 
@@ -737,6 +750,31 @@ def test_verify_rows_match_the_report_oracle(capsys, monkeypatch, dims, chunk, t
     oracle = _failing(lambda rows: [np.array(col) for col in zip(*rows)], failed)
     assert got == _verdict_of_reports(capsys, dims, list(zip(*oracle(columns))), tol, seed)
     assert got[0] == 1 and got[1].count('"finding"') == (3 * trials if tol == -10.0 else 6)
+
+
+def test_verify_records_read_their_own_columns(capsys, monkeypatch):
+    # column j of trial t holds j + 1 + t / 1000, so each side names its
+    # column; chunks of two states carry the trial across calls
+    seen = [0]
+
+    def kernel(c):
+        t = np.arange(seen[0], seen[0] + len(c)) / 1000
+        seen[0] += len(c)
+        return tuple(j + 1 + t for j in range(7))
+
+    monkeypatch.setattr(cli, "CHUNK", 2)
+    monkeypatch.setattr(cli, "verify_batch", kernel)
+    code, out, _ = run_cli(capsys, "verify-conjecture", "--trials", "5")
+    assert code == 0
+    sides = {"ineq2": (0, 1), "ineq3": (0, 2), "ineq4": (0, 3),
+             "monotonicity_AB": (4, 6), "monotonicity_AC": (5, 6)}
+    records = parse_ndjson(out)
+    assert [r["name"] for r in records] == list(sides) * 5
+    for i, r in enumerate(records):
+        t = i // 5
+        lhs, rhs = sides[r["name"]]
+        assert (r["lhs"], r["rhs"], r["trial"]) == (lhs + 1 + t / 1000, rhs + 1 + t / 1000, t)
+        assert ("slack_rel" in r) == (r["name"] in ("ineq2", "ineq3", "ineq4"))
 
 
 def test_verify_non_finite_entries_render_as_the_encoder_writes_them(capsys, monkeypatch):
