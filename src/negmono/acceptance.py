@@ -20,7 +20,7 @@ import numpy as np
 
 from .imfunc import IMParams, _h_grids, _sup_error, beta_sign_report, im_pair_check
 from .matcore import (_adj, _complex_gaussians, _complex_pairs, _herm, _lapack, _negativities,
-                      _ordered_map, _pow, _rng, _workers)
+                      _ordered_map, _rng, _workers)
 from .monogamy import CONJECTURED, VERIFY, _overlaps, _z1, _z2, monotonicity_report, verify_batch
 from .permlemma import (
     _chain_walk,
@@ -374,8 +374,7 @@ def diagonal_quasinorm_monotonicity(seed):
     The matrices cycle through the sizes in draw order, all drawn by one
     standard_normal call: each slice is the stream of one complex_gaussian.
     They are decomposed by one stacked SVD per size. Both square-root sums
-    are squared by _pow, as schatten squares its sum, so each slack is that
-    of schatten(p, 0.5) to the last bit."""
+    s are squared as the product s * s."""
     shapes = [(1 + i % 6,) * 2 for i in range(500)]
     worst = math.inf
     for x in _draws(_rng(seed, 9), shapes, 6):
@@ -383,7 +382,8 @@ def diagonal_quasinorm_monotonicity(seed):
         p = gmat @ _adj(gmat)
         sv = _lapack(np.linalg.svd, p, compute_uv=False)
         diag = np.sqrt(np.clip(np.diagonal(p, axis1=1, axis2=2).real, 0.0, None))
-        slack = _pow(diag.sum(axis=1), 2.0) - _pow(np.sqrt(sv).sum(axis=1), 2.0)
+        root_diag, root = diag.sum(axis=1), np.sqrt(sv).sum(axis=1)
+        slack = root_diag * root_diag - root * root
         worst = min(worst, float(slack.min()))
     return worst >= -1e-9, {"min_slack": worst}
 

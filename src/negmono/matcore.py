@@ -78,23 +78,6 @@ def as_complex_matrix(x) -> np.ndarray:
     return _finite("matrix entries", x, 2, complex)
 
 
-def _pow(v, p: float) -> np.ndarray:
-    """v ** p at every entry of the float array v, of any shape, by libm pow
-    on Python floats. It serves the squares of monogamy._overlaps and
-    verify_batch, of criterion 9 and of permlemma._commutative_sides, which
-    keep libm so that each float is its Python-float form's to the last bit,
-    as the verify-conjecture records pin: numpy's array power differs from
-    libm in the last bit on about 5% of inputs, and its x * x on about one
-    in 1000."""
-    v = np.asarray(v, dtype=float)
-    try:
-        out = np.fromiter(map(pow, v.ravel().tolist(), itertools.repeat(p)), float, v.size)
-    except OverflowError:  # a power past the float range: numpy's scalar libm pow gives inf
-        with np.errstate(over="ignore"):
-            out = np.fromiter(map(pow, v.ravel(), itertools.repeat(p)), float, v.size)
-    return out.reshape(v.shape)
-
-
 # The start method of every worker pool, named here so that the platform
 # default (fork on Linux up to Python 3.13, forkserver from 3.14) cannot
 # change what a worker inherits or what starting the pool costs. Fork on

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _negativities, _pow, make_report
+from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _negativities, make_report
 from .qstate import TripartiteState, _stacked, _unit_weight, coeff_matrices
 
 
@@ -75,12 +75,13 @@ def _overlaps(c: np.ndarray):
     singular values are the Schmidt coefficients of the A|BC cut. Summing
     them before squaring keeps q exact to roundoff when g is rank-deficient
     (dA > dB dC), where the square roots of g's roundoff-level singular
-    values would add about 1e-8. The sums are squared by _pow, as
-    schatten(a, 1.0) ** 2 squares its float."""
+    values would add about 1e-8. Each sum s is squared as the product
+    s * s; one past the float range is a silent inf."""
     n, dA = c.shape[:2]
     a = c.reshape(n, dA, -1).swapaxes(1, 2).copy()
-    sv = _lapack(np.linalg.svd, a, compute_uv=False)
-    return a, _pow(np.sum(sv, axis=-1), 2.0)
+    s = np.sum(_lapack(np.linalg.svd, a, compute_uv=False), axis=-1)
+    with np.errstate(over="ignore"):
+        return a, s * s
 
 
 # The reports of verify-conjecture for each state, in output order, as
@@ -105,11 +106,14 @@ def verify_batch(c: np.ndarray):
     and the ineq2/ineq3 right-hand sides and N(A|BC) assume unit weight,
     so callers check outside input first. A chunk takes one stacked
     eigvalsh each of Z1 and Z2 and one stacked SVD of the A|BC coefficient
-    matrices, and builds no density matrix."""
+    matrices, and builds no density matrix. Every square is the product
+    x * x, and one past the float range is a silent inf."""
     n_ab, n_ac, lhs, rhs4 = ineq4_batch(c)
     n_abc = _overlaps(c)[1] - 1.0
-    rhs3 = _pow(_pow(np.sum(_norms(c), axis=1), 2.0) - 1.0, 2.0)
-    return lhs, _pow(n_abc, 2.0), rhs3, rhs4, n_ab, n_ac, n_abc
+    w = np.sum(_norms(c), axis=1)
+    with np.errstate(over="ignore"):
+        r3 = w * w - 1.0
+        return lhs, n_abc * n_abc, r3 * r3, rhs4, n_ab, n_ac, n_abc
 
 
 def verify_reports(dims, values, tol: float = TAU_CHECK, **meta) -> list[InequalityReport]:

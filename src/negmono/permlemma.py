@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matcore import (InequalityReport, TAU_CHECK, _adj, _finite, _herm, _index, _lapack, _pow,
-                      _square, make_report)
+from .matcore import (InequalityReport, TAU_CHECK, _adj, _finite, _herm, _index, _lapack, _square,
+                      make_report)
 from .specialcase import _SIDES
 
 # Largest size for which all d! permutations are enumerated.
@@ -125,19 +125,25 @@ def _rearranged_sums(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     _pair_index(perms): every table of a stack (..., d^2) meets every row of
     index (P, d), giving (..., P). For a stack of N tables that meets one
     permutation each, pass table.ravel() and offset row k of index by
-    k * d^2. Each sum adds the same floats in the same order as the
-    elementwise sqrt(clip(v - v[pi], 0)).sum(), so it is that sum to the
-    last bit. Their maximum over all of S_d is _max_rearranged's work."""
-    return np.take(table, index, axis=-1).sum(axis=-1)
+    k * d^2. Each sum folds left from +0.0, adding the terms in row order
+    i = 0..d-1; below 8 terms that is numpy's own sum order, so it is the
+    elementwise sqrt(clip(v - v[pi], 0)).sum() to the last bit. Their
+    maximum over all of S_d is _max_rearranged's work."""
+    sums = np.zeros(table.shape[:-1] + index.shape[:-1])
+    for column in index.T:
+        sums += np.take(table, column, axis=-1)
+    return sums
 
 
 def _commutative_sides(mu: np.ndarray, perms: np.ndarray):
     """(lhs, rhs) of check_commutative for spectra mu and 0-based images
-    perms, both (N, d), unvalidated. The sum is squared by _pow."""
+    perms, both (N, d), unvalidated. The sum s is squared as the product
+    s * s; one past the float range is a silent inf."""
     n, d = mu.shape
     index = _pair_index(perms) + d * d * np.arange(n)[:, None]
     sums = _rearranged_sums(_pair_table(mu).ravel(), index)
-    return _pow(sums, 2.0), (d / 2.0) * mu.sum(axis=1)
+    with np.errstate(over="ignore"):
+        return sums * sums, (d / 2.0) * mu.sum(axis=1)
 
 
 def check_commutative(mu, image, tol: float = TAU_CHECK) -> InequalityReport:
@@ -204,18 +210,14 @@ def _max_rearranged(mu: np.ndarray) -> np.ndarray:
     stack of spectra mu (N, d), d <= D_MAX, unvalidated: to the last bit
     _rearranged_sums(_pair_table(mu), _pair_index(_perm_array(d))).max(-1).
 
-    Below 8 terms numpy sums left to right, so the sum of pi is built row
-    by row, and best(S), the largest partial sum that gives rows 0..|S|-1
-    the columns S, is the maximum over j in S of fl(best(S - {j}) +
-    sqrt((mu_{|S|-1} - mu_j)_+)), with best({}) = 0: fl(x + c) is
+    Each sum folds left from +0.0, so the sum of pi is built row by row,
+    and best(S), the largest partial sum that gives rows 0..|S|-1 the
+    columns S, is the maximum over j in S of fl(best(S - {j}) +
+    sqrt((mu_{|S|-1} - mu_j)_+)), with best({}) = +0.0: fl(x + c) is
     non-decreasing in x, so a prefix that is not the best for its columns
-    never ends a larger sum. That is d 2^(d-1) additions for d! sums. At 8
-    terms numpy sums by the tree ((a0 + a1) + (a2 + a3)) + ((a4 + a5) +
-    (a6 + a7)), and the maximum is taken over the enumerated sums."""
+    never ends a larger sum. That is d 2^(d-1) additions for d! sums."""
     n, d = mu.shape
     table = _pair_table(mu)
-    if d == 8:
-        return _rearranged_sums(table, _pair_index(_perm_array(d))).max(axis=-1)
     best = np.zeros((n, 2**d))
     for masks, prev, index in _subset_levels(d):
         best[:, masks] = (best[:, prev] + table[:, index]).max(axis=-1)

@@ -247,7 +247,8 @@ def _per_state_negativity_identity(seed):
             pt = partial_transpose_A(density(s), dims)
             a = negativity(pt)
             am = amat(mats)
-            b = schatten(am, 1.0) ** 2 - 1.0
+            root = schatten(am, 1.0)
+            b = root * root - 1.0
             worst_rel = max(worst_rel, abs(a - b) / max(abs(a), abs(b), 1e-30))
             kron = np.kron(am.conj().T @ am, am @ am.conj().T)
             worst_kron = max(worst_kron, float(np.abs(pt @ pt - kron).max()))
@@ -297,15 +298,17 @@ def _per_matrix_drury_reduction(seed):
 
 
 def _per_matrix_diagonal_quasinorm_monotonicity(seed):
-    # criterion 9 one matrix at a time, through schatten
+    # criterion 9 one matrix at a time: the square-root sums of the
+    # diagonal and of the singular values, each squared as a product
     rng = acceptance._rng(seed, 9)
     worst = math.inf
     for i in range(500):
         d = 1 + i % 6
         gmat = complex_gaussian(rng, (d, d))
         p = gmat @ gmat.conj().T
-        diag_q = float(np.sum(np.sqrt(np.clip(np.diag(p).real, 0.0, None)))) ** 2
-        worst = min(worst, diag_q - schatten(p, 0.5))
+        root_diag = float(np.sum(np.sqrt(np.clip(np.diag(p).real, 0.0, None))))
+        root = float(np.sum(np.sqrt(np.linalg.svd(p, compute_uv=False))))
+        worst = min(worst, root_diag * root_diag - root * root)
     return {"min_slack": worst}
 
 

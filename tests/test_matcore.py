@@ -11,7 +11,6 @@ from negmono.matcore import (
     _herm,
     _negativities,
     _ordered_map,
-    _pow,
     as_complex_matrix,
     complex_gaussian,
     hermitian_eig,
@@ -186,18 +185,6 @@ def test_matrix_json_roundtrip_keeps_signed_zeros_and_subnormals():
                   [complex(-1e-310, 2.2250738585072014e-308), complex(1.0, -0.0)]])
     back = matrix_from_dict(json.loads(json.dumps(matrix_to_dict(m))))
     assert back.dtype == complex and back.tobytes() == m.tobytes()
-
-
-def test_pow_is_the_python_float_power_at_every_shape():
-    # libm pow by way of Python floats, entry by entry, at any shape; a
-    # power past the float range is inf, where a Python float would raise
-    xs = np.random.default_rng(3).normal(scale=1e3, size=(4, 250))
-    for p in (2.0, 1.25, -0.25):
-        v = np.abs(xs) if p % 1 else xs
-        want = np.array([t ** p for t in v.ravel().tolist()]).reshape(v.shape)
-        assert _pow(v, p).tobytes() == want.tobytes()
-        assert _pow(v[0, 0], p).shape == ()
-    np.testing.assert_array_equal(_pow(np.array([[1e200], [3.0]]), 2.0), [[np.inf], [9.0]])
 
 
 @pytest.mark.parametrize("size", [1.9, 1.0, "1", None, True])

@@ -124,9 +124,10 @@ def test_inequality_chain_holds_on_random_states(dims):
 def test_verify_batch_matches_single_state_formulas(dims):
     # the stacked kernel does the arithmetic of the single-state route
     # (ineq4_batch's Z1/Z2 spectra, schatten's SVD of the A|BC coefficient
-    # matrix, C pow on floats), so every value agrees to the last bit (x * x
-    # in place of pow changes about one square in a thousand); the three
-    # negativities also stay within 1e-13 of the density route
+    # matrix, squares as products x * x), so every value agrees to the last
+    # bit (libm pow(x, 2) in place of x * x changes about one square in a
+    # thousand); the three negativities also stay within 1e-13 of the
+    # density route
     rng = np.random.default_rng(11)
     states = [random_state(dims, rng) for _ in range(200)]
     got = np.column_stack(verify_batch(np.stack([s.coeffs for s in states])))
@@ -135,11 +136,12 @@ def test_verify_batch_matches_single_state_formulas(dims):
         r4 = ineq4_report(mats)
         n1, n2, _, _ = ineq4_batch(s.coeffs[None])
         norms = [np.sqrt(np.sum(np.abs(m) ** 2)) for m in mats]
-        q = schatten(amat(mats), 1.0) ** 2
+        root, w = schatten(amat(mats), 1.0), float(np.sum(norms))
+        q = root * root
         want = [
             r4.lhs,
-            (q - 1.0) ** 2,
-            (float(np.sum(norms)) ** 2 - 1.0) ** 2,
+            (q - 1.0) * (q - 1.0),
+            (w * w - 1.0) * (w * w - 1.0),
             r4.rhs,
             float(n1[0]),
             float(n2[0]),

@@ -1,6 +1,9 @@
+import functools
 import itertools
 import math
+import operator
 import re
+import warnings
 
 import numpy as np
 import permlemma_oracles
@@ -127,6 +130,17 @@ def test_check_commutative_exhaustive_small():
                 assert check_commutative(mu, perm).holds
 
 
+def test_check_commutative_square_past_the_float_range_is_a_silent_inf():
+    # three swapped pairs at the top of the float range: the sum 3 sqrt(a)
+    # rounds just above sqrt(max), so its square is inf, with no
+    # RuntimeWarning, while (d/2) sum(mu) stays finite
+    a = 1.997436816513684e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_commutative([a] * 3 + [0.0] * 3, (4, 5, 6, 1, 2, 3))
+    assert rep.lhs == math.inf and rep.rhs == 1.7976931348623155e308
+
+
 def test_chain_bound_holds_per_chain():
     rng = np.random.default_rng(2)
     mu = np.sort(rng.random(6))[::-1]
@@ -248,9 +262,13 @@ def test_check_commutative_rejects_non_finite_spectra(bad):
 
 @pytest.mark.parametrize("d", range(1, D_MAX + 1))
 def test_rearranged_sums_match_the_elementwise_sum(d):
-    # the pair-table gather is the elementwise sum to the last bit: for one
-    # spectrum against all of S_d, and for a stack with one permutation per
-    # row; unsorted spectra with ties and zeros reach the clip at 0
+    # the pair-table gather is the elementwise terms folded left from +0.0,
+    # to the last bit: for one spectrum against all of S_d, and for a stack
+    # with one permutation per row; unsorted spectra with ties and zeros
+    # reach the clip at 0. Below 8 terms that is also numpy's sum
+    def fold(v, perm):
+        return functools.reduce(operator.add, np.sqrt(np.clip(v - v[perm], 0, None)).tolist(), 0.0)
+
     rng = np.random.default_rng(200 + d)
     mu = rng.random(d)
     mu[rng.random(d) < 0.3] = 0.0
@@ -258,25 +276,26 @@ def test_rearranged_sums_match_the_elementwise_sum(d):
         mu[1] = mu[2]
     perms = _perm_array(d)
     got = _rearranged_sums(_pair_table(mu), _pair_index(perms))
-    ref = [np.sqrt(np.clip(mu - mu[perm], 0, None)).sum() for perm in perms]
-    assert got.tolist() == [float(r) for r in ref]
+    assert got.tolist() == [fold(mu, perm) for perm in perms]
+    if d < 8:
+        assert got.tolist() == [np.sqrt(np.clip(mu - mu[perm], 0, None)).sum() for perm in perms]
     stack = rng.random((50, d))
     rows = perms[rng.integers(len(perms), size=50)]
     index = _pair_index(rows) + d * d * np.arange(50)[:, None]
     got = _rearranged_sums(_pair_table(stack).ravel(), index)
-    ref = [np.sqrt(np.clip(v - v[perm], 0, None)).sum() for v, perm in zip(stack, rows)]
-    assert got.tolist() == [float(r) for r in ref]
+    assert got.tolist() == [fold(v, perm) for v, perm in zip(stack, rows)]
 
 
 @pytest.mark.parametrize("d", range(1, D_MAX + 1))
 def test_max_rearranged_is_the_enumerated_maximum(d):
-    # the subset DP, and the enumeration at d = 8, give the largest of the
-    # d! gathered sums to the last bit: for random spectra, spectra with
-    # ties and zeros, all-equal spectra, and the clipped spectra of B B*
-    # that _drury_sides builds (d = 8 gathers 40320 sums a spectrum, so it
-    # gets fewer)
+    # the subset DP gives the largest of the d! gathered sums, each folded
+    # left, to the last bit at every d, d = 8 included, where numpy's own
+    # sum turns pairwise: for random spectra, spectra with ties and zeros,
+    # all-equal spectra, and the clipped spectra of B B* that _drury_sides
+    # builds, whose maximum is also drury_numeric_check's rhs (d = 8
+    # gathers 40320 sums a spectrum, so it gets fewer)
     rng = np.random.default_rng(300 + d)
-    count = 200 if d < D_MAX else 8
+    count = 200 if d < D_MAX else 40
     ties = rng.random((7, d))
     ties[rng.random((7, d)) < 0.3] = 0.0
     if d > 2:
@@ -287,7 +306,10 @@ def test_max_rearranged_is_the_enumerated_maximum(d):
     index = _pair_index(_perm_array(d))
     for mu in (rng.random((count, d)), ties, equal, np.clip(gram, 0.0, None)):
         ref = np.array([_rearranged_sums(_pair_table(v), index).max() for v in mu])
-        assert np.array_equal(_max_rearranged(mu), ref)
+        assert _max_rearranged(mu).tobytes() == ref.tobytes()
+    for b in bs:
+        mu = np.clip(hermitian_eigenvalues(b @ b.conj().T)[::-1], 0.0, None)
+        assert drury_numeric_check(b).rhs == _rearranged_sums(_pair_table(mu), index).max()
 
 
 def test_drury_shift_equality():
