@@ -156,14 +156,6 @@ def _simpson_panels(f, a: np.ndarray, b: np.ndarray, tol: float | np.ndarray) ->
     return value
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature with Richardson correction, 60 halvings deep at most."""
-    if b <= a:
-        return 0.0
-    fs = lambda ys: np.fromiter(map(f, ys.tolist()), float, ys.size)
-    return float(_simpson_panels(fs, np.array([a], float), np.array([b], float), tol)[0])
-
-
 def tail_bound(x: float, theta: float = DEFAULT_THETA) -> float:
     """Closed-form bound on the integral of g over (-inf, x] for x < 0,
     from g(y) <= exp(theta y / 2) / (2 sqrt(-y))."""

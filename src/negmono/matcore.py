@@ -1,7 +1,7 @@
-"""Dense complex matrix core: Hermitian spectra, Schatten (quasi-)norms,
-Jordan decomposition, psd square roots, the shared inequality-report
-record and the stacked primitives (adjoint, Hermitian part, negative-part
-trace) that the batched kernels share.
+"""Dense complex matrix core: Hermitian spectra, negativities, psd square
+roots, the shared inequality-report record and the stacked primitives
+(adjoint, Hermitian part, negative-part trace) that the batched kernels
+share.
 
 All tolerances are relative to the largest entry magnitude of the input,
 except the global slack tolerance TAU_CHECK which is absolute.
@@ -216,23 +216,6 @@ def hermitian_eig(h) -> HermitianEigen:
 def hermitian_eigenvalues(h) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix."""
     return _lapack(np.linalg.eigvalsh, require_hermitian(h))
-
-
-def schatten(x, q: float) -> float:
-    """Schatten q-(quasi-)norm (sum of sigma^q)^(1/q), computed from
-    singular values; q in (0, 1) gives the quasi-norm used for q = 1/2."""
-    _finite_number("Schatten exponent", q, positive=True)
-    s = _lapack(np.linalg.svd, as_complex_matrix(x), compute_uv=False)
-    return float(np.sum(s**q) ** (1.0 / q))
-
-
-def jordan_parts(h) -> tuple[np.ndarray, np.ndarray]:
-    """Positive and negative parts (P, N) with H = P - N, both psd."""
-    e = hermitian_eig(h)
-    v = e.eigenvectors
-    pos = (v * np.clip(e.eigenvalues, 0.0, None)) @ _adj(v)
-    neg = (v * np.clip(-e.eigenvalues, 0.0, None)) @ _adj(v)
-    return pos, neg
 
 
 def _negativities(h: np.ndarray) -> np.ndarray:

@@ -70,7 +70,8 @@ def ineq4_batch(c: np.ndarray):
 
 
 def _overlaps(c: np.ndarray):
-    """The amat a of each tensor of a stack c and q = ||g||_{1/2} =
+    """The A|BC matrix a of each tensor of a stack c, whose column i is the
+    coefficient matrix A_i flattened row-major, and q = ||g||_{1/2} =
     ||a||_1^2 of its overlap matrix g = a* a, from one stacked SVD of a, whose
     singular values are the Schmidt coefficients of the A|BC cut. Summing
     them before squaring keeps q exact to roundoff when g is rank-deficient

@@ -92,11 +92,17 @@ def _chain_walk(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spectrum_and_images(mu, image, sorted_required: bool = True):
-    """The validated mu and, as a row, the 0-based images of pi."""
+    """The validated mu and, as a row, the 0-based images of pi. A
+    rearranged sum s of d terms is at most d sqrt(max mu), so with
+    d^2 max mu at most half the largest float, s * s stays finite."""
     img = _validate_permutation(image)
     v = _validate_spectrum(mu, sorted_required)
     if v.size != len(img):
         raise ValueError(f"len(mu)={v.size} but len(pi)={len(img)}")
+    limit = 0.5 * float(np.finfo(float).max) / (v.size * v.size)
+    if v.max() > limit:
+        raise ValueError(f"spectrum entries must be at most {limit!r} (half the largest float "
+                         f"over d^2, d = {v.size}), got {float(v.max())!r}")
     return v, np.array(img)[None, :] - 1
 
 
@@ -138,12 +144,12 @@ def _rearranged_sums(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _commutative_sides(mu: np.ndarray, perms: np.ndarray):
     """(lhs, rhs) of check_commutative for spectra mu and 0-based images
     perms, both (N, d), unvalidated. The sum s is squared as the product
-    s * s; one past the float range is a silent inf."""
+    s * s, finite for every mu that _spectrum_and_images accepts and every
+    spectrum the search settles to sum 1."""
     n, d = mu.shape
     index = _pair_index(perms) + d * d * np.arange(n)[:, None]
     sums = _rearranged_sums(_pair_table(mu).ravel(), index)
-    with np.errstate(over="ignore"):
-        return sums * sums, (d / 2.0) * mu.sum(axis=1)
+    return sums * sums, (d / 2.0) * mu.sum(axis=1)
 
 
 def check_commutative(mu, image, tol: float = TAU_CHECK) -> InequalityReport:

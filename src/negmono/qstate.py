@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import (_complex_gaussians, _finite, _lapack, _three_sizes, as_complex_matrix,
-                      json_entries, json_pairs)
+from .matcore import (_complex_gaussians, _finite, _three_sizes, as_complex_matrix, json_entries,
+                      json_pairs)
 
 # Accepted deviation of the total squared weight from one.
 TAU_NORM = 1e-10
@@ -102,22 +102,6 @@ def _stacked(mats) -> np.ndarray:
     return np.stack(mats)
 
 
-def amat(mats) -> np.ndarray:
-    """Stack the vectorised coefficient matrices column-wise.
-
-    Column i is A_i flattened row-major, so the result has shape
-    (dB * dC) x dA and its Gram matrix holds the overlaps tr(A_i* A_j).
-    """
-    m = _stacked(mats)
-    return m.reshape(m.shape[0], -1).T.copy()
-
-
-def gram_matrix(mats) -> np.ndarray:
-    """Overlap matrix G[i, j] = tr(A_i* A_j)."""
-    a = amat(mats)
-    return a.conj().T @ a
-
-
 def _density(c: np.ndarray) -> np.ndarray:
     """Rank-one density matrices of a stack of coefficient tensors
     (..., dA, dB, dC), in the composite basis."""
@@ -181,19 +165,6 @@ def partial_trace_C(x, dims) -> np.ndarray:
     """Trace out the last factor, leaving a (dA*dB) x (dA*dB) operator."""
     m = as_complex_matrix(x)
     return _partial_trace_C(m, _check_op_dims(m, dims))
-
-
-def diagonalize_gram(state: TripartiteState) -> TripartiteState:
-    """Rotate the first tensor index so the overlap matrix becomes diagonal.
-
-    Uses the left singular basis of the conjugate-transposed stack; the
-    rotation is a local unitary on the first factor, so every negativity
-    is unchanged.
-    """
-    a = amat(coeff_matrices(state))
-    u, _, _ = _lapack(np.linalg.svd, a.conj().T, full_matrices=True)
-    rotated = np.einsum("im,ijk->mjk", u, state.coeffs)
-    return TripartiteState(rotated, normalize=True)
 
 
 def state_to_dict(state: TripartiteState) -> dict:

@@ -204,14 +204,6 @@ def _generators(seed: int, trials) -> list:
             for words in _seed_words(seed, trials)]
 
 
-def random_instance(cfg: SearchConfig, trial_index: int):
-    """Deterministic random instance for one trial: a normalised Gaussian
-    state for ineq4, a complex Gaussian matrix for the ineqid targets, or a
-    sorted exponentially spaced spectrum plus uniform permutation."""
-    x, perms = _sample(cfg, _generators(cfg.seed, [_index("trial_index", trial_index)])[0])
-    return _instance(cfg.target, x, perms, 0)
-
-
 def _sample(cfg: SearchConfig, rngs: list):
     """The descent starts drawn from the given generators, one each, every
     start as a single draw from its generator would give it: a stack x of

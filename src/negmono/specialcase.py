@@ -112,11 +112,6 @@ def check_ineqid(b, tol: float = TAU_CHECK) -> InequalityReport:
     return _check("ineqid", b, tol)
 
 
-def check_ineqid1(b, tol: float = TAU_CHECK) -> InequalityReport:
-    """tr Z_- <= tr sqrt(Delta_minus)."""
-    return _check("ineqid1", b, tol)
-
-
 def check_ineqid2(b, sign: str = "minus", tol: float = TAU_CHECK) -> InequalityReport:
     """tr sqrt(Delta_-+) <= sqrt(d/2) ||B||_2 for either Jordan part.
 

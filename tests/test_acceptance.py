@@ -26,13 +26,13 @@ from imfunc_oracles import reference_approximation_suite
 
 from negmono import acceptance, imfunc, matcore, monogamy, permlemma, qstate
 from negmono.errors import StepFailedError
-from negmono.matcore import complex_gaussian, matrix_from_dict, negativity, schatten
+from negmono.matcore import complex_gaussian, matrix_from_dict, negativity
 from negmono.monogamy import build_Z1, build_Z2, monotonicity_report
 from negmono.permlemma import check_commutative, drury_numeric_check
-from negmono.qstate import (amat, coeff_matrices, density, partial_trace_B, partial_trace_C,
+from negmono.qstate import (coeff_matrices, density, partial_trace_B, partial_trace_C,
                             partial_transpose_A, random_state)
 from negmono.search import run_search
-from negmono.specialcase import BOUNDS, STEPS, check_ineqid1, interlacing_trace
+from negmono.specialcase import _SIDES, BOUNDS, STEPS, interlacing_trace
 
 CASES = [(i + 1, fn) for i, fn in enumerate(acceptance.CRITERIA)]
 
@@ -243,11 +243,10 @@ def _per_state_negativity_identity(seed):
     for dims in acceptance.STATE_DIMS:
         for _ in range(200):
             s = random_state(dims, rng)
-            mats = coeff_matrices(s)
             pt = partial_transpose_A(density(s), dims)
             a = negativity(pt)
-            am = amat(mats)
-            root = schatten(am, 1.0)
+            am = s.coeffs.reshape(dims[0], -1).T
+            root = np.linalg.norm(am, "nuc")
             b = root * root - 1.0
             worst_rel = max(worst_rel, abs(a - b) / max(abs(a), abs(b), 1e-30))
             kron = np.kron(am.conj().T @ am, am @ am.conj().T)
@@ -596,7 +595,7 @@ def test_special_case_chain_reports_a_late_bound_failure_in_draw_order(monkeypat
     assert in_workers.details == in_process.details
     failed = in_workers.details["failed"]
     assert (failed["name"], failed["holds"], failed["d"]) == ("ineqid1", False, 2)
-    assert failed["lhs"] == pytest.approx(check_ineqid1(stacks[2][600]).lhs, rel=1e-12)
+    assert failed["lhs"] == pytest.approx(_SIDES["ineqid1"](stacks[2][600][None])[0][0], rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["step_c_weyl", "ineqid1"])

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from negmono import acceptance, cli, matcore, monogamy, search, specialcase
 from negmono.cli import main
-from negmono.errors import RootNotBracketedError, StepFailedError
+from negmono.errors import NoConvergenceError, RootNotBracketedError, StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, matrix_to_dict
 from negmono.monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
 from negmono.qstate import _random_coeffs, coeff_matrices, random_state, state_from_dict
@@ -113,13 +114,29 @@ def _module_env():
 
 
 def test_import_loads_no_process_pool():
-    # search imports its pool on the --jobs > 1 path only, and numpy.random
-    # when it first draws
+    # import negmono loads every module but cli, so no argparse; search
+    # imports its pool on the --jobs > 1 path only, and numpy.random when it
+    # first draws
     code = ("import sys, negmono; "
-            "print('multiprocessing' in sys.modules, 'numpy.random' in sys.modules)")
+            "print(sorted(m for m in sys.modules if m.startswith('negmono'))); "
+            "print([m for m in ('argparse', 'multiprocessing', 'numpy.random') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=_module_env(),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "False False\n"
+    modules = ["acceptance", "errors", "imfunc", "matcore", "monogamy", "permlemma", "qstate",
+               "search", "specialcase"]
+    assert proc.stdout.splitlines() == [str(["negmono"] + [f"negmono.{m}" for m in modules]), "[]"]
+
+
+def test_readme_library_example_runs(capsys):
+    # the one documented import path: each name from its module
+    readme = open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "README.md")).read()
+    example = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(example, {})
+    slacks, reports = capsys.readouterr().out.splitlines()
+    assert slacks.split()[-1] == "True"
+    assert [holds for _, holds in ast.literal_eval(reports)] == [True] * len(STEPS + BOUNDS)
 
 
 def test_module_entry_point_runs_the_cli():
@@ -429,6 +446,19 @@ def test_lapack_failure_is_internal_error(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.strip().splitlines() == ["internal error: Eigenvalues did not converge"]
+
+
+def test_svd_failure_is_internal_error(capsys, monkeypatch):
+    # the A|BC SVD of verify_batch goes through matcore._lapack like eigvalsh
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, out, err = run_cli(capsys, "verify-conjecture", "--dims", "2x2x2", "--trials", "2")
+    assert code == 3 and out == ""
+    assert err.strip().splitlines() == ["internal error: SVD did not converge"]
+    with pytest.raises(NoConvergenceError, match="^SVD did not converge$"):
+        monogamy.verify_batch(_random_coeffs((2, 2, 2), np.random.default_rng(14), 2))
 
 
 def test_bracketing_failure_is_internal_error(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from negmono.errors import QuadratureFailureError, RootNotBracketedError
 from negmono.imfunc import (
     DEFAULT_QUAD_TOL,
     IMParams,
-    adaptive_simpson,
     alpha,
     beta,
     beta_sign_report,
@@ -107,9 +106,15 @@ def test_g_right_tail_behaves_like_half_inverse_sqrt():
         assert g(x) == pytest.approx(0.5 / math.sqrt(x), rel=1e-6)
 
 
+def _one_panel(f, a, b, tol):
+    # the adaptive Simpson driver on the one panel [a, b], f taken per point
+    fs = lambda ys: np.fromiter(map(f, ys.tolist()), float, ys.size)
+    return float(imfunc._simpson_panels(fs, np.array([a]), np.array([b]), tol)[0])
+
+
 def test_adaptive_simpson_polynomial_exact():
     # Simpson integrates cubics exactly; the adaptive driver must too
-    val = adaptive_simpson(lambda t: t**3 - 2.0 * t + 1.0, -1.0, 3.0, 1e-12)
+    val = _one_panel(lambda t: t**3 - 2.0 * t + 1.0, -1.0, 3.0, 1e-12)
     exact = (3.0**4 / 4 - 3.0**2 + 3.0) - (1.0 / 4 - 1.0 - 1.0)
     assert val == pytest.approx(exact, abs=1e-11)
 
@@ -121,12 +126,7 @@ def test_adaptive_simpson_against_quad():
         (math.sin, 0.0, 10.0),
     ]:
         ref = quad(fn, a, b, epsabs=1e-13, limit=300)[0]
-        assert adaptive_simpson(fn, a, b, 1e-11) == pytest.approx(ref, abs=1e-10)
-
-
-def test_adaptive_simpson_empty_interval():
-    assert adaptive_simpson(math.sin, 2.0, 2.0, 1e-10) == 0.0
-    assert adaptive_simpson(math.sin, 3.0, 2.0, 1e-10) == 0.0
+        assert _one_panel(fn, a, b, 1e-11) == pytest.approx(ref, abs=1e-10)
 
 
 def test_tail_bound_dominates_dropped_mass():
@@ -237,7 +237,7 @@ def test_h_is_h_grid_at_one_point(theta, quad_tol):
     for x in (lo - 1.0, lo, -3.0, 0.0, 0.5, 7.0, 500.0):
         got = h(x, theta, quad_tol)
         assert got == h_grid([x], theta, quad_tol)[0]
-        ref = 0.0 if x <= lo else adaptive_simpson(
+        ref = 0.0 if x <= lo else recursive_simpson(
             lambda y: imfunc._g_scalar(y, theta), lo, x, 0.5 * quad_tol)
         assert got == ref
     assert h(lo, theta, quad_tol) == 0.0 and h(lo - 1.0, theta, quad_tol) == 0.0
@@ -598,10 +598,10 @@ def test_adaptive_simpson_is_the_recursion(f, a, b, tol):
         ref = recursive_simpson(f, a, b, tol)
     except QuadratureFailureError as exc:
         with pytest.raises(QuadratureFailureError) as info:
-            adaptive_simpson(f, a, b, tol)
+            _one_panel(f, a, b, tol)
         assert str(info.value) == str(exc)
     else:
-        assert adaptive_simpson(f, a, b, tol) == ref
+        assert _one_panel(f, a, b, tol) == ref
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])

@@ -15,7 +15,6 @@ from negmono.matcore import (
     complex_gaussian,
     hermitian_eig,
     hermitian_eigenvalues,
-    jordan_parts,
     load_matrix,
     make_report,
     matrix_from_dict,
@@ -23,7 +22,6 @@ from negmono.matcore import (
     negativity,
     psd_sqrt,
     require_hermitian,
-    schatten,
 )
 from negmono.permlemma import drury_numeric_check
 from negmono.specialcase import check_ineqid, commutator_gap, connecting_unitary
@@ -77,58 +75,15 @@ def test_hermitian_eigenvalues_match_numpy():
     np.testing.assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h))
 
 
-@pytest.mark.parametrize("q,expected", [(1.0, 5.0), (2.0, np.sqrt(17.0)), (0.5, 9.0)])
-def test_schatten_diagonal_oracle(q, expected):
-    # singular values 4 and 1, so (4^q + 1^q)^(1/q) by hand
-    m = np.diag([4.0, 1.0]).astype(complex)
-    assert schatten(m, q) == pytest.approx(expected, rel=1e-14)
-
-
-def test_schatten_invariant_under_unitaries():
-    rng = np.random.default_rng(3)
-    m = complex_gaussian(rng, (5, 5))
-    u, _, vh = np.linalg.svd(complex_gaussian(rng, (5, 5)))
-    for q in (0.5, 1.0, 2.0, 3.0):
-        assert schatten(u @ m @ vh, q) == pytest.approx(schatten(m, q), rel=1e-10)
-
-
-def test_schatten_rejects_nonpositive_q():
-    with pytest.raises(ValueError, match=r"^Schatten exponent must be finite and positive, got 0\.0$"):
-        schatten(np.eye(2), 0.0)
-
-
-@pytest.mark.parametrize("m", [np.zeros((2, 2)), np.eye(3), np.diag([4.0, 1.0])],
-                         ids=["zero", "identity", "diagonal"])
-def test_schatten_rejects_infinite_q(m):
-    # sum(s**inf) ** (1 / inf) read 1.0 for every matrix, the zero one included
-    with pytest.raises(ValueError, match="finite and positive, got inf"):
-        schatten(m, math.inf)
-
-
-def test_schatten_triangle_inequality_q1():
-    rng = np.random.default_rng(4)
-    a = complex_gaussian(rng, (4, 4))
-    b = complex_gaussian(rng, (4, 4))
-    assert schatten(a + b, 1) <= schatten(a, 1) + schatten(b, 1) + 1e-12
-
-
-def test_jordan_parts_properties():
-    rng = np.random.default_rng(5)
-    h = random_hermitian(rng, 6)
-    p, n = jordan_parts(h)
-    np.testing.assert_allclose(p - n, h, atol=1e-12)
-    assert np.abs(p @ n).max() < 1e-12
-    assert hermitian_eigenvalues(p)[0] > -1e-13
-    assert hermitian_eigenvalues(n)[0] > -1e-13
-
-
 def test_negativity_identities():
     rng = np.random.default_rng(6)
     h = random_hermitian(rng, 7)
-    p, n = jordan_parts(h)
+    lam, v = np.linalg.eigh(h)  # the Jordan parts H = P - N
+    p = (v * np.clip(lam, 0.0, None)) @ v.conj().T
+    n = (v * np.clip(-lam, 0.0, None)) @ v.conj().T
     tr_n = float(np.trace(n).real)
     assert negativity(h) == pytest.approx(2.0 * tr_n, abs=1e-12)
-    assert negativity(h) == pytest.approx(schatten(h, 1) - np.trace(h).real, abs=1e-11)
+    assert negativity(h) == pytest.approx(np.linalg.norm(h, "nuc") - np.trace(h).real, abs=1e-11)
     assert negativity(p) == pytest.approx(0.0, abs=1e-12)
 
 

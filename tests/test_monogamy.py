@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from negmono.matcore import TAU_CHECK, complex_gaussian, negativity, schatten
+from negmono.matcore import TAU_CHECK, complex_gaussian, negativity
 from negmono.monogamy import (
     _z1,
     _z2,
@@ -18,10 +18,8 @@ from negmono.qstate import (
     TripartiteState,
     _random_coeffs,
     _stacked,
-    amat,
     coeff_matrices,
     density,
-    diagonalize_gram,
     partial_trace_B,
     partial_trace_C,
     partial_transpose_A,
@@ -123,9 +121,9 @@ def test_inequality_chain_holds_on_random_states(dims):
 @pytest.mark.parametrize("dims", DIMS + [(1, 3, 2), (4, 1, 1)])
 def test_verify_batch_matches_single_state_formulas(dims):
     # the stacked kernel does the arithmetic of the single-state route
-    # (ineq4_batch's Z1/Z2 spectra, schatten's SVD of the A|BC coefficient
-    # matrix, squares as products x * x), so every value agrees to the last
-    # bit (libm pow(x, 2) in place of x * x changes about one square in a
+    # (ineq4_batch's Z1/Z2 spectra, the trace norm of the A|BC coefficient
+    # matrix by SVD, squares as products x * x), so every value agrees to the
+    # last bit (libm pow(x, 2) in place of x * x changes about one square in a
     # thousand); the three negativities also stay within 1e-13 of the
     # density route
     rng = np.random.default_rng(11)
@@ -136,7 +134,7 @@ def test_verify_batch_matches_single_state_formulas(dims):
         r4 = ineq4_report(mats)
         n1, n2, _, _ = ineq4_batch(s.coeffs[None])
         norms = [np.sqrt(np.sum(np.abs(m) ** 2)) for m in mats]
-        root, w = schatten(amat(mats), 1.0), float(np.sum(norms))
+        root, w = np.linalg.norm(s.coeffs.reshape(dims[0], -1).T, "nuc"), float(np.sum(norms))
         q = root * root
         want = [
             r4.lhs,
@@ -225,7 +223,10 @@ def test_ineq4_single_matrix_degenerates():
 def test_diagonal_gram_aligns_bounds():
     # after diagonalizing the overlap matrix the two right-hand sides agree
     s = random_state((3, 2, 3), np.random.default_rng(8))
-    rot = diagonalize_gram(s)
+    a = s.coeffs.reshape(3, -1).T
+    # a local unitary on A, the eigenvectors of G = a* a, makes G diagonal
+    v = np.linalg.eigh(a.conj().T @ a)[1]
+    rot = TripartiteState(np.einsum("im,ijk->mjk", v, s.coeffs), normalize=True)
     r2 = ineq2_report(rot)
     r3 = ineq3_report(coeff_matrices(rot))
     assert r2.rhs == pytest.approx(r3.rhs, abs=1e-10)

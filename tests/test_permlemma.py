@@ -27,6 +27,7 @@ from negmono.permlemma import (
     ma_chains,
     max_rearranged_sum,
 )
+from negmono.search import evaluate_slack
 from negmono.specialcase import _tr_sqrt_clipped, commutator_gap
 
 
@@ -132,13 +133,22 @@ def test_check_commutative_exhaustive_small():
 
 def test_check_commutative_square_past_the_float_range_is_a_silent_inf():
     # three swapped pairs at the top of the float range: the sum 3 sqrt(a)
-    # rounds just above sqrt(max), so its square is inf, with no
-    # RuntimeWarning, while (d/2) sum(mu) stays finite
+    # rounds just above sqrt(max), so its square would be a silent inf that
+    # reads the proven lemma as failed. Such a spectrum, d^2 max(mu) above
+    # half the largest float, is rejected by name; at that bound the square
+    # stays finite and the lemma holds
     a = 1.997436816513684e307
+    limit = 0.5 * 1.7976931348623157e308 / 36
+    message = re.escape(f"spectrum entries must be at most {limit!r} (half the largest float "
+                        f"over d^2, d = 6), got {a!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_commutative([a] * 3 + [0.0] * 3, (4, 5, 6, 1, 2, 3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate_slack("commutative", ([a] * 3 + [0.0] * 3, (4, 5, 6, 1, 2, 3)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = check_commutative([a] * 3 + [0.0] * 3, (4, 5, 6, 1, 2, 3))
-    assert rep.lhs == math.inf and rep.rhs == 1.7976931348623155e308
+        rep = check_commutative([limit] * 3 + [0.0] * 3, (4, 5, 6, 1, 2, 3))
+    assert math.isfinite(rep.lhs) and rep.holds
 
 
 def test_chain_bound_holds_per_chain():

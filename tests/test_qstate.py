@@ -4,18 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from negmono.errors import NoConvergenceError
-from negmono.matcore import complex_gaussian, negativity, schatten
+from negmono.matcore import complex_gaussian, negativity
+from negmono.monogamy import _overlaps
 from negmono.qstate import (
     TAU_NORM,
     TripartiteState,
     _random_coeffs,
     _unit_states,
-    amat,
     coeff_matrices,
     density,
-    diagonalize_gram,
-    gram_matrix,
     partial_trace_B,
     partial_trace_C,
     partial_transpose_A,
@@ -129,9 +126,9 @@ def test_coeff_matrices_and_amat_shapes():
     s = random_state(dims, np.random.default_rng(6))
     mats = coeff_matrices(s)
     assert len(mats) == 3 and mats[0].shape == (2, 4)
-    a = amat(mats)
+    a = _overlaps(s.coeffs[None])[0][0]
     assert a.shape == (8, 3)
-    # column i of amat is vec(A_i) in the same layout reshape uses
+    # column i of the A|BC matrix is vec(A_i) in the same layout reshape uses
     np.testing.assert_array_equal(a[:, 1], mats[1].reshape(-1))
 
 
@@ -139,7 +136,8 @@ def test_gram_matrix_entries():
     dims = (2, 3, 3)
     s = random_state(dims, np.random.default_rng(7))
     mats = coeff_matrices(s)
-    g = gram_matrix(mats)
+    a = _overlaps(s.coeffs[None])[0][0]
+    g = a.conj().T @ a
     assert g.shape == (2, 2)
     for i in range(2):
         for j in range(2):
@@ -149,8 +147,8 @@ def test_gram_matrix_entries():
 
 
 def _n_abc(s):
-    # N(A|BC) = ||amat||_1^2 - 1, the trace-norm form of the A|BC negativity
-    return float(schatten(amat(coeff_matrices(s)), 1.0) ** 2 - 1.0)
+    # N(A|BC) = ||a||_1^2 - 1, the trace-norm form of the A|BC negativity
+    return float(np.linalg.norm(s.coeffs.reshape(s.dA, -1).T, "nuc") ** 2 - 1.0)
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -171,15 +169,19 @@ def test_negativity_ABC_product_state_is_zero():
 
 def test_diagonalize_gram():
     s = random_state((3, 3, 3), np.random.default_rng(10))
-    rotated = diagonalize_gram(s)
-    g = gram_matrix(coeff_matrices(rotated))
+    a0 = s.coeffs.reshape(3, -1).T
+    g0 = a0.conj().T @ a0
+    # a local unitary on A, the eigenvectors of the overlap matrix, makes it diagonal
+    rotated = TripartiteState(np.einsum("im,ijk->mjk", np.linalg.eigh(g0)[1], s.coeffs),
+                              normalize=True)
+    a = rotated.coeffs.reshape(3, -1).T
+    g = a.conj().T @ a
     off = g - np.diag(np.diag(g))
     assert np.abs(off).max() < 1e-12
     # the rotation is local on A, so the A|BC negativity is unchanged
     n_abc = [negativity(partial_transpose_A(density(x), x.dims)) for x in (s, rotated)]
     assert n_abc[1] == pytest.approx(n_abc[0], abs=1e-10)
     # and the gram spectrum is preserved
-    g0 = gram_matrix(coeff_matrices(s))
     np.testing.assert_allclose(
         np.sort(np.diag(g).real), np.linalg.eigvalsh(g0), atol=1e-12
     )
@@ -299,13 +301,3 @@ def test_unit_states_normalises_any_stack_in_place():
         np.testing.assert_allclose(weight, want, rtol=1e-15)
         norms = np.sum(np.abs(c) ** 2, axis=(1, 2, 3))
         np.testing.assert_allclose(norms, np.where(want > 0.0, 1.0, 0.0), atol=1e-15)
-
-
-def test_diagonalize_gram_lapack_failure_is_no_convergence(monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    s = random_state((2, 2, 2), np.random.default_rng(14))
-    monkeypatch.setattr(np.linalg, "svd", fail)
-    with pytest.raises(NoConvergenceError, match="SVD did not converge"):
-        diagonalize_gram(s)

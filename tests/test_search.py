@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from negmono import matcore, permlemma, qstate, search
-from negmono.matcore import complex_gaussian
+from negmono.matcore import TAU_CHECK, complex_gaussian
 from negmono.monogamy import ineq4_report
 from negmono.permlemma import check_commutative
 from negmono.qstate import TripartiteState
@@ -18,12 +18,11 @@ from negmono.search import (
     _descend,
     evaluate_slack,
     local_descend,
-    random_instance,
     run_search,
     run_trial,
     serialize_instance,
 )
-from negmono.specialcase import check_ineqid, check_ineqid1, check_ineqid2
+from negmono.specialcase import _check, check_ineqid, check_ineqid2
 
 # One configuration per proven target, at the sizes the pins below use.
 PROVEN = {
@@ -153,11 +152,17 @@ def test_config_stores_numpy_integers_as_python_ints():
     assert type(SearchConfig(target="ineqid", d=np.int16(3)).d) is int
 
 
+def _drawn_start(cfg, t):
+    # trial t's start instance, drawn from its own stream as run_search draws it
+    x, perms = search._sample(cfg, search._generators(cfg.seed, [t])[0])
+    return search._instance(cfg.target, x, perms, 0)
+
+
 def test_random_instance_deterministic_per_trial():
     cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), seed=7)
-    a = random_instance(cfg, 3)
-    b = random_instance(cfg, 3)
-    c = random_instance(cfg, 4)
+    a = _drawn_start(cfg, 3)
+    b = _drawn_start(cfg, 3)
+    c = _drawn_start(cfg, 4)
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
     assert np.abs(a.coeffs - c.coeffs).max() > 0
 
@@ -176,10 +181,9 @@ def test_seed_words_are_the_spawned_children():
                 np.testing.assert_array_equal(
                     generators[k][i].standard_normal(64),
                     np.random.default_rng(spawned[k]).standard_normal(64))
-    cfg = SearchConfig(target="ineqid", d=2)
     for t in (-1, 2**32):
         with pytest.raises(ValueError, match="trial indices"):
-            random_instance(cfg, t)
+            search._generators(0, [t])
 
 
 @pytest.mark.parametrize("target", list(ALL_TARGETS))
@@ -191,7 +195,7 @@ def test_sampled_starts_are_single_draws(target):
     assert (perms is None) == (target != "commutative")
     for k, t in enumerate(trials):
         want = _reference_start(cfg, np.random.SeedSequence((cfg.seed, t)).spawn(2)[0])
-        got = random_instance(cfg, t)
+        got = _drawn_start(cfg, t)
         if target == "ineq4":
             want, got = want.coeffs, got.coeffs
         elif target == "commutative":
@@ -220,11 +224,11 @@ def test_search_builds_no_seed_sequence(monkeypatch):
 
 
 def test_random_instance_kinds():
-    s = random_instance(SearchConfig(target="ineq4", dims=(2, 3, 3), seed=0), 0)
+    s = _drawn_start(SearchConfig(target="ineq4", dims=(2, 3, 3), seed=0), 0)
     assert isinstance(s, TripartiteState) and s.dims == (2, 3, 3)
-    b = random_instance(SearchConfig(target="ineqid", d=4, seed=0), 0)
+    b = _drawn_start(SearchConfig(target="ineqid", d=4, seed=0), 0)
     assert b.shape == (4, 4) and np.iscomplexobj(b)
-    mu, pi = random_instance(SearchConfig(target="commutative", d=5, seed=0), 0)
+    mu, pi = _drawn_start(SearchConfig(target="commutative", d=5, seed=0), 0)
     assert mu.shape == (5,) and sorted(pi) == [1, 2, 3, 4, 5]
     assert np.all(np.diff(mu) <= 0) and np.all(mu >= 0)
     assert np.sum(mu) == pytest.approx(1.0, abs=1e-12)
@@ -232,7 +236,7 @@ def test_random_instance_kinds():
 
 def test_evaluate_slack_matches_reports():
     cfg = SearchConfig(target="ineq4", dims=(2, 2, 2), seed=1)
-    s = random_instance(cfg, 0)
+    s = _drawn_start(cfg, 0)
     assert evaluate_slack("ineq4", s) == pytest.approx(
         ineq4_report(list(s.coeffs)).slack, abs=1e-14
     )
@@ -244,7 +248,7 @@ def test_serialize_roundtrip_all_kinds():
         SearchConfig(target="ineqid1", d=3, seed=2),
         SearchConfig(target="commutative", d=4, seed=2),
     ):
-        inst = random_instance(cfg, 5)
+        inst = _drawn_start(cfg, 5)
         blob = serialize_instance(cfg.target, inst)
         back = deserialize_instance(blob)
         assert evaluate_slack(cfg.target, back) == pytest.approx(
@@ -254,7 +258,7 @@ def test_serialize_roundtrip_all_kinds():
 
 def test_local_descend_never_increases_slack():
     cfg = SearchConfig(target="ineqid2", d=3, seed=3)
-    inst = random_instance(cfg, 0)
+    inst = _drawn_start(cfg, 0)
     start = evaluate_slack("ineqid2", inst)
     best_inst, best = local_descend(inst, "ineqid2", steps=30, scale=0.3, seed=11)
     assert best <= start + 1e-15
@@ -265,7 +269,7 @@ def test_local_descend_never_increases_slack():
 def test_local_descend_leaves_its_instance_unchanged(target):
     # the descent works on a copy of the start's stack, not on the instance
     cfg = SearchConfig(target=target, seed=4, **ALL_TARGETS[target])
-    inst = random_instance(cfg, 0)
+    inst = _drawn_start(cfg, 0)
     before = serialize_instance(target, inst)
     best, _ = local_descend(inst, target, steps=30, scale=0.3, seed=1)
     assert serialize_instance(target, inst) == before
@@ -316,8 +320,9 @@ def _reference_slack(target, instance):
         return ineq4_report(list(instance.coeffs)).slack
     if target == "commutative":
         return check_commutative(*instance).slack
-    check = {"ineqid": check_ineqid, "ineqid1": check_ineqid1, "ineqid2": check_ineqid2}
-    return check[target](instance).slack
+    if target == "ineqid1":
+        return _check("ineqid1", instance, TAU_CHECK).slack
+    return (check_ineqid if target == "ineqid" else check_ineqid2)(instance).slack
 
 
 def _reference_perturb(target, instance, scale, rng):
@@ -426,7 +431,7 @@ def test_lockstep_long_descent_matches_scalar_descent():
 def test_lockstep_keeps_the_start_state_on_ties():
     # every 1x1x1 state has slack exactly 0, so no proposal is strictly better
     cfg = SearchConfig(target="ineq4", dims=(1, 1, 1), trials=3, seed=0)
-    starts = np.stack([random_instance(cfg, t).coeffs for t in range(cfg.trials)])
+    starts = np.stack([_drawn_start(cfg, t).coeffs for t in range(cfg.trials)])
     rngs = [np.random.default_rng(t) for t in range(cfg.trials)]
     rows, slacks = _descend("ineq4", starts, None, rngs, cfg.local_steps, cfg.step_scale)
     assert slacks.tolist() == [0.0] * cfg.trials
@@ -528,14 +533,11 @@ def test_trial_index_is_checked(trial_index, message):
     # a float or bool index was truncated or read as trial 1
     cfg = SearchConfig(target="ineqid", d=2, trials=3, local_steps=2, seed=0)
     with pytest.raises(ValueError, match=message):
-        random_instance(cfg, trial_index)
-    with pytest.raises(ValueError, match=message):
         run_trial(cfg, trial_index)
 
 
 def test_numpy_trial_index_is_the_int():
     cfg = SearchConfig(target="ineqid", d=2, trials=3, local_steps=2, seed=0)
-    np.testing.assert_array_equal(random_instance(cfg, np.int64(2)), random_instance(cfg, 2))
     assert run_trial(cfg, np.uint32(2)) == run_trial(cfg, 2)
 
 
@@ -652,7 +654,7 @@ def test_proven_targets_pinned_at_seed_0(target):
 def test_evaluate_slack_matches_public_checks(target):
     cfg = SearchConfig(target=target, seed=3, **ALL_TARGETS[target])
     for t in range(5):
-        inst = random_instance(cfg, t)
+        inst = _drawn_start(cfg, t)
         assert evaluate_slack(target, inst) == _reference_slack(target, inst)
 
 
@@ -764,7 +766,7 @@ def test_chunk_argmin_is_the_first_lowest_trial():
     cfg = SearchConfig(target="ineq4", dims=(1, 1, 1), trials=10, seed=0)
     slacks, (slack, t, best) = search._run_trials(cfg, range(3, 8))
     assert slacks == [0.0] * 5 and (slack, t) == (0.0, 3)
-    np.testing.assert_array_equal(best.coeffs, random_instance(cfg, 3).coeffs)
+    np.testing.assert_array_equal(best.coeffs, _drawn_start(cfg, 3).coeffs)
     assert run_search(cfg).trial_index == 0
 
 

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from negmono.matcore import complex_gaussian, jordan_parts
+from negmono.matcore import TAU_CHECK, complex_gaussian
 from negmono.specialcase import (
     BOUNDS,
     STEPS,
     SpecialCaseTrace,
     _chain_batch,
+    _check,
     build_special_Z,
     check_ineqid,
-    check_ineqid1,
     check_ineqid2,
     commutator_gap,
     connecting_unitary,
@@ -93,13 +93,13 @@ def test_bounds_hold_on_random_matrices(d):
         b = complex_gaussian(rng, (d, d))
         for rep in (
             check_ineqid(b),
-            check_ineqid1(b),
+            _check("ineqid1", b, TAU_CHECK),
             check_ineqid2(b, "minus"),
             check_ineqid2(b, "plus"),
         ):
             assert rep.holds, rep
         # the intermediate bound really sits between the two ends
-        assert check_ineqid(b).lhs <= check_ineqid1(b).rhs + 1e-9
+        assert check_ineqid(b).lhs <= _check("ineqid1", b, TAU_CHECK).rhs + 1e-9
 
 
 def test_ineqid2_rejects_bad_sign():
@@ -111,7 +111,7 @@ def test_gram_identity_of_stacks():
     # B*B + (Delta_+) = BB* + (Delta_-), the identity behind the unitary
     rng = np.random.default_rng(3)
     b = complex_gaussian(rng, (4, 4))
-    dplus, dminus = jordan_parts(commutator_gap(b))
+    dplus, dminus = _jordan_parts(commutator_gap(b))
     lhs = b.conj().T @ b + dplus
     rhs = b @ b.conj().T + dminus
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -127,7 +127,7 @@ def test_connecting_unitary_contract(d):
         np.testing.assert_allclose(
             u.conj().T @ u, np.eye(2 * d), atol=1e-10
         )
-        dplus, dminus = jordan_parts(commutator_gap(b))
+        dplus, dminus = _jordan_parts(commutator_gap(b))
         s1 = np.vstack([b, _sqrt_psd(dplus)])
         s2 = np.vstack([b.conj().T, _sqrt_psd(dminus)])
         # independently rebuilt stacks: the square root near a zero
@@ -145,6 +145,12 @@ def _sqrt_psd(p):
     # deliberately a different code path from the library square root
     w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def _jordan_parts(h):
+    # (P, N), both psd, with H = P - N, from one eigh
+    w, v = np.linalg.eigh(h)
+    return tuple((v * np.clip(sign * w, 0.0, None)) @ v.conj().T for sign in (1.0, -1.0))
 
 
 def test_connecting_unitary_normal_matrix():
@@ -194,7 +200,7 @@ def test_interlacing_trace_ineqid_reports_match_public_checks():
         by_name = {r.name: r for r in interlacing_trace(b).reports}
         for rep in (
             check_ineqid(b),
-            check_ineqid1(b),
+            _check("ineqid1", b, TAU_CHECK),
             check_ineqid2(b, "minus"),
             check_ineqid2(b, "plus"),
         ):
@@ -300,4 +306,4 @@ def test_padding_preserves_bounds():
     rng = np.random.default_rng(7)
     b = pad_square(complex_gaussian(rng, (2, 4)))
     assert check_ineqid(b).holds
-    assert check_ineqid1(b).holds
+    assert _check("ineqid1", b, TAU_CHECK).holds
