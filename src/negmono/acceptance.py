@@ -79,11 +79,9 @@ def _criterion(budget_s: float | None = None):
     return decorate
 
 
-# States per kernel call in criteria 1 and 2 and matrices B per _chain_batch
-# call in criterion 4. Their intermediates grow with the stack: in one
-# process, the peak RSS of criteria 1-5 is 40.8 MB at 16, 63.6 MB at 200
-# and 143 MB at 1000. With more than one CPU criterion 4's stacks live in
-# its workers, so there CHUNK bounds each worker's peak.
+# States per kernel call in criteria 1 and 2. Their intermediates grow with
+# the stack: in one process, the peak RSS of criteria 1-5 is 41.2 MB at 16
+# and 44.1 MB at 200, one stack per dims.
 CHUNK = 16
 
 
@@ -174,27 +172,41 @@ def partial_trace_monotonicity(seed):
     return worst >= -1e-10, {"min_slack": worst}
 
 
+# Criterion 4 certifies at most CHAIN_ENTRIES entries of a 3d x 3d stack, and
+# at most 1000 B, per _chain_batch call: 455, 202, 113, 72, 50, 37 and 28 B
+# at d = 2..8. With more than one CPU its stacks live in its workers, so
+# there this bounds each worker's peak.
+CHAIN_ENTRIES = 2 ** 14
+
+
+def _chain_chunk(d: int) -> int:
+    """B per _chain_batch call of criterion 4 at size d."""
+    return max(1, min(1000, CHAIN_ENTRIES // (3 * d) ** 2))
+
+
 def _part_stacks(rng: np.random.Generator, d: int, start: int, stop: int):
-    """The stacks of criterion 4's B start..stop - 1 of size d, CHUNK per
-    generator call from rng, which stands at B start."""
-    for k in range(start, stop, CHUNK):
-        yield _complex_gaussians(rng, min(CHUNK, stop - k), (d, d))
+    """The stacks of criterion 4's B start..stop - 1 of size d, one chunk of
+    _chain_chunk(d) per generator call from rng, which stands at B start."""
+    chunk = _chain_chunk(d)
+    for k in range(start, stop, chunk):
+        yield _complex_gaussians(rng, min(chunk, stop - k), (d, d))
 
 
 def _chain_parts(seed: int, per_size: int):
     """Criterion 4's parts (d, state, start, stop), yielded in draw order:
     each size's 1000 B split into up to per_size contiguous parts whose
-    bounds fall on multiples of CHUNK, so that a part makes the serial
-    chunks. state is the bit generator state of _rng(seed, 4) at B start of
-    size d; once the part is read, the stream is advanced past its chunks,
-    drawn and discarded, so no stack is kept."""
+    bounds fall on multiples of that size's chunk, so that a part makes the
+    serial chunks. state is the bit generator state of _rng(seed, 4) at B
+    start of size d; once the part is read, the stream is advanced past its
+    chunks, drawn and discarded, so no stack is kept."""
     rng = _rng(seed, 4)
-    chunks = math.ceil(1000 / CHUNK)
-    per_size = min(per_size, chunks)
     for d in range(2, 9):
-        for k in range(per_size):
-            start = CHUNK * (chunks * k // per_size)
-            stop = min(CHUNK * (chunks * (k + 1) // per_size), 1000)
+        chunk = _chain_chunk(d)
+        chunks = math.ceil(1000 / chunk)
+        parts = min(per_size, chunks)
+        for k in range(parts):
+            start = chunk * (chunks * k // parts)
+            stop = min(chunk * (chunks * (k + 1) // parts), 1000)
             yield d, rng.bit_generator.state, start, stop
             for _ in _part_stacks(rng, d, start, stop):
                 pass
@@ -203,10 +215,10 @@ def _chain_parts(seed: int, per_size: int):
 def _chain_part(part: tuple) -> tuple:
     """(first failing report or None, least bound slack, largest unitary
     residual) of one part (d, state, start, stop) of criterion 4: its B,
-    drawn from a generator set to state, certified one chunk per kernel
-    call, whose rows give the report; a failed chain step raises
-    StepFailedError with its B as the instance. The extremes cover the
-    chunks before a failing one."""
+    drawn from a generator set to state, certified one chunk of
+    _chain_chunk(d) per kernel call, whose rows give the report; a failed
+    chain step raises StepFailedError with its B as the instance. The
+    extremes cover the chunks before a failing one."""
     d, state, start, stop = part
     bits = getattr(np.random, state["bit_generator"])()
     bits.state = state
@@ -233,12 +245,14 @@ def special_case_chain(seed):
     within 1e-9.
 
     Each size's B are split into one part per worker (matcore._workers()), at
-    multiples of CHUNK, and the parts run through _ordered_map: in this
-    process at one worker, else in worker processes that draw their own B
-    from the generator state at the part's start, CHUNK at a time, and
-    certify one chunk per kernel call. The parent streams those states and
-    merges the parts' (first failing report, least slack, largest residual)
-    in draw order; the results depend neither on CHUNK nor on the parts.
+    multiples of that size's chunk (_chain_chunk: at most CHAIN_ENTRIES
+    entries of a 3d x 3d stack), and the parts run through _ordered_map: in
+    this process at one worker, else in worker processes that draw their
+    own B from the generator state at the part's start, a chunk at a time,
+    and certify one chunk per kernel call. The parent streams those states
+    and merges the parts' (first failing report, least slack, largest
+    residual) in draw order; the results depend neither on the chunks nor
+    on the parts.
     Only the first failing B, in draw order, gets reports, built by its
     part: a failed chain step raises StepFailedError with that B as its
     instance, a failed bound is returned as the detail."""

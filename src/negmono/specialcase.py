@@ -205,9 +205,10 @@ def _chain_batch(m: np.ndarray, tol: float):
     one column per report of STEPS + BOUNDS, and report k of matrix i holds
     when rhs[i, k] - lhs[i, k] >= -tols[i, k]; tol is that of the four
     bounds (the steps keep their TAU_CHECK budget). mats holds the stacks
-    (Z, Delta, Delta_plus, Delta_minus, U, E1, E2, E3, E4). The work is one
-    eigh of Delta, one eigvalsh each of Z and E1..E4 and one SVD, each over
-    the whole stack.
+    (Z, Delta, Delta_plus, Delta_minus, U, E1, E2, E3, E4) as built. The
+    work is one eigh of Delta, one SVD, and two stacked eigvalsh: one of
+    the 2d x 2d matrices Z and the coupled blocks of E3 and E4, one of the
+    3d x 3d E1 and E2.
 
     This is the only definition of the chain; m is not validated, so
     callers check outside input first (interlacing_trace does, through
@@ -231,9 +232,21 @@ def _chain_batch(m: np.ndarray, tol: float):
     e1[:, :d, hi], e1[:, hi, :d], e1[:, lo, hi], e1[:, hi, lo] = m, mh, sp, sp
     u, residual = _fit_unitary(m, sp, sm)
 
-    eig_z, eig_e1, eig_e2, eig_e3, eig_e4 = (
-        _lapack(np.linalg.eigvalsh, x) for x in (z, e1, e2, e3, e4)
-    )
+    # Up to a permutation, E3 is 1_d (+) E3[r3, r3] over the blocks r3 = (1, 3)
+    # and E4 is 0_d (+) E4[r4, r4] over r4 = (2, 3): the entries coupling
+    # them were written as exact zeros above. So only those 2d x 2d blocks,
+    # sliced from the matrices as built, are decomposed: E4's spectrum is
+    # its block's and d zeros, E3's least eigenvalue the lesser of its
+    # block's and 1. A closed form in place of a decomposition, such as
+    # +-eig(sqrt(Delta_minus)) for E4, would make steps (c), (d) or (f)
+    # hold by construction.
+    r3 = np.r_[:d, hi]
+    eig_z, eig_b3, eig_b4 = _lapack(
+        np.linalg.eigvalsh, np.concatenate([z, e3[:, r3[:, None], r3], e4[:, d:, d:]])
+    ).reshape(3, n, 2 * d)
+    eig_e1, eig_e2 = _lapack(np.linalg.eigvalsh, np.concatenate([e1, e2])).reshape(2, n, 3 * d)
+    eig_e4 = np.sort(np.concatenate([eig_b4, np.zeros((n, d))], axis=1), axis=1)
+    min_e3 = np.minimum(eig_b3[:, 0], 1.0)
 
     # The proven steps compare spectra equal up to eigenvalue roundoff, so
     # their budget is TAU_CHECK whatever tol is; tol governs only the bounds.
@@ -270,7 +283,7 @@ def _chain_batch(m: np.ndarray, tol: float):
         # (e) Z has at most d negative eigenvalues
         n_neg,
         # (f) E3 is psd
-        -eig_e3[:, 0],
+        -min_e3,
         residual,
         tr_neg,
         tr_neg,

@@ -118,27 +118,49 @@ def test_criterion_runner_owns_index_name_and_budget(monkeypatch, budget_s, pass
     assert list(result.details.items()) == list(details.items())
 
 
-def test_special_case_chain_counts(call_counts, in_process_pool):
-    # per chunk of B: one eigh, five eigvalsh and one SVD over the stack,
-    # and no per-B validation or report, whatever the parts
+def test_special_case_chain_counts(monkeypatch, call_counts, in_process_pool):
+    # per chunk of B: one eigh, two eigvalsh and one SVD over the stack,
+    # and no per-B validation or report, whatever the parts; each chunk
+    # holds at most CHAIN_ENTRIES entries of a 3d x 3d stack
     counts, count = call_counts
     for name in ("eigh", "eigvalsh", "svd"):
         count(np.linalg, name)
     for name in ("require_hermitian", "make_report"):
         count(matcore, name)
+    orig = acceptance._chain_batch
+    sizes = []
+
+    def kernel(m, tol):
+        sizes.append(m.shape)
+        return orig(m, tol)
+
+    monkeypatch.setattr(acceptance, "_chain_batch", kernel)
     assert acceptance.special_case_chain(seed=0).passed
-    chunks = 7 * math.ceil(1000 / acceptance.CHUNK)
-    assert counts == {"eigh": chunks, "eigvalsh": 5 * chunks, "svd": chunks,
+    chunks = len(sizes)
+    assert counts == {"eigh": chunks, "eigvalsh": 2 * chunks, "svd": chunks,
                       "require_hermitian": 0, "make_report": 0}
-    assert chunks == 441
+    assert chunks == sum(math.ceil(1000 / acceptance._chain_chunk(d)) for d in range(2, 9)) == 115
+    assert all(n * (3 * d) ** 2 <= acceptance.CHAIN_ENTRIES for n, d, _ in sizes)
+    for d in range(2, 9):
+        assert sum(n for n, e, _ in sizes if e == d) == 1000
+
+
+def test_special_case_chain_chunks_stay_within_the_entry_bound():
+    chunks = [acceptance._chain_chunk(d) for d in range(1, 9)]
+    assert chunks == [1000, 455, 202, 113, 72, 50, 37, 28]
+    for d, chunk in enumerate(chunks[1:], start=2):
+        assert chunk * (3 * d) ** 2 <= acceptance.CHAIN_ENTRIES == 2 ** 14
+        assert (chunk + 1) * (3 * d) ** 2 > acceptance.CHAIN_ENTRIES
 
 
 def test_special_case_chain_in_workers_does_not_depend_on_chunk(monkeypatch, cpus):
     # the results do not depend on the chunk size, to the last bit; both
-    # runs certify their B in two worker processes
+    # runs certify their B in two worker processes, the second one B per
+    # kernel call
     cpus(2)
     default = acceptance.special_case_chain(seed=0)
-    monkeypatch.setattr(acceptance, "CHUNK", 1)
+    monkeypatch.setattr(acceptance, "CHAIN_ENTRIES", 1)
+    assert [acceptance._chain_chunk(d) for d in range(2, 9)] == [1] * 7
     single = acceptance.special_case_chain(seed=0)
     assert multiprocessing.active_children() == []
     assert default.passed and single.passed
@@ -156,18 +178,19 @@ def test_special_case_chain_in_workers_is_the_in_process_run(seed, cpus):
     assert in_workers.details == in_process.details
 
 
-@pytest.mark.parametrize("per_size", [1, 2, 3, 7, 63, 64])
+@pytest.mark.parametrize("per_size", [1, 2, 3, 7, 36, 63, 64])
 def test_special_case_chain_parts_draw_the_serial_stream(per_size):
     for seed in (0, 1):
         parts = list(acceptance._chain_parts(seed, per_size))
-        assert len(parts) == 7 * min(per_size, 63)
+        assert len(parts) == sum(min(per_size, math.ceil(1000 / acceptance._chain_chunk(d)))
+                                 for d in range(2, 9))
         rng = acceptance._rng(seed, 4)
         for d in range(2, 9):
             own = [p for p in parts if p[0] == d]
             bounds = [(start, stop) for _, _, start, stop in own]
             assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
             assert bounds[-1][1] == 1000
-            assert all(start % acceptance.CHUNK == 0 for start, _ in bounds)
+            assert all(start % acceptance._chain_chunk(d) == 0 for start, _ in bounds)
             drawn = []
             for _, state, start, stop in own:
                 bits = np.random.PCG64()
@@ -183,7 +206,7 @@ def test_special_case_chain_starts_one_worker_per_cpu_up_to_the_parts(monkeypatc
     monkeypatch.setattr(acceptance, "_chain_part", lambda part: (None, 1.0, 0.0))
     cpus(64)
     assert acceptance.special_case_chain(seed=0).passed
-    monkeypatch.setattr(acceptance, "CHUNK", 1000)  # one chunk, so one part, per size
+    monkeypatch.setattr(acceptance, "CHAIN_ENTRIES", 2 ** 30)  # one chunk, so one part, per size
     assert acceptance.special_case_chain(seed=0).passed
     assert in_process_pool == [64, 7]
     cpus(1)
@@ -562,7 +585,7 @@ def _failing_at(monkeypatch, column, draws):
     return stacks
 
 
-# failures only in the second of two parts of d = 2 (B 512..999) and in a
+# failures only in the second of two parts of d = 2 (B 455..999) and in a
 # later size, so the first in draw order is B 600 of d = 2
 LATE_FAILURES = [(2, 700), (3, 5), (2, 600), (5, 999)]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from negmono.matcore import TAU_CHECK, complex_gaussian
+from negmono.matcore import _EPS, TAU_CHECK, complex_gaussian
 from negmono.specialcase import (
     BOUNDS,
     STEPS,
@@ -211,7 +211,8 @@ def test_interlacing_trace_ineqid_reports_match_public_checks():
 
 
 def test_interlacing_trace_decomposition_count(monkeypatch):
-    # one eigh of Delta, one eigvalsh each of Z and E1..E4, one SVD for U
+    # one eigh of Delta, one SVD for U, and two stacked eigvalsh: Z with the
+    # coupled blocks of E3 and E4, and E1 with E2
     counts = {"eigvalsh": 0, "eigh": 0, "svd": 0}
 
     def counting(name):
@@ -226,7 +227,7 @@ def test_interlacing_trace_decomposition_count(monkeypatch):
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counting(name))
     interlacing_trace(complex_gaussian(np.random.default_rng(8), (4, 4)))
-    assert counts["eigvalsh"] + counts["eigh"] == 6
+    assert counts["eigvalsh"] + counts["eigh"] == 3
     assert counts["svd"] == 1
 
 
@@ -263,6 +264,73 @@ def test_chain_batch_rows_match_single_traces(d):
                   trace.U, trace.E1, trace.E2, trace.E3, trace.E4)
         for stacked, one in zip(mats, single):
             np.testing.assert_allclose(stacked[i], one, rtol=0, atol=1e-12)
+
+
+def _full_spectrum_lhs(trace):
+    """The lhs of each report of the chain for trace.B, from a full eigvalsh
+    of each of Z and E1..E4 as built and the formulas of the chain: the
+    form the chain had before it decomposed only the coupled blocks of E3
+    and E4."""
+    b, d = trace.B, trace.B.shape[0]
+    eig_z, eig_e1, eig_e2, eig_e3, eig_e4 = (
+        np.linalg.eigvalsh(x) for x in (trace.Z, trace.E1, trace.E2, trace.E3, trace.E4))
+    raw = np.linalg.eigh(trace.delta)[0]
+    norm = np.linalg.norm(b[None], axis=(-2, -1))[0]
+    mu = np.maximum(-np.where(np.abs(raw) <= 64.0 * _EPS * norm**2, 0.0, raw), 0.0)
+    atol = TAU_CHECK * (1.0 + np.abs(eig_e1).max())
+    s1 = np.vstack([b, trace.E1[d : 2 * d, 2 * d :]])
+    s2 = np.vstack([b.conj().T, trace.E2[d : 2 * d, 2 * d :]])
+    tr_neg = np.clip(-eig_z, 0.0, None).sum()
+    return [
+        (eig_e1[: 2 * d] - eig_z).max(),
+        np.abs(eig_e1 - eig_e2).max(),
+        (eig_e4 - eig_e2).max(),
+        max(np.abs(eig_e4[:d] ** 2 - mu).max(), eig_e4[:d].max(initial=0.0)),
+        (eig_z < -atol).sum(),
+        -eig_e3[0],
+        np.abs(trace.U @ s1 - s2).max(),
+        tr_neg,
+        tr_neg,
+        np.sqrt(np.maximum(-raw, 0.0)).sum(),
+        np.sqrt(np.maximum(raw, 0.0)).sum(),
+    ]
+
+
+def _block_reduction_cases():
+    rng = np.random.default_rng(40)
+    cases = [pytest.param(complex_gaussian(rng, (d, d)), id=f"random-d{d}-{k}")
+             for d in range(1, 9) for k in range(3)]
+    return cases + [
+        pytest.param(pad_square(complex_gaussian(rng, (2, 3))), id="zero-padded"),
+        pytest.param(np.diag(complex_gaussian(rng, (4,))), id="diagonal"),
+        pytest.param(np.zeros((3, 3), dtype=complex), id="zero"),
+        pytest.param(SHIFT, id="shift"),
+    ]
+
+
+@pytest.mark.parametrize("b", _block_reduction_cases())
+def test_chain_decomposes_only_the_coupled_blocks_of_E3_and_E4(b):
+    # E3 is the identity on its middle d rows and columns and E4 zero on its
+    # first d: exact zeros couple them to the rest. The chain decomposes
+    # only the other 2d x 2d blocks, which leaves every report but step (f)
+    # bit-identical to full decompositions of E1..E4. Step (f) reads E3's
+    # least eigenvalue from a decomposition of another matrix with the same
+    # spectrum, so it agrees within eigenvalue roundoff of a 3d x 3d matrix.
+    d = b.shape[0]
+    trace = interlacing_trace(b, tol=1e-9)
+    mid, rest = slice(d, 2 * d), np.r_[:d, 2 * d : 3 * d]
+    assert np.array_equal(trace.E3[mid, mid], np.eye(d))
+    assert not trace.E3[mid][:, rest].any() and not trace.E3[rest][:, mid].any()
+    assert not trace.E4[:d].any() and not trace.E4[:, :d].any()
+    want = _full_spectrum_lhs(trace)
+    step_f = STEPS.index("step_f_E3_psd")
+    for k, rep in enumerate(trace.reports):
+        if k == step_f:
+            bound = 8.0 * 3 * d * _EPS * np.linalg.norm(trace.E3, 2)
+            assert abs(rep.lhs - want[k]) <= bound, rep.name
+        else:
+            assert rep.lhs == want[k], rep.name
+    assert all(rep.holds for rep in trace.reports)
 
 
 def test_interlacing_trace_zero_matrix():
