@@ -172,10 +172,12 @@ def partial_trace_monotonicity(seed):
     return worst >= -1e-10, {"min_slack": worst}
 
 
-# Criterion 4 certifies at most CHAIN_ENTRIES entries of a 3d x 3d stack, and
-# at most 1000 B, per _chain_batch call: 455, 202, 113, 72, 50, 37 and 28 B
-# at d = 2..8. With more than one CPU its stacks live in its workers, so
-# there this bounds each worker's peak.
+# Criterion 4 certifies at most 1000 B, and N B of size d with N (3d)^2 <=
+# CHAIN_ENTRIES, per _chain_batch call: 455, 202, 113, 72, 50, 37 and 28 B
+# at d = 2..8. The kernel builds no 3d x 3d matrix; its largest stack, the
+# 5N matrices of size 2d x 2d that its one eigvalsh takes, then holds at most
+# 20/9 CHAIN_ENTRIES entries (0.6 MB). With more than one CPU its stacks live
+# in its workers, so there this bounds each worker's peak.
 CHAIN_ENTRIES = 2 ** 14
 
 
@@ -245,8 +247,8 @@ def special_case_chain(seed):
     within 1e-9.
 
     Each size's B are split into one part per worker (matcore._workers()), at
-    multiples of that size's chunk (_chain_chunk: at most CHAIN_ENTRIES
-    entries of a 3d x 3d stack), and the parts run through _ordered_map: in
+    multiples of that size's chunk (_chain_chunk: N (3d)^2 <= CHAIN_ENTRIES
+    for N B of size d), and the parts run through _ordered_map: in
     this process at one worker, else in worker processes that draw their
     own B from the generator state at the part's start, a chunk at a time,
     and certify one chunk per kernel call. The parent streams those states

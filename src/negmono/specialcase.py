@@ -53,17 +53,26 @@ def commutator_gap(b) -> np.ndarray:
     return _gap(_square(b))
 
 
+def _bordered(x: np.ndarray, bb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[[1, X], [X*, BB*]] for a stack x of shape (..., p, d) and bb of shape
+    (..., d, d), filled by slices into out (fresh if None), as np.block
+    costs more than the decompositions at these sizes. Z, E1, E2, E3, the
+    coupled block of E3 and the reduced E1 and E2 of _chain_batch all have
+    this form."""
+    p, d = x.shape[-2:]
+    if out is None:
+        out = np.empty(x.shape[:-2] + (p + d,) * 2, dtype=complex)
+    out[..., :p, :p] = np.eye(p)
+    out[..., :p, p:], out[..., p:, :p], out[..., p:, p:] = x, _adj(x), bb
+    return out
+
+
 def _blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B*, the symmetrised BB* and Z = [[1, B], [B*, BB*]] of a stack m of
-    shape (N, d, d); Z is filled by slices, as np.block costs more than the
-    decompositions at these sizes."""
-    d = m.shape[-1]
+    shape (N, d, d)."""
     mh = _adj(m)
     bb = _herm(m @ mh)
-    z = np.zeros((len(m), 2 * d, 2 * d), dtype=complex)
-    z[:, :d, :d] = np.eye(d)
-    z[:, :d, d:], z[:, d:, :d], z[:, d:, d:] = m, mh, bb
-    return mh, bb, z
+    return mh, bb, _bordered(m, bb)
 
 
 def build_special_Z(b) -> np.ndarray:
@@ -124,8 +133,9 @@ def check_ineqid2(b, sign: str = "minus", tol: float = TAU_CHECK) -> InequalityR
 
 
 def _gap_split(m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(Delta, its raw ascending eigenvalues, mu descending, Delta_plus,
-    Delta_minus, sqrt(Delta_plus), sqrt(Delta_minus)) from one eigh of Delta.
+    """(Delta, its raw ascending eigenvalues, the eigenvalues of Delta_plus
+    and of Delta_minus stacked in one array of shape (2, ..., d), the
+    eigenvectors) from one eigh of Delta; mu = the second row, descending.
 
     Eigenvalues of Delta below 64 eps ||B||_F^2 in magnitude are numerical
     zeros (the products carry that much roundoff) and are dropped from all
@@ -137,33 +147,57 @@ def _gap_split(m: np.ndarray) -> tuple[np.ndarray, ...]:
     raw, v = _lapack(np.linalg.eigh, delta)
     clamp = 64.0 * _EPS * np.linalg.norm(m, axis=(-2, -1)) ** 2
     w = np.where(np.abs(raw) <= np.expand_dims(clamp, -1), 0.0, raw)
-    wp, wm = np.maximum(w, 0.0), np.maximum(-w, 0.0)
-    x = np.array([wp, wm, np.sqrt(wp), np.sqrt(wm)])
-    dplus, dminus, sp, sm = _herm((v * x[..., None, :]) @ _adj(v))
-    return delta, raw, wm, dplus, dminus, sp, sm
+    return delta, raw, np.array([np.maximum(w, 0.0), np.maximum(-w, 0.0)]), v
 
 
-def _fit_unitary(m, sqrt_plus, sqrt_minus) -> tuple[np.ndarray, np.ndarray]:
-    """Connecting unitary of the stacks S1 = (B, sqrt_plus), S2 = (B*,
-    sqrt_minus), and the residual max |U S1 - S2| it leaves on them."""
-    s1 = np.concatenate([m, sqrt_plus], axis=-2)
-    s2 = np.concatenate([_adj(m), sqrt_minus], axis=-2)
-    w, _, vh = _lapack(np.linalg.svd, s2 @ _adj(s1))
-    u = w @ vh
-    return u, np.abs(u @ s1 - s2).max(axis=(-2, -1))
+def _from_eigs(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Hermitian stack v diag(x) v* for eigenvalue rows x (..., d)."""
+    return _herm((v * x[..., None, :]) @ _adj(v))
+
+
+def _fit_unitary(m, sqrt_plus, sqrt_minus) -> tuple[np.ndarray, ...]:
+    """The connecting unitary of the stacks S1 = (B, sqrt_plus) and S2 =
+    (B*, sqrt_minus), in factors: (Q1, R1, Q2, R2, W V*, residual).
+
+    S_k = Q_k (R_k; 0) is a complete QR, and R2 R1* = W Sigma V* a d x d
+    SVD. Then S2 S1* = Q2 diag(R2 R1*, 0) Q1*, so U = Q2 diag(W V*, 1) Q1*
+    is a polar factor of it (_unitary assembles U), and the residual
+    max |U S1 - S2| = max |Q2[:, :d] (W V* R1 - R2)| needs no 2d x 2d
+    product. R1 and R2 come from two independent QRs, so the Gram identity
+    R1* R1 = R2* R2 they stand for is checked (step (b)), not assumed.
+    """
+    d = m.shape[-1]
+    q1, r1 = _lapack(np.linalg.qr, np.concatenate([m, sqrt_plus], axis=-2), mode="complete")
+    q2, r2 = _lapack(np.linalg.qr, np.concatenate([_adj(m), sqrt_minus], axis=-2),
+                     mode="complete")
+    r1, r2 = r1[..., :d, :], r2[..., :d, :]
+    w, _, vh = _lapack(np.linalg.svd, r2 @ _adj(r1))
+    wv = w @ vh
+    residual = np.abs(q2[..., :d] @ (wv @ r1 - r2)).max(axis=(-2, -1))
+    return q1, r1, q2, r2, wv, residual
+
+
+def _unitary(q1: np.ndarray, q2: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """U = Q2 diag(W V*, 1) Q1* from the factors of _fit_unitary."""
+    d = wv.shape[-1]
+    left = q2.copy()
+    left[..., :d] = q2[..., :d] @ wv
+    return left @ _adj(q1)
 
 
 def connecting_unitary(b) -> np.ndarray:
     """Unitary U with U . stack(B, sqrt(Delta_plus)) = stack(B*, sqrt(Delta_minus)).
 
     Both stacks share the Gram matrix B*B + Delta_plus = BB* + Delta_minus,
-    so an exact U exists; it is computed as the unitary polar factor of
-    S2 S1* (full SVD, U = W Vh), which maps the column space of S1 onto that
-    of S2 and pairs the orthogonal complements deterministically.
+    so an exact U exists. It is the polar factor Q2 diag(W V*, 1) Q1* of
+    S2 S1* (see _fit_unitary): it maps the column space of S1 onto that of
+    S2 by the d x d unitary W V* and pairs the orthogonal complements by the
+    trailing columns of the two complete QRs.
     """
     m = _square(b)
-    *_, sp, sm = _gap_split(m)
-    return _fit_unitary(m, sp, sm)[0]
+    _, _, parts, v = _gap_split(m)
+    q1, _, q2, _, wv, _ = _fit_unitary(m, *_from_eigs(v, np.sqrt(parts)))
+    return _unitary(q1, q2, wv)
 
 
 @dataclass
@@ -201,51 +235,50 @@ def _chain_batch(m: np.ndarray, tol: float):
     """The proof chain of interlacing_trace for N matrices B at once, from a
     stack m of shape (N, d, d).
 
-    Returns (lhs, rhs, tols, mats): lhs, rhs and tols have shape (N, 11),
+    Returns (lhs, rhs, tols, factors): lhs, rhs and tols have shape (N, 11),
     one column per report of STEPS + BOUNDS, and report k of matrix i holds
     when rhs[i, k] - lhs[i, k] >= -tols[i, k]; tol is that of the four
-    bounds (the steps keep their TAU_CHECK budget). mats holds the stacks
-    (Z, Delta, Delta_plus, Delta_minus, U, E1, E2, E3, E4) as built. The
-    work is one eigh of Delta, one SVD, and two stacked eigvalsh: one of
-    the 2d x 2d matrices Z and the coupled blocks of E3 and E4, one of the
-    3d x 3d E1 and E2.
+    bounds (the steps keep their TAU_CHECK budget). factors are the stacks
+    (Delta, the eigenvalues of Delta_plus and Delta_minus, Delta's
+    eigenvectors, sqrt(Delta_plus), sqrt(Delta_minus), Q1, Q2, W V*) from
+    which _trace_matrices assembles the matrices of SpecialCaseTrace. The
+    work is one eigh of Delta, two QRs of 2d x d stacks and one SVD of d x d
+    matrices (_fit_unitary), and one eigvalsh of 5N matrices of size
+    2d x 2d; no 3d x 3d matrix, Delta part or full unitary is built.
 
     This is the only definition of the chain; m is not validated, so
     callers check outside input first (interlacing_trace does, through
     _square).
     """
     n, d = m.shape[0], m.shape[-1]
-    delta, gap_eigs, mu, dplus, dminus, sp, sm = _gap_split(m)
+    delta, gap_eigs, parts, v = _gap_split(m)
+    mu = parts[1]
+    sp, sm = _from_eigs(v, np.sqrt(parts))
+    q1, r1, q2, r2, wv, residual = _fit_unitary(m, sp, sm)
 
-    # E3 = [[1, 0, B*], [0, 1, 0], [B, 0, BB*]], E4 has sqrt(Delta_minus) in
-    # the (2, 3) and (3, 2) blocks, E2 = E3 + E4; E1 is E2 with B <-> B* and
-    # sqrt(Delta_plus) in place of sqrt(Delta_minus).
-    mh, bb, z = _blocks(m)
-    lo, hi = slice(d, 2 * d), slice(2 * d, 3 * d)
-    e3 = np.zeros((n, 3 * d, 3 * d), dtype=complex)
-    e3[:, : 2 * d, : 2 * d] = np.eye(2 * d)
-    e3[:, :d, hi], e3[:, hi, :d], e3[:, hi, hi] = mh, m, bb
-    e4 = np.zeros_like(e3)
-    e4[:, lo, hi] = e4[:, hi, lo] = sm
-    e2 = e3 + e4
-    e1 = e3.copy()
-    e1[:, :d, hi], e1[:, hi, :d], e1[:, lo, hi], e1[:, hi, lo] = m, mh, sp, sp
-    u, residual = _fit_unitary(m, sp, sm)
+    # E1 = [[1_2d, S1], [S1*, BB*]] and E2 = [[1_2d, S2], [S2*, BB*]]; with
+    # S_k = Q_k (R_k; 0), conjugation by diag(Q_k, 1) makes E_k, up to a
+    # permutation, 1_d (+) M_k with M_k = [[1_d, R_k], [R_k*, BB*]]. E3 is
+    # E2 with sqrt(Delta_minus) replaced by 0, so up to a permutation it is
+    # 1_d (+) [[1, B*], [B, BB*]], and E4 = E2 - E3 is 0_d (+) [[0,
+    # sqrt(Delta_minus)], [sqrt(Delta_minus), 0]]. So each spectrum is that
+    # of a 2d x 2d matrix and d known eigenvalues, and Z, the block of E3,
+    # M1, M2 and the block of E4 go to LAPACK as one stack. The QRs and the
+    # decompositions stay numerical: a closed form such as
+    # +-eig(sqrt(Delta_minus)) for E4 would make steps (c), (d) or (f) hold
+    # by construction.
+    stack = np.zeros((5, n, 2 * d, 2 * d), dtype=complex)
+    mh, bb, stack[0] = _blocks(m)
+    for out, x in zip(stack[1:], (mh, r1, r2)):
+        _bordered(x, bb, out)
+    stack[4, :, :d, d:] = stack[4, :, d:, :d] = sm
+    eig_z, eig_b3, eig_m1, eig_m2, eig_b4 = _lapack(
+        np.linalg.eigvalsh, stack.reshape(5 * n, 2 * d, 2 * d)
+    ).reshape(5, n, 2 * d)
+    def padded(eigs, value):  # eigs with d more eigenvalues `value`, sorted
+        return np.sort(np.concatenate([eigs, np.full((n, d), value)], axis=1), axis=1)
 
-    # Up to a permutation, E3 is 1_d (+) E3[r3, r3] over the blocks r3 = (1, 3)
-    # and E4 is 0_d (+) E4[r4, r4] over r4 = (2, 3): the entries coupling
-    # them were written as exact zeros above. So only those 2d x 2d blocks,
-    # sliced from the matrices as built, are decomposed: E4's spectrum is
-    # its block's and d zeros, E3's least eigenvalue the lesser of its
-    # block's and 1. A closed form in place of a decomposition, such as
-    # +-eig(sqrt(Delta_minus)) for E4, would make steps (c), (d) or (f)
-    # hold by construction.
-    r3 = np.r_[:d, hi]
-    eig_z, eig_b3, eig_b4 = _lapack(
-        np.linalg.eigvalsh, np.concatenate([z, e3[:, r3[:, None], r3], e4[:, d:, d:]])
-    ).reshape(3, n, 2 * d)
-    eig_e1, eig_e2 = _lapack(np.linalg.eigvalsh, np.concatenate([e1, e2])).reshape(2, n, 3 * d)
-    eig_e4 = np.sort(np.concatenate([eig_b4, np.zeros((n, d))], axis=1), axis=1)
+    eig_e1, eig_e2, eig_e4 = padded(eig_m1, 1.0), padded(eig_m2, 1.0), padded(eig_b4, 0.0)
     min_e3 = np.minimum(eig_b3[:, 0], 1.0)
 
     # The proven steps compare spectra equal up to eigenvalue roundoff, so
@@ -294,7 +327,17 @@ def _chain_batch(m: np.ndarray, tol: float):
                     bound, sqrt_minus, bound, bound]).T
     tols = np.array([atol, atol, atol, atol, zero, atol, resid_tol,
                      zero + tol, zero + tol, zero + tol, zero + tol]).T
-    return lhs, rhs, tols, (z, delta, dplus, dminus, u, e1, e2, e3, e4)
+    return lhs, rhs, tols, (delta, parts, v, sp, sm, q1, q2, wv)
+
+
+def _trace_matrices(m: np.ndarray, factors: tuple) -> tuple[np.ndarray, ...]:
+    """(Z, Delta, Delta_plus, Delta_minus, U, E1, E2, E3, E4) of a stack m,
+    assembled from the factors of _chain_batch without a decomposition."""
+    delta, parts, v, sp, sm, q1, q2, wv = factors
+    mh, bb, z = _blocks(m)
+    e1, e2, e3 = (_bordered(np.concatenate([x, y], axis=-2), bb)
+                  for x, y in ((m, sp), (mh, sm), (mh, np.zeros_like(m))))
+    return (z, delta, *_from_eigs(v, parts), _unitary(q1, q2, wv), e1, e2, e3, e2 - e3)
 
 
 def _chain_reports(b: np.ndarray, lhs, rhs, tols) -> list[InequalityReport]:
@@ -334,6 +377,6 @@ def interlacing_trace(b, tol: float = TAU_CHECK) -> SpecialCaseTrace:
     their roundoff budget whatever tol is.
     """
     m = _square(b)
-    lhs, rhs, tols, mats = _chain_batch(m[None], tol)
+    lhs, rhs, tols, factors = _chain_batch(m[None], tol)
     reports = _chain_reports(m, lhs[0], rhs[0], tols[0])
-    return SpecialCaseTrace(m, *(x[0] for x in mats), reports)
+    return SpecialCaseTrace(m, *(x[0] for x in _trace_matrices(m[None], factors)), reports)

@@ -10,6 +10,7 @@ from negmono.specialcase import (
     SpecialCaseTrace,
     _chain_batch,
     _check,
+    _trace_matrices,
     build_special_Z,
     check_ineqid,
     check_ineqid2,
@@ -211,15 +212,18 @@ def test_interlacing_trace_ineqid_reports_match_public_checks():
 
 
 def test_interlacing_trace_decomposition_count(monkeypatch):
-    # one eigh of Delta, one SVD for U, and two stacked eigvalsh: Z with the
-    # coupled blocks of E3 and E4, and E1 with E2
-    counts = {"eigvalsh": 0, "eigh": 0, "svd": 0}
+    # one eigh of Delta, two QRs of the stacks, one d x d SVD for U and one
+    # stacked eigvalsh of Z, the coupled blocks of E3 and E4 and the reduced
+    # E1 and E2; assembling the matrices of the trace decomposes nothing
+    counts = {"eigvalsh": 0, "eigh": 0, "qr": 0, "svd": 0}
+    shapes = []
 
     def counting(name):
         orig = getattr(np.linalg, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            shapes.append((name, np.shape(args[0])))
             return orig(*args, **kwargs)
 
         return wrapper
@@ -227,8 +231,9 @@ def test_interlacing_trace_decomposition_count(monkeypatch):
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counting(name))
     interlacing_trace(complex_gaussian(np.random.default_rng(8), (4, 4)))
-    assert counts["eigvalsh"] + counts["eigh"] == 3
-    assert counts["svd"] == 1
+    assert counts == {"eigvalsh": 1, "eigh": 1, "qr": 2, "svd": 1}
+    assert sorted(shapes) == [("eigh", (1, 4, 4)), ("eigvalsh", (5, 8, 8)),
+                              ("qr", (1, 8, 4)), ("qr", (1, 8, 4)), ("svd", (1, 4, 4))]
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -251,7 +256,9 @@ def test_chain_batch_rows_match_single_traces(d):
         1000.0 * complex_gaussian(rng, (d, d)),
         complex_gaussian(rng, (d, d)),
     ]
-    lhs, rhs, tols, mats = _chain_batch(np.stack(cases), 1e-9)
+    m = np.stack(cases)
+    lhs, rhs, tols, factors = _chain_batch(m, 1e-9)
+    mats = _trace_matrices(m, factors)
     assert lhs.shape == rhs.shape == tols.shape == (len(cases), len(STEPS + BOUNDS))
     for i, b in enumerate(cases):
         trace = interlacing_trace(b, tol=1e-9)
@@ -268,9 +275,9 @@ def test_chain_batch_rows_match_single_traces(d):
 
 def _full_spectrum_lhs(trace):
     """The lhs of each report of the chain for trace.B, from a full eigvalsh
-    of each of Z and E1..E4 as built and the formulas of the chain: the
-    form the chain had before it decomposed only the coupled blocks of E3
-    and E4."""
+    of each of Z and E1..E4 as assembled, the residual of trace.U on the
+    stacks read from E1 and E2, and the formulas of the chain: the form the
+    chain had before it reduced E1..E4 to 2d x 2d blocks."""
     b, d = trace.B, trace.B.shape[0]
     eig_z, eig_e1, eig_e2, eig_e3, eig_e4 = (
         np.linalg.eigvalsh(x) for x in (trace.Z, trace.E1, trace.E2, trace.E3, trace.E4))
@@ -296,41 +303,67 @@ def _full_spectrum_lhs(trace):
     ]
 
 
+def _jordan_shifts(d, t):
+    # t J_d: floor(d/2) blocks t [[0, 1], [0, 0]] on the diagonal, and a 0
+    # for odd d; the extremal family of the n = 2 ratio as t grows
+    b = np.zeros((d, d), dtype=complex)
+    for k in range(0, d - 1, 2):
+        b[k, k + 1] = t
+    return b
+
+
 def _block_reduction_cases():
     rng = np.random.default_rng(40)
     cases = [pytest.param(complex_gaussian(rng, (d, d)), id=f"random-d{d}-{k}")
              for d in range(1, 9) for k in range(3)]
+    u = np.linalg.qr(complex_gaussian(rng, (4, 4)))[0]
+    normal = u @ np.diag([2.0, -1.0, 0.5j, 1.5]) @ u.conj().T
     return cases + [
         pytest.param(pad_square(complex_gaussian(rng, (2, 3))), id="zero-padded"),
         pytest.param(np.diag(complex_gaussian(rng, (4,))), id="diagonal"),
         pytest.param(np.zeros((3, 3), dtype=complex), id="zero"),
         pytest.param(SHIFT, id="shift"),
+    ] + [
+        pytest.param(_jordan_shifts(d, t), id=f"J{d}-t{t:g}")
+        for d in (2, 3, 5, 6) for t in (1.0, 1e3, 1e5)
+    ] + [
+        pytest.param(complex_gaussian(rng, (1, 1)), id="d1"),
+        pytest.param(pad_square(complex_gaussian(rng, (3, 2))), id="zero-padded-3x2"),
+        pytest.param(normal + 1e-9 * complex_gaussian(rng, (4, 4)), id="nearly-normal"),
+        pytest.param(1e6 * complex_gaussian(rng, (4, 4)), id="gaussian-1e6"),
+        pytest.param(1e-6 * complex_gaussian(rng, (4, 4)), id="gaussian-1e-6"),
     ]
 
 
 @pytest.mark.parametrize("b", _block_reduction_cases())
 def test_chain_decomposes_only_the_coupled_blocks_of_E3_and_E4(b):
-    # E3 is the identity on its middle d rows and columns and E4 zero on its
-    # first d: exact zeros couple them to the rest. The chain decomposes
-    # only the other 2d x 2d blocks, which leaves every report but step (f)
-    # bit-identical to full decompositions of E1..E4. Step (f) reads E3's
-    # least eigenvalue from a decomposition of another matrix with the same
-    # spectrum, so it agrees within eigenvalue roundoff of a 3d x 3d matrix.
+    # Up to permutations, E3 is 1_d (+) a 2d x 2d block, E4 is 0_d (+) one,
+    # and E1, E2 are 1_d (+) [[1, R_k], [R_k*, BB*]] with R_k from the QR of
+    # their stacks; the chain decomposes only those blocks. Steps (d) and
+    # (e) and the four bounds read the same spectra as full decompositions
+    # of the assembled E1..E4 and stay bit-identical to them. Steps (a),
+    # (b), (c), (f) and the residual read spectra or factors of other
+    # matrices with the same spectra, so they agree within eigenvalue
+    # roundoff of a 3d x 3d matrix.
     d = b.shape[0]
     trace = interlacing_trace(b, tol=1e-9)
+    assert all(rep.holds for rep in trace.reports)
     mid, rest = slice(d, 2 * d), np.r_[:d, 2 * d : 3 * d]
     assert np.array_equal(trace.E3[mid, mid], np.eye(d))
     assert not trace.E3[mid][:, rest].any() and not trace.E3[rest][:, mid].any()
     assert not trace.E4[:d].any() and not trace.E4[:, :d].any()
+    norm = max(np.linalg.norm(e, 2) for e in (trace.E1, trace.E2, trace.E3, trace.E4))
+    bound = 8.0 * 3 * d * _EPS * norm
     want = _full_spectrum_lhs(trace)
-    step_f = STEPS.index("step_f_E3_psd")
+    roundoff = {"step_a_interlacing", "step_b_equal_spectra", "step_c_weyl",
+                "step_f_E3_psd", "unitary_residual"}
     for k, rep in enumerate(trace.reports):
-        if k == step_f:
-            bound = 8.0 * 3 * d * _EPS * np.linalg.norm(trace.E3, 2)
+        if rep.name in roundoff:
             assert abs(rep.lhs - want[k]) <= bound, rep.name
         else:
             assert rep.lhs == want[k], rep.name
-    assert all(rep.holds for rep in trace.reports)
+    u = trace.U
+    assert np.abs(u.conj().T @ u - np.eye(2 * d)).max() <= 8.0 * 2 * d * _EPS
 
 
 def test_interlacing_trace_zero_matrix():
