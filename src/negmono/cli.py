@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import cache
 
 import numpy as np
@@ -29,7 +30,7 @@ from .permlemma import D_MAX, check_commutative, drury_numeric_check, max_rearra
 from .qstate import _random_coeffs
 from .search import TARGETS, SearchConfig, run_search
 from .specialcase import interlacing_trace, pad_square
-from .errors import QuadratureFailureError, StepFailedError
+from .errors import StepFailedError
 
 # One compact encoder for every record, rather than one per json.dumps call;
 # numpy scalars (np.int64, np.bool_, ...) are written as their Python value.
@@ -283,9 +284,7 @@ def _cmd_selftest(args) -> int:
         for fn in acceptance.CRITERIA:
             res = fn(seed)
             print(res.line(), file=sys.stderr)
-            _emit({"index": res.index, "name": res.name, "passed": res.passed,
-                   "elapsed_s": res.elapsed_s, "details": res.details},
-                  out)
+            _emit(asdict(res), out)
             if not res.passed:
                 failed += 1
     return 1 if failed else 0
@@ -396,7 +395,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE, as a shell reports a process it killed
-    except (ValueError, OSError, QuadratureFailureError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash is never a finding

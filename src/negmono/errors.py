@@ -1,18 +1,12 @@
-"""Exception types whose type the program acts on. Bad input is a plain
-ValueError with a message naming the bad value; cli.main maps the types
-below to exit 1 (StepFailedError), 2 (QuadratureFailureError) and 3."""
+"""Exception types whose type the program acts on. Bad input, an unreachable
+quadrature tolerance included, is a plain ValueError with a message naming
+the bad value; cli.main maps StepFailedError to exit 1, a ValueError or
+OSError to 2 and any other exception to 3."""
 
 
 class NoConvergenceError(RuntimeError):
-    """An eigenvalue or singular-value routine failed to converge."""
-
-
-class RootNotBracketedError(RuntimeError):
-    """Bisection could not bracket the requested level."""
-
-
-class QuadratureFailureError(RuntimeError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """An eigenvalue or singular-value routine failed to converge; not
+    numpy's LinAlgError, a ValueError, which would read as bad input."""
 
 
 class StepFailedError(RuntimeError):
@@ -25,9 +19,9 @@ class StepFailedError(RuntimeError):
         self.step = step
         self.message = message
         self.instance = instance
-        super().__init__(f"step {step}: {message}")
+        super().__init__(message)
 
     def __reduce__(self):
-        # the default pickles args, the formatted message alone, which
-        # __init__ cannot take back
+        # the default pickles args, the message alone, which __init__
+        # cannot take back
         return type(self), (self.step, self.message, self.instance)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureFailureError, RootNotBracketedError
 from .matcore import _EPS, InequalityReport, _at_least, _finite_number, make_report
 
 DEFAULT_THETA = 1.0
@@ -149,7 +148,7 @@ def _simpson_panels(f, a: np.ndarray, b: np.ndarray, tol: float | np.ndarray) ->
         table = np.concatenate((level[:6], mids, fmids, halves, 0.5 * level[7:]))
         level = table[_HALVES[:, None, :], np.flatnonzero(split)[:, None]].reshape(8, -1)
     if failure is not None:
-        raise QuadratureFailureError(failure)
+        raise ValueError(failure)
     value = levels.pop()[0]
     for val, split in reversed(levels):  # a split panel sums its halves
         val[split], value = value[0::2] + value[1::2], val
@@ -309,14 +308,14 @@ def _bisect_levels(c: np.ndarray, theta: float, positive, tol: float) -> np.ndar
     """
     bad = ~((0.0 < c) & (c < 0.5))
     if bad.any():
-        raise RootNotBracketedError(f"level must lie in (0, 1/2), got {float(c[bad][0])}")
+        raise RuntimeError(f"level must lie in (0, 1/2), got {float(c[bad][0])}")
     positive = np.broadcast_to(positive, c.shape)
     side = positive.astype(np.intp)
     ends = np.ldexp([[-1.0], [1.0]], np.arange(40))  # the outer ends up to 1e12
     stop = ~(_g_array(ends.ravel(), theta).reshape(ends.shape)[side] > c[:, None])
     if not (found := stop.any(axis=1)).all():
         k = int(np.argmin(found))
-        raise RootNotBracketedError(
+        raise RuntimeError(
             f"no {'positive' if positive[k] else 'negative'} root for level {float(c[k])}")
     inner, outer = np.zeros(c.shape), ends[side, stop.argmax(axis=1)]
     while (live := np.abs(outer - inner) > tol * np.maximum(1.0, np.abs(outer))).any():

@@ -191,14 +191,6 @@ def require_hermitian(x) -> np.ndarray:
     return _herm(m)
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigenvalues in ascending order with a matching unitary eigenbasis."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _lapack(fn, *args, **kwargs):
     """fn(*args, **kwargs) for a numpy.linalg decomposition fn, with a
     LAPACK failure raised as NoConvergenceError."""
@@ -208,9 +200,10 @@ def _lapack(fn, *args, **kwargs):
         raise NoConvergenceError(str(exc)) from exc
 
 
-def hermitian_eig(h) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    return HermitianEigen(*_lapack(np.linalg.eigh, require_hermitian(h)))
+def hermitian_eig(h):
+    """numpy's eigh of a Hermitian matrix: the eigenvalues, ascending, and
+    a matching unitary eigenbasis, which unpack as w, v."""
+    return _lapack(np.linalg.eigh, require_hermitian(h))
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
@@ -235,12 +228,11 @@ def psd_sqrt(p) -> np.ndarray:
     anything lower raises ValueError.
     """
     m = as_complex_matrix(p)
-    e = hermitian_eig(m)
+    w, v = hermitian_eig(m)
     tol = PSD_TOL_FACTOR * float(np.abs(m).max())
-    if e.eigenvalues[0] < -tol:
-        raise ValueError(f"smallest eigenvalue {e.eigenvalues[0]:.3e} below clamp -{tol:.3e}")
-    v = e.eigenvectors
-    return (v * np.sqrt(np.clip(e.eigenvalues, 0.0, None))) @ _adj(v)
+    if w[0] < -tol:
+        raise ValueError(f"smallest eigenvalue {w[0]:.3e} below clamp -{tol:.3e}")
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ _adj(v)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .matcore import InequalityReport, TAU_CHECK, _adj, _lapack, _negativities, make_report
-from .qstate import TripartiteState, _stacked, _unit_weight, coeff_matrices
+from .qstate import TripartiteState, _stacked, _unit_weight
 
 
 def _block_gram(f: np.ndarray, dA: int) -> np.ndarray:
@@ -137,7 +137,7 @@ def ineq2_report(state: TripartiteState, tol: float = TAU_CHECK) -> InequalityRe
     """Monogamy for a normalised state with the tight right-hand side:
     (||Z1||_1 - 1)^2 + (||Z2||_1 - 1)^2 <= (||G||_{1/2} - 1)^2 where G is
     the overlap matrix of the coefficient matrices."""
-    return _single_state_reports(_unit_weight(_stacked(coeff_matrices(state))), tol)[0]
+    return _single_state_reports(state.coeffs, tol)[0]
 
 
 def ineq3_report(mats, tol: float = TAU_CHECK) -> InequalityReport:

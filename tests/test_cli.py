@@ -10,9 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from negmono import acceptance, cli, matcore, monogamy, search, specialcase
+from negmono import acceptance, cli, imfunc, matcore, monogamy, search, specialcase
 from negmono.cli import main
-from negmono.errors import NoConvergenceError, RootNotBracketedError, StepFailedError
+from negmono.errors import NoConvergenceError, StepFailedError
 from negmono.matcore import complex_gaussian, matrix_from_dict, matrix_to_dict
 from negmono.monogamy import ineq2_report, ineq3_report, ineq4_report, monotonicity_report
 from negmono.qstate import _random_coeffs, coeff_matrices, random_state, state_from_dict
@@ -262,7 +262,9 @@ def test_special_case_failed_step_is_replayable(capsys, monkeypatch):
     np.testing.assert_array_equal(b, complex_gaussian(rng, (3, 3)))
     with pytest.raises(StepFailedError) as exc:
         interlacing_trace(b)
-    assert lines[0].startswith(f"certified chain failed at {exc.value.step}:")
+    # the step is named once, then the message alone
+    assert lines[0] == f"certified chain failed at {exc.value.step}: {exc.value.message}"
+    assert exc.value.message.startswith("lhs=") and str(exc.value) == exc.value.message
     monkeypatch.undo()
     assert all(rep.holds for rep in interlacing_trace(b).reports)
 
@@ -400,7 +402,8 @@ def test_im_approx_unattainable_tolerance_is_usage_error(capsys):
                              "--s-list", "1")
     assert time.perf_counter() - t0 < 5.0
     assert code == 2 and out == ""
-    assert len(err.strip().splitlines()) == 1 and "rounding error" in err
+    assert err == ("error: panel tolerance 2.5e-34 on [-256.0, -10.0] is below the rounding "
+                   "error 9.7e-18 of its Simpson estimate\n")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -462,13 +465,14 @@ def test_svd_failure_is_internal_error(capsys, monkeypatch):
 
 
 def test_bracketing_failure_is_internal_error(capsys, monkeypatch):
+    # a bisection that finds no bracket is a plain RuntimeError, not bad input
     def fail(*args, **kwargs):
-        raise RootNotBracketedError("no positive root for level 0.25")
+        imfunc._bisect_levels(np.array([1e-7]), 1e-15, True, 1e-12)
 
     monkeypatch.setattr(cli, "sup_error_table", fail)
     code, out, err = run_cli(capsys, "im-approx", "--s-list", "1")
     assert code == 3 and out == ""
-    assert err.strip().splitlines() == ["internal error: no positive root for level 0.25"]
+    assert err.strip().splitlines() == ["internal error: no positive root for level 1e-07"]
 
 
 # A kernel of each subcommand, and a short run that reaches it.

@@ -62,8 +62,7 @@ def test_hermitian_eig_reconstruction():
     rng = np.random.default_rng(1)
     for d in (1, 2, 5, 8):
         h = random_hermitian(rng, d)
-        dec = hermitian_eig(h)
-        v, lam = dec.eigenvectors, dec.eigenvalues
+        lam, v = hermitian_eig(h)
         assert np.all(np.diff(lam) >= 0)
         np.testing.assert_allclose((v * lam) @ v.conj().T, h, atol=1e-12)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from negmono import monogamy
 from negmono.matcore import TAU_CHECK, complex_gaussian, negativity
 from negmono.monogamy import (
     _z1,
@@ -152,21 +153,27 @@ def test_verify_batch_matches_single_state_formulas(dims):
         np.testing.assert_allclose(row[4:], density_route, rtol=0.0, atol=1e-13)
 
 
-def test_ineq2_requires_normalized_state():
-    s = random_state((2, 2, 2), np.random.default_rng(5))
-    s.coeffs *= 2.0  # break the invariant behind the constructor's back
-    with pytest.raises(ValueError, match=r"^squared weight [\d.]+ differs from 1 by more than 1e-10$"):
-        ineq2_report(s)
+def test_ineq2_report_reads_the_validated_coeffs(monkeypatch):
+    # the state constructor validated the tensor, so the report neither
+    # copies it into matrices nor checks its weight again, and gives the
+    # same report as the matrices route, bit for bit
+    rng = np.random.default_rng(5)
+    for dims in DIMS:
+        s = random_state(dims, rng)
+        via_mats = monogamy._single_state_reports(_stacked(coeff_matrices(s)), TAU_CHECK)[0]
+        with monkeypatch.context() as m:
+            m.setattr(monogamy, "_unit_weight", None)
+            m.setattr(monogamy, "_stacked", None)
+            got = ineq2_report(s)
+        assert got == via_mats
 
 
 def test_unit_weight_is_checked_once_with_one_message():
-    # the state constructor and the normalised reports share one check
+    # the state constructor and ineq3_report share one check
     s = random_state((2, 3, 2), np.random.default_rng(5))
     c = 2.0 * s.coeffs
-    s.coeffs = c
     messages = set()
-    for call in (lambda: TripartiteState(c), lambda: ineq2_report(s),
-                 lambda: ineq3_report(coeff_matrices(s))):
+    for call in (lambda: TripartiteState(c), lambda: ineq3_report(list(c))):
         with pytest.raises(ValueError) as info:
             call()
         messages.add(str(info.value))

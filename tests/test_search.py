@@ -776,3 +776,13 @@ def test_result_to_dict():
     d = res.to_dict()
     assert set(d) == {"min_slack", "argmin", "trial_index", "violations"}
     assert isinstance(res, SearchResult)
+
+
+@pytest.mark.xfail(strict=True, reason="the special-case bounds compare against the absolute "
+                   "TAU_CHECK, while the roundoff of Z's eigenvalues grows as eps * ||B||^2")
+def test_large_steps_report_no_proven_violation():
+    # ineqid is proven, but at step_scale 1e20 Z's eigenvalues carry an
+    # error of order eps * ||B||^2 (some 1e26), and both sides are of order
+    # ||B||, so every trial's float slack falls far below -TAU_CHECK
+    cfg = SearchConfig(target="ineqid", d=3, trials=20, step_scale=1e20)
+    assert run_search(cfg).violations == 0
