@@ -186,57 +186,30 @@ def _chain_chunk(d: int) -> int:
     return max(1, min(1000, CHAIN_ENTRIES // (3 * d) ** 2))
 
 
-def _part_stacks(rng: np.random.Generator, d: int, start: int, stop: int):
-    """The stacks of criterion 4's B start..stop - 1 of size d, one chunk of
-    _chain_chunk(d) per generator call from rng, which stands at B start."""
-    chunk = _chain_chunk(d)
-    for k in range(start, stop, chunk):
-        yield _complex_gaussians(rng, min(chunk, stop - k), (d, d))
-
-
-def _chain_parts(seed: int, per_size: int):
-    """Criterion 4's parts (d, state, start, stop), yielded in draw order:
-    each size's 1000 B split into up to per_size contiguous parts whose
-    bounds fall on multiples of that size's chunk, so that a part makes the
-    serial chunks. state is the bit generator state of _rng(seed, 4) at B
-    start of size d; once the part is read, the stream is advanced past its
-    chunks, drawn and discarded, so no stack is kept."""
+def _chain_stacks(seed: int):
+    """Criterion 4's stacks of B in draw order: each size's 1000 B, a chunk
+    of _chain_chunk(d) per generator call from _rng(seed, 4)."""
     rng = _rng(seed, 4)
     for d in range(2, 9):
         chunk = _chain_chunk(d)
-        chunks = math.ceil(1000 / chunk)
-        parts = min(per_size, chunks)
-        for k in range(parts):
-            start = chunk * (chunks * k // parts)
-            stop = min(chunk * (chunks * (k + 1) // parts), 1000)
-            yield d, rng.bit_generator.state, start, stop
-            for _ in _part_stacks(rng, d, start, stop):
-                pass
+        for start in range(0, 1000, chunk):
+            yield _complex_gaussians(rng, min(chunk, 1000 - start), (d, d))
 
 
-def _chain_part(part: tuple) -> tuple:
+def _chain_stack(bs: np.ndarray) -> tuple:
     """(first failing report or None, least bound slack, largest unitary
-    residual) of one part (d, state, start, stop) of criterion 4: its B,
-    drawn from a generator set to state, certified one chunk of
-    _chain_chunk(d) per kernel call, whose rows give the report; a failed
-    chain step raises StepFailedError with its B as the instance. The
-    extremes cover the chunks before a failing one."""
-    d, state, start, stop = part
-    bits = getattr(np.random, state["bit_generator"])()
-    bits.state = state
-    worst_slack, worst_residual = math.inf, 0.0
-    residual_col = STEPS.index("unitary_residual")
-    for bs in _part_stacks(np.random.Generator(bits), d, start, stop):
-        lhs, rhs, tols, _ = _chain_batch(bs, 1e-9)
-        slack = rhs - lhs
-        bad = np.flatnonzero(~np.all(slack >= -tols, axis=1))
-        if bad.size:
-            i = bad[0]
-            reports = _chain_reports(bs[i], lhs[i], rhs[i], tols[i])
-            return next(rep for rep in reports if not rep.holds), worst_slack, worst_residual
-        worst_residual = max(worst_residual, float(lhs[:, residual_col].max()))
-        worst_slack = min(worst_slack, float(slack[:, len(STEPS):].min()))
-    return None, worst_slack, worst_residual
+    residual) of one stack of criterion 4's B, certified by one kernel
+    call, whose rows give the report; a failed chain step raises
+    StepFailedError with its B as the instance."""
+    lhs, rhs, tols, _ = _chain_batch(bs, 1e-9)
+    slack = rhs - lhs
+    bad = np.flatnonzero(~np.all(slack >= -tols, axis=1))
+    if bad.size:
+        i = bad[0]
+        reports = _chain_reports(bs[i], lhs[i], rhs[i], tols[i])
+        return next(rep for rep in reports if not rep.holds), math.inf, 0.0
+    residual = float(lhs[:, STEPS.index("unitary_residual")].max())
+    return None, float(slack[:, len(STEPS):].min()), residual
 
 
 @_criterion(budget_s=60.0)
@@ -246,21 +219,18 @@ def special_case_chain(seed):
     chain passes all steps and the connecting-unitary residual stays
     within 1e-9.
 
-    Each size's B are split into one part per worker (matcore._workers()), at
-    multiples of that size's chunk (_chain_chunk: N (3d)^2 <= CHAIN_ENTRIES
-    for N B of size d), and the parts run through _ordered_map: in
-    this process at one worker, else in worker processes that draw their
-    own B from the generator state at the part's start, a chunk at a time,
-    and certify one chunk per kernel call. The parent streams those states
-    and merges the parts' (first failing report, least slack, largest
-    residual) in draw order; the results depend neither on the chunks nor
-    on the parts.
-    Only the first failing B, in draw order, gets reports, built by its
-    part: a failed chain step raises StepFailedError with that B as its
-    instance, a failed bound is returned as the detail."""
-    workers = _workers()
+    Each size's B are drawn once, in chunks (_chain_chunk: N (3d)^2 <=
+    CHAIN_ENTRIES for N B of size d), and the chunks go through
+    _ordered_map, one kernel call each: in this process at one worker
+    (matcore._workers()), else in worker processes to which the parent
+    hands each chunk as it is drawn. The parent merges the chunks'
+    (first failing report, least slack, largest residual) in draw order;
+    the results depend neither on the chunk size nor on the workers.
+    Only the first failing B, in draw order, gets reports, built from its
+    chunk's rows: a failed chain step raises StepFailedError with that B
+    as its instance, a failed bound is returned as the detail."""
     worst_slack, worst_residual = math.inf, 0.0
-    results = _ordered_map(_chain_part, _chain_parts(seed, workers), workers)
+    results = _ordered_map(_chain_stack, _chain_stacks(seed), _workers())
     # closed on every exit, so no worker outlives the criterion
     with contextlib.closing(results):
         for failed, slack, residual in results:

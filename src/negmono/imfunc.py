@@ -273,6 +273,9 @@ class IMParams:
             _finite_number(name, getattr(self, name))
         if not self.grid_hi > self.grid_lo:
             raise ValueError("grid must have grid_hi > grid_lo")
+        if not math.isfinite(self.grid_hi - self.grid_lo):
+            raise ValueError(f"grid width grid_hi - grid_lo must be finite, got grid_lo = "
+                             f"{self.grid_lo}, grid_hi = {self.grid_hi}")
         object.__setattr__(self, "grid_n", _at_least("grid_n", self.grid_n, 2))
 
     def grid(self) -> np.ndarray:

@@ -327,4 +327,8 @@ def matrix_from_dict(obj: dict) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     with open(path) as fh:
-        return matrix_from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"matrix file {path} nests JSON too deeply to decode") from None
+    return matrix_from_dict(obj)

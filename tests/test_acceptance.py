@@ -9,9 +9,9 @@ give the details of their per-item form and criterion 8 those of its
 former scalar quadrature, bisection and g', and which matrix a failure of
 criterion 4 or 7 reports, and the one quadrature and one bisection of
 criterion 8; which state a failure of criterion 3 reports;
-and which chains criterion 6 rejects. Criterion 4's parts draw the serial
-stream, its worker processes give the in-process details and failures and
-end with it, and it and criterion 10 start one worker per CPU."""
+and which chains criterion 6 rejects. Criterion 4 draws the serial stream,
+each chunk once; its worker processes give the in-process details and
+failures and end with it, and it and criterion 10 start one worker per CPU."""
 
 import dataclasses
 import itertools
@@ -124,7 +124,7 @@ def test_criterion_runner_owns_index_name_and_budget(monkeypatch, budget_s, pass
 def test_special_case_chain_counts(monkeypatch, call_counts, in_process_pool):
     # per chunk of N B of size d: one eigh, two QRs, one SVD of N d x d
     # matrices and one eigvalsh of 5N 2d x 2d matrices, and no per-B
-    # validation or report, whatever the parts; each chunk holds at most
+    # validation or report, whatever the workers; each chunk holds at most
     # CHAIN_ENTRIES entries of a 3d x 3d stack
     decomposed = []
     for name in ("svd", "eigvalsh"):
@@ -191,35 +191,35 @@ def test_special_case_chain_in_workers_is_the_in_process_run(seed, cpus):
     assert in_workers.details == in_process.details
 
 
-@pytest.mark.parametrize("per_size", [1, 2, 3, 7, 36, 63, 64])
-def test_special_case_chain_parts_draw_the_serial_stream(per_size):
-    for seed in (0, 1):
-        parts = list(acceptance._chain_parts(seed, per_size))
-        assert len(parts) == sum(min(per_size, math.ceil(1000 / acceptance._chain_chunk(d)))
-                                 for d in range(2, 9))
-        rng = acceptance._rng(seed, 4)
-        for d in range(2, 9):
-            own = [p for p in parts if p[0] == d]
-            bounds = [(start, stop) for _, _, start, stop in own]
-            assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
-            assert bounds[-1][1] == 1000
-            assert all(start % acceptance._chain_chunk(d) == 0 for start, _ in bounds)
-            drawn = []
-            for _, state, start, stop in own:
-                bits = np.random.PCG64()
-                bits.state = state
-                drawn.extend(acceptance._part_stacks(np.random.Generator(bits), d, start, stop))
-            drawn = np.concatenate(drawn)
-            np.testing.assert_array_equal(drawn, matcore._complex_gaussians(rng, 1000, (d, d)))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_special_case_chain_stacks_draw_the_serial_stream(seed):
+    stacks = list(acceptance._chain_stacks(seed))
+    rng = acceptance._rng(seed, 4)
+    for d in range(2, 9):
+        own = [bs for bs in stacks if bs.shape[-1] == d]
+        assert [len(bs) for bs in own[:-1]] == [acceptance._chain_chunk(d)] * (len(own) - 1)
+        np.testing.assert_array_equal(np.concatenate(own),
+                                      matcore._complex_gaussians(rng, 1000, (d, d)))
 
 
-def test_special_case_chain_starts_one_worker_per_cpu_up_to_the_parts(monkeypatch, cpus,
-                                                                     in_process_pool):
-    # the parts are stubbed out: only the pool sizes are of interest
-    monkeypatch.setattr(acceptance, "_chain_part", lambda part: (None, 1.0, 0.0))
+def test_special_case_chain_draws_each_chunk_once(call_counts, in_process_pool, cpus):
+    # one generator call per chunk, in the parent, which hands the chunks
+    # to the pool
+    cpus(2)
+    counts, count = call_counts
+    count(acceptance, "_complex_gaussians")
+    assert acceptance.special_case_chain(seed=0).passed
+    assert counts == {"_complex_gaussians": 115}
+    assert in_process_pool == [2]
+
+
+def test_special_case_chain_starts_one_worker_per_cpu_up_to_the_chunks(monkeypatch, cpus,
+                                                                      in_process_pool):
+    # the chunks are stubbed out: only the pool sizes are of interest
+    monkeypatch.setattr(acceptance, "_chain_stack", lambda bs: (None, 1.0, 0.0))
     cpus(64)
     assert acceptance.special_case_chain(seed=0).passed
-    monkeypatch.setattr(acceptance, "CHAIN_ENTRIES", 2 ** 30)  # one chunk, so one part, per size
+    monkeypatch.setattr(acceptance, "CHAIN_ENTRIES", 2 ** 30)  # one chunk per size
     assert acceptance.special_case_chain(seed=0).passed
     assert in_process_pool == [64, 7]
     cpus(1)
@@ -581,7 +581,7 @@ def test_special_case_chain_failed_step_carries_first_failing_b(monkeypatch):
 
 def _failing_at(monkeypatch, column, draws):
     """Make criterion 4 see report `column` fail for the B drawn at the
-    given (d, index) pairs, at every number of parts."""
+    given (d, index) pairs, at every number of workers."""
     rng = acceptance._rng(0, 4)
     stacks = {d: matcore._complex_gaussians(rng, 1000, (d, d)) for d in range(2, 9)}
     targets = {d: stacks[d][[i for e, i in draws if e == d]] for d in stacks}
@@ -598,7 +598,7 @@ def _failing_at(monkeypatch, column, draws):
     return stacks
 
 
-# failures only in the second of two parts of d = 2 (B 455..999) and in a
+# failures only after the first chunk of d = 2 (B 0..454) and in a
 # later size, so the first in draw order is B 600 of d = 2
 LATE_FAILURES = [(2, 700), (3, 5), (2, 600), (5, 999)]
 

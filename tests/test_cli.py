@@ -207,6 +207,16 @@ def test_special_case_malformed_file_is_usage_error(capsys, tmp_path, blob):
     assert len(err.strip().splitlines()) == 1 and "matrix JSON" in err
 
 
+def test_special_case_deeply_nested_file_is_usage_error(capsys, tmp_path):
+    # json.load raises RecursionError on it, which read as an internal error
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "special-case", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [f"error: matrix file {path} nests JSON too deeply "
+                                        "to decode"]
+
+
 # The three readers of numbers in records, each as a template for one JSON
 # value, and the message each gives for a value that breaks the number rule
 NUMBER_READERS = {
@@ -422,6 +432,16 @@ def test_im_approx_non_finite_parameter_is_usage_error(capsys, argv, message):
         code, out, err = run_cli(capsys, "im-approx", *argv)
     assert code == 2 and out == ""
     assert err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_im_approx_overflowing_grid_is_usage_error(capsys):
+    # its width overflows: linspace warned twice and made a nan grid point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "im-approx", "--grid=-1e308:1e308:3", "--s-list", "1")
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == ["error: grid width grid_hi - grid_lo must be finite, "
+                                        "got grid_lo = -1e+308, grid_hi = 1e+308"]
 
 
 @pytest.mark.parametrize("argv,message", [

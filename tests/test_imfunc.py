@@ -329,6 +329,15 @@ def test_im_params_validation():
         IMParams(grid_n=1)
 
 
+def test_im_params_refuse_a_grid_wider_than_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            IMParams(grid_lo=-1e308, grid_hi=1e308)
+    assert str(info.value) == ("grid width grid_hi - grid_lo must be finite, "
+                               "got grid_lo = -1e+308, grid_hi = 1e+308")
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: IMParams(grid_n=2.5), "grid_n must be an integer, got 2.5"),
     (lambda: IMParams(grid_n=1), "grid_n must be at least 2, got 1"),
